@@ -189,7 +189,6 @@ func All() []*Analyzer {
 		AnalyzerSpanPair,
 		AnalyzerNoProtocolPanic,
 		AnalyzerHotAlloc,
-		AnalyzerHistCause,
 		AnalyzerDetWalk,
 		AnalyzerHotEscape,
 		AnalyzerAtomicSafe,

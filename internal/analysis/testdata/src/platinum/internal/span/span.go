@@ -52,18 +52,3 @@ func (r *Recorder) Record(sp Span) ID {
 	r.spans = append(r.spans, sp)
 	return ID(len(r.spans) - 1)
 }
-
-// ReconciledCauses is the fixture copy of the reconciliation set the
-// histcause analyzer reads.
-var ReconciledCauses = []sim.Cause{
-	sim.CauseFault,
-	sim.CauseRetry,
-}
-
-// HistogramCauses lists the histogrammed causes; CausePmapWalk is
-// deliberately missing from ReconciledCauses above so the analyzer has
-// a violation to catch.
-var HistogramCauses = []sim.Cause{
-	sim.CauseFault,
-	sim.CausePmapWalk, // want `histogrammed cause CausePmapWalk does not appear in ReconciledCauses`
-}

@@ -44,14 +44,6 @@ func TestHotAlloc(t *testing.T) {
 	}
 }
 
-// TestHistCause runs the histogram/reconciliation coupling check
-// against the span fixture, whose HistogramCauses deliberately lists
-// one cause missing from ReconciledCauses.
-func TestHistCause(t *testing.T) {
-	analysistest.Run(t, fixtures,
-		[]*analysis.Analyzer{analysis.AnalyzerHistCause}, "platinum/internal/span")
-}
-
 // TestDetWalk checks the interprocedural determinism walk: sources
 // laundered through a helper package are reported at the frontier call
 // site inside the simulation fixture with the full chain — through a
@@ -159,7 +151,7 @@ func TestSuppressionClean(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	want := []string{
 		"nodeterminism", "chargecause", "exhaustiveevent", "spanpair",
-		"noprotocolpanic", "hotalloc", "histcause",
+		"noprotocolpanic", "hotalloc",
 		"detwalk", "hotescape", "atomicsafe",
 	}
 	all := analysis.All()

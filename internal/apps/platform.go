@@ -16,7 +16,6 @@ import (
 
 	"platinum/internal/core"
 	"platinum/internal/kernel"
-	"platinum/internal/mach"
 	"platinum/internal/sim"
 	"platinum/internal/uma"
 )
@@ -62,29 +61,8 @@ type PlatinumPlatform struct {
 	Sp *kernel.Space
 }
 
-// topologyBoot reroutes bare-Config boots through the declarative
-// topology path; see SetTopologyBoot.
-var topologyBoot = false
-
-// SetTopologyBoot sets whether NewPlatinumPlatform wraps bare Machine
-// configs in mach.UniformTopology before booting, returning the
-// previous setting. This exercises the code path LoadTopology-built
-// machines take; it is behaviour-preserving by construction — a uniform
-// topology runs the identical fast path — and the byte-identity tests
-// A/B experiment tables against it. Flip it only while no runs are in
-// flight, and with the platform pool disabled so the gate cannot be
-// satisfied by reusing platforms booted under the other mode.
-func SetTopologyBoot(on bool) bool {
-	prev := topologyBoot
-	topologyBoot = on
-	return prev
-}
-
 // NewPlatinumPlatform boots a kernel with cfg and wraps it.
 func NewPlatinumPlatform(cfg kernel.Config) (*PlatinumPlatform, error) {
-	if topologyBoot && cfg.Topology == nil {
-		cfg.Topology = mach.UniformTopology(cfg.Machine)
-	}
 	k, err := kernel.Boot(cfg)
 	if err != nil {
 		return nil, err

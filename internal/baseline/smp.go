@@ -49,9 +49,6 @@ func NewMesh(k *kernel.Kernel, name string, n int) (*Mesh, error) {
 	return m, nil
 }
 
-// Members returns the mesh size.
-func (m *Mesh) Members() int { return m.n }
-
 // Send transmits msg from member `from` to member `to`.
 func (m *Mesh) Send(t *kernel.Thread, from, to int, msg []uint32) {
 	t.Send(m.ports[from][to], msg)

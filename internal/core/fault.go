@@ -310,37 +310,13 @@ func (s *System) freeCopy(cp *Cpage, mod int, cur sim.Time) (sim.Time, error) {
 	return cur + s.cfg.FrameFree, nil
 }
 
-// materialize zero-fills an Empty page, preferring a local frame and
-// falling back to any module with space.
+// materialize zero-fills an Empty page, trying modules in
+// mach.PlaceOrder: the local module first, then the nearest, faster
+// tier breaking ties. On the uniform machine that is the local module,
+// then index order.
 func (s *System) materialize(cp *Cpage, vpn int64, proc int, cur sim.Time) (Copy, sim.Time, error) {
-	if s.machine.Generalized() {
-		// Distance-aware placement: nearest module first, faster tier
-		// breaking ties (mach.PlaceOrder). On the uniform machine the
-		// loop below produces the identical order without the table.
-		for _, mod32 := range s.machine.PlaceOrder(proc) {
-			mod := int(mod32)
-			if fr, nc, ok := s.allocFrame(cp, mod, cur); ok {
-				c := Copy{Module: mod, Frame: fr}
-				if err := cp.addCopy(c); err != nil {
-					s.mem.Module(mod).Free(fr)
-					return Copy{}, cur, err
-				}
-				return c, nc, nil
-			}
-		}
-		return Copy{}, cur, &ErrNoMemory{VPN: vpn}
-	}
-	// Try the local module first, then the rest in index order — the
-	// same order the old explicit order slice produced, without
-	// building it.
-	nodes := s.machine.Nodes()
-	for i := 0; i <= nodes; i++ {
-		mod := i - 1
-		if i == 0 {
-			mod = proc
-		} else if mod == proc {
-			continue
-		}
+	for _, mod32 := range s.machine.PlaceOrder(proc) {
+		mod := int(mod32)
 		if fr, nc, ok := s.allocFrame(cp, mod, cur); ok {
 			c := Copy{Module: mod, Frame: fr}
 			if err := cp.addCopy(c); err != nil {

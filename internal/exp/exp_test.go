@@ -1,12 +1,21 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite golden files")
+
 // TestAllExperimentsRunQuick executes every registered experiment in
-// quick mode and sanity-checks the output tables.
+// quick mode, sanity-checks the output tables, and compares each
+// rendered table byte-for-byte against testdata/quick/<id>.txt. The
+// goldens are the gate that every simulated result is unchanged; a
+// deliberate fidelity change regenerates them with
+// go test ./internal/exp -run TestAllExperimentsRunQuick -update.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a while even in quick mode")
@@ -36,7 +45,19 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(sb.String(), e.ID) {
 				t.Error("rendered table missing id")
 			}
-			t.Logf("\n%s", sb.String())
+			golden := filepath.Join("testdata", "quick", e.ID+".txt")
+			if *update {
+				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with -update): %v", err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("table drifted from %s:\ngot:\n%swant:\n%s", golden, got, want)
+			}
 		})
 	}
 }

@@ -12,27 +12,6 @@ import (
 	"platinum/internal/span"
 )
 
-// TestTopologyBootTableIdentical is the topology-refactor regression
-// gate: every table must be byte-identical whether kernels boot from
-// bare cost constants (the historical path) or from the equivalent
-// declarative uniform topology (the path LoadTopology-built machines
-// take). Pooling is disabled so the topology path genuinely boots every
-// kernel rather than reusing platforms booted the other way.
-func TestTopologyBootTableIdentical(t *testing.T) {
-	o := Options{Quick: true, Parallelism: 1}
-	for _, id := range []string{"fig1", "fig5", "fig6"} {
-		prevPool := apps.SetPooling(false)
-		ref := render(t, id, o)
-		prevTopo := apps.SetTopologyBoot(true)
-		viaTopo := render(t, id, o)
-		apps.SetTopologyBoot(prevTopo)
-		apps.SetPooling(prevPool)
-		if viaTopo != ref {
-			t.Fatalf("%s output differs between Config and Topology boot paths:\n--- Config path ---\n%s--- Topology path ---\n%s", id, ref, viaTopo)
-		}
-	}
-}
-
 // topoArtifacts runs a gauss workload on the given kernel config and
 // returns the three exported artifacts: the metrics JSON report, the
 // fault timeline JSONL, and the causal span tree.

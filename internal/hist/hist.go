@@ -157,15 +157,6 @@ func (h *H) Quantile(q float64) int64 {
 	return h.max
 }
 
-// Mean returns the exact mean of recorded values, rounded down (0 when
-// empty).
-func (h *H) Mean() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / h.count
-}
-
 // Merge adds o's contents into h. Count, sum and bucket tallies add
 // exactly, so a merge of per-node histograms conserves everything the
 // parts did.

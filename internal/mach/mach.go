@@ -23,6 +23,11 @@ import (
 	"platinum/internal/span"
 )
 
+// MaxNodes bounds the node count of a simulated machine. Per-pair
+// state (the distance matrix) grows as its square; 4096 nodes is four
+// times the largest machine any experiment sweeps.
+const MaxNodes = 4096
+
 // Config holds the hardware cost parameters of the simulated machine.
 type Config struct {
 	// Nodes is the number of processor/memory-module pairs.
@@ -124,8 +129,8 @@ func Butterfly1Config() Config {
 // Validate reports an error if the configuration is unusable.
 func (c Config) Validate() error {
 	switch {
-	case c.Nodes <= 0:
-		return fmt.Errorf("mach: Nodes = %d, must be positive", c.Nodes)
+	case c.Nodes <= 0 || c.Nodes > MaxNodes:
+		return fmt.Errorf("mach: Nodes = %d, must be in 1..%d", c.Nodes, MaxNodes)
 	case c.PageWords <= 0:
 		return fmt.Errorf("mach: PageWords = %d, must be positive", c.PageWords)
 	case c.LocalRead <= 0 || c.LocalWrite <= 0:
@@ -146,7 +151,6 @@ func (c Config) PageBytes() int { return c.PageWords * 4 }
 type Machine struct {
 	cfg     Config
 	topo    *Topology
-	general bool // any non-uniform topology feature active (see Topology.generalized)
 	engine  *sim.Engine
 	modules []Module
 
@@ -204,7 +208,6 @@ func FromTopology(e *sim.Engine, t *Topology) (*Machine, error) {
 	m := &Machine{
 		cfg:     t.Base,
 		topo:    t,
-		general: t.generalized(),
 		engine:  e,
 		modules: make([]Module, t.Base.Nodes),
 	}
@@ -224,12 +227,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // Topology returns the machine's declarative topology (a uniform
 // wrapper around Config for machines built with New). Do not modify.
 func (m *Machine) Topology() *Topology { return m.topo }
-
-// Generalized reports whether any non-uniform topology feature
-// (distance matrix, contended switch level, memory tier) is active.
-// When false the machine is on the historical uniform fast path and
-// every cost is exactly the base Config's.
-func (m *Machine) Generalized() bool { return m.general }
 
 // Engine returns the simulation engine the machine runs on.
 func (m *Machine) Engine() *sim.Engine { return m.engine }
@@ -261,11 +258,12 @@ func (m *Machine) Reset() {
 func (m *Machine) BusyUntil(mod int) sim.Time { return m.modules[mod].busyUntil }
 
 // wordCost returns the latency and module occupancy of n word accesses
-// from processor proc to module mod. On uniform machines it is a pure
-// local/remote split; on generalized topologies the latency is scaled
-// by the pair's distance multiplier and the target module's tier, and
-// the occupancy by the tier alone (a slow module is busy longer, but
-// switch distance does not hold the module).
+// from processor proc to module mod: the base local/remote constant,
+// with the latency scaled by the pair's distance multiplier and the
+// target module's tier, and the occupancy by the tier alone (a slow
+// module is busy longer, but switch distance does not hold the module).
+// On a uniform topology every multiplier is DistScale, which scaleMul
+// applies as exact identity.
 func (m *Machine) wordCost(proc, mod, n int, write bool) (lat, occ sim.Time) {
 	c := &m.cfg
 	if proc == mod {
@@ -283,18 +281,16 @@ func (m *Machine) wordCost(proc, mod, n int, write bool) (lat, occ sim.Time) {
 		}
 		occ = c.RemoteOccupancy
 	}
-	if m.general {
-		lat = scaleMul(lat, m.topo.DistanceMul(proc, mod))
-		tier := m.topo.TierOf(mod)
-		var tm int
-		if write {
-			tm = tier.writeMul()
-		} else {
-			tm = tier.readMul()
-		}
-		lat = scaleMul(lat, tm)
-		occ = scaleMul(occ, tm)
+	lat = scaleMul(lat, m.topo.DistanceMul(proc, mod))
+	tier := m.topo.TierOf(mod)
+	var tm int
+	if write {
+		tm = tier.writeMul()
+	} else {
+		tm = tier.readMul()
 	}
+	lat = scaleMul(lat, tm)
+	occ = scaleMul(occ, tm)
 	return lat * sim.Time(n), occ * sim.Time(n)
 }
 
@@ -467,22 +463,20 @@ func (m *Machine) blockTransferAt(t *sim.Thread, now sim.Time, src, dst, words i
 		m.switchOccupy(src, dst, words, start)
 	}
 	queue := start - now
+	// The transfer engine streams through the switch at the pair's
+	// distance and is rate-limited by the slower memory side: the
+	// source tier reading the page out (a dirty page's writeback is
+	// read at its owning tier's rate) and the destination tier
+	// absorbing the writes.
 	perWord := m.cfg.BlockCopyPerWord
-	if m.general {
-		// The transfer engine streams through the switch at the pair's
-		// distance and is rate-limited by the slower memory side: the
-		// source tier reading the page out (a dirty page's writeback is
-		// read at its owning tier's rate) and the destination tier
-		// absorbing the writes.
-		if src != dst {
-			perWord = scaleMul(perWord, m.topo.DistanceMul(src, dst))
-		}
-		mul := m.topo.TierOf(src).readMul()
-		if wm := m.topo.TierOf(dst).writeMul(); wm > mul {
-			mul = wm
-		}
-		perWord = scaleMul(perWord, mul)
+	if src != dst {
+		perWord = scaleMul(perWord, m.topo.DistanceMul(src, dst))
 	}
+	mul := m.topo.TierOf(src).readMul()
+	if wm := m.topo.TierOf(dst).writeMul(); wm > mul {
+		mul = wm
+	}
+	perWord = scaleMul(perWord, mul)
 	dur := perWord * sim.Time(words)
 	occ := dur
 	if f := m.cfg.BlockXferOccupancy; f > 0 && f < 1000 {

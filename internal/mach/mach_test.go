@@ -29,6 +29,7 @@ func TestDefaultConfigValid(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
+		func(c *Config) { c.Nodes = MaxNodes + 1 },
 		func(c *Config) { c.PageWords = -1 },
 		func(c *Config) { c.LocalRead = 0 },
 		func(c *Config) { c.RemoteRead = c.LocalRead - 1 },

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"platinum/internal/sim"
@@ -80,8 +81,9 @@ func ParseTopology(data []byte) (*Topology, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("mach: topology: %w", err)
 	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil {
+	// Anything but whitespace after the object is an error, whether it
+	// is another JSON value or not JSON at all.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("mach: topology: trailing data after JSON object")
 	}
 
@@ -119,6 +121,15 @@ func ParseTopology(data []byte) (*Topology, error) {
 		if l.BlockXferOccupancy != 0 {
 			base.BlockXferOccupancy = l.BlockXferOccupancy
 		}
+	}
+	// Validate the base before anything below is sized by its node
+	// count, so a hostile count fails cleanly instead of panicking in
+	// make or overflowing n*n.
+	if base.Nodes < 1 || base.Nodes > MaxNodes {
+		return nil, fmt.Errorf("mach: topology: nodes = %d, must be in 1..%d", base.Nodes, MaxNodes)
+	}
+	if err := base.Validate(); err != nil {
+		return nil, err
 	}
 
 	t := &Topology{Name: f.Name, Base: base}

@@ -1,8 +1,9 @@
 package mach
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"platinum/internal/sim"
 )
@@ -49,11 +50,6 @@ func (t MemTier) writeMul() int {
 	return t.WriteMul
 }
 
-// uniform reports whether the tier is the base DRAM tier.
-func (t MemTier) uniform() bool {
-	return t.readMul() == DistScale && t.writeMul() == DistScale
-}
-
 // SwitchLevel is one level of a multi-level interconnect, partitioning
 // the nodes into contention domains. Every remote transfer whose
 // endpoints fall in different domains at this level passes through both
@@ -89,10 +85,12 @@ func (l *SwitchLevel) domains() int {
 // the base cost constants (Config), and three optional generalizations —
 // a per-pair distance matrix, multi-level switch contention domains,
 // and per-node memory tiers. A Topology with none of the options set is
-// exactly the uniform machine Config has always described, and runs the
-// identical fast code path, so the paper's tables are byte-for-byte
-// unchanged. The on-disk JSON form is specified in TOPOLOGY.md and
-// loaded by LoadTopology/ParseTopology.
+// exactly the uniform machine Config has always described: every
+// multiplier is DistScale, which the cost code applies as exact
+// identity, so the paper's tables are byte-for-byte unchanged (the
+// quick-experiment goldens in internal/exp pin them). The on-disk JSON
+// form is specified in TOPOLOGY.md and loaded by
+// LoadTopology/ParseTopology.
 type Topology struct {
 	// Name labels the topology in reports and pool keys.
 	Name string
@@ -143,25 +141,6 @@ func Butterfly1() *Topology {
 
 // Nodes returns the node count.
 func (t *Topology) Nodes() int { return t.Base.Nodes }
-
-// generalized reports whether any of the optional generalizations is
-// active — i.e. whether the machine must leave the uniform fast path.
-func (t *Topology) generalized() bool {
-	if t.Distance != nil {
-		return true
-	}
-	for _, l := range t.Levels {
-		if l.PerWord > 0 {
-			return true
-		}
-	}
-	for _, tier := range t.Tiers {
-		if !tier.uniform() {
-			return true
-		}
-	}
-	return false
-}
 
 // DistanceMul returns the per-mille distance multiplier from node i to
 // node j (DistScale on uniform machines).
@@ -277,25 +256,24 @@ func (m *Machine) PlaceOrder(proc int) []int32 {
 		return ord
 	}
 	n := m.cfg.Nodes
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
+	ord := make([]int32, 1, n)
+	ord[0] = int32(proc) // self first: local distance beats any remote
+	for i := 0; i < n; i++ {
+		if i != proc {
+			ord = append(ord, int32(i))
+		}
 	}
+	// Index breaks every remaining tie, so the order is total and an
+	// unstable sort has exactly one possible result.
 	t := m.topo
-	sort.SliceStable(ord, func(a, b int) bool {
-		ma, mb := int(ord[a]), int(ord[b])
-		if (ma == proc) != (mb == proc) {
-			return ma == proc // self first: local distance beats any remote
+	slices.SortFunc(ord[1:], func(a, b int32) int {
+		if c := cmp.Compare(t.DistanceMul(proc, int(a)), t.DistanceMul(proc, int(b))); c != 0 {
+			return c
 		}
-		da, db := t.DistanceMul(proc, ma), t.DistanceMul(proc, mb)
-		if da != db {
-			return da < db
+		if c := cmp.Compare(t.TierOf(int(a)).readMul(), t.TierOf(int(b)).readMul()); c != 0 {
+			return c
 		}
-		ra, rb := t.TierOf(ma).readMul(), t.TierOf(mb).readMul()
-		if ra != rb {
-			return ra < rb
-		}
-		return ma < mb
+		return cmp.Compare(a, b)
 	})
 	m.placeOrder[proc] = ord
 	return ord
@@ -308,15 +286,11 @@ func (m *Machine) PlaceOrder(proc int) []int32 {
 // shootdown cost; on skewed machines far targets cost proportionally
 // more, which is what makes shootdown fan-out topology-sensitive.
 func (m *Machine) InterruptDispatchTo(initiator, target int) sim.Time {
-	if !m.general {
-		return m.cfg.InterruptDispatch
-	}
 	return scaleMul(m.cfg.InterruptDispatch, m.topo.DistanceMul(initiator, target))
 }
 
 // WordLatency returns the latency of n word accesses from processor
-// proc to module mod — distance- and tier-scaled on generalized
-// topologies — without occupying the module or charging any thread.
+// proc to module mod — distance- and tier-scaled — without occupying the module or charging any thread.
 // It is the cost model for posted, fire-and-forget memory updates the
 // issuing processor does not wait on at the module, such as the
 // write-through maintenance of page-table replicas (core.PTReplicate).
@@ -354,7 +328,7 @@ func (m *Machine) buildReplicaHomes() {
 	}
 	n := m.cfg.Nodes
 	m.replicaOf = make([]int32, n)
-	if m.topo == nil || len(m.topo.Levels) == 0 {
+	if len(m.topo.Levels) == 0 {
 		m.replicaHomes = make([]int32, n)
 		for i := 0; i < n; i++ {
 			m.replicaHomes[i] = int32(i)

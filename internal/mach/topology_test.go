@@ -1,7 +1,11 @@
 package mach
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +25,8 @@ func topoTestMachine(t *testing.T, topo *Topology) *Machine {
 
 // TestBuiltinTopologiesAreUniform pins the byte-identity contract: the
 // built-in topologies carry exactly the historical Config constants and
-// keep the machine on the uniform fast path.
+// set none of the optional generalizations, so every multiplier the
+// cost code applies is DistScale.
 func TestBuiltinTopologiesAreUniform(t *testing.T) {
 	if got, want := ButterflyPlus().Base, DefaultConfig(); got != want {
 		t.Errorf("ButterflyPlus().Base = %+v, want DefaultConfig %+v", got, want)
@@ -30,18 +35,99 @@ func TestBuiltinTopologiesAreUniform(t *testing.T) {
 		t.Errorf("Butterfly1().Base = %+v, want Butterfly1Config %+v", got, want)
 	}
 	for _, topo := range []*Topology{ButterflyPlus(), Butterfly1(), UniformTopology(DefaultConfig())} {
-		m := topoTestMachine(t, topo)
-		if m.Generalized() {
-			t.Errorf("topology %q generalized the machine; must stay on the uniform fast path", topo.Name)
+		if topo.Distance != nil || topo.Levels != nil || topo.Tiers != nil {
+			t.Errorf("topology %q sets a generalization; built-ins must be uniform", topo.Name)
 		}
+		m := topoTestMachine(t, topo)
 		if d := topo.DistanceMul(0, topo.Nodes()-1); d != DistScale {
 			t.Errorf("topology %q DistanceMul = %d, want %d", topo.Name, d, DistScale)
 		}
-		if tier := topo.TierOf(0); !tier.uniform() {
+		if tier := topo.TierOf(0); tier != (MemTier{}) {
 			t.Errorf("topology %q node 0 tier %+v is not base DRAM", topo.Name, tier)
 		}
 		if got := m.InterruptDispatchTo(0, topo.Nodes()-1); got != topo.Base.InterruptDispatch {
 			t.Errorf("topology %q InterruptDispatchTo = %v, want %v", topo.Name, got, topo.Base.InterruptDispatch)
+		}
+	}
+}
+
+// TestIdentityTopologyChargesBaseConfig pins the identity the single
+// cost path relies on: a topology that spells every generalization out
+// at its identity value — an explicit all-DistScale distance matrix,
+// 1000/1000 memory tiers, and a switch level with PerWord 0 — charges
+// exactly what the bare-Config machine charges, on local and remote
+// pairs alike, and places frames self first, then in index order.
+func TestIdentityTopologyChargesBaseConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	n := cfg.Nodes
+	ident := &Topology{
+		Base:     cfg,
+		Distance: make([]int, n*n),
+		Levels:   []SwitchLevel{{Domain: make([]int, n), PerWord: 0}},
+		Tiers:    make([]MemTier, n),
+	}
+	for i := range ident.Distance {
+		ident.Distance[i] = DistScale
+	}
+	for i := 0; i < n; i++ {
+		ident.Levels[0].Domain[i] = i / 4
+		ident.Tiers[i] = MemTier{Name: "dram", ReadMul: DistScale, WriteMul: DistScale}
+	}
+
+	// charges drives one fixed sequence of every cost entry point over
+	// local and remote pairs, in both directions and both access kinds,
+	// and returns every charge followed by the module statistics (which
+	// carry the occupancy).
+	charges := func(topo *Topology) []sim.Time {
+		e := sim.NewEngine()
+		m, err := FromTopology(e, topo)
+		if err != nil {
+			t.Fatalf("FromTopology: %v", err)
+		}
+		var out []sim.Time
+		e.Spawn("p", func(th *sim.Thread) {
+			for _, pair := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {3, 12}, {15, 15}} {
+				p, mod := pair[0], pair[1]
+				for _, write := range []bool{false, true} {
+					out = append(out,
+						m.Access(th, p, mod, 3, write),
+						m.AccessFree(th.Now(), p, mod, 2, write),
+						m.WordLatency(p, mod, 5, write))
+				}
+				out = append(out,
+					m.BlockTransfer(th, mod, p, 64),
+					m.BlockTransferAt(th.Now(), p, mod, 32),
+					m.InterruptDispatchTo(p, mod))
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for _, st := range m.Stats() {
+			out = append(out, sim.Time(st.Accesses), sim.Time(st.Words), st.QueueWait, st.BusyTime)
+		}
+		return out
+	}
+	want, got := charges(UniformTopology(cfg)), charges(ident)
+	if len(got) != len(want) {
+		t.Fatalf("got %d charges, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("charge %d = %v on the identity topology, %v on bare Config", i, got[i], want[i])
+		}
+	}
+
+	m := topoTestMachine(t, ident)
+	for p := 0; p < n; p++ {
+		want := []int32{int32(p)}
+		for i := 0; i < n; i++ {
+			if i != p {
+				want = append(want, int32(i))
+			}
+		}
+		if got := m.PlaceOrder(p); !slices.Equal(got, want) {
+			t.Errorf("PlaceOrder(%d) = %v, want %v", p, got, want)
 		}
 	}
 }
@@ -194,6 +280,35 @@ func TestInterruptDispatchScaling(t *testing.T) {
 	}
 }
 
+// badTopologies are malformed loader inputs, each with a substring of
+// the error it must produce. "trailing garbage" was once accepted (only
+// trailing JSON values were caught), and the last three crashed the
+// loader before it bounded the node count: negative counts reached
+// make, and 2^32 overflowed n*n. FuzzParseTopology seeds from the whole
+// table.
+var badTopologies = []struct {
+	name, src, want string
+}{
+	{"unknown field", `{"nodse": 4}`, "unknown field"},
+	{"trailing data", `{"nodes": 4} {"nodes": 8}`, "trailing data"},
+	{"trailing garbage", `{"nodes": 4} xyz`, "trailing data"},
+	{"unknown base", `{"base": "hypercube"}`, "unknown base"},
+	{"unknown distance kind", `{"distance": {"kind": "torus"}}`, "unknown distance kind"},
+	{"clusters without far", `{"nodes": 4, "distance": {"kind": "clusters", "cluster_size": 2}}`, "far"},
+	{"cluster size mismatch", `{"nodes": 6, "distance": {"kind": "clusters", "cluster_size": 4, "far": 2000}}`, "does not divide"},
+	{"matrix wrong rows", `{"nodes": 3, "distance": {"kind": "matrix", "rows": [[1000]]}}`, "rows"},
+	{"asymmetric matrix", `{"nodes": 2, "distance": {"kind": "matrix", "rows": [[1000, 2000], [3000, 1000]]}}`, "asymmetric"},
+	{"zero diagonal", `{"nodes": 2, "distance": {"kind": "matrix", "rows": [[0, 2000], [2000, 0]]}}`, "diagonal"},
+	{"level both selectors", `{"nodes": 4, "switch_levels": [{"cluster_size": 2, "domain_of": [0, 0, 1, 1]}]}`, "both"},
+	{"level no selector", `{"nodes": 4, "switch_levels": [{"per_word_ns": 10}]}`, "needs cluster_size or domain_of"},
+	{"tier overlap", `{"nodes": 2, "tiers": [{"name": "a", "nodes": [0]}, {"name": "b", "nodes": [0]}]}`, "two tiers"},
+	{"tier node out of range", `{"nodes": 2, "tiers": [{"name": "a", "nodes": [7]}]}`, "machine has"},
+	{"tier empty", `{"nodes": 2, "tiers": [{"name": "a"}]}`, "lists no nodes"},
+	{"negative nodes with tiers", `{"nodes": -4, "tiers": [{"name": "nvm", "nodes": [0], "read_mul": 3000}]}`, "mach: topology: nodes = -4"},
+	{"negative nodes with switch level", `{"nodes": -4, "switch_levels": [{"cluster_size": 2, "per_word_ns": 50}]}`, "mach: topology: nodes = -4"},
+	{"node count overflows n squared", `{"nodes": 4294967296, "distance": {"kind": "clusters", "cluster_size": 1, "far": 2000}}`, "mach: topology: nodes = 4294967296"},
+}
+
 // TestParseTopology exercises the JSON loader: each shorthand expands
 // correctly and every malformed input is rejected.
 func TestParseTopology(t *testing.T) {
@@ -243,7 +358,7 @@ func TestParseTopology(t *testing.T) {
 		if tier := topo.TierOf(1); tier.Name != "nvm" || tier.ReadMul != 3000 || tier.WriteMul != 8000 {
 			t.Errorf("tier = %+v, want nvm 3000/8000", tier)
 		}
-		if tier := topo.TierOf(0); !tier.uniform() {
+		if tier := topo.TierOf(0); tier != (MemTier{}) {
 			t.Errorf("unlisted node tier = %+v, want base DRAM", tier)
 		}
 	})
@@ -258,25 +373,7 @@ func TestParseTopology(t *testing.T) {
 		}
 	})
 
-	bad := []struct {
-		name, src, want string
-	}{
-		{"unknown field", `{"nodse": 4}`, "unknown field"},
-		{"trailing data", `{"nodes": 4} {"nodes": 8}`, "trailing data"},
-		{"unknown base", `{"base": "hypercube"}`, "unknown base"},
-		{"unknown distance kind", `{"distance": {"kind": "torus"}}`, "unknown distance kind"},
-		{"clusters without far", `{"nodes": 4, "distance": {"kind": "clusters", "cluster_size": 2}}`, "far"},
-		{"cluster size mismatch", `{"nodes": 6, "distance": {"kind": "clusters", "cluster_size": 4, "far": 2000}}`, "does not divide"},
-		{"matrix wrong rows", `{"nodes": 3, "distance": {"kind": "matrix", "rows": [[1000]]}}`, "rows"},
-		{"asymmetric matrix", `{"nodes": 2, "distance": {"kind": "matrix", "rows": [[1000, 2000], [3000, 1000]]}}`, "asymmetric"},
-		{"zero diagonal", `{"nodes": 2, "distance": {"kind": "matrix", "rows": [[0, 2000], [2000, 0]]}}`, "diagonal"},
-		{"level both selectors", `{"nodes": 4, "switch_levels": [{"cluster_size": 2, "domain_of": [0, 0, 1, 1]}]}`, "both"},
-		{"level no selector", `{"nodes": 4, "switch_levels": [{"per_word_ns": 10}]}`, "needs cluster_size or domain_of"},
-		{"tier overlap", `{"nodes": 2, "tiers": [{"name": "a", "nodes": [0]}, {"name": "b", "nodes": [0]}]}`, "two tiers"},
-		{"tier node out of range", `{"nodes": 2, "tiers": [{"name": "a", "nodes": [7]}]}`, "machine has"},
-		{"tier empty", `{"nodes": 2, "tiers": [{"name": "a"}]}`, "lists no nodes"},
-	}
-	for _, tc := range bad {
+	for _, tc := range badTopologies {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseTopology([]byte(tc.src))
 			if err == nil {
@@ -302,4 +399,46 @@ func TestLoadExampleTopologies(t *testing.T) {
 			t.Errorf("%s: FromTopology: %v", f, err)
 		}
 	}
+}
+
+// FuzzParseTopology feeds the loader arbitrary bytes: it must never
+// panic, and any topology it accepts must re-validate and boot. The
+// seeds are the shipped examples and every malformed input of
+// badTopologies; tier-1 runs them, scripts/check-topo.sh fuzzes beyond.
+func FuzzParseTopology(f *testing.F) {
+	examples, err := filepath.Glob("../../examples/topologies/*.json")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example topologies: %v", err)
+	}
+	for _, path := range examples {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, tc := range badTopologies {
+		f.Add([]byte(tc.src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Keep iterations fast: skip in-range counts above 256, whose
+		// n² distance tables dominate the time. Out-of-range counts
+		// still go through; the loader must reject them unallocated.
+		var probe struct {
+			Nodes int `json:"nodes"`
+		}
+		if json.Unmarshal(data, &probe) == nil && probe.Nodes > 256 && probe.Nodes <= MaxNodes {
+			t.Skip()
+		}
+		topo, err := ParseTopology(data)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("accepted topology fails Validate: %v", err)
+		}
+		if _, err := FromTopology(sim.NewEngine(), topo); err != nil {
+			t.Fatalf("accepted topology does not boot: %v", err)
+		}
+	})
 }

@@ -31,7 +31,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"platinum/internal/hist"
@@ -86,11 +85,7 @@ type Engine struct {
 	readyND  int // non-daemon threads currently in the ready heap
 	stopping bool
 	fastPath bool
-	// spinIters > 0 enables spin handoff: a thread waiting for the
-	// control token busy-polls its grant mailbox for this many
-	// iterations before parking on its channel (see Thread.park).
-	spinIters int
-	fail      error // first thread-body panic, reported by Run
+	fail     error // first thread-body panic, reported by Run
 
 	// wake returns control to the engine goroutine (blocked in Run or
 	// shutdown) when a yielding or finishing thread cannot hand off to
@@ -157,12 +152,6 @@ func (e *Engine) pushReady(t *Thread) {
 // defaultFastPath is the fast-path setting inherited by new engines.
 var defaultFastPath = true
 
-// defaultSpinIters is the spin-handoff setting inherited by new
-// engines. Off by default: spinning trades whole idle processors for
-// handoff latency, which is the right trade only when the process runs
-// one simulation at a time (see SetDefaultSpinHandoff).
-var defaultSpinIters = 0
-
 // SetDefaultFastPath sets whether engines created by NewEngine use the
 // scheduler fast path (see SetFastPath), returning the previous value.
 // It exists so determinism tests can force the slow path through layers
@@ -177,51 +166,11 @@ func SetDefaultFastPath(on bool) bool {
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		threads:   make(map[int]*Thread),
-		fastPath:  defaultFastPath,
-		spinIters: defaultSpinIters,
-		wake:      make(chan struct{}),
+		threads:  make(map[int]*Thread),
+		fastPath: defaultFastPath,
+		wake:     make(chan struct{}),
 	}
 }
-
-// SetDefaultSpinHandoff sets the spin-handoff window inherited by
-// engines created by NewEngine (and re-inherited by Engine.Reset),
-// returning the previous value. iters is the number of mailbox polls a
-// waiting thread performs before parking in the scheduler; 0 disables
-// spinning entirely.
-//
-// Spin handoff cuts the cost of a thread-to-thread dispatch from a
-// goroutine wakeup (~hundreds of ns through the runtime scheduler) to
-// one atomic store, at the price of waiting threads burning their
-// processors while they poll. Enable it only when the process runs one
-// simulation at a time with processors to spare — the serial benchmark
-// harness does; a parallel -j sweep must not. Dispatch order, and
-// therefore every simulation result, is bit-for-bit identical either
-// way. Not safe to call concurrently with NewEngine.
-func SetDefaultSpinHandoff(iters int) int {
-	prev := defaultSpinIters
-	defaultSpinIters = iters
-	cap := int32(runtime.GOMAXPROCS(0) - 2)
-	if cap < 0 {
-		cap = 0
-	}
-	spinnerCap.Store(cap)
-	return prev
-}
-
-// SetSpinnerCap overrides the process-wide bound on concurrently
-// spinning waiters (see park). SetDefaultSpinHandoff resets it to
-// GOMAXPROCS-2.
-func SetSpinnerCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	spinnerCap.Store(int32(n))
-}
-
-// SetSpinHandoff sets this engine's spin-handoff window (see
-// SetDefaultSpinHandoff). Must not be called while Run is in progress.
-func (e *Engine) SetSpinHandoff(iters int) { e.spinIters = iters }
 
 // SetFastPath enables or disables the scheduler fast path, under which
 // a thread calling Advance or Yield keeps executing in place whenever
@@ -264,7 +213,6 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 	t.born = e.now
 	t.acct = Account{}
 	t.node = -1
-	t.grant.Store(grantArmed)
 	e.nextID++
 	e.threads[t.id] = t
 	e.nlive++
@@ -405,9 +353,6 @@ func (e *Engine) shutdown() {
 	}
 }
 
-// Live reports the number of unfinished non-daemon threads.
-func (e *Engine) Live() int { return e.nlive }
-
 // Reset returns the engine to its freshly-constructed state — virtual
 // time zero, no threads, thread ids restarting at 0 — while retaining
 // every buffer it has grown: the ready heap's backing array, the
@@ -440,7 +385,6 @@ func (e *Engine) Reset() {
 	e.readyND = 0
 	e.stopping = false
 	e.fastPath = defaultFastPath
-	e.spinIters = defaultSpinIters // re-inherit, like NewEngine
 	e.fail = nil
 	e.fastSteps = 0
 	e.slowSteps = 0

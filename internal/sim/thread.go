@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 type threadState uint8
 
@@ -26,14 +23,6 @@ type Thread struct {
 	state  threadState
 
 	resume chan struct{} // dispatcher (engine or peer thread) -> thread: run
-
-	// grant is the spin-handoff mailbox (see Engine.SetSpinHandoff):
-	// grantArmed while the thread is waiting (or about to wait) for the
-	// control token, grantGiven once a dispatcher has handed it over,
-	// grantParked once the waiter gave up spinning and committed to a
-	// channel receive. Unused (always grantArmed) when spin handoff is
-	// off.
-	grant atomic.Uint32
 
 	heapIdx int // index in the ready heap, -1 if absent
 
@@ -80,75 +69,16 @@ func (t *Thread) SetDaemon(d bool) {
 	}
 }
 
-// Spin-handoff mailbox states.
-const (
-	grantArmed  = 0 // waiting (or about to wait) for the control token
-	grantGiven  = 1 // a dispatcher handed the token over
-	grantParked = 2 // the waiter committed to a channel receive
-)
-
-// spinners counts threads (process-wide, across engines) currently
-// busy-polling in park. Capping it below GOMAXPROCS guarantees the
-// control-token holder always has a free processor to run on — without
-// the cap, a full complement of spinners can starve the one runnable
-// goroutine for an entire spin window.
-var spinners atomic.Int32
-
-// spinnerCap is the maximum concurrent spinners, refreshed from
-// GOMAXPROCS whenever the spin-handoff default changes.
-var spinnerCap atomic.Int32
-
 // park waits until a dispatcher hands this thread the control token.
-// With spin handoff enabled the thread first busy-polls its grant
-// mailbox — a token that arrives within the window costs the granter a
-// single atomic store instead of a goroutine wakeup through the
-// scheduler — and only then falls back to the resume channel. The
-// dispatch order is identical either way; only the host-side handoff
-// mechanics differ.
-//
-// Blocked threads skip the spin: they wait for another thread's
-// Unblock plus a dispatch, typically far beyond any sensible window,
-// so polling would only waste a processor.
 //
 //platinum:hotpath
-func (t *Thread) park() {
-	if spin := t.engine.spinIters; spin > 0 && t.state != stateBlocked {
-		if spinners.Add(1) <= spinnerCap.Load() {
-			for i := 0; i < spin; i++ {
-				if t.grant.Load() != grantArmed {
-					t.grant.Store(grantArmed)
-					spinners.Add(-1)
-					return
-				}
-			}
-		}
-		spinners.Add(-1)
-		if !t.grant.CompareAndSwap(grantArmed, grantParked) {
-			// The token arrived between the last poll and the CAS.
-			t.grant.Store(grantArmed)
-			return
-		}
-	}
-	<-t.resume
-}
+func (t *Thread) park() { <-t.resume }
 
 // unpark hands the control token to t, which is waiting in park (or on
-// its way there — the grant mailbox makes the handoff correct even when
-// the waiter has not yet started spinning, exactly as an unbuffered
-// channel send would).
+// its way there: the unbuffered send completes when it arrives).
 //
 //platinum:hotpath
-func (t *Thread) unpark() {
-	if t.engine.spinIters > 0 {
-		if t.grant.CompareAndSwap(grantArmed, grantGiven) {
-			return
-		}
-		// The waiter committed to the channel; restore its mailbox and
-		// wake it the slow way.
-		t.grant.Store(grantArmed)
-	}
-	t.resume <- struct{}{}
-}
+func (t *Thread) unpark() { t.resume <- struct{}{} }
 
 // yield hands the control token to the next runnable thread and parks
 // until dispatched again. If this thread is itself still the earliest

@@ -36,7 +36,7 @@ var HistogramKinds = []Kind{
 // kinds attribute their Self time to. Every cause here must also appear
 // in ReconciledCauses — a histogrammed operation that skipped span/
 // account reconciliation could drift from the totals unnoticed — and
-// the platinum/histcause analyzer enforces that statically.
+// TestHistogramCausesReconciled enforces that.
 var HistogramCauses = []sim.Cause{
 	sim.CauseFault,
 	sim.CauseShootdown,

@@ -97,8 +97,9 @@ func TestTelemetryResetAndReuse(t *testing.T) {
 	}
 }
 
-// TestHistogramCausesReconciled mirrors the platinum/histcause static
-// check at runtime: every histogrammed cause must reconcile.
+// TestHistogramCausesReconciled enforces the coupling HistogramCauses
+// documents: every histogrammed cause must reconcile, and each
+// histogrammed kind has exactly one cause.
 func TestHistogramCausesReconciled(t *testing.T) {
 	reconciled := make(map[sim.Cause]bool, len(ReconciledCauses))
 	for _, c := range ReconciledCauses {

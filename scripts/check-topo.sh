@@ -1,7 +1,7 @@
 #!/bin/sh
 # check-topo.sh — the CI topology-sweep smoke lane.
 #
-# Three gates, all well under the bench-smoke budget:
+# Four gates, all well under the bench-smoke budget:
 #
 #   1. The shipped example topologies and TOPOLOGY.md's embedded JSON
 #      validate with the real loader (scripts/topocheck).
@@ -13,6 +13,9 @@
 #      fails the experiment otherwise).
 #   3. The built-in sweeps' quick variants (topo-nodes up to 64 nodes,
 #      topo-skew, topo-tiers) complete with conservation intact.
+#   4. FuzzParseTopology runs for a fixed 15 s: the loader must never
+#      panic, and every topology it accepts must re-validate and boot.
+#      Tier-1 `go test` runs only its seed corpus.
 #
 # Usage (from the repository root): ./scripts/check-topo.sh
 set -eu
@@ -25,5 +28,8 @@ go run ./cmd/platinum-bench -quick -topology examples/topologies/cluster-64.json
 
 echo "check-topo: built-in sweeps (quick)..."
 go run ./cmd/platinum-bench -quick -exp topo-nodes,topo-skew,topo-tiers
+
+echo "check-topo: fuzzing the topology loader (15s)..."
+go test ./internal/mach -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 15s
 
 echo "check-topo: OK"
