@@ -1,10 +1,11 @@
 package platinum
 
 // Alloc-regression gates for the pooled simulation core: the engine
-// step (Advance, both the fast path and the fused handoff), span
-// Begin/End recording, and account charging must not allocate in
-// steady state. These are the invariants the pooling/arena design
-// bought; testing.AllocsPerRun pins them so they cannot silently rot.
+// step (Advance, both the fast path and the fused handoff), a whole
+// Reset/Spawn/Run cycle, span Begin/End recording, and account
+// charging must not allocate in steady state. These are the invariants
+// the pooling/arena design bought; testing.AllocsPerRun pins them so
+// they cannot silently rot.
 // The platinum/hotalloc vet analyzer enforces the same property
 // statically; this file enforces it against the compiler's actual
 // escape analysis.
@@ -61,8 +62,8 @@ func TestChargeZeroAlloc(t *testing.T) {
 }
 
 // TestHandoffZeroAlloc pins the fused handoff step — two threads in
-// lockstep, every Advance a goroutine switch to the peer — at zero
-// allocations.
+// lockstep, every Advance a switch through the engine loop to the
+// peer — at zero allocations.
 func TestHandoffZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates; run without -race")
@@ -90,6 +91,37 @@ func TestHandoffZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("fused-handoff Advance allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestSpawnRunZeroAlloc pins a whole simulation on a reused engine —
+// Reset, sixteen Spawns, Run through their handoffs to the end — at
+// zero allocations once the engine's free lists and the idle worker
+// pool are warm.
+func TestSpawnRunZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	e := sim.NewEngine()
+	body := func(th *sim.Thread) {
+		for i := 0; i < 8; i++ {
+			th.Advance(sim.Time(10 + th.ID()))
+		}
+	}
+	var err error
+	cycle := func() {
+		e.Reset()
+		for i := 0; i < 16; i++ {
+			e.Spawn("w", body)
+		}
+		err = e.Run()
+	}
+	cycle() // warm the free lists and the worker pool
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("Reset/Spawn/Run cycle allocates %v per run, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -214,9 +214,9 @@ func parseDur(s string) float64 {
 // throughput (one Advance per op) across its scheduling paths:
 //
 //   - fastpath-eligible: one thread always strictly minimum, so every
-//     Advance returns without any goroutine switch;
+//     Advance returns without any coroutine switch;
 //   - handoff: eight threads in lockstep, every Advance a fused
-//     replace-top handoff to the next thread;
+//     replace-top handoff through the engine loop to the next thread;
 //   - nofastpath: the same lockstep workload with the fast path
 //     disabled (the A/B determinism configuration).
 func BenchmarkEngineStep(b *testing.B) {

@@ -6,8 +6,9 @@ import (
 )
 
 // traceWorkload runs a mixed workload (advances, yields, block/unblock,
-// mid-run spawns, a daemon) and returns the observed dispatch trace.
-func traceWorkload(fastPath bool) ([]string, error) {
+// mid-run spawns, a daemon) and returns the finished engine and the
+// observed dispatch trace.
+func traceWorkload(fastPath bool) (*Engine, []string, error) {
 	e := NewEngine()
 	e.SetFastPath(fastPath)
 	var trace []string
@@ -49,20 +50,30 @@ func traceWorkload(fastPath bool) ([]string, error) {
 		})
 	}
 	err := e.Run()
-	return trace, err
+	return e, trace, err
 }
 
 // TestFastPathDeterminism checks the scheduler fast path is purely an
 // execution optimization: the dispatch trace with it on is identical to
-// the trace with it off.
+// the trace with it off. It also pins both modes' scheduler counters,
+// which bench/ hashes into its simulation digest.
 func TestFastPathDeterminism(t *testing.T) {
-	slow, err := traceWorkload(false)
+	slowE, slow, err := traceWorkload(false)
 	if err != nil {
 		t.Fatalf("slow path run: %v", err)
 	}
-	fast, err := traceWorkload(true)
+	fastE, fast, err := traceWorkload(true)
 	if err != nil {
 		t.Fatalf("fast path run: %v", err)
+	}
+	for _, c := range []struct {
+		mode       string
+		e          *Engine
+		fast, slow int64
+	}{{"off", slowE, 0, 63}, {"on", fastE, 25, 38}} {
+		if f, s := c.e.Stats(); f != c.fast || s != c.slow {
+			t.Errorf("fast path %s: Stats() = (%d, %d), want (%d, %d)", c.mode, f, s, c.fast, c.slow)
+		}
 	}
 	if len(slow) != len(fast) {
 		t.Fatalf("trace lengths differ: slow %d, fast %d", len(slow), len(fast))

@@ -3,10 +3,13 @@
 // multiprocessor.
 //
 // The engine multiplexes any number of simulated threads, each with its
-// own virtual clock. Threads are backed by goroutines, but at most one
-// simulated thread executes at a time: the engine always resumes the
-// runnable thread with the globally minimum (clock, id) pair, so every
-// run is bit-for-bit reproducible regardless of the Go scheduler.
+// own virtual clock. Each thread's body runs on a coroutine (iter.Pull)
+// taken from a process-wide pool of reusable workers, and one engine
+// loop, in Run, owns all dispatch: it resumes the runnable thread with
+// the globally minimum (clock, id) pair and regains control when that
+// thread yields, blocks or finishes. At most one simulated thread
+// executes at a time, so every run is bit-for-bit reproducible
+// regardless of the Go scheduler.
 //
 // A simulated thread consumes virtual time by calling Advance, blocks by
 // calling Block, and is made runnable again when some other thread calls
@@ -15,23 +18,21 @@
 // currently-executing thread.
 //
 // Two scheduling optimizations keep the dispatch order — and therefore
-// every simulation result — bit-for-bit identical while eliding most of
-// the goroutine context switches:
+// every simulation result — bit-for-bit identical while eliding work:
 //
 //   - fast path: a thread that advances its clock and remains strictly
-//     the earliest runnable thread keeps executing in place (see
-//     Thread.Advance); SetFastPath / SetDefaultFastPath disable this
-//     for A/B testing.
-//   - direct handoff: a thread that does yield resumes the next
-//     runnable thread itself, without a round trip through the engine
-//     goroutine; the engine goroutine is woken only for termination,
-//     deadlock, or a thread-body panic.
+//     the earliest runnable thread keeps executing in place, with no
+//     coroutine switch at all (see Thread.Advance); SetFastPath /
+//     SetDefaultFastPath disable this for A/B testing.
+//   - fused handoff: a thread that advances past the earliest ready
+//     thread swaps itself into that thread's heap slot and hands it to
+//     the engine loop as its successor, so the loop resumes it without
+//     a second heap operation.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"platinum/internal/hist"
 	"platinum/internal/timeseries"
@@ -69,16 +70,15 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // is blocked and no thread can ever unblock them.
 var ErrDeadlock = errors.New("sim: deadlock: all non-daemon threads blocked")
 
-// errStopped is panicked inside a thread goroutine to unwind it when the
-// engine shuts down; it is recovered by the thread trampoline.
+// errStopped is panicked inside a thread body to unwind it when the
+// engine shuts down; the thread's worker recovers it.
 type errStopped struct{}
 
 // Engine is a deterministic discrete-event scheduler for simulated
 // threads. The zero value is not usable; call NewEngine.
 type Engine struct {
 	ready    threadHeap
-	threads  map[int]*Thread
-	nextID   int
+	threads  []*Thread // every thread since the last Reset, indexed by id
 	now      Time
 	running  *Thread
 	nlive    int // non-daemon threads not yet finished
@@ -87,14 +87,10 @@ type Engine struct {
 	fastPath bool
 	fail     error // first thread-body panic, reported by Run
 
-	// wake returns control to the engine goroutine (blocked in Run or
-	// shutdown) when a yielding or finishing thread cannot hand off to
-	// another thread: simulation complete, deadlock, or panic.
-	wake chan struct{}
-
 	// fastSteps counts dispatches elided entirely (a thread kept
-	// executing without any goroutine switch); slowSteps counts real
-	// resumes of a parked thread goroutine. Exposed through Stats.
+	// executing in place, without any coroutine switch); slowSteps
+	// counts the engine loop's resumes of a suspended thread. Exposed
+	// through Stats.
 	fastSteps int64
 	slowSteps int64
 
@@ -112,10 +108,9 @@ type Engine struct {
 	seriesOn    bool
 	causeSeries *timeseries.Series
 
-	// pool holds finished Thread structs recycled by Reset. Their
-	// goroutines have exited and their resume channels are drained, so
-	// Spawn can reuse the struct and channel for a new thread, starting
-	// a fresh goroutine. Only structs are pooled, never goroutines.
+	// pool holds finished Thread structs recycled by Reset, which
+	// Spawn reuses for new threads. (Their workers went back to the
+	// process-wide idle pool when their bodies finished.)
 	pool []*Thread
 }
 
@@ -165,11 +160,7 @@ func SetDefaultFastPath(on bool) bool {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		threads:  make(map[int]*Thread),
-		fastPath: defaultFastPath,
-		wake:     make(chan struct{}),
-	}
+	return &Engine{fastPath: defaultFastPath}
 }
 
 // SetFastPath enables or disables the scheduler fast path, under which
@@ -177,11 +168,11 @@ func NewEngine() *Engine {
 // it is still strictly the earliest runnable thread (so the dispatcher
 // would immediately re-select it anyway). The dispatch order — and
 // therefore every simulation result — is identical either way; only
-// the goroutine handoffs are elided. Enabled by default.
+// the coroutine switches are elided. Enabled by default.
 func (e *Engine) SetFastPath(on bool) { e.fastPath = on }
 
 // Stats reports scheduler counters: dispatches elided by the fast path
-// and full park/resume handoffs.
+// and the engine loop's resumes of suspended threads (handoffs).
 func (e *Engine) Stats() (fastSteps, slowSteps int64) {
 	return e.fastSteps, e.slowSteps
 }
@@ -201,184 +192,116 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 		e.pool[n-1] = nil
 		e.pool = e.pool[:n-1]
 	} else {
-		t = &Thread{resume: make(chan struct{})}
+		t = new(Thread)
 	}
-	t.engine = e
-	t.id = e.nextID
-	t.name = name
-	t.clock = e.now
-	t.daemon = false
-	t.state = stateReady
-	t.heapIdx = -1
-	t.born = e.now
-	t.acct = Account{}
-	t.node = -1
-	e.nextID++
-	e.threads[t.id] = t
+	*t = Thread{
+		engine:  e,
+		id:      len(e.threads),
+		name:    name,
+		fn:      fn,
+		clock:   e.now,
+		heapIdx: -1,
+		born:    e.now,
+		node:    -1,
+	}
+	e.threads = append(e.threads, t)
 	e.nlive++
 	e.pushReady(t)
-
-	go func() {
-		t.park() // wait for first dispatch
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errStopped); !ok {
-					// A real panic from the thread body: the simulated
-					// machine halts. Record it for Run and unwind.
-					if e.fail == nil {
-						e.fail = &ThreadPanicError{Thread: t.name, Value: r}
-					}
-				}
-			}
-			t.state = stateDone
-			if !t.daemon {
-				e.nlive--
-			}
-			// Hand the control token on: to the next runnable thread,
-			// or back to the engine goroutine (always the latter while
-			// shutting down, so shutdown's unwind loop regains control).
-			if e.stopping {
-				e.wake <- struct{}{}
-			} else {
-				e.dispatchNext(t)
-			}
-		}()
-		if e.stopping {
-			panic(errStopped{})
-		}
-		t.state = stateRunning
-		fn(t)
-	}()
 	return t
-}
-
-// dispatchNext transfers the control token held by thread from, which
-// has just yielded, blocked, or finished. If another thread is
-// dispatchable it is resumed directly — no round trip through the
-// engine goroutine. If the yielding thread itself is still the earliest
-// runnable thread, dispatchNext reports true and from keeps executing
-// without any goroutine switch. Otherwise (simulation over, deadlock,
-// a recorded panic, or the fast path disabled) the engine goroutine is
-// woken: with the fast path off every dispatch goes through the engine
-// loop, reproducing the reference scheduler for A/B testing.
-//
-//platinum:hotpath
-func (e *Engine) dispatchNext(from *Thread) bool {
-	if e.fastPath && e.fail == nil && e.nlive > 0 && e.readyND > 0 {
-		t := e.ready.pop()
-		if !t.daemon {
-			e.readyND--
-		}
-		if t.clock > e.now {
-			e.now = t.clock
-		}
-		e.running = t
-		if t == from {
-			e.fastSteps++
-			return true
-		}
-		t.state = stateRunning
-		e.slowSteps++
-		t.unpark()
-		return false
-	}
-	// Simulation finished, every non-daemon thread blocked, or the
-	// machine halted on a panic: Run decides which.
-	e.running = nil
-	e.wake <- struct{}{}
-	return false
 }
 
 // Run executes the simulation until every non-daemon thread has finished.
 // It returns ErrDeadlock if non-daemon threads remain but all are blocked.
 // Daemon threads (see Thread.SetDaemon) still runnable at shutdown are
 // unwound cleanly.
+//
+// Run must not be called from a goroutine locked to its OS thread: the
+// runtime aborts when a coroutine, shared here by all engines, is
+// resumed under other thread locking than its creator's.
 func (e *Engine) Run() error {
 	defer e.shutdown()
-	for e.nlive > 0 {
-		if e.fail != nil {
-			return e.fail
-		}
-		// If every live non-daemon thread is blocked, daemons in this
-		// system never unblock application threads, so this is a
-		// deadlock even while daemons remain runnable.
-		if e.readyND == 0 {
-			return ErrDeadlock
-		}
-		t := e.ready.pop()
+	var t *Thread // the successor the last thread handed over, if any
+	for {
 		if t == nil {
-			return ErrDeadlock
-		}
-		if !t.daemon {
-			e.readyND--
+			if e.nlive == 0 || e.fail != nil {
+				return e.fail
+			}
+			// If every live non-daemon thread is blocked, daemons in this
+			// system never unblock application threads, so this is a
+			// deadlock even while daemons remain runnable.
+			if e.readyND == 0 {
+				return ErrDeadlock
+			}
+			t = e.ready.pop()
+			if !t.daemon {
+				e.readyND--
+			}
 		}
 		if t.clock > e.now {
 			e.now = t.clock
 		}
-		// Dispatch t and wait for the control token to come back.
-		// Threads hand off among themselves (dispatchNext); control
-		// returns here only for termination, deadlock, or panic.
 		e.running = t
 		t.state = stateRunning
 		e.slowSteps++
-		t.unpark()
-		<-e.wake
+		// Run t on its worker until it gives control back, handing over
+		// its successor (nil: pick one).
+		if t.w == nil {
+			getWorker(t)
+		}
+		next, _ := t.w.next()
+		if t.state == stateDone {
+			putWorker(t)
+		}
+		t = next
 	}
-	return e.fail
 }
 
-// shutdown unwinds every unfinished thread goroutine.
+// shutdown unwinds every unfinished thread, in id order. Resumed on a
+// stopping engine, a thread panics with errStopped at its suspension
+// point (or, never dispatched, skips its body), so it finishes; a
+// deferred call that suspends it again while unwinding is resumed again.
 func (e *Engine) shutdown() {
 	e.stopping = true
-	// Deterministic order for unwinding.
-	ids := make([]int, 0, len(e.threads))
-	for id, t := range e.threads {
-		if t.state != stateDone {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := e.threads[id]
+	for _, t := range e.threads {
 		if t.state == stateDone {
 			continue
 		}
-		// Resuming a stopping engine makes the thread's next yield point
-		// panic with errStopped, unwinding it; the thread's exit handler
-		// wakes us rather than dispatching.
-		e.running = t
-		t.unpark()
-		<-e.wake
-		e.running = nil
+		if t.w == nil {
+			getWorker(t)
+		}
+		for t.state != stateDone {
+			t.w.next()
+		}
+		putWorker(t)
 	}
 }
 
 // Reset returns the engine to its freshly-constructed state — virtual
 // time zero, no threads, thread ids restarting at 0 — while retaining
 // every buffer it has grown: the ready heap's backing array, the
-// per-node account slice, and the finished Thread structs (with their
-// resume channels), which go into a free list that Spawn draws from.
+// thread table, the per-node account slice, and the finished Thread
+// structs, which go into a free list that Spawn draws from.
 // A reset engine behaves bit-for-bit identically to one from NewEngine;
 // only the allocations are elided.
 //
 // Reset may only be called after Run has returned (or before any thread
-// was spawned): every thread goroutine must have unwound. It panics if
-// an unfinished thread remains.
+// was spawned): every thread must have unwound. It panics if an
+// unfinished thread remains.
 func (e *Engine) Reset() {
 	for _, t := range e.threads {
 		if t.state != stateDone {
 			panic(fmt.Sprintf("sim: Reset with unfinished thread %q", t.name))
 		}
-		e.pool = append(e.pool, t)
 	}
+	e.pool = append(e.pool, e.threads...)
 	clear(e.threads)
+	e.threads = e.threads[:0]
 	// The heap may still hold entries for finished daemon threads that
 	// were never popped; drop them, keeping the backing array.
 	for i := range e.ready.items {
 		e.ready.items[i] = nil
 	}
 	e.ready.items = e.ready.items[:0]
-	e.nextID = 0
 	e.now = 0
 	e.running = nil
 	e.nlive = 0

@@ -22,9 +22,9 @@ type Thread struct {
 	daemon bool
 	state  threadState
 
-	resume chan struct{} // dispatcher (engine or peer thread) -> thread: run
-
-	heapIdx int // index in the ready heap, -1 if absent
+	fn      func(*Thread) // the body; nil once it has finished
+	w       *worker       // runs the body; nil before dispatch and once done
+	heapIdx int           // index in the ready heap, -1 if absent
 
 	// Cost attribution (see account.go): born is the clock at Spawn,
 	// acct the per-cause time consumed since, node the processor whose
@@ -69,33 +69,33 @@ func (t *Thread) SetDaemon(d bool) {
 	}
 }
 
-// park waits until a dispatcher hands this thread the control token.
+// suspend gives control back to the engine loop, handing it next to run
+// (nil: the loop picks), and returns once the loop resumes t. On a
+// stopping engine it unwinds t instead.
 //
 //platinum:hotpath
-func (t *Thread) park() { <-t.resume }
-
-// unpark hands the control token to t, which is waiting in park (or on
-// its way there: the unbuffered send completes when it arrives).
-//
-//platinum:hotpath
-func (t *Thread) unpark() { t.resume <- struct{}{} }
-
-// yield hands the control token to the next runnable thread and parks
-// until dispatched again. If this thread is itself still the earliest
-// runnable thread, it keeps executing without parking at all.
-//
-//platinum:hotpath
-func (t *Thread) yield() {
-	e := t.engine
-	if e.dispatchNext(t) {
-		t.state = stateRunning
-		return
-	}
-	t.park()
-	if e.stopping {
+func (t *Thread) suspend(next *Thread) {
+	t.w.yield(next)
+	if t.engine.stopping {
 		panic(errStopped{})
 	}
-	t.state = stateRunning
+}
+
+// finish runs when t's body returns or panics, on t's worker: it marks
+// t done and records a panic other than errStopped as the machine
+// halting, for Run to report.
+func (t *Thread) finish() {
+	e := t.engine
+	if r := recover(); r != nil {
+		if _, ok := r.(errStopped); !ok && e.fail == nil {
+			e.fail = &ThreadPanicError{Thread: t.name, Value: r}
+		}
+	}
+	t.state = stateDone
+	t.fn = nil // Reset's free list keeps t; let the body's captures go
+	if !t.daemon {
+		e.nlive--
+	}
 }
 
 // Advance consumes d of virtual time and yields to the scheduler, so any
@@ -103,12 +103,12 @@ func (t *Thread) yield() {
 //
 // Fast path: if after advancing the thread is still strictly the
 // earliest runnable thread — the ready heap is empty, or its minimum
-// entry orders after (clock, id) — the dispatcher would pop this thread
-// right back, so Advance skips the park/resume handoff and returns with
-// the thread still running. This elides two goroutine context switches
-// per reference for any phase where one thread runs behind all others
-// (in particular the whole of every 1-processor run) while leaving the
-// dispatch order bit-for-bit identical.
+// entry orders after (clock, id) — the engine loop would pop this thread
+// right back, so Advance skips the round trip through the loop and
+// returns with the thread still running. This elides two coroutine
+// switches per reference for any phase where one thread runs behind all
+// others (in particular the whole of every 1-processor run) while
+// leaving the dispatch order bit-for-bit identical.
 //
 //platinum:hotpath
 func (t *Thread) Advance(d Time) {
@@ -131,32 +131,21 @@ func (t *Thread) Advance(d Time) {
 		if !t.daemon {
 			// Fused handoff: top orders before t, so push(t)+pop() would
 			// return exactly top. Swap t into top's slot with one
-			// sift-down and resume top directly. t being a live
-			// non-daemon guarantees the dispatcher's liveness conditions
-			// (nlive > 0, a non-daemon ready) hold.
+			// sift-down and hand top to the engine loop as the successor.
+			// t being a live non-daemon guarantees the loop's liveness
+			// conditions (nlive > 0, a non-daemon ready) hold.
 			u := e.ready.replaceTop(t)
 			t.state = stateReady
 			if u.daemon {
 				e.readyND++ // non-daemon t entered the heap, daemon u left
 			}
-			if u.clock > e.now {
-				e.now = u.clock
-			}
-			e.running = u
-			u.state = stateRunning
-			e.slowSteps++
-			u.unpark()
-			t.park()
-			if e.stopping {
-				panic(errStopped{})
-			}
-			t.state = stateRunning
+			t.suspend(u)
 			return
 		}
 	}
 	t.state = stateReady
 	e.pushReady(t)
-	t.yield()
+	t.suspend(nil)
 }
 
 // AdvanceTo advances the thread's clock to at least instant.
@@ -180,7 +169,7 @@ func (t *Thread) Yield() { t.Advance(0) }
 //platinum:hotpath
 func (t *Thread) Block() {
 	t.state = stateBlocked
-	t.yield()
+	t.suspend(nil)
 }
 
 // Unblock makes a blocked thread runnable again with its clock advanced

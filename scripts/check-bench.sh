@@ -5,8 +5,9 @@
 #
 #   1. The alloc-regression tests (alloc_test.go), run WITHOUT -race so
 #      testing.AllocsPerRun sees the real escape-analysis results. These
-#      pin Advance, fused handoff, Charge and span Begin/End/Record at
-#      zero steady-state allocations.
+#      pin Advance, the fused handoff through the engine loop, a whole
+#      Reset/Spawn/Run cycle, Charge and span Begin/End/Record at zero
+#      steady-state allocations.
 #   2. A short BenchmarkFig1Gauss run (-benchtime 100x) compared against
 #      the committed reference snapshot (BENCH_2.json by default):
 #      allocs/op is host-independent and must stay within 2x of the

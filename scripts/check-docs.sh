@@ -81,6 +81,15 @@ for tag in $(grep -o 'json:"[a-z0-9_]*' internal/metrics/telemetry.go | cut -d'"
 	fi
 done
 
+# 8. README's "Go (1.NN+)" names the go directive in go.mod, so a
+#    version bump cannot leave the stated requirement behind.
+gomod=$(awk '$1 == "go" { print $2; exit }' go.mod | cut -d. -f1,2)
+readme=$(grep -o 'Go (1\.[0-9]*+)' README.md | head -n 1 | sed 's/[^0-9.]//g')
+if [ "$readme" != "$gomod" ]; then
+	echo "README: states Go (${readme:-?}+) but go.mod says go $gomod"
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	echo "check-docs: FAILED"
 	exit 1
