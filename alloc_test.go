@@ -1,14 +1,12 @@
 package platinum
 
 // Alloc-regression gates for the pooled simulation core: the engine
-// step (Advance, both the fast path and the fused handoff), a whole
-// Reset/Spawn/Run cycle, span Begin/End recording, and account
-// charging must not allocate in steady state. These are the invariants
-// the pooling/arena design bought; testing.AllocsPerRun pins them so
-// they cannot silently rot.
-// The platinum/hotalloc vet analyzer enforces the same property
-// statically; this file enforces it against the compiler's actual
-// escape analysis.
+// step (Advance, both the fast path and the fused handoff, and the
+// Block/Unblock handoff), a whole Reset/Spawn/Run cycle, span
+// Begin/End recording, and account charging must not allocate in
+// steady state. These are the invariants the pooling/arena design
+// bought; testing.AllocsPerRun pins them against the compiler's actual
+// escape analysis so they cannot silently rot.
 //
 // The tests skip under -race: the detector instruments allocations of
 // its own. CI runs them in the non-instrumented bench-smoke lane.
@@ -94,6 +92,47 @@ func TestHandoffZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBlockUnblockZeroAlloc pins the blocking handoff: a waker that
+// Advances, Unblocks a parked waiter, then runs AdvanceTo, Yield and
+// Attribute, while the waiter loops on Block — at zero allocations.
+func TestBlockUnblockZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	var allocs float64
+	done := false
+	e := sim.NewEngine()
+	waiter := e.Spawn("waiter", func(th *sim.Thread) {
+		// done is written by the waker and read here without host-level
+		// synchronization, which is safe: exactly one sim thread runs at
+		// a time, and Unblock orders the accesses.
+		for !done {
+			th.Block()
+		}
+	})
+	e.Spawn("waker", func(th *sim.Thread) {
+		step := func() {
+			th.Advance(100)
+			waiter.Unblock(th.Now())
+			th.AdvanceTo(th.Now() + 50)
+			th.Yield()
+			th.Attribute(sim.CauseCompute, 50)
+		}
+		for i := 0; i < 100; i++ {
+			step() // warm the ready heap
+		}
+		allocs = testing.AllocsPerRun(200, step)
+		done = true
+		waiter.Unblock(th.Now())
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Block/Unblock handoff allocates %v per op, want 0", allocs)
+	}
+}
+
 // TestSpawnRunZeroAlloc pins a whole simulation on a reused engine —
 // Reset, sixteen Spawns, Run through their handoffs to the end — at
 // zero allocations once the engine's free lists and the idle worker
@@ -125,22 +164,32 @@ func TestSpawnRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSpanBeginEndZeroAlloc pins span recording — Begin, builder
-// setters, End into the flight ring — at zero allocations once the
-// Open free list and the ring are warm.
+// TestSpanBeginEndZeroAlloc pins span recording — Begin, every
+// builder setter, End into the flight ring — at zero allocations once
+// the Open free list and the ring are warm.
 func TestSpanBeginEndZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates; run without -race")
 	}
-	rec := span.NewRecorder(64)
-	now := sim.Time(0)
-	rec.Begin(span.KindFault, now).End(now + 1) // warm the free list
-	got := testing.AllocsPerRun(200, func() {
-		now += 2
-		rec.Begin(span.KindFault, now).Proc(1).Track(2).Notef("probe %d", 3).End(now + 1)
-	})
-	if got != 0 {
-		t.Errorf("span Begin/End allocates %v per op, want 0", got)
+	chains := []func(rec *span.Recorder, now sim.Time){
+		func(rec *span.Recorder, now sim.Time) {
+			rec.Begin(span.KindFault, now).Proc(1).Track(2).Notef("probe %d", 3).End(now + 1)
+		},
+		func(rec *span.Recorder, now sim.Time) {
+			rec.Begin(span.KindFault, now).Parent(1).Page(2).Note("probe").Attribute(sim.CauseFault, 1).End(now + 1)
+		},
+	}
+	for i, chain := range chains {
+		rec := span.NewRecorder(64)
+		now := sim.Time(0)
+		chain(rec, now) // warm the free list
+		got := testing.AllocsPerRun(200, func() {
+			now += 2
+			chain(rec, now)
+		})
+		if got != 0 {
+			t.Errorf("span setter chain %d allocates %v per op, want 0", i, got)
+		}
 	}
 }
 

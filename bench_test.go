@@ -383,11 +383,11 @@ func BenchmarkColocateOptions(b *testing.B) {
 }
 
 // BenchmarkVetFullTree runs the complete platinum-vet analyzer suite —
-// loading, type-checking, call-graph construction, fact propagation and
-// reporting — over the whole module, exactly as the CI vet gate does.
-// One iteration is one full multi-pass run from a cold loader, so the
-// ns/op is the gate's wall time and a loader or analyzer regression
-// shows up in the bench snapshot diff next to the simulator numbers.
+// loading, type-checking, the single-pass analyzers and reporting —
+// over the whole module, exactly as the CI vet gate does. One
+// iteration is one full run from a cold loader, so the ns/op is the
+// gate's wall time and a loader or analyzer regression shows up in the
+// bench snapshot diff next to the simulator numbers.
 // The analyzer count is reported as a metric so the snapshot records
 // how much checking that wall time bought.
 func BenchmarkVetFullTree(b *testing.B) {

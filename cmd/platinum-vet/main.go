@@ -1,8 +1,8 @@
 // Command platinum-vet runs the project's static-analysis suite
 // (internal/analysis) over the module tree: the determinism,
-// cost-attribution, event-exhaustiveness, span-pairing and
-// protocol-panic analyzers that enforce at vet time the invariants the
-// test suite otherwise only catches at run time.
+// cost-attribution, span-pairing, protocol-panic and typed-atomics
+// analyzers that enforce at vet time invariants the test suite
+// otherwise only catches at run time.
 //
 // Usage:
 //
@@ -22,12 +22,9 @@
 //	               at dir instead of the enclosing module (used by the
 //	               fixture tests and the CI negative-fixture check)
 //
-// The suite is fact-aware and multi-pass: the requested packages'
-// local dependency closure is analyzed in import order so that
-// interprocedural analyzers (detwalk, hotescape, atomicsafe) see facts
-// exported by the packages a checked package imports, while findings
-// are reported only for the packages actually named on the command
-// line.
+// Each analyzer is single-pass: it reads one type-checked package and
+// reports only on that package, so findings come only from the
+// packages named on the command line.
 //
 // Exit status: 0 when the tree is clean, 1 when there are findings or
 // malformed suppression directives, 2 on usage or load errors.
@@ -85,14 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
 		return 2
 	}
-	// Analyze the full local dependency closure so fact-consuming
-	// analyzers see their imports' exports, but report findings only for
-	// the requested packages.
-	report := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		report[p.Path] = true
-	}
-	res, err := analysis.RunScoped(analyzers, loader.All(), report)
+	res, err := analysis.Run(analyzers, pkgs)
 	if err != nil {
 		fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
 		return 2

@@ -55,11 +55,11 @@ func TestJSONOutput(t *testing.T) {
 	if got := len(res.Suppressed); got != 2 {
 		t.Errorf("JSON suppressed = %d, want 2", got)
 	}
-	// Three bad ignores: the fixture's two malformed directives, plus
+	// Four bad ignores: the fixture's three malformed directives, plus
 	// the well-formed-but-unused platinum/spanpair directive, which the
 	// full CLI suite (spanpair included) judges stale.
-	if got := len(res.BadIgnores); got != 3 {
-		t.Errorf("JSON bad_ignores = %d, want 3: %+v", got, res.BadIgnores)
+	if got := len(res.BadIgnores); got != 4 {
+		t.Errorf("JSON bad_ignores = %d, want 4: %+v", got, res.BadIgnores)
 	}
 }
 
@@ -81,10 +81,13 @@ func TestSARIFOutput(t *testing.T) {
 	if got, want := len(run.Tool.Driver.Rules), len(analysis.All())+1; got != want {
 		t.Errorf("SARIF rules = %d, want %d", got, want)
 	}
-	var suppressed int
+	var suppressed, lint int
 	for _, r := range run.Results {
 		if len(r.Suppressions) > 0 {
 			suppressed++
+		}
+		if r.RuleID == "platinum/lint" {
+			lint++
 		}
 		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
 		if strings.HasPrefix(uri, "/") {
@@ -93,6 +96,10 @@ func TestSARIFOutput(t *testing.T) {
 	}
 	if suppressed != 2 {
 		t.Errorf("SARIF suppressed results = %d, want 2", suppressed)
+	}
+	// The same four bad ignores as TestJSONOutput.
+	if lint != 4 {
+		t.Errorf("SARIF platinum/lint results = %d, want 4", lint)
 	}
 }
 

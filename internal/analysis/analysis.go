@@ -1,18 +1,19 @@
 // Package analysis is a self-contained static-analysis suite that
-// enforces, at compile time, the invariants every quantitative claim in
-// this reproduction rests on at run time: deterministic dispatch
-// (byte-identical reports across -j1/-j8), exact cost conservation and
-// cause attribution, panic-free protocol paths, exhaustive handling of
-// protocol event kinds, and begin/end-paired causal spans.
+// enforces, at vet time, invariants every quantitative claim in this
+// reproduction rests on at run time: deterministic simulation code
+// (byte-identical reports across -j1/-j8), exact cause attribution,
+// panic-free protocol paths, begin/end-paired causal spans, and typed
+// atomics.
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis — an
 // Analyzer with a Run function over a Pass carrying the type-checked
 // package — but is built entirely on the standard library (go/parser,
 // go/types and the "source" importer), so it needs no module downloads
-// and runs in a hermetic build. See the analyzer files (nodeterminism,
-// chargecause, exhaustiveevent, spanpair, noprotocolpanic) for what is
-// enforced and why, and cmd/platinum-vet for the multichecker that runs
-// the suite over the tree.
+// and runs in a hermetic build. Every analyzer is single-pass: it reads
+// one package and reports only on that package. See the analyzer files
+// (nodeterminism, chargecause, spanpair, noprotocolpanic, atomicsafe)
+// for what is enforced and why, and cmd/platinum-vet for the
+// multichecker that runs the suite over the tree.
 //
 // Findings can be suppressed per line with
 //
@@ -33,21 +34,11 @@ import (
 
 // Analyzer is one static check. Name is the short identifier reported
 // and suppressed as "platinum/<name>"; Doc is a one-line description
-// shown by platinum-vet -list.
-//
-// Requires lists the analyzers whose facts this one consumes (via
-// Pass.FactOf); the scheduler runs them first on every package and
-// auto-includes them in any run that includes this analyzer. Finish,
-// when non-nil, runs once after every package has been analyzed — the
-// hook for whole-program checks that need facts from the entire
-// dependency closure (its Pass carries no Files/Pkg/Info, only the
-// run-wide state: Fset, AllPackages, FactOf, Reportf).
+// shown by platinum-vet -list; Run checks one package.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Run      func(*Pass) error
-	Requires []*Analyzer
-	Finish   func(*Pass) error
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Pass carries one type-checked, non-test package through one analyzer.
@@ -58,22 +49,17 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	state *runState
-	diags *[]Diagnostic
-}
-
-// Diagnostic is one finding at a source position.
-type Diagnostic struct {
-	Analyzer string
-	Pos      token.Pos
-	Message  string
+	findings *[]Finding
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
+	position := p.Fset.Position(pos)
+	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
+		File:     position.Filename,
+		Line:     position.Line,
+		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -131,30 +117,15 @@ func pathHasSuffix(path, suffix string) bool {
 	return strings.HasSuffix(path, "/"+suffix)
 }
 
-// simPackages are the import-path suffixes of the simulation packages
-// whose code must be deterministic: any wall-clock read, unseeded
-// randomness, or map-ordered emission there breaks the byte-identical
-// -j1/-j8 report guarantee.
-var simPackages = []string{
-	"internal/sim",
-	"internal/core",
-	"internal/mach",
-	"internal/kernel",
-	"internal/phys",
-	"internal/uma",
-	"internal/vm",
-	"internal/exp",
-}
-
-// isSimPackage reports whether path names one of the simulation
-// packages covered by the determinism analyzers.
-func isSimPackage(path string) bool {
-	for _, s := range simPackages {
-		if pathHasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
+// isDeterministicPackage reports whether path is under the module's
+// internal/ tree but outside internal/analysis: the simulation, its
+// models, harnesses and recorders, whose output must not depend on the
+// host. No internal package imports module code outside internal/, so
+// a nondeterminism source is flagged in the package it is written in,
+// however long the call chain that reaches it.
+func isDeterministicPackage(path string) bool {
+	_, rest, ok := strings.Cut("/"+path, "/internal/")
+	return ok && rest != "analysis" && !strings.HasPrefix(rest, "analysis/")
 }
 
 // protocolPackages are the import-path suffixes of the coherency
@@ -177,20 +148,12 @@ func isProtocolPackage(path string) bool {
 }
 
 // All returns the full analyzer suite in stable registration order.
-// The syntactic, single-package analyzers come first; the three
-// interprocedural, fact-driven analyzers (detwalk, hotescape,
-// atomicsafe) close the list. The scheduler reorders per package as
-// Requires demands.
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoDeterminism,
 		AnalyzerChargeCause,
-		AnalyzerExhaustiveEvent,
 		AnalyzerSpanPair,
 		AnalyzerNoProtocolPanic,
-		AnalyzerHotAlloc,
-		AnalyzerDetWalk,
-		AnalyzerHotEscape,
 		AnalyzerAtomicSafe,
 	}
 }

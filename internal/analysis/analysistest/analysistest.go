@@ -47,14 +47,7 @@ func Run(t *testing.T, srcroot string, analyzers []*analysis.Analyzer, importPat
 	if err != nil {
 		t.Fatalf("loading %v: %v", importPaths, err)
 	}
-	// Analyze the full local dependency closure (so cross-package facts
-	// exist) but report — and match wants — only in the named fixture
-	// packages, mirroring how platinum-vet scopes a package argument.
-	report := map[string]bool{}
-	for _, p := range importPaths {
-		report[p] = true
-	}
-	res, err := analysis.RunScoped(analyzers, loader.All(), report)
+	res, err := analysis.Run(analyzers, pkgs)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

@@ -1,148 +1,34 @@
 package analysis
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"path/filepath"
-)
+import "go/ast"
 
-// AnalyzerAtomicSafe guards against mixed atomic/plain access: once any
-// code accesses a variable through a sync/atomic package function
-// (atomic.AddInt64(&s.n, 1), atomic.LoadUint32(&flag), ...), every
-// other access to that variable — in any analyzed package — must be
-// atomic too. A single plain read racing one atomic write is undefined
-// behavior the race detector only catches when a test happens to hit
-// the interleaving; the analyzer rejects the pattern at vet time. This
-// is exactly the bug class a parallel experiment harness
-// (exp.Progress's counters under -j) and a sharded engine's per-node
-// queues are exposed to.
-//
-// The check is whole-program: the Run pass over each package exports an
-// atomicAccessFact for every variable it sees accessed atomically, and
-// the Finish hook — after every package in the dependency closure has
-// been analyzed — re-walks all files and flags plain accesses of those
-// variables, wherever the atomic and plain sites sit relative to each
-// other.
-//
-// Two escapes are honored. Files constrained to the race-detector
-// build (//go:build race) are skipped entirely: they hold
-// instrumentation that is compiled only when the runtime checks the
-// accesses anyway. And a plain access a human has adjudicated —
-// typically initialization before the variable is shared — can carry a
-// //lint:ignore platinum/atomicsafe justification. The typed wrappers
-// (atomic.Int64 & co.) need no analyzer: they make plain access
-// unrepresentable, and are the fix this analyzer usually demands.
+// AnalyzerAtomicSafe keeps every atomic variable typed: any call to a
+// package-level sync/atomic function (atomic.AddInt64(&s.n, 1),
+// atomic.LoadUint32(&flag), ...) is a finding. Such a call leaves the
+// variable a plain integer that other code can read or write without
+// sync/atomic, and one plain access racing an atomic one is undefined
+// behavior the race detector only catches when a test hits the
+// interleaving. The typed wrappers (atomic.Int64 & co.) make plain
+// access unrepresentable, so the mixed-access race cannot be written.
 var AnalyzerAtomicSafe = &Analyzer{
-	Name:   "atomicsafe",
-	Doc:    "a variable accessed via sync/atomic anywhere must be accessed atomically everywhere (prefer atomic.Int64-style wrappers)",
-	Run:    runAtomicSafe,
-	Finish: finishAtomicSafe,
-}
-
-// atomicAccessFact marks a variable as atomically accessed, remembering
-// the first such site for the diagnostic.
-type atomicAccessFact struct {
-	pos token.Pos
+	Name: "atomicsafe",
+	Doc:  "use atomic.Int64-style typed wrappers, not package-level sync/atomic functions on plain variables",
+	Run:  runAtomicSafe,
 }
 
 func runAtomicSafe(pass *Pass) error {
 	for _, f := range pass.Files {
-		if isRaceOnlyFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			v, _ := atomicCallTarget(pass.Info, call)
-			if v == nil {
-				return true
-			}
-			if _, seen := pass.FactOf(pass.Analyzer, v); !seen {
-				pass.ExportFact(v, atomicAccessFact{pos: call.Pos()})
+			if fn := calleeFunc(pass.Info, call); fn != nil && fnRecv(fn) == nil && pkgPathOf(fn) == "sync/atomic" {
+				pass.Reportf(call.Pos(),
+					"atomic.%s on a plain variable lets other code access it without sync/atomic; use an atomic.Int64-style typed wrapper", fn.Name())
 			}
 			return true
 		})
-	}
-	return nil
-}
-
-// atomicCallTarget recognizes a call to a sync/atomic package-level
-// function whose first argument takes the address of a plain variable
-// (field, package-level or local), and returns that variable and the
-// address-of argument expression. Methods on the typed wrappers are
-// not package-level functions and are deliberately not matched.
-func atomicCallTarget(info *types.Info, call *ast.CallExpr) (*types.Var, ast.Expr) {
-	fn := calleeFunc(info, call)
-	if fn == nil || fnRecv(fn) != nil || pkgPathOf(fn) != "sync/atomic" || len(call.Args) == 0 {
-		return nil, nil
-	}
-	arg := ast.Unparen(call.Args[0])
-	unary, ok := arg.(*ast.UnaryExpr)
-	if !ok || unary.Op != token.AND {
-		return nil, nil
-	}
-	var id *ast.Ident
-	switch x := ast.Unparen(unary.X).(type) {
-	case *ast.Ident:
-		id = x
-	case *ast.SelectorExpr:
-		id = x.Sel
-	default:
-		return nil, nil
-	}
-	v, _ := info.ObjectOf(id).(*types.Var)
-	if v == nil {
-		return nil, nil
-	}
-	return v, call.Args[0]
-}
-
-// finishAtomicSafe re-walks every analyzed package and flags plain
-// accesses of atomically-accessed variables.
-func finishAtomicSafe(pass *Pass) error {
-	for _, pkg := range pass.AllPackages() {
-		for _, f := range pkg.Files {
-			if isRaceOnlyFile(f) {
-				continue
-			}
-			// Address-of arguments to atomic calls are the sanctioned
-			// access form; their subtrees are skipped during the walk.
-			sanctioned := map[ast.Node]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sanctioned[n] {
-					return false
-				}
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if _, arg := atomicCallTarget(pkg.Info, n); arg != nil {
-						sanctioned[arg] = true
-					}
-				case *ast.Ident:
-					v, ok := pkg.Info.Uses[n].(*types.Var)
-					if !ok {
-						return true
-					}
-					f, ok := pass.FactOf(pass.Analyzer, v)
-					if !ok {
-						return true
-					}
-					at := f.(atomicAccessFact)
-					kind := "variable"
-					if v.IsField() {
-						kind = "field"
-					}
-					p := pass.Fset.Position(at.pos)
-					pass.Reportf(n.Pos(),
-						"%s %s is accessed plainly here but atomically at %s; mixed atomic/plain access is a data race — use sync/atomic for every access, or an atomic.Int64-style wrapper",
-						kind, v.Name(), fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line))
-				}
-				return true
-			})
-		}
 	}
 	return nil
 }

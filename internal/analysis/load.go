@@ -167,23 +167,6 @@ func (l *Loader) DiscoverAll() ([]string, error) {
 	return out, nil
 }
 
-// All returns every local package this loader has loaded so far —
-// the packages passed to Load plus their transitive local imports —
-// sorted by import path. It is the package set to hand RunScoped so
-// cross-package facts cover the full dependency closure.
-func (l *Loader) All() []*Package {
-	paths := make([]string, 0, len(l.pkgs))
-	for p := range l.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		out = append(out, l.pkgs[p])
-	}
-	return out
-}
-
 // Load parses and type-checks the named local packages (and,
 // transitively, every local package they import). It returns the named
 // packages in argument order.

@@ -2,15 +2,16 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
 // AnalyzerNoDeterminism enforces the simulator's reproducibility
-// contract in the simulation packages (internal/sim, core, mach,
-// kernel, phys, uma, vm, exp): every run with the same inputs must
-// produce byte-identical reports, whether the harness runs -j1 or -j8.
+// contract in every package under internal/ except internal/analysis:
+// every run with the same inputs must produce byte-identical reports,
+// whether the harness runs -j1 or -j8. Because no internal package
+// imports module code outside internal/, a source anywhere in the
+// simulation's call graph is flagged in the package it is written in.
 //
 // Three bug classes break that contract and are flagged:
 //
@@ -24,103 +25,41 @@ import (
 //     iteration order, so anything emitted from inside the loop — a
 //     table row, a JSON record, a scheduling step — changes order
 //     between runs. Collect into a slice and sort before emitting.
-//
-// Beyond reporting, the analyzer is the direct-source fact producer
-// for detwalk: for every function in every analyzed package — sim or
-// not — it exports a directNondetFact listing the nondeterminism
-// sources in that function's own body, so detwalk can chase the same
-// bug classes through call chains that leave the simulation packages.
 var AnalyzerNoDeterminism = &Analyzer{
 	Name: "nodeterminism",
-	Doc:  "forbid wall-clock reads, unseeded math/rand and map-ordered emission in simulation packages",
+	Doc:  "forbid wall-clock reads, unseeded math/rand and map-ordered emission under internal/",
 	Run:  runNoDeterminism,
 }
 
-// nondetSource is one direct nondeterminism source in a function body:
-// where it is, the message reported when it sits in a simulation
-// package, and the short description detwalk splices into call chains.
-type nondetSource struct {
-	pos   token.Pos
-	msg   string // full diagnostic for a direct finding
-	short string // chain label, e.g. "time.Now (wall clock)"
-}
-
-// directNondetFact is the per-function fact: the nondeterminism
-// sources written directly in the function (closures included).
-type directNondetFact struct {
-	sources []nondetSource
-}
-
 func runNoDeterminism(pass *Pass) error {
-	report := isSimPackage(pass.Pkg.Path())
+	if !isDeterministicPackage(pass.Pkg.Path()) {
+		return nil
+	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				// Package-level var initializers and the like: report
-				// in scope, but there is no function to attach a fact
-				// to (and no way to call into one either).
-				if report {
-					for _, src := range collectNondet(pass, decl) {
-						pass.Reportf(src.pos, "%s", src.msg)
-					}
-				}
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				checkWallClock(pass, n)
+				checkGlobalRand(pass, n)
+			case *ast.RangeStmt:
+				checkMapRangeEmission(pass, n)
 			}
-			sources := collectNondet(pass, fd.Body)
-			if len(sources) > 0 {
-				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					pass.ExportFact(fn, directNondetFact{sources: sources})
-				}
-			}
-			if report {
-				for _, src := range sources {
-					pass.Reportf(src.pos, "%s", src.msg)
-				}
-			}
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-// collectNondet gathers the direct nondeterminism sources under n.
-func collectNondet(pass *Pass, n ast.Node) []nondetSource {
-	var out []nondetSource
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if src, ok := wallClockSource(pass, n); ok {
-				out = append(out, src)
-			}
-			if src, ok := globalRandSource(pass, n); ok {
-				out = append(out, src)
-			}
-		case *ast.RangeStmt:
-			if src, ok := mapRangeEmissionSource(pass, n); ok {
-				out = append(out, src)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// wallClockSource matches uses of time.Now or time.Since — both read
-// the host's wall clock, which must never influence a simulation.
-func wallClockSource(pass *Pass, sel *ast.SelectorExpr) (nondetSource, bool) {
+// checkWallClock flags uses of time.Now or time.Since — both read the
+// host's wall clock, which must never influence a simulation.
+func checkWallClock(pass *Pass, sel *ast.SelectorExpr) {
 	obj := pass.ObjectOf(sel.Sel)
 	if pkgPathOf(obj) != "time" {
-		return nondetSource{}, false
+		return
 	}
-	name := obj.Name()
-	if name != "Now" && name != "Since" {
-		return nondetSource{}, false
+	if name := obj.Name(); name == "Now" || name == "Since" {
+		pass.Reportf(sel.Pos(), "time.%s reads the wall clock; simulation code must use virtual time (sim.Time) only", name)
 	}
-	return nondetSource{
-		pos:   sel.Pos(),
-		msg:   "time." + name + " reads the wall clock; simulation code must use virtual time (sim.Time) only",
-		short: "time." + name + " (wall clock)",
-	}, true
 }
 
 // globalRandAllowed are the math/rand package-level functions that do
@@ -131,37 +70,32 @@ var globalRandAllowed = map[string]bool{
 	"NewZipf":   true,
 }
 
-// globalRandSource matches top-level math/rand (and math/rand/v2)
+// checkGlobalRand flags top-level math/rand (and math/rand/v2)
 // functions, which draw from a process-global, unseeded source.
-func globalRandSource(pass *Pass, sel *ast.SelectorExpr) (nondetSource, bool) {
+func checkGlobalRand(pass *Pass, sel *ast.SelectorExpr) {
 	obj := pass.ObjectOf(sel.Sel)
 	path := pkgPathOf(obj)
 	if path != "math/rand" && path != "math/rand/v2" {
-		return nondetSource{}, false
+		return
 	}
 	fn, ok := obj.(*types.Func)
 	if !ok || fnRecv(fn) != nil || globalRandAllowed[fn.Name()] {
-		return nondetSource{}, false
+		return
 	}
-	return nondetSource{
-		pos:   sel.Pos(),
-		msg:   "rand." + fn.Name() + " uses the unseeded global source; use a seeded *rand.Rand so runs are reproducible",
-		short: "rand." + fn.Name() + " (unseeded global source)",
-	}, true
+	pass.Reportf(sel.Pos(), "rand.%s uses the unseeded global source; use a seeded *rand.Rand so runs are reproducible", fn.Name())
 }
 
-// mapRangeEmissionSource matches a range over a map whose body calls an
+// checkMapRangeEmission flags a range over a map whose body calls an
 // emitting function: the emission order then follows Go's randomized
-// map iteration order.
-func mapRangeEmissionSource(pass *Pass, rng *ast.RangeStmt) (nondetSource, bool) {
+// map iteration order. One report per loop is enough.
+func checkMapRangeEmission(pass *Pass, rng *ast.RangeStmt) {
 	t := pass.TypeOf(rng.X)
 	if t == nil {
-		return nondetSource{}, false
+		return
 	}
 	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return nondetSource{}, false
+		return
 	}
-	var src nondetSource
 	found := false
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -169,17 +103,11 @@ func mapRangeEmissionSource(pass *Pass, rng *ast.RangeStmt) (nondetSource, bool)
 			return !found
 		}
 		if name := emitCallName(pass, call); name != "" {
-			src = nondetSource{
-				pos:   rng.Pos(),
-				msg:   "range over map calls " + name + " in its body; map iteration order is randomized — collect keys, sort, then emit",
-				short: "map-ordered emission via " + name,
-			}
+			pass.Reportf(rng.Pos(), "range over map calls %s in its body; map iteration order is randomized — collect keys, sort, then emit", name)
 			found = true
-			return false // one report per loop is enough
 		}
-		return true
+		return !found
 	})
-	return src, found
 }
 
 // emitCallName classifies call as order-observable emission and returns

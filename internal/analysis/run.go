@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -39,7 +38,6 @@ func (r *Result) Failed() bool { return len(r.Findings) > 0 || len(r.BadIgnores)
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	file      string
 	line      int // line the directive applies to (its own, or the next)
 	analyzers []string
 	reason    string
@@ -49,43 +47,14 @@ type ignoreDirective struct {
 }
 
 // Run executes every analyzer over every package, applies suppression
-// directives, and returns position-sorted findings. All given packages
-// are both analyzed and reported; use RunScoped to analyze a larger
-// dependency closure while reporting a subset.
+// directives, and returns findings sorted by file, line, column and
+// analyzer. Each analyzer sees one package at a time and reports only
+// on that package.
 func Run(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
-	return RunScoped(analyzers, pkgs, nil)
-}
-
-// RunScoped is the fact-aware scheduler. It analyzes every package in
-// pkgs — which should be the full local dependency closure of the
-// packages of interest, so cross-package facts exist before they are
-// consumed — but reports findings, suppressions and stale directives
-// only for packages whose import path is in report (nil = all).
-//
-// Scheduling is deterministic: packages run in import-dependency order
-// (dependencies first, registration order breaking ties), analyzers run
-// per package in Requires order (producers before consumers, given
-// order breaking ties), analyzers listed in Requires but missing from
-// the given set are auto-included, and Finish hooks run once at the end
-// in analyzer order. Findings are sorted by file, line, column,
-// analyzer.
-func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (*Result, error) {
-	analyzers, err := scheduleAnalyzers(analyzers)
-	if err != nil {
-		return nil, err
-	}
-	pkgs = sortPackagesByDeps(pkgs)
-
-	var diags []Diagnostic
-	st := newRunState(pkgs, report, &diags)
-	// Scan every package's suppression directives up front:
-	// fact-producing passes consult them (Pass.IsSuppressed) even in
-	// packages outside the report scope.
+	var found []Finding
+	var dirs []*ignoreDirective
 	for _, pkg := range pkgs {
-		st.directives = append(st.directives, scanIgnores(pkg.Fset, pkg.Files)...)
-	}
-	for _, pkg := range pkgs {
-		st.indexMethods(pkg)
+		dirs = append(dirs, scanIgnores(pkg.Fset, pkg.Files)...)
 		for _, an := range analyzers {
 			pass := &Pass{
 				Analyzer: an,
@@ -93,55 +62,22 @@ func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				state:    st,
-				diags:    &diags,
+				findings: &found,
 			}
 			if err := an.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", an.Name, pkg.Path, err)
 			}
 		}
 	}
-	for _, an := range analyzers {
-		if an.Finish == nil {
-			continue
-		}
-		pass := &Pass{Analyzer: an, Fset: st.fset, state: st, diags: &diags}
-		if err := an.Finish(pass); err != nil {
-			return nil, fmt.Errorf("%s (finish): %w", an.Name, err)
-		}
-	}
 
-	inScope := func(file string) bool {
-		if report == nil {
-			return true
-		}
-		return report[st.fileOf[file]]
-	}
 	res := &Result{}
-	for _, dir := range st.directives {
-		if dir.malformed != "" && inScope(dir.file) {
-			res.BadIgnores = append(res.BadIgnores, Finding{
-				Analyzer: "lint",
-				File:     dir.pos.Filename,
-				Line:     dir.pos.Line,
-				Col:      dir.pos.Column,
-				Message:  dir.malformed,
-			})
+	for _, dir := range dirs {
+		if dir.malformed != "" {
+			res.BadIgnores = append(res.BadIgnores, lintFinding(dir, dir.malformed))
 		}
 	}
-	for _, d := range diags {
-		pos := st.fset.Position(d.Pos)
-		if !inScope(pos.Filename) {
-			continue
-		}
-		f := Finding{
-			Analyzer: d.Analyzer,
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  d.Message,
-		}
-		if dir := matchIgnore(st.directives, f); dir != nil {
+	for _, f := range found {
+		if dir := matchIgnore(dirs, f); dir != nil {
 			dir.used = true
 			f.Suppressed = true
 			f.Reason = dir.reason
@@ -150,11 +86,16 @@ func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (
 		}
 		res.Findings = append(res.Findings, f)
 	}
-	res.BadIgnores = append(res.BadIgnores, staleDirectives(st.directives, analyzers, inScope)...)
+	res.BadIgnores = append(res.BadIgnores, staleDirectives(dirs, analyzers)...)
 	sortFindings(res.Findings)
 	sortFindings(res.Suppressed)
 	sortFindings(res.BadIgnores)
 	return res, nil
+}
+
+// lintFinding reports a problem with the //lint:ignore directive dir.
+func lintFinding(dir *ignoreDirective, msg string) Finding {
+	return Finding{Analyzer: "lint", File: dir.pos.Filename, Line: dir.pos.Line, Col: dir.pos.Column, Message: msg}
 }
 
 // staleDirectives flags well-formed //lint:ignore directives that
@@ -162,17 +103,16 @@ func RunScoped(analyzers []*Analyzer, pkgs []*Package, report map[string]bool) (
 // line; once the finding is gone the directive is dead weight that
 // silently licenses a future regression, so it fails the run like a
 // malformed one. A directive is only judged when every analyzer it
-// names actually ran (a chargecause-only fixture run must not declare
-// a hotalloc directive stale) and when its package is in the report
-// scope.
-func staleDirectives(dirs []*ignoreDirective, ran []*Analyzer, inScope func(string) bool) []Finding {
+// names actually ran: a chargecause-only fixture run must not declare
+// a spanpair directive stale.
+func staleDirectives(dirs []*ignoreDirective, ran []*Analyzer) []Finding {
 	byName := map[string]bool{}
 	for _, an := range ran {
 		byName[an.Name] = true
 	}
 	var out []Finding
 	for _, d := range dirs {
-		if d.malformed != "" || d.used || !inScope(d.file) {
+		if d.malformed != "" || d.used {
 			continue
 		}
 		all := true
@@ -185,77 +125,8 @@ func staleDirectives(dirs []*ignoreDirective, ran []*Analyzer, inScope func(stri
 		if !all {
 			continue
 		}
-		out = append(out, Finding{
-			Analyzer: "lint",
-			File:     d.pos.Filename,
-			Line:     d.pos.Line,
-			Col:      d.pos.Column,
-			Message: fmt.Sprintf("stale //lint:ignore platinum/%s: it suppresses no finding — remove it (reason was: %s)",
-				strings.Join(d.analyzers, ",platinum/"), d.reason),
-		})
-	}
-	return out
-}
-
-// scheduleAnalyzers expands the given analyzers with the closure of
-// their Requires and orders them so every producer runs before its
-// consumers, preserving the given order among independent analyzers. A
-// Requires cycle is an error.
-func scheduleAnalyzers(given []*Analyzer) ([]*Analyzer, error) {
-	var out []*Analyzer
-	state := map[*Analyzer]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(an *Analyzer) error
-	visit = func(an *Analyzer) error {
-		switch state[an] {
-		case 1:
-			return fmt.Errorf("analyzer dependency cycle through %s", an.Name)
-		case 2:
-			return nil
-		}
-		state[an] = 1
-		for _, req := range an.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[an] = 2
-		out = append(out, an)
-		return nil
-	}
-	for _, an := range given {
-		if err := visit(an); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// sortPackagesByDeps orders pkgs so every package follows the packages
-// it imports (among those given), preserving the given order among
-// unrelated packages.
-func sortPackagesByDeps(pkgs []*Package) []*Package {
-	byTypes := map[*types.Package]*Package{}
-	for _, p := range pkgs {
-		byTypes[p.Types] = p
-	}
-	var out []*Package
-	state := map[*Package]int{}
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if state[p] != 0 {
-			return // visiting (impossible cycle in Go imports) or done
-		}
-		state[p] = 1
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := byTypes[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p] = 2
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
+		out = append(out, lintFinding(d, fmt.Sprintf("stale //lint:ignore platinum/%s: it suppresses no finding — remove it (reason was: %s)",
+			strings.Join(d.analyzers, ",platinum/"), d.reason)))
 	}
 	return out
 }
@@ -279,7 +150,7 @@ func scanIgnores(fset *token.FileSet, files []*ast.File) []*ignoreDirective {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				dir := &ignoreDirective{pos: pos, file: pos.Filename}
+				dir := &ignoreDirective{pos: pos}
 				fields := strings.Fields(text)
 				if len(fields) < 2 {
 					dir.malformed = "malformed //lint:ignore: want \"//lint:ignore platinum/<analyzer> reason\""
@@ -288,6 +159,10 @@ func scanIgnores(fset *token.FileSet, files []*ast.File) []*ignoreDirective {
 						short, ok := strings.CutPrefix(name, "platinum/")
 						if !ok || short == "" {
 							dir.malformed = fmt.Sprintf("//lint:ignore names %q: analyzers must be written platinum/<name>", name)
+							break
+						}
+						if !registered(short) {
+							dir.malformed = fmt.Sprintf("//lint:ignore names %q, which is not a registered analyzer (see platinum-vet -list)", name)
 							break
 						}
 						dir.analyzers = append(dir.analyzers, short)
@@ -304,6 +179,18 @@ func scanIgnores(fset *token.FileSet, files []*ast.File) []*ignoreDirective {
 		}
 	}
 	return out
+}
+
+// registered reports whether name is an analyzer in All(): a
+// directive naming any other analyzer could never be judged stale and
+// would stay in the tree forever.
+func registered(name string) bool {
+	for _, an := range All() {
+		if an.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // lineHasCodeBefore reports whether any node of f starts on the
@@ -335,7 +222,7 @@ func lineHasCodeBefore(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 // matchIgnore returns the directive suppressing f, if any.
 func matchIgnore(dirs []*ignoreDirective, f Finding) *ignoreDirective {
 	for _, d := range dirs {
-		if d.malformed != "" || d.file != f.File || d.line != f.Line {
+		if d.malformed != "" || d.pos.Filename != f.File || d.line != f.Line {
 			continue
 		}
 		for _, name := range d.analyzers {

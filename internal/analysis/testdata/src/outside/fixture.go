@@ -1,7 +1,7 @@
-// Package outside is the negative scope fixture: it is neither a
-// simulation package nor a protocol package, so nodeterminism and
-// noprotocolpanic must both stay silent here even though the code
-// reads the wall clock, uses global rand, and panics.
+// Package outside is the negative scope fixture: it is outside
+// internal/, so nodeterminism and noprotocolpanic must both stay silent
+// here even though the code reads the wall clock, uses global rand,
+// and panics.
 package outside
 
 import (
@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// Stamp reads the wall clock; fine outside the simulation packages.
+// Stamp reads the wall clock; fine outside internal/.
 func Stamp() time.Time { return time.Now() }
 
-// Roll uses the global source; fine outside the simulation packages.
+// Roll uses the global source; fine outside internal/.
 func Roll() int { return rand.Intn(6) }
 
 // Must panics; fine outside internal/core and internal/mach.

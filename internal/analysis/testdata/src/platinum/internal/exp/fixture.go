@@ -1,6 +1,6 @@
-// Package exp is the nodeterminism fixture. It sits at a simulation
-// package path (internal/exp), so wall-clock reads, the unseeded global
-// rand source, and map-ordered emission must all be flagged here.
+// Package exp is the nodeterminism fixture. It sits under internal/
+// (internal/exp), so wall-clock reads, the unseeded global rand source,
+// and map-ordered emission must all be flagged here.
 package exp
 
 import (

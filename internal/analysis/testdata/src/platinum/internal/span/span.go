@@ -1,7 +1,7 @@
 // Package span is the fixture stub of the real internal/span: the Kind
-// enum (for exhaustiveevent) and the Recorder/Open begin-end API (for
-// spanpair). Its import path ends in internal/span, so Begin here is
-// the one the spanpair analyzer tracks.
+// enum and the Recorder/Open begin-end API the spanpair fixture uses.
+// Its import path ends in internal/span, so Begin here is the one the
+// spanpair analyzer tracks.
 package span
 
 import "platinum/internal/sim"

@@ -1,8 +1,9 @@
 // Package suppress is the suppression fixture: //lint:ignore silences
 // exactly the named analyzer on exactly its line, every suppression is
 // counted, a directive naming the wrong analyzer silences nothing, and
-// malformed directives are findings in their own right (asserted via
-// the Result, since they carry no message line of their own).
+// malformed directives — including one naming an analyzer that is not
+// registered — are findings in their own right (asserted via the
+// Result, since they carry no message line of their own).
 package suppress
 
 import "platinum/internal/sim"
@@ -32,5 +33,10 @@ func malformedNoReason(t *sim.Thread, d sim.Time) {
 
 func malformedBareName(t *sim.Thread, d sim.Time) {
 	//lint:ignore chargecause the analyzer must be written platinum/chargecause
+	t.Charge(sim.CauseCompute, d)
+}
+
+func unregisteredAnalyzer(t *sim.Thread, d sim.Time) {
+	//lint:ignore platinum/nosuchcheck a name the suite does not register can never be judged stale
 	t.Charge(sim.CauseCompute, d)
 }

@@ -24,7 +24,7 @@ const (
 	EvThaw
 
 	// evKindCount counts the kinds above; adding a kind without naming
-	// it in String trips the exhaustiveness test.
+	// it in eventKindNames trips the exhaustiveness test.
 	evKindCount
 )
 
@@ -39,26 +39,24 @@ func EventKinds() []EventKind {
 	return kinds
 }
 
+// eventKindNames is sized by the sentinel, so a kind added without a
+// name leaves an empty entry that String reports as event(?).
+var eventKindNames = [evKindCount]string{
+	EvReadFault:    "read-fault",
+	EvWriteFault:   "write-fault",
+	EvReplication:  "replication",
+	EvMigration:    "migration",
+	EvInvalidation: "invalidation",
+	EvRemoteMap:    "remote-map",
+	EvFreeze:       "freeze",
+	EvThaw:         "thaw",
+}
+
 // String returns the hyphenated event name used in trace listings and
 // the timeline JSONL export (e.g. "read-fault").
 func (k EventKind) String() string {
-	switch k {
-	case EvReadFault:
-		return "read-fault"
-	case EvWriteFault:
-		return "write-fault"
-	case EvReplication:
-		return "replication"
-	case EvMigration:
-		return "migration"
-	case EvInvalidation:
-		return "invalidation"
-	case EvRemoteMap:
-		return "remote-map"
-	case EvFreeze:
-		return "freeze"
-	case EvThaw:
-		return "thaw"
+	if k < evKindCount && eventKindNames[k] != "" {
+		return eventKindNames[k]
 	}
 	return "event(?)"
 }

@@ -74,8 +74,8 @@ func forEach(o Options, n int, job func(i int) error) error {
 	}
 	errs := make([]error, n)
 	// atomic.Int64 rather than atomic.AddInt64 on a plain int64: the
-	// typed wrapper makes a stray plain access unrepresentable, which is
-	// the access discipline platinum-vet's atomicsafe analyzer enforces.
+	// typed wrapper makes a stray plain access unrepresentable.
+	// platinum-vet's atomicsafe analyzer rejects the package-level form.
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup

@@ -86,8 +86,6 @@ func BucketBounds(i int) (lo, hi int64) {
 // never negative; the clamp keeps a misuse from corrupting the layout).
 // Record is pure array arithmetic: zero allocations, no branches on
 // external state, safe on the engine's charge path.
-//
-//platinum:hotpath
 func (h *H) Record(v int64) {
 	if v < 0 {
 		v = 0

@@ -175,8 +175,6 @@ func (a *Account) Add(b *Account) {
 // cause c in the thread's account and, if the thread is bound to a
 // node, in the engine's per-node account. Called with c ==
 // CauseUnattributed it is a no-op.
-//
-//platinum:hotpath
 func (t *Thread) attribute(c Cause, d Time) {
 	if c == CauseUnattributed || d == 0 {
 		return
@@ -196,8 +194,6 @@ func (t *Thread) attribute(c Cause, d Time) {
 // bank records d of freshly charged (or block-jumped) time under cause
 // c without touching the unattributed balance. Advance banks under
 // CauseUnattributed; Unblock banks its clock jump under CauseSync.
-//
-//platinum:hotpath
 func (t *Thread) bank(c Cause, d Time) {
 	if d == 0 {
 		return
@@ -220,15 +216,11 @@ func (t *Thread) bank(c Cause, d Time) {
 // conventionally before, so a charge interrupted by engine shutdown is
 // still classified. Over-attribution drives the CauseUnattributed
 // balance negative, which the conservation invariant flags.
-//
-//platinum:hotpath
 func (t *Thread) Attribute(c Cause, d Time) { t.attribute(c, d) }
 
 // Charge is Advance(d) with the time attributed to cause c: the single
 // scheduling step is identical to a bare Advance(d), so dispatch order
 // — and every simulation result — is unchanged by the attribution.
-//
-//platinum:hotpath
 func (t *Thread) Charge(c Cause, d Time) {
 	t.attribute(c, d)
 	t.Advance(d)

@@ -14,11 +14,9 @@ func (h *threadHeap) less(a, b *Thread) bool {
 	return a.id < b.id
 }
 
-//
-//platinum:hotpath
 func (h *threadHeap) push(t *Thread) {
 	t.heapIdx = len(h.items)
-	h.items = append(h.items, t) //lint:ignore platinum/hotalloc heap warm-up growth; backing array reused across runs
+	h.items = append(h.items, t) // heap warm-up growth; backing array reused across runs
 	h.up(t.heapIdx)
 }
 

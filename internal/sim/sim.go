@@ -131,8 +131,6 @@ func (e *ThreadPanicError) Error() string {
 // ready heap (heapIdx >= 0) is not pushed again — its position is fixed
 // up in place for the possibly-updated clock — so the heap never holds
 // duplicate entries and readyND counts each thread at most once.
-//
-//platinum:hotpath
 func (e *Engine) pushReady(t *Thread) {
 	if t.heapIdx >= 0 {
 		e.ready.fix(t.heapIdx)

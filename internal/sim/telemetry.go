@@ -75,8 +75,6 @@ func (e *Engine) EnableCauseSeries(window Time, capWindows int) {
 // at the thread clock at) into whichever telemetry sinks are enabled.
 // Called only when e.telemetry is set, from the same sites that update
 // the per-node accounts.
-//
-//platinum:hotpath
 func (e *Engine) recordCharge(node int, c Cause, at, d Time) {
 	if e.histsOn {
 		if idx := node*int(NumCauses) + int(c); idx < len(e.chargeHists) {

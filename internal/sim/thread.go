@@ -72,8 +72,6 @@ func (t *Thread) SetDaemon(d bool) {
 // suspend gives control back to the engine loop, handing it next to run
 // (nil: the loop picks), and returns once the loop resumes t. On a
 // stopping engine it unwinds t instead.
-//
-//platinum:hotpath
 func (t *Thread) suspend(next *Thread) {
 	t.w.yield(next)
 	if t.engine.stopping {
@@ -109,8 +107,6 @@ func (t *Thread) finish() {
 // switches per reference for any phase where one thread runs behind all
 // others (in particular the whole of every 1-processor run) while
 // leaving the dispatch order bit-for-bit identical.
-//
-//platinum:hotpath
 func (t *Thread) Advance(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative Advance(%d) by thread %q", d, t.name))
@@ -149,8 +145,6 @@ func (t *Thread) Advance(d Time) {
 }
 
 // AdvanceTo advances the thread's clock to at least instant.
-//
-//platinum:hotpath
 func (t *Thread) AdvanceTo(instant Time) {
 	if instant > t.clock {
 		t.Advance(instant - t.clock)
@@ -160,13 +154,9 @@ func (t *Thread) AdvanceTo(instant Time) {
 }
 
 // Yield lets equal- or lower-clock threads run without consuming time.
-//
-//platinum:hotpath
 func (t *Thread) Yield() { t.Advance(0) }
 
 // Block parks the thread until another thread calls Unblock on it.
-//
-//platinum:hotpath
 func (t *Thread) Block() {
 	t.state = stateBlocked
 	t.suspend(nil)
@@ -177,8 +167,6 @@ func (t *Thread) Block() {
 // woke it). The clock jump is attributed to CauseSync — it is time the
 // thread spent blocked. Unblocking a thread that is not blocked is a
 // no-op and reports false.
-//
-//platinum:hotpath
 func (t *Thread) Unblock(wake Time) bool {
 	if t.state != stateBlocked {
 		return false

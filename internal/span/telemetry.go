@@ -147,8 +147,6 @@ func (r *Recorder) CountSeries() *timeseries.Series {
 // at, for events that record no span of their own (a freeze decision on
 // the fault path). Nil-safe and a no-op when the count series is off,
 // so callers need no guard.
-//
-//platinum:hotpath
 func (r *Recorder) CountEvent(at sim.Time, col int) {
 	if r == nil || !r.countsOn {
 		return
@@ -160,8 +158,6 @@ func (r *Recorder) CountEvent(at sim.Time, col int) {
 // enabled: the whole-operation duration histogram for histogrammed
 // kinds, and the operation-count series at the span's start time.
 // Called from Record only when r.telemetryOn() is true.
-//
-//platinum:hotpath
 func (r *Recorder) recordTelemetry(sp *Span) {
 	if r.opHistsOn && histKind[sp.Kind] {
 		r.opHists[sp.Kind].Record(int64(sp.End - sp.Start))
@@ -174,8 +170,6 @@ func (r *Recorder) recordTelemetry(sp *Span) {
 }
 
 // telemetryOn reports whether any span telemetry sink is recording.
-//
-//platinum:hotpath
 func (r *Recorder) telemetryOn() bool { return r.opHistsOn || r.countsOn }
 
 // resetTelemetry returns span telemetry to its boot state (off) while

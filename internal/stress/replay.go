@@ -88,13 +88,13 @@ func buildWorld(cfg Config) (*world, error) {
 // protocol invariants, attribution conservation, and data coherence
 // after every op. The first violation stops the run and is reported in
 // Result.Failure; ErrNoMemory under total frame exhaustion is a legal
-// outcome, counted but not a failure.
-func Replay(cfg Config, ops []Op) *Result {
+// outcome, counted but not a failure. A world that cannot be built is
+// returned as an error.
+func Replay(cfg Config, ops []Op) (*Result, error) {
 	res := &Result{}
 	w, err := buildWorld(cfg)
 	if err != nil {
-		res.Failure = &Failure{Seed: cfg.Seed, OpIndex: -1, Err: err, Ops: ops}
-		return res
+		return nil, fmt.Errorf("stress: boot: %w", err)
 	}
 	e := w.k.Engine()
 	opIdx := -1
@@ -128,7 +128,7 @@ func Replay(cfg Config, ops []Op) *Result {
 				Flight: w.k.Spans().Flight()}
 		}
 	}
-	return res
+	return res, nil
 }
 
 // step executes one op and runs the per-op checks.

@@ -12,7 +12,13 @@ package stress
 // identity would keep ops that only mask earlier-firing bugs. Returns
 // (nil, nil) if ops does not fail at all.
 func Shrink(cfg Config, ops []Op) ([]Op, *Failure) {
-	run := func(cand []Op) *Failure { return Replay(cfg, cand).Failure }
+	run := func(cand []Op) *Failure {
+		res, err := Replay(cfg, cand)
+		if err != nil {
+			return nil // cfg does not boot: no schedule of it fails
+		}
+		return res.Failure
+	}
 	fail := run(ops)
 	if fail == nil {
 		return nil, nil

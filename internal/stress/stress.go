@@ -148,7 +148,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// Generate derives the deterministic op schedule for cfg from its seed.
+// Validate reports the first field that makes cfg unrunnable: a
+// schedule needs a non-negative length, at least one processor, address
+// space and page to draw from, and a known Bug name. Limits the machine
+// itself imposes (node count, frames per module) are reported when Run
+// boots it.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Ops < 0:
+		return fmt.Errorf("stress: ops = %d, must be non-negative", cfg.Ops)
+	case cfg.Procs < 1:
+		return fmt.Errorf("stress: procs = %d, must be at least 1", cfg.Procs)
+	case cfg.Spaces < 1:
+		return fmt.Errorf("stress: spaces = %d, must be at least 1", cfg.Spaces)
+	case cfg.Pages < 1:
+		return fmt.Errorf("stress: pages = %d, must be at least 1", cfg.Pages)
+	case cfg.Bug != "" && cfg.Bug != "desync":
+		return fmt.Errorf("stress: unknown bug %q (want \"desync\" or none)", cfg.Bug)
+	}
+	return nil
+}
+
+// Generate derives the deterministic op schedule for cfg from its seed;
+// cfg must be valid (see Validate).
 func Generate(cfg Config) []Op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ops := make([]Op, 0, cfg.Ops)
@@ -242,12 +264,20 @@ type Result struct {
 	ShrunkLen int         // minimal schedule length after shrinking (0 if clean or not shrunk)
 }
 
-// Run generates the schedule for cfg, replays it, and — when shrink is
-// set and the run failed — shrinks the schedule to a minimal reproducer
-// (available via Result.Failure.Ops).
-func Run(cfg Config, shrink bool) *Result {
+// Run validates cfg, generates its schedule, replays it, and — when
+// shrink is set and the run failed — shrinks the schedule to a minimal
+// reproducer (available via Result.Failure.Ops). An invalid cfg or a
+// machine that does not boot is an error, not a Failure: there is no
+// schedule to reproduce.
+func Run(cfg Config, shrink bool) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	ops := Generate(cfg)
-	res := Replay(cfg, ops)
+	res, err := Replay(cfg, ops)
+	if err != nil {
+		return nil, err
+	}
 	if res.Failure != nil && shrink {
 		minOps, minFail := Shrink(cfg, res.Failure.Ops[:res.Failure.OpIndex+1])
 		if minFail != nil {
@@ -255,5 +285,5 @@ func Run(cfg Config, shrink bool) *Result {
 			res.ShrunkLen = len(minOps)
 		}
 	}
-	return res
+	return res, nil
 }

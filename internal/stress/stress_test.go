@@ -7,6 +7,16 @@ import (
 	"platinum/internal/sim"
 )
 
+// mustRun is Run for configurations that must boot.
+func mustRun(t *testing.T, cfg Config, shrink bool) *Result {
+	t.Helper()
+	res, err := Run(cfg, shrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestGenerateIsDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ops = 500
@@ -36,7 +46,7 @@ func TestGenerateIsDeterministic(t *testing.T) {
 func TestCleanRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ops = 3000
-	res := Run(cfg, true)
+	res := mustRun(t, cfg, true)
 	if res.Failure != nil {
 		t.Fatalf("clean run failed:\n%s", res.Failure.Repro())
 	}
@@ -60,7 +70,7 @@ func TestFaultInjectionRunIsConservationClean(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ops = 3000
 	cfg.Faults = DefaultFaultConfig()
-	res := Run(cfg, true)
+	res := mustRun(t, cfg, true)
 	if res.Failure != nil {
 		// Replay checks CheckConservation after every op, so a clean
 		// result means zero unattributed time throughout.
@@ -84,8 +94,8 @@ func TestReplayIsDeterministic(t *testing.T) {
 		if faults {
 			cfg.Faults = DefaultFaultConfig()
 		}
-		a := Run(cfg, false)
-		b := Run(cfg, false)
+		a := mustRun(t, cfg, false)
+		b := mustRun(t, cfg, false)
 		if a.Failure != nil || b.Failure != nil {
 			t.Fatalf("faults=%v: unexpected failure", faults)
 		}
@@ -106,7 +116,7 @@ func TestDesyncBugCaughtAndShrunk(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ops = 2000
 	cfg.Bug = "desync"
-	res := Run(cfg, true)
+	res := mustRun(t, cfg, true)
 	if res.Failure == nil {
 		t.Fatal("deliberate desync bug was not caught")
 	}
@@ -117,7 +127,7 @@ func TestDesyncBugCaughtAndShrunk(t *testing.T) {
 		t.Errorf("failure does not identify the page: %v", res.Failure.Err)
 	}
 	// The shrunk schedule must itself replay to a failure.
-	if re := Replay(cfg, res.Failure.Ops); re.Failure == nil {
+	if re, err := Replay(cfg, res.Failure.Ops); err != nil || re.Failure == nil {
 		t.Error("shrunk reproducer does not reproduce")
 	}
 	// The reproducer ships with the flight recorder's causal trace of
@@ -150,7 +160,7 @@ func TestFrameExhaustionIsLegal(t *testing.T) {
 	cfg.Ops = 2000
 	cfg.Pages = 16
 	cfg.FramesPerModule = 2 // 8 frames total for a 16-page object
-	res := Run(cfg, true)
+	res := mustRun(t, cfg, true)
 	if res.Failure != nil {
 		t.Fatalf("exhaustion run failed:\n%s", res.Failure.Repro())
 	}

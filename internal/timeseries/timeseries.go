@@ -145,8 +145,6 @@ func (s *Series) row(w int64) []int64 {
 // accumulator, and adds older than the retained range spill directly —
 // nothing is ever silently lost. Zero allocations; the advance loop
 // zeroes at most the whole ring.
-//
-//platinum:hotpath
 func (s *Series) Add(at int64, col int, v int64) {
 	// Fast path: at falls in the cached current window — one unsigned
 	// compare (negative at and at < curStart both wrap to huge values

@@ -1,11 +1,11 @@
 #!/bin/sh
 # check-vet.sh — static-analysis gate, run by the CI vet job.
 #
-#   1. platinum-vet over the whole tree must be clean (exit 0), and —
-#      now that the suite is multi-pass and interprocedural — must stay
-#      under a wall-time budget, so an accidentally quadratic analyzer
-#      or loader regression fails the gate instead of quietly eating CI
-#      minutes. The suppression summary it prints keeps //lint:ignore
+#   1. platinum-vet over the whole tree must be clean (exit 0) and stay
+#      under a wall-time budget, so a loader or analyzer regression
+#      fails the gate instead of quietly eating CI minutes. A run is
+#      almost all type-checking; the five single-pass analyzers add
+#      little. The suppression summary it prints keeps //lint:ignore
 #      use visible.
 #   2. The same run is repeated with -sarif into $PLATINUM_VET_SARIF
 #      (default platinum-vet.sarif) so the CI vet job can upload the
@@ -13,9 +13,8 @@
 #   3. platinum-vet over known-bad fixture packages must FAIL (exit 1)
 #      with file:line findings — a self-test that the gate can actually
 #      reject code, so a loader regression cannot silently turn the
-#      suite into a no-op. One fixture per bug class: the original
-#      direct-pattern analyzer (chargecause) and each interprocedural
-#      analyzer (detwalk, hotescape, atomicsafe).
+#      suite into a no-op: chargecause (attribution), nodeterminism on
+#      a fixture at an internal/ path (determinism), and atomicsafe.
 #   4. With PLATINUM_VET_TOOLS=1 (set in CI, where the module proxy is
 #      reachable), staticcheck and govulncheck also run, pinned by
 #      version through `go run` so the tools are fetched reproducibly
@@ -69,9 +68,8 @@ negative() {
 
 echo "== platinum-vet (negative fixtures must fail)"
 negative chargecause "fixture.go:.*\[platinum/chargecause\]"
-negative detwalkfix/internal/sim "sim.go:.*\[platinum/detwalk\].*transitively nondeterministic"
-negative hotescape "fixture.go:.*\[platinum/hotescape\].*may allocate"
-negative atomicsafe "b.go:.*\[platinum/atomicsafe\].*accessed plainly"
+negative platinum/internal/exp "fixture.go:.*\[platinum/nodeterminism\].*wall clock"
+negative atomicsafe "fixture.go:.*\[platinum/atomicsafe\].*typed wrapper"
 
 if [ "${PLATINUM_VET_TOOLS:-0}" = "1" ]; then
 	echo "== staticcheck $STATICCHECK_VERSION"
