@@ -221,9 +221,8 @@ func parseDur(s string) float64 {
 //     disabled (the A/B determinism configuration).
 func BenchmarkEngineStep(b *testing.B) {
 	run := func(b *testing.B, threads int, fastPath bool) {
-		prev := sim.SetDefaultFastPath(fastPath)
-		defer sim.SetDefaultFastPath(prev)
 		e := sim.NewEngine()
+		e.SetFastPath(fastPath)
 		for t := 0; t < threads; t++ {
 			n := b.N / threads
 			e.Spawn("w", func(th *sim.Thread) {

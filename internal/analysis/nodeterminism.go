@@ -132,18 +132,18 @@ func emitCallName(pass *Pass, call *ast.CallExpr) string {
 		return "json.Encoder.Encode"
 	case pathHasSuffix(path, "internal/sim"):
 		switch name {
-		case "Advance", "AdvanceTo", "Charge", "Attribute", "Yield",
-			"Block", "Unblock", "Spawn", "Run":
+		case "Advance", "AdvanceTo", "Charge", "Attribute", "AttributeAccount",
+			"Yield", "Block", "Unblock", "Spawn", "Run":
 			return "sim." + recvQual(fn) + name
 		}
 	case pathHasSuffix(path, "internal/span"):
 		switch name {
-		case "Record", "Begin":
+		case "Record", "Begin", "Charge":
 			return "span." + recvQual(fn) + name
 		}
 	case pathHasSuffix(path, "internal/core"):
-		if name == "trace" {
-			return "core.System.trace"
+		if name == "event" {
+			return "core.System.event"
 		}
 	}
 	// Writer-style methods regardless of package: emitting through any

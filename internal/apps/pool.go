@@ -10,8 +10,8 @@ package apps
 //
 // Pooling is behaviour-preserving by construction — a reset kernel runs
 // any workload bit-for-bit identically to a freshly booted one — and
-// SetPooling(false) provides the reference mode (mirroring
-// sim.SetDefaultFastPath) that the determinism tests A/B against.
+// SetPooling(false) provides the reference mode that the determinism
+// tests A/B against.
 
 import (
 	"sync"

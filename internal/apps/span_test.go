@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
@@ -147,5 +148,58 @@ func TestSpanRetentionDoesNotPerturb(t *testing.T) {
 	}
 	if !bytes.Equal(off, on) {
 		t.Fatalf("metrics report differs with span retention on:\n--- off ---\n%s--- on ---\n%s", off, on)
+	}
+}
+
+// TestEventSinksAgree runs §4.2's thaw-on-fault policy variant, whose
+// replication and migration paths thaw frozen pages without the defrost
+// daemon, and checks that every protocol action reaches the per-page
+// counters and the event trace alike, and that freezes and thaws also
+// reach the operation-count series.
+func TestEventSinksAgree(t *testing.T) {
+	cfg := kernel.DefaultConfig()
+	cfg.Core.Policy = core.NewPlatinumPolicy(core.DefaultT1, true)
+	pl, err := NewPlatinumPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.K.EnableTrace(1 << 20)
+	pl.K.EnableSeries(10*sim.Millisecond, 0)
+	if _, err := RunGaussPlatinum(pl, DefaultGaussConfig(128, 8)); err != nil {
+		t.Fatal(err)
+	}
+	events, dropped := pl.K.Trace()
+	if dropped > 0 {
+		t.Fatalf("trace dropped %d events", dropped)
+	}
+	traced := make(map[core.EventKind]int64)
+	for _, ev := range events {
+		traced[ev.Kind]++
+	}
+	counted := make(map[core.EventKind]int64)
+	for _, cp := range pl.K.System().Cpages() {
+		st := cp.Stats
+		counted[core.EvReadFault] += st.ReadFaults
+		counted[core.EvWriteFault] += st.WriteFaults
+		counted[core.EvReplication] += st.Replications
+		counted[core.EvMigration] += st.Migrations
+		counted[core.EvInvalidation] += st.Invalidations
+		counted[core.EvRemoteMap] += st.RemoteMaps
+		counted[core.EvFreeze] += st.Freezes
+		counted[core.EvThaw] += st.Thaws
+	}
+	for _, k := range core.EventKinds() {
+		if counted[k] != traced[k] {
+			t.Errorf("%v: counters say %d, trace has %d", k, counted[k], traced[k])
+		}
+	}
+	series := pl.K.Spans().CountSeries()
+	for k, col := range map[core.EventKind]int{core.EvFreeze: span.CountFreeze, core.EvThaw: span.CountThaw} {
+		if got := series.Total(col); got != counted[k] {
+			t.Errorf("%v: counters say %d, count series has %d", k, counted[k], got)
+		}
+	}
+	if counted[core.EvThaw] == 0 {
+		t.Error("thaw-on-fault policy never thawed a page on a fault")
 	}
 }

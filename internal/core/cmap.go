@@ -183,11 +183,8 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 		}
 	}
 	delete(cm.entries, vpn)
-	ack := s.drainInjAck()
 	s.roundRecord(now, d, e.cp, proc, "unmap")
-	s.spanFlush()
-	t.Attribute(sim.CauseSlowAck, ack)
-	t.Attribute(sim.CauseShootdown, d-ack)
+	s.spanFlush(t)
 	t.Advance(d)
 	return nil
 }
@@ -219,10 +216,9 @@ func (cm *Cmap) Activate(t *sim.Thread, proc int) {
 		// Applying queued shootdown messages on activation is the lazy
 		// half of the shootdown protocol's cost.
 		now := t.Now()
-		o := cm.sys.rec.Begin(span.KindMsgApply, now).Proc(proc).Track(t.ID()).
-			Attribute(sim.CauseShootdown, cost)
-		o.End(now + cost)
-		t.Charge(sim.CauseShootdown, cost)
+		cm.sys.rec.Charge(t, span.Span{Kind: span.KindMsgApply, Start: now, End: now + cost,
+			Proc: proc, Page: -1, Cause: sim.CauseShootdown, Self: cost})
+		t.Advance(cost)
 	}
 	if cm.sys.batchOn() {
 		// The batched variant's lazy half: apply proc's coalesced

@@ -271,41 +271,30 @@ type System struct {
 	homeNext  int        // round-robin default home module for new cpages
 	shootSeqs int64      // shootdowns issued (stats)
 
-	// fc collects the classifiable components of the fault currently
-	// being handled, for exact cost attribution (see fault.go). The
-	// handler runs without yielding, and the engine executes one thread
-	// at a time, so a single scratch record suffices.
-	fc faultCosts
-
 	// inj, when set, injects degraded-hardware behaviour (see
-	// FaultInjector); injAck accumulates the injected ack delay of the
-	// shootdown currently in progress, drained by each charging site so
-	// it can be attributed to CauseSlowAck rather than CauseShootdown.
-	inj    FaultInjector
-	injAck sim.Time
+	// FaultInjector).
+	inj FaultInjector
 
 	// Page-table variant state (see pagetable.go): per-proc cached
 	// replica write-through cost and the pending balance the fault
 	// handler drains; per-target deferred-invalidation counts (and the
-	// count of targets with any pending) for the batched variant, plus
-	// the initiator-side flush cost accumulator charging sites drain;
-	// and the activity counters.
+	// count of targets with any pending) for the batched variant; and
+	// the activity counters.
 	ptRepCost  []sim.Time
 	ptRepPend  sim.Time
 	batchPend  []int
 	batchProcs int
-	batchCost  sim.Time
 	ptStats    PTStats
 
 	// Causal span recording scratch (see span.go): the recorder, the
 	// current operation's root span and track, the buffered child
-	// spans, the CauseFault time already covered by child spans, and
+	// spans, their Self summed by cause (the operation's charge), and
 	// the per-round shootdown target records.
 	rec        *span.Recorder
 	spanParent span.ID
 	spanTrack  int
-	fcSpanned  sim.Time
 	pending    []span.Span
+	acct       sim.Account
 	sdTargets  []sdTarget
 
 	// Free lists fed by Reset: finished runs return their Cpages, Cmaps
@@ -315,20 +304,6 @@ type System struct {
 	cpagePool []*Cpage
 	cmapPool  []*Cmap
 	entryPool []*CmapEntry
-}
-
-// faultCosts is the per-fault cost decomposition scratch record: the
-// components of one fault's total latency that are not generic handler
-// overhead. Whatever remains is attributed to sim.CauseFault.
-type faultCosts struct {
-	queue sim.Time // waiting on the Cpage handler lock
-	shoot sim.Time // shootdown: posts, syncs, dispatches, frame frees
-	xfer  sim.Time // hardware block transfers (incl. module queueing)
-	ack   sim.Time // injected slow shootdown acknowledgements
-	stall sim.Time // injected block-transfer stalls
-	walk  sim.Time // page-table walk against the table's node (PTConfig)
-	ptrep sim.Time // replica write-through after installs (PTReplicate)
-	batch sim.Time // forced flush of deferred invalidations (BatchShootdown)
 }
 
 // NewSystem builds a coherent memory system on machine m.
@@ -404,21 +379,18 @@ func (s *System) Reset() {
 	}
 	s.homeNext = 0
 	s.shootSeqs = 0
-	s.fc = faultCosts{}
 	s.inj = nil
-	s.injAck = 0
 	s.ptRepPend = 0 // ptRepCost is topology-derived and survives, like placeOrder
 	for i := range s.batchPend {
 		s.batchPend[i] = 0
 	}
 	s.batchProcs = 0
-	s.batchCost = 0
 	s.ptStats = PTStats{}
 	s.rec.Reset()
 	s.spanParent = span.None
 	s.spanTrack = 0
-	s.fcSpanned = 0
 	s.pending = s.pending[:0]
+	s.acct = sim.Account{}
 	s.sdTargets = s.sdTargets[:0]
 }
 
@@ -439,15 +411,6 @@ func (s *System) Policy() Policy { return s.cfg.Policy }
 // protocol state, so a run with injection enabled must still pass
 // Validate at every quiescent point.
 func (s *System) SetFaultInjector(fi FaultInjector) { s.inj = fi }
-
-// drainInjAck returns and clears the injected-ack-delay balance of the
-// shootdown(s) since the last drain. Every site that charges shootdown
-// delay drains it so the balance never leaks across operations.
-func (s *System) drainInjAck() sim.Time {
-	d := s.injAck
-	s.injAck = 0
-	return d
-}
 
 // chargePenalty folds any deferred interrupt-handling cost for proc into
 // the current operation, returning the extra delay.

@@ -5,7 +5,6 @@ import (
 
 	"platinum/internal/procset"
 	"platinum/internal/sim"
-	"platinum/internal/span"
 )
 
 // State is a coherent page's protocol state (Fig. 4 of the paper).
@@ -58,7 +57,7 @@ type CpageStats struct {
 	Invalidations int64    // protocol invalidation/restriction events
 	RemoteMaps    int64    // faults resolved with a remote mapping
 	Freezes       int64    // times the policy froze the page
-	Thaws         int64    // times the defrost daemon thawed it
+	Thaws         int64    // times it was thawed (defrost daemon or a thaw-on-fault move)
 	AllocFails    int64    // frame allocations that failed (pool empty or injected)
 	HandlerWait   sim.Time // time faults spent queued on the handler lock
 
@@ -261,11 +260,7 @@ func (s *System) freeze(cp *Cpage, now sim.Time) {
 	}
 	cp.frozen = true
 	cp.frozenAt = now
-	cp.Stats.Freezes++
-	s.trace(now, EvFreeze, -1, cp)
-	// Freezes record no span of their own (the decision is a flag flip
-	// inside the fault), so the count series hears about them directly.
-	s.rec.CountEvent(now, span.CountFreeze)
+	s.event(now, EvFreeze, -1, cp)
 	if !cp.enlisted {
 		cp.enlisted = true
 		s.frozen = append(s.frozen, cp)

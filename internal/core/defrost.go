@@ -48,17 +48,13 @@ func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
 		if len(cp.copies) == 1 {
 			cp.state = Present1
 		}
-		cp.Stats.Thaws++
-		s.trace(now, EvThaw, proc, cp)
+		s.event(now, EvThaw, proc, cp)
 		thawed++
 	}
-	ack := s.drainInjAck()
 	s.rec.Record(span.Span{ID: sweepID, Kind: span.KindDefrostSweep, Start: now, End: now + delay,
 		Proc: proc, Track: t.ID(), Page: -1, NoteFmt: "thawed %d", NoteArg0: thawed, NoteN: 1})
-	s.spanFlush()
+	s.spanFlush(t)
 	if delay > 0 {
-		t.Attribute(sim.CauseSlowAck, ack)
-		t.Attribute(sim.CauseShootdown, delay-ack)
 		t.Advance(delay)
 	}
 	return thawed
@@ -107,21 +103,17 @@ func (s *System) DefrostDue(t *sim.Thread, proc int, minAge sim.Time) (thawed in
 		if len(cp.copies) == 1 {
 			cp.state = Present1
 		}
-		cp.Stats.Thaws++
-		s.trace(now, EvThaw, proc, cp)
+		s.event(now, EvThaw, proc, cp)
 		thawed++
 	}
-	ack := s.drainInjAck()
 	if len(list) > 0 {
 		// No span for the empty polls the adaptive daemon makes every
 		// tick — only sweeps that examined at least one page.
 		s.rec.Record(span.Span{ID: sweepID, Kind: span.KindDefrostSweep, Start: now, End: now + delay,
 			Proc: proc, Track: t.ID(), Page: -1, NoteFmt: "thawed %d", NoteArg0: thawed, NoteN: 1})
 	}
-	s.spanFlush()
+	s.spanFlush(t)
 	if delay > 0 {
-		t.Attribute(sim.CauseSlowAck, ack)
-		t.Attribute(sim.CauseShootdown, delay-ack)
 		t.Advance(delay)
 	}
 	return thawed, next

@@ -45,9 +45,8 @@ func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write boo
 			// Deferred cost of interrupts this processor fielded for
 			// other processors' shootdowns.
 			now := t.Now()
-			s.rec.Record(span.Span{Kind: span.KindIRQPenalty, Start: now, End: now + pen,
-				Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseShootdown, Self: pen})
-			t.Attribute(sim.CauseShootdown, pen)
+			s.rec.Charge(t, span.Span{Kind: span.KindIRQPenalty, Start: now, End: now + pen,
+				Proc: proc, Page: -1, Cause: sim.CauseShootdown, Self: pen})
 			t.Advance(pen)
 		}
 		return pe.copy, nil
@@ -68,19 +67,16 @@ func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write boo
 			page = e.cp.id
 		}
 		if pen > 0 {
-			s.rec.Record(span.Span{Kind: span.KindIRQPenalty, Start: now, End: now + pen,
-				Proc: proc, Track: t.ID(), Page: -1, Cause: sim.CauseShootdown, Self: pen})
+			s.rec.Charge(t, span.Span{Kind: span.KindIRQPenalty, Start: now, End: now + pen,
+				Proc: proc, Page: -1, Cause: sim.CauseShootdown, Self: pen})
 		}
 		if walk > 0 {
-			s.rec.Record(span.Span{Kind: span.KindPmapWalk, Start: now + pen, End: now + pen + walk,
-				Proc: proc, Track: t.ID(), Page: page, Cause: sim.CausePmapWalk, Self: walk})
+			s.rec.Charge(t, span.Span{Kind: span.KindPmapWalk, Start: now + pen, End: now + pen + walk,
+				Proc: proc, Page: page, Cause: sim.CausePmapWalk, Self: walk})
 		}
 		reload := s.mcfg.ATCReload
-		s.rec.Record(span.Span{Kind: span.KindATCReload, Start: now + pen + walk, End: now + pen + walk + reload,
-			Proc: proc, Track: t.ID(), Page: page, Cause: sim.CauseFault, Self: reload})
-		t.Attribute(sim.CauseShootdown, pen)
-		t.Attribute(sim.CausePmapWalk, walk)
-		t.Attribute(sim.CauseFault, reload)
+		s.rec.Charge(t, span.Span{Kind: span.KindATCReload, Start: now + pen + walk, End: now + pen + walk + reload,
+			Proc: proc, Page: page, Cause: sim.CauseFault, Self: reload})
 		t.Advance(pen + walk + reload)
 		return pe.copy, nil
 	}
@@ -91,7 +87,7 @@ func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write boo
 // transitions (Fig. 4) happen here or in the defrost daemon. walk is
 // the already-computed page-table walk delay of the triggering ATC
 // miss (zero in the paper's baseline), folded into the composite
-// charge under CausePmapWalk.
+// charge as a CausePmapWalk child span.
 func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool, pen, walk sim.Time,
 	apply func(words []uint32)) (Copy, error) {
 	e := cm.Lookup(vpn)
@@ -127,13 +123,11 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	cur := now + pen + walk + s.cfg.FaultBase
 	s.spanChild(span.Span{Kind: span.KindDirLookup, Start: now + pen + walk, End: cur,
 		Proc: proc, Page: cp.id, Cause: sim.CauseFault, Self: s.cfg.FaultBase})
-	s.fc = faultCosts{shoot: pen, walk: walk}
 
 	// Serialize on the Cpage: concurrent faults on the same page queue,
 	// and the queueing time is the paper's per-Cpage contention measure.
 	if cp.busyUntil > cur {
 		cp.Stats.HandlerWait += cp.busyUntil - cur
-		s.fc.queue += cp.busyUntil - cur
 		s.spanChild(span.Span{Kind: span.KindQueueWait, Start: cur, End: cp.busyUntil,
 			Proc: proc, Page: cp.id, Cause: sim.CauseQueue, Self: cp.busyUntil - cur})
 		cur = cp.busyUntil
@@ -146,13 +140,11 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	var err error
 	var lockEnd sim.Time
 	if write {
-		cp.Stats.WriteFaults++
 		cp.everWritten = true
-		s.trace(now, EvWriteFault, proc, cp)
+		s.event(now, EvWriteFault, proc, cp)
 		c, cur, err = s.handleWrite(e, cp, proc, now, cur)
 	} else {
-		cp.Stats.ReadFaults++
-		s.trace(now, EvReadFault, proc, cp)
+		s.event(now, EvReadFault, proc, cp)
 		c, cur, lockEnd, err = s.handleRead(e, cp, proc, now, cur)
 	}
 	if err != nil {
@@ -175,7 +167,6 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	// after the lock is released (fire-and-forget, but the initiator's
 	// fault is not over until they are issued).
 	if rep := s.drainPTRep(); rep > 0 {
-		s.fc.ptrep += rep
 		s.spanChild(span.Span{Kind: span.KindPTReplicate, Start: cur, End: cur + rep,
 			Proc: proc, Page: cp.id, Cause: sim.CausePTReplicate, Self: rep})
 		cur += rep
@@ -183,33 +174,21 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	if apply != nil {
 		apply(s.mem.Module(c.Module).Words(c.Frame))
 	}
-	// Attribute the composite charge exactly: the classified components
-	// (lock queueing, shootdown, block transfer, injected delays)
-	// recorded in s.fc, and everything else — handler entry, lookups,
-	// allocation, map installs — as fault-handler overhead. One Advance,
-	// identical to the unattributed charge, keeps dispatch order
-	// bit-for-bit the same.
+	// The child spans carry the classified components (lock queueing,
+	// shootdown, block transfer, injected delays, walks) and the handler
+	// steps; the root fault span's Self is the fault-handler overhead no
+	// child carries (e.g. the remote-kernel-data penalty). The flush
+	// attributes their sum, exactly total, ahead of one Advance identical
+	// to the unattributed charge, so dispatch order is bit-for-bit the
+	// same.
 	total := cur - now
 	cp.Stats.FaultTime += total
-	classified := s.fc.queue + s.fc.shoot + s.fc.xfer + s.fc.ack + s.fc.stall +
-		s.fc.walk + s.fc.ptrep + s.fc.batch
-	t.Attribute(sim.CauseQueue, s.fc.queue)
-	t.Attribute(sim.CauseShootdown, s.fc.shoot)
-	t.Attribute(sim.CauseBlockTransfer, s.fc.xfer)
-	t.Attribute(sim.CauseSlowAck, s.fc.ack)
-	t.Attribute(sim.CauseRetry, s.fc.stall)
-	t.Attribute(sim.CausePmapWalk, s.fc.walk)
-	t.Attribute(sim.CausePTReplicate, s.fc.ptrep)
-	t.Attribute(sim.CauseBatchFlush, s.fc.batch)
-	t.Attribute(sim.CauseFault, total-classified)
-	// Root fault span: its Self is the fault-overhead time no child span
-	// carries (handler remainder, e.g. the remote-kernel-data penalty),
-	// so per-cause Self sums stay exactly equal to the Account totals.
+	self := total - s.acct.Total()
+	s.acct[sim.CauseFault] += self
 	s.rec.Record(span.Span{ID: rootID, Kind: span.KindFault, Start: now, End: cur,
-		Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault,
-		Self:  total - classified - s.fcSpanned,
+		Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault, Self: self,
 		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note})
-	s.spanFlush()
+	s.spanFlush(t)
 	t.Advance(total)
 	return c, nil
 }
@@ -253,9 +232,9 @@ func (s *System) allocFrame(cp *Cpage, mod int, cur sim.Time) (frame int, newCur
 
 // copyPage performs the hardware block transfer backing a replication or
 // migration, moving both simulated time and real data. The delay
-// (including queueing for the source and destination modules) is
-// recorded as block-transfer cost in the fault decomposition; any
-// injected stall is recorded separately so it lands on CauseRetry.
+// (including queueing for the source and destination modules) is a
+// block-transfer span; any injected stall is a separate CauseRetry
+// span.
 func (s *System) copyPage(cp *Cpage, src, dst Copy, cur sim.Time) sim.Time {
 	words := s.mcfg.PageWords
 	d := s.machine.BlockTransferAt(cur, src.Module, dst.Module, words)
@@ -263,8 +242,6 @@ func (s *System) copyPage(cp *Cpage, src, dst Copy, cur sim.Time) sim.Time {
 	if s.inj != nil {
 		stall = s.inj.TransferStall(src.Module, dst.Module)
 	}
-	s.fc.xfer += d
-	s.fc.stall += stall
 	s.spanChild(span.Span{Kind: span.KindBlockTransfer, Start: cur, End: cur + d,
 		Proc: dst.Module, Page: cp.id, Cause: sim.CauseBlockTransfer, Self: d,
 		NoteFmt: "module %d->%d", NoteArg0: src.Module, NoteArg1: dst.Module, NoteN: 2})
@@ -304,7 +281,6 @@ func (s *System) freeCopy(cp *Cpage, mod int, cur sim.Time) (sim.Time, error) {
 		return cur, err
 	}
 	s.mem.Module(c.Module).Free(c.Frame)
-	s.fc.shoot += s.cfg.FrameFree
 	s.spanChild(span.Span{Kind: span.KindFrameFree, Start: cur, End: cur + s.cfg.FrameFree,
 		Proc: mod, Page: cp.id, Cause: sim.CauseShootdown, Self: s.cfg.FrameFree})
 	return cur + s.cfg.FrameFree, nil
@@ -382,9 +358,6 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 				// are destroyed (migration and copy reclamation).
 				s.roundBegin()
 				d, _ := s.shootdownCpage(cp, proc, now, true, false, affectWriters)
-				ack := s.drainInjAck()
-				s.fc.shoot += d - ack
-				s.fc.ack += ack
 				s.roundRecord(cur, d, cp, proc, "restrict")
 				cur += d
 				cp.state = Present1
@@ -400,11 +373,10 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 				return Copy{}, cur, 0, err
 			}
 			cp.state = PresentPlus
-			cp.Stats.Replications++
-			s.trace(cur, EvReplication, proc, cp)
+			s.event(cur, EvReplication, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
-				cp.Stats.Thaws++
+				s.event(cur, EvThaw, proc, cp)
 			}
 			cm.installTranslation(proc, e, dst, Read)
 			s.spanMapUpdate(cp, proc, cur)
@@ -433,8 +405,7 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 	if dec.Freeze && len(cp.copies) == 1 {
 		s.freeze(cp, now)
 	}
-	cp.Stats.RemoteMaps++
-	s.trace(cur, EvRemoteMap, proc, cp)
+	s.event(cur, EvRemoteMap, proc, cp)
 	cm.installTranslation(proc, e, src, rights)
 	s.spanMapUpdate(cp, proc, cur)
 	return src, cur + s.cfg.MapInstall, 0, nil
@@ -497,11 +468,6 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 				fd, _ := s.flushBatch(proc, n)
 				d += fd
 			}
-			ack := s.drainInjAck()
-			bat := s.drainBatchCost()
-			s.fc.shoot += d - ack - bat
-			s.fc.ack += ack
-			s.fc.batch += bat
 			s.roundRecord(cur, d, cp, proc, "migrate")
 			cur += d
 			src := s.chooseSource(cp)
@@ -520,11 +486,10 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 			}
 			cp.state = Modified
 			cp.writers.AssignOne(proc)
-			cp.Stats.Migrations++
-			s.trace(cur, EvMigration, proc, cp)
+			s.event(cur, EvMigration, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
-				cp.Stats.Thaws++
+				s.event(cur, EvThaw, proc, cp)
 			}
 			cm.installTranslation(proc, e, dst, Read|Write)
 			s.spanMapUpdate(cp, proc, cur)
@@ -545,8 +510,7 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 	if dec.Freeze {
 		s.freeze(cp, now)
 	}
-	cp.Stats.RemoteMaps++
-	s.trace(cur, EvRemoteMap, proc, cp)
+	s.event(cur, EvRemoteMap, proc, cp)
 	cm.installTranslation(proc, e, keep, Read|Write)
 	s.spanMapUpdate(cp, proc, cur)
 	return keep, cur + s.cfg.MapInstall, nil
@@ -569,11 +533,6 @@ func (s *System) reclaimOtherCopies(cp *Cpage, initiator int, keep Copy, now, cu
 		fd, _ := s.flushBatch(initiator, n)
 		d += fd
 	}
-	ack := s.drainInjAck()
-	bat := s.drainBatchCost()
-	s.fc.shoot += d - ack - bat
-	s.fc.ack += ack
-	s.fc.batch += bat
 	s.roundRecord(cur, d, cp, initiator, "reclaim")
 	cur += d
 	// freeCopy splices the freed copy out of cp.copies in place, so walk

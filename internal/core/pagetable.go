@@ -192,15 +192,6 @@ func (s *System) batchDefer(proc int) {
 	s.ptStats.Deferred++
 }
 
-// drainBatchCost returns and clears the initiator-side flush cost
-// accumulated by flushBatch since the last drain, so charging sites
-// can attribute it to CauseBatchFlush instead of CauseShootdown.
-func (s *System) drainBatchCost() sim.Time {
-	d := s.batchCost
-	s.batchCost = 0
-	return d
-}
-
 // flushBatch is the batched variant's sync point: before the initiator
 // frees frames that deferred targets may still reference, every target
 // with pending coalesced invalidations is interrupted — once per
@@ -209,9 +200,8 @@ func (s *System) drainBatchCost() sim.Time {
 // interrupted) pays the full ShootdownSync; each further target only
 // the incremental, distance-scaled dispatch — exactly the eager path's
 // cost structure, which is what makes the eager-vs-batched comparison
-// an apples-to-apples one. Costs land in sdTargets (tagged
-// CauseBatchFlush for the round's span tree) and in batchCost for the
-// charging site to drain.
+// an apples-to-apples one. Costs land in sdTargets, tagged
+// CauseBatchFlush, so the round's span tree carries them.
 func (s *System) flushBatch(initiator, prior int) (delay sim.Time, interrupted int) {
 	if s.batchProcs == 0 {
 		return 0, 0
@@ -237,12 +227,10 @@ func (s *System) flushBatch(initiator, prior int) (delay sim.Time, interrupted i
 		if s.inj != nil {
 			if a := s.inj.AckDelay(initiator, proc); a > 0 {
 				delay += a
-				s.injAck += a
 				ackd = a
 			}
 		}
 		delay += step
-		s.batchCost += step
 		interrupted++
 		s.ptStats.FlushIPIs++
 		s.sdTargets = append(s.sdTargets, sdTarget{proc: proc, cost: step, ack: ackd, cause: sim.CauseBatchFlush})
@@ -271,8 +259,8 @@ func (s *System) batchActivate(t *sim.Thread, proc int) {
 	s.ptStats.FlushApplies += int64(n)
 	cost := s.cfg.MsgApply * sim.Time(n)
 	now := t.Now()
-	o := s.rec.Begin(span.KindBatchFlush, now).Proc(proc).Track(t.ID()).
-		Attribute(sim.CauseBatchFlush, cost).Notef("%d coalesced", n)
-	o.End(now + cost)
-	t.Charge(sim.CauseBatchFlush, cost)
+	s.rec.Charge(t, span.Span{Kind: span.KindBatchFlush, Start: now, End: now + cost,
+		Proc: proc, Page: -1, Cause: sim.CauseBatchFlush, Self: cost,
+		NoteFmt: "%d coalesced", NoteArg0: n, NoteN: 1})
+	t.Advance(cost)
 }

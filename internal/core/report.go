@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"platinum/internal/sim"
 )
 
 // This file implements the paper's kernel instrumentation (§4.2): "the
@@ -16,24 +14,15 @@ import (
 // This report is what let the authors diagnose the frozen-pivot-page
 // anomaly in the Gaussian elimination program.
 
-// PageReport is the post-mortem record for one coherent page.
+// PageReport is the post-mortem record for one coherent page: its
+// identity and final protocol state, plus its counters.
 type PageReport struct {
-	ID           int64
-	Label        string
-	State        State
-	Frozen       bool
-	Copies       int
-	ReadFaults   int64
-	WriteFaults  int64
-	Replications int64
-	Migrations   int64
-	Invalidated  int64
-	RemoteMaps   int64
-	Freezes      int64
-	Thaws        int64
-	AllocFails   int64
-	HandlerWait  sim.Time
-	FaultTime    sim.Time
+	ID     int64
+	Label  string
+	State  State
+	Frozen bool
+	Copies int
+	CpageStats
 }
 
 // Report summarizes the memory management system's behaviour.
@@ -57,27 +46,16 @@ func (s *System) Report() Report {
 			continue
 		}
 		r.Pages = append(r.Pages, PageReport{
-			ID:           cp.id,
-			Label:        cp.Label(),
-			State:        cp.state,
-			Frozen:       cp.frozen,
-			Copies:       len(cp.copies),
-			ReadFaults:   cp.Stats.ReadFaults,
-			WriteFaults:  cp.Stats.WriteFaults,
-			Replications: cp.Stats.Replications,
-			Migrations:   cp.Stats.Migrations,
-			Invalidated:  cp.Stats.Invalidations,
-			RemoteMaps:   cp.Stats.RemoteMaps,
-			Freezes:      cp.Stats.Freezes,
-			Thaws:        cp.Stats.Thaws,
-			AllocFails:   cp.Stats.AllocFails,
-			HandlerWait:  cp.Stats.HandlerWait,
-			FaultTime:    cp.Stats.FaultTime,
+			ID:         cp.id,
+			Label:      cp.Label(),
+			State:      cp.state,
+			Frozen:     cp.frozen,
+			Copies:     len(cp.copies),
+			CpageStats: cp.Stats,
 		})
 	}
 	sort.Slice(r.Pages, func(i, j int) bool {
-		fi := r.Pages[i].ReadFaults + r.Pages[i].WriteFaults
-		fj := r.Pages[j].ReadFaults + r.Pages[j].WriteFaults
+		fi, fj := r.Pages[i].Faults(), r.Pages[j].Faults()
 		if fi != fj {
 			return fi > fj
 		}
@@ -110,7 +88,7 @@ func (r Report) WriteTo(w io.Writer) (int64, error) {
 		}
 		if err := p("%6d %-18s %-9s %3d %6d %6d %6d %6d %6d %6d %4d %4d %12v %12v%s\n",
 			pg.ID, pg.Label, pg.State, pg.Copies, pg.ReadFaults,
-			pg.WriteFaults, pg.Replications, pg.Migrations, pg.Invalidated,
+			pg.WriteFaults, pg.Replications, pg.Migrations, pg.Invalidations,
 			pg.RemoteMaps, pg.Freezes, pg.Thaws, pg.HandlerWait, pg.FaultTime, frozen); err != nil {
 			return n, err
 		}
@@ -122,7 +100,7 @@ func (r Report) WriteTo(w io.Writer) (int64, error) {
 func (r Report) TotalFaults() int64 {
 	var total int64
 	for _, pg := range r.Pages {
-		total += pg.ReadFaults + pg.WriteFaults
+		total += pg.Faults()
 	}
 	return total
 }

@@ -94,12 +94,10 @@ func (s *System) shootdownEntryTracked(e *CmapEntry, initiator int, now sim.Time
 			var ackd sim.Time
 			if s.inj != nil {
 				// Injected slow acknowledgement: the target stalls before
-				// acking, stretching the initiator's wait. Recorded in
-				// injAck so charging sites can attribute it to
-				// CauseSlowAck instead of CauseShootdown.
+				// acking, stretching the initiator's wait. The round's
+				// ack span carries it as CauseSlowAck.
 				if a := s.inj.AckDelay(initiator, proc); a > 0 {
 					delay += a
-					s.injAck += a
 					ackd = a
 				}
 			}
@@ -144,8 +142,7 @@ func (s *System) shootdownCpage(cp *Cpage, initiator int, now sim.Time,
 	if changed && recordInval {
 		cp.lastInval = now
 		cp.everInval = true
-		cp.Stats.Invalidations++
-		s.trace(now, EvInvalidation, initiator, cp)
+		s.event(now, EvInvalidation, initiator, cp)
 	}
 	return delay, interrupted
 }

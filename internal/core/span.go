@@ -5,15 +5,19 @@ import (
 	"platinum/internal/span"
 )
 
-// Causal span recording for the protocol paths. The fault handler, the
-// defrost daemon and Cmap.Remove buffer their child spans in the
-// System's per-operation scratch (the engine runs one thread at a time
-// and none of these operations yields before flushing, so a single
-// buffer suffices) and flush them together with the operation's root
-// span before the single Advance that charges the operation. Buffering
-// keeps error paths exact: a failed fault charges no virtual time, so
-// its spans are flushed with zeroed durations and costs — still
-// visible in the flight recorder, invisible to reconciliation.
+// Causal span recording for the protocol paths. A span's Self is the
+// charge: no protocol cost is attributed except by recording the span
+// that carries it. The fault handler, the defrost daemon and
+// Cmap.Remove buffer their child spans in the System's per-operation
+// scratch (the engine runs one thread at a time and none of these
+// operations yields before flushing, so a single buffer suffices),
+// summing their Self by cause, and flush them together with the
+// operation's root span before the single Advance that charges the
+// operation; the flush attributes the summed account. Single-span
+// costs go through span.Recorder.Charge. Buffering keeps error paths
+// exact: a failed fault charges no virtual time, so its spans are
+// flushed with zeroed durations and costs — still visible in the
+// flight recorder, invisible to reconciliation.
 
 // sdTarget is the per-round scratch record of one interrupted
 // shootdown target: the initiator-side synchronization or dispatch
@@ -35,7 +39,8 @@ func (s *System) Spans() *span.Recorder { return s.rec }
 
 // spanChild buffers one completed child span of the operation in
 // progress, parented (unless the span brings its own parent) to the
-// current operation root and placed on the operation's track.
+// current operation root and placed on the operation's track, and adds
+// its Self to the operation's account.
 func (s *System) spanChild(sp span.Span) span.ID {
 	sp.ID = s.rec.Alloc()
 	if sp.Parent == span.None {
@@ -43,23 +48,23 @@ func (s *System) spanChild(sp span.Span) span.ID {
 	}
 	sp.Track = s.spanTrack
 	s.pending = append(s.pending, sp)
-	if sp.Cause == sim.CauseFault {
-		s.fcSpanned += sp.Self
-	}
+	s.acct[sp.Cause] += sp.Self
 	return sp.ID
 }
 
-// spanFlush records the buffered child spans and resets the
+// spanFlush records the buffered child spans, attributes the
+// operation's account to t — one Attribute per cause — and resets the
 // per-operation scratch. Call it (after recording the operation root)
 // before the Advance that charges the operation, so no other thread
 // can start an operation while the buffer is live.
-func (s *System) spanFlush() {
+func (s *System) spanFlush(t *sim.Thread) {
 	for _, sp := range s.pending {
 		s.rec.Record(sp)
 	}
+	t.AttributeAccount(&s.acct)
 	s.pending = s.pending[:0]
+	s.acct = sim.Account{}
 	s.spanParent = span.None
-	s.fcSpanned = 0
 }
 
 // spanAbort flushes the operation's spans for a failed operation: no
@@ -74,8 +79,8 @@ func (s *System) spanAbort(at sim.Time, root span.Span) {
 		s.rec.Record(sp)
 	}
 	s.pending = s.pending[:0]
+	s.acct = sim.Account{}
 	s.spanParent = span.None
-	s.fcSpanned = 0
 	// A failed operation charges nothing, so replica write-through cost
 	// its partial work accumulated must not leak into the next fault.
 	s.ptRepPend = 0

@@ -1,6 +1,9 @@
 package core
 
-import "platinum/internal/sim"
+import (
+	"platinum/internal/sim"
+	"platinum/internal/span"
+)
 
 // Event tracing: the §9 "instrumentation interface to the kernel to
 // help interpret its behavior". When enabled, the coherent memory
@@ -96,8 +99,33 @@ func (s *System) Trace() (events []Event, dropped int64) {
 	return s.tr.events, s.tr.dropped
 }
 
-// trace records one event if tracing is enabled.
-func (s *System) trace(at sim.Time, kind EventKind, proc int, cp *Cpage) {
+// event records one protocol action on cp — the one call every action
+// goes through, so the page's counters, the trace and the count series
+// cannot disagree. It bumps cp's counter for kind, counts freezes and
+// thaws in the span recorder's operation-count series, and appends the
+// trace event if tracing is enabled.
+func (s *System) event(at sim.Time, kind EventKind, proc int, cp *Cpage) {
+	st := &cp.Stats
+	switch kind {
+	case EvReadFault:
+		st.ReadFaults++
+	case EvWriteFault:
+		st.WriteFaults++
+	case EvReplication:
+		st.Replications++
+	case EvMigration:
+		st.Migrations++
+	case EvInvalidation:
+		st.Invalidations++
+	case EvRemoteMap:
+		st.RemoteMaps++
+	case EvFreeze:
+		st.Freezes++
+		s.rec.CountEvent(at, span.CountFreeze)
+	case EvThaw:
+		st.Thaws++
+		s.rec.CountEvent(at, span.CountThaw)
+	}
 	if s.tr == nil {
 		return
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"platinum/internal/apps"
-	"platinum/internal/sim"
 )
 
 // render runs experiment id and returns its table rendered to text.
@@ -24,21 +23,6 @@ func render(t *testing.T, id string, o Options) string {
 		t.Fatalf("%s: render: %v", id, err)
 	}
 	return b.String()
-}
-
-// TestFastPathTableIdentical is the scheduler regression gate: the
-// rendered fig1 table with the scheduler fast path forced off must be
-// byte-identical to the table with it on.
-func TestFastPathTableIdentical(t *testing.T) {
-	o := Options{Quick: true, Parallelism: 1}
-	prev := sim.SetDefaultFastPath(false)
-	slow := render(t, "fig1", o)
-	sim.SetDefaultFastPath(true)
-	fast := render(t, "fig1", o)
-	sim.SetDefaultFastPath(prev)
-	if slow != fast {
-		t.Fatalf("fig1 output differs between scheduler paths:\n--- fast path off ---\n%s--- fast path on ---\n%s", slow, fast)
-	}
 }
 
 // TestPoolingTableIdentical is the platform-pool regression gate: the

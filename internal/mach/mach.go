@@ -173,8 +173,10 @@ type Machine struct {
 
 	// rec, when set, records causal spans for the hardware costs mach
 	// charges directly: injected access retries and the block transfer
-	// of a migrating thread's kernel stack. The kernel wires it to the
-	// coherent memory system's recorder at boot.
+	// of a migrating thread's kernel stack. Both are charged through
+	// span.Recorder.Charge, which on a nil recorder (a bare machine)
+	// only attributes. The kernel wires it to the coherent memory
+	// system's recorder at boot.
 	rec *span.Recorder
 }
 
@@ -391,14 +393,12 @@ func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 	}
 	t.Attribute(sim.CauseQueue, queue)
 	t.Attribute(cause, lat)
-	t.Attribute(sim.CauseRetry, retry)
-	if retry > 0 && m.rec != nil {
-		// Injected transient-busy retry: span it so CauseRetry
-		// reconciles between spans and accounting.
+	if retry > 0 {
+		// Injected transient-busy retry: charged by its span.
 		at := t.Now() + queue + lat
-		o := m.rec.Begin(span.KindRetry, at).Proc(proc).Track(t.ID()).
-			Attribute(sim.CauseRetry, retry).Notef("module %d busy", mod)
-		o.End(at + retry)
+		m.rec.Charge(t, span.Span{Kind: span.KindRetry, Start: at, End: at + retry,
+			Proc: proc, Page: -1, Cause: sim.CauseRetry, Self: retry,
+			NoteFmt: "module %d busy", NoteArg0: mod, NoteN: 1})
 	}
 	total := queue + lat + retry
 	t.Advance(total)
@@ -496,14 +496,9 @@ func (m *Machine) blockTransferAt(t *sim.Thread, now sim.Time, src, dst, words i
 		// Charged directly to a thread (thread migration): the queueing
 		// for busy modules is contention, the transfer itself T_b cost.
 		t.Attribute(sim.CauseQueue, queue)
-		t.Attribute(sim.CauseBlockTransfer, dur)
-		if m.rec != nil {
-			o := m.rec.Begin(span.KindBlockTransfer, now+queue).
-				Proc(dst).Track(t.ID()).
-				Attribute(sim.CauseBlockTransfer, dur).
-				Notef("stack %d->%d", src, dst)
-			o.End(now + queue + dur)
-		}
+		m.rec.Charge(t, span.Span{Kind: span.KindBlockTransfer, Start: now + queue, End: now + queue + dur,
+			Proc: dst, Page: -1, Cause: sim.CauseBlockTransfer, Self: dur,
+			NoteFmt: "stack %d->%d", NoteArg0: src, NoteArg1: dst, NoteN: 2})
 		t.Advance(total)
 	}
 	return total

@@ -136,7 +136,7 @@ func FromPageReport(p core.PageReport) PageMetrics {
 		WriteFaults:   p.WriteFaults,
 		Replications:  p.Replications,
 		Migrations:    p.Migrations,
-		Invalidations: p.Invalidated,
+		Invalidations: p.Invalidations,
 		RemoteMaps:    p.RemoteMaps,
 		Freezes:       p.Freezes,
 		Thaws:         p.Thaws,

@@ -35,14 +35,18 @@ func fixedReport() Report {
 		Pages: []core.PageReport{
 			{
 				ID: 7, Label: "size+lock", State: core.Modified, Frozen: true,
-				Copies: 1, ReadFaults: 120, WriteFaults: 30, Replications: 4,
-				Migrations: 2, Invalidated: 6, RemoteMaps: 90, Freezes: 1,
-				HandlerWait: 2 * sim.Millisecond, FaultTime: 40 * sim.Millisecond,
+				Copies: 1, CpageStats: core.CpageStats{
+					ReadFaults: 120, WriteFaults: 30, Replications: 4,
+					Migrations: 2, Invalidations: 6, RemoteMaps: 90, Freezes: 1,
+					HandlerWait: 2 * sim.Millisecond, FaultTime: 40 * sim.Millisecond,
+				},
 			},
 			{
 				ID: 3, Label: "gauss-matrix[3]", State: core.PresentPlus,
-				Copies: 8, ReadFaults: 7, Replications: 7,
-				FaultTime: 11 * sim.Millisecond,
+				Copies: 8, CpageStats: core.CpageStats{
+					ReadFaults: 7, Replications: 7,
+					FaultTime: 11 * sim.Millisecond,
+				},
 			},
 		},
 	}

@@ -218,6 +218,17 @@ func (t *Thread) bank(c Cause, d Time) {
 // balance negative, which the conservation invariant flags.
 func (t *Thread) Attribute(c Cause, d Time) { t.attribute(c, d) }
 
+// AttributeAccount attributes every cause of a in turn, as one
+// Attribute call per nonzero cause: the operations that buffer their
+// costs by cause (one coherent fault, one defrost sweep) classify their
+// single Advance with it, and the charge histograms see one sample per
+// cause per operation.
+func (t *Thread) AttributeAccount(a *Account) {
+	for c, d := range a {
+		t.attribute(Cause(c), d)
+	}
+}
+
 // Charge is Advance(d) with the time attributed to cause c: the single
 // scheduling step is identical to a bare Advance(d), so dispatch order
 // — and every simulation result — is unchanged by the attribution.

@@ -100,6 +100,37 @@ func TestBindNodeRoutesCharges(t *testing.T) {
 	}
 }
 
+// AttributeAccount classifies an operation's buffered costs with one
+// attribution — and so one charge-histogram sample — per nonzero
+// cause, whatever the account's unattributed slot holds.
+func TestAttributeAccount(t *testing.T) {
+	e := NewEngine()
+	e.EnableChargeHistograms(1)
+	var th *Thread
+	e.Spawn("w", func(x *Thread) {
+		th = x
+		x.BindNode(0)
+		var a Account
+		a[CauseFault] = 70
+		a[CauseShootdown] = 30
+		a[CauseUnattributed] = 999 // never moved: it is the source slot
+		x.AttributeAccount(&a)
+		x.Advance(100)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	a := th.Account()
+	if a[CauseFault] != 70 || a[CauseShootdown] != 30 || a[CauseUnattributed] != 0 {
+		t.Fatalf("account %+v, want fault=70 shootdown=30 unattributed=0", a)
+	}
+	for c, want := range map[Cause]int64{CauseFault: 1, CauseShootdown: 1, CauseCompute: 0} {
+		if got := e.ChargeHist(0, c).Count(); got != want {
+			t.Errorf("%v histogram count %d, want %d", c, got, want)
+		}
+	}
+}
+
 // Unblock's clock jump (blocked time) is banked as CauseSync, keeping
 // the conservation invariant exact across Block/Unblock.
 func TestBlockedTimeIsSync(t *testing.T) {

@@ -107,29 +107,6 @@ func TestFastPathStats(t *testing.T) {
 	}
 }
 
-// TestSetDefaultFastPath checks the package-level default reaches new
-// engines and reports the previous value.
-func TestSetDefaultFastPath(t *testing.T) {
-	prev := SetDefaultFastPath(false)
-	defer SetDefaultFastPath(prev)
-	e := NewEngine()
-	e.Spawn("solo", func(th *Thread) {
-		for i := 0; i < 10; i++ {
-			th.Advance(10)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	fast, _ := e.Stats()
-	if fast != 0 {
-		t.Errorf("fastSteps = %d with default fast path off, want 0", fast)
-	}
-	if on := SetDefaultFastPath(true); on != false {
-		t.Errorf("SetDefaultFastPath reported previous = %v, want false", on)
-	}
-}
-
 // TestPushReadyNoDuplicate checks a thread already resident in the ready
 // heap is not enqueued twice: its position is fixed up instead, and the
 // non-daemon ready count stays consistent.

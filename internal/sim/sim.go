@@ -22,8 +22,8 @@
 //
 //   - fast path: a thread that advances its clock and remains strictly
 //     the earliest runnable thread keeps executing in place, with no
-//     coroutine switch at all (see Thread.Advance); SetFastPath /
-//     SetDefaultFastPath disable this for A/B testing.
+//     coroutine switch at all (see Thread.Advance); SetFastPath
+//     disables it per engine for A/B testing.
 //   - fused handoff: a thread that advances past the earliest ready
 //     thread swaps itself into that thread's heap slot and hands it to
 //     the engine loop as its successor, so the loop resumes it without
@@ -142,23 +142,10 @@ func (e *Engine) pushReady(t *Thread) {
 	}
 }
 
-// defaultFastPath is the fast-path setting inherited by new engines.
-var defaultFastPath = true
-
-// SetDefaultFastPath sets whether engines created by NewEngine use the
-// scheduler fast path (see SetFastPath), returning the previous value.
-// It exists so determinism tests can force the slow path through layers
-// that construct their own engines; it is not safe to call concurrently
-// with NewEngine.
-func SetDefaultFastPath(on bool) bool {
-	prev := defaultFastPath
-	defaultFastPath = on
-	return prev
-}
-
-// NewEngine returns an empty engine at virtual time zero.
+// NewEngine returns an empty engine at virtual time zero, with the
+// scheduler fast path on.
 func NewEngine() *Engine {
-	return &Engine{fastPath: defaultFastPath}
+	return &Engine{fastPath: true}
 }
 
 // SetFastPath enables or disables the scheduler fast path, under which
@@ -305,7 +292,7 @@ func (e *Engine) Reset() {
 	e.nlive = 0
 	e.readyND = 0
 	e.stopping = false
-	e.fastPath = defaultFastPath
+	e.fastPath = true
 	e.fail = nil
 	e.fastSteps = 0
 	e.slowSteps = 0

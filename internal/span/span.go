@@ -24,12 +24,12 @@
 //     Perfetto or chrome://tracing.
 //
 // Every span carries a Cause and the slice of its duration it alone
-// attributes to that cause (Self). For the protocol causes the fault
-// path charges — fault overhead, shootdown, block transfer, injected
-// stalls and slow acks — the per-cause sum of Self over a complete
-// span set reconciles exactly with the engine's Account totals
-// (Reconcile), making spans and accounting mutually-verifying views of
-// the same simulation.
+// attributes to that cause (Self). For the protocol causes
+// (ReconciledCauses) the span is the charge: core and mach attribute
+// them only by recording the span that carries them (Recorder.Charge,
+// or core's per-operation span buffer), so the per-cause sum of Self
+// over a complete span set equals the engine's Account totals, which
+// Reconcile checks.
 package span
 
 import (
@@ -305,6 +305,19 @@ func (r *Recorder) Record(sp Span) ID {
 	return sp.ID
 }
 
+// Charge is the single-span charging funnel: it attributes sp.Self of
+// t's charged time to sp.Cause, then records sp on t's track, so the
+// span and the account cannot disagree. The caller keeps its own
+// Advance. On a nil recorder (a bare machine without span recording)
+// Charge only attributes.
+func (r *Recorder) Charge(t *sim.Thread, sp Span) {
+	t.Attribute(sp.Cause, sp.Self)
+	if r != nil {
+		sp.Track = t.ID()
+		r.Record(sp)
+	}
+}
+
 // Open is a span that has been begun but not yet ended: the structured
 // way to record an interval whose start and end are observed at
 // different points in the code (a scheduling slice, a transfer in
@@ -361,14 +374,6 @@ func (o *Open) Notef(format string, a int, rest ...int) *Open {
 	if len(rest) > 0 {
 		o.sp.NoteArg1, o.sp.NoteN = rest[0], 2
 	}
-	return o
-}
-
-// Attribute sets the cause and the slice of the span's duration it
-// alone attributes to that cause (the Span.Cause/Span.Self pair that
-// reconciliation sums).
-func (o *Open) Attribute(c sim.Cause, self sim.Time) *Open {
-	o.sp.Cause, o.sp.Self = c, self
 	return o
 }
 

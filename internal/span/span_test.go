@@ -111,6 +111,33 @@ func TestReconcile(t *testing.T) {
 	}
 }
 
+// TestChargeAttributesAndRecords pins the single-span funnel: Charge
+// attributes the span's Self to its Cause and records the span on the
+// charged thread's track, and a nil recorder only attributes.
+func TestChargeAttributesAndRecords(t *testing.T) {
+	e := sim.NewEngine()
+	r := NewRecorder(0)
+	r.EnableRetain(0)
+	var th *sim.Thread
+	e.Spawn("w", func(x *sim.Thread) {
+		th = x
+		r.Charge(x, Span{Kind: KindRetry, Start: 0, End: 5, Cause: sim.CauseRetry, Self: 5})
+		var nilRec *Recorder
+		nilRec.Charge(x, Span{Kind: KindRetry, Start: 5, End: 8, Cause: sim.CauseRetry, Self: 3})
+		x.Advance(8)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := th.Account()[sim.CauseRetry]; got != 8 {
+		t.Errorf("retry charged %v, want 8", got)
+	}
+	spans := r.Spans()
+	if len(spans) != 1 || spans[0].Track != th.ID() || spans[0].Self != 5 {
+		t.Fatalf("recorded %+v, want one 5ns retry span on track %d", spans, th.ID())
+	}
+}
+
 func TestValidateNesting(t *testing.T) {
 	ok := []Span{
 		{ID: 1, Kind: KindSlice, Track: 7, Start: 0, End: 100, Proc: 0},

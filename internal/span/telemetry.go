@@ -32,21 +32,10 @@ var HistogramKinds = []Kind{
 	KindBlockTransfer,
 }
 
-// HistogramCauses are the attribution causes the histogrammed operation
-// kinds attribute their Self time to. Every cause here must also appear
-// in ReconciledCauses — a histogrammed operation that skipped span/
-// account reconciliation could drift from the totals unnoticed — and
-// TestHistogramCausesReconciled enforces that.
-var HistogramCauses = []sim.Cause{
-	sim.CauseFault,
-	sim.CauseShootdown,
-	sim.CauseBlockTransfer,
-}
-
 // Count-series columns: one per operation rate the windowed series
 // tracks. Fault, shootdown and block-transfer starts come from Record;
-// freeze decisions have no span of their own, so the fault path reports
-// them through CountEvent; thaws count their KindThaw span.
+// freezes and thaws are protocol events (a fault-path thaw has no span
+// of its own), so core's event funnel reports them through CountEvent.
 const (
 	CountFault = iota
 	CountShootdown
@@ -93,7 +82,6 @@ func init() {
 	countCol[KindFault] = CountFault
 	countCol[KindShootdown] = CountShootdown
 	countCol[KindBlockTransfer] = CountBlockTransfer
-	countCol[KindThaw] = CountThaw
 }
 
 // EnableOpHists starts recording one whole-operation latency histogram
@@ -144,9 +132,8 @@ func (r *Recorder) CountSeries() *timeseries.Series {
 }
 
 // CountEvent counts one occurrence of a series column at virtual time
-// at, for events that record no span of their own (a freeze decision on
-// the fault path). Nil-safe and a no-op when the count series is off,
-// so callers need no guard.
+// at, for the columns no span kind feeds (freezes and thaws). Nil-safe
+// and a no-op when the count series is off, so callers need no guard.
 func (r *Recorder) CountEvent(at sim.Time, col int) {
 	if r == nil || !r.countsOn {
 		return

@@ -8,9 +8,9 @@ import (
 )
 
 // ReconciledCauses are the attribution causes whose Account totals a
-// complete span recording covers exactly: every code path that charges
-// one of these causes records a span whose Self carries the charged
-// amount. CauseQueue is excluded deliberately — per-word memory-module
+// complete span recording covers exactly: a cost of one of these
+// causes is charged only by recording the span whose Self carries it.
+// CauseQueue is excluded deliberately — per-word memory-module
 // queueing (mach.Access) sits below span granularity; only the
 // fault-handler lock wait gets a QueueWait span. Compute, word-access
 // latency, sync and kernel service time are likewise per-word or

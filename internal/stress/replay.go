@@ -9,6 +9,7 @@ import (
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
+	"platinum/internal/span"
 	"platinum/internal/vm"
 )
 
@@ -56,6 +57,7 @@ func buildWorld(cfg Config) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
+	k.EnableSpans(0) // retained for the end-of-run reconciliation
 	w := &world{
 		cfg:    cfg,
 		k:      k,
@@ -86,10 +88,14 @@ func buildWorld(cfg Config) (*world, error) {
 
 // Replay executes ops against a freshly built world, checking the
 // protocol invariants, attribution conservation, and data coherence
-// after every op. The first violation stops the run and is reported in
-// Result.Failure; ErrNoMemory under total frame exhaustion is a legal
-// outcome, counted but not a failure. A world that cannot be built is
-// returned as an error.
+// after every op, then frame conservation and span reconciliation
+// (every span-carried cause's Self sum equals its account total) once
+// the schedule completes. The first violation stops the run and is
+// reported in Result.Failure; ErrNoMemory under total frame exhaustion
+// is a legal outcome, counted but not a failure. A world that cannot
+// be built is returned as an error. A schedule long enough to overflow
+// the retained span buffer (span.Recorder's default capacity, about
+// 200,000 ops at the default sizes) skips reconciliation.
 func Replay(cfg Config, ops []Op) (*Result, error) {
 	res := &Result{}
 	w, err := buildWorld(cfg)
@@ -123,7 +129,7 @@ func Replay(cfg Config, ops []Op) (*Result, error) {
 	res.Elapsed = w.k.Now()
 	w.collect(res)
 	if res.Failure == nil {
-		if err := w.checkFrames(); err != nil {
+		if err := w.checkEnd(res.Account); err != nil {
 			res.Failure = &Failure{Seed: cfg.Seed, OpIndex: len(ops) - 1, Err: err, Ops: ops,
 				Flight: w.k.Spans().Flight()}
 		}
@@ -241,9 +247,10 @@ func (w *world) maybeInjectBug() {
 	}
 }
 
-// checkFrames verifies end-of-run frame conservation: every allocated
-// frame is exactly one directory copy.
-func (w *world) checkFrames() error {
+// checkEnd verifies end-of-run frame conservation — every allocated
+// frame is exactly one directory copy — and that the retained spans
+// reconcile with the machine-wide account.
+func (w *world) checkEnd(total sim.Account) error {
 	var allocated, copies int
 	for m := 0; m < w.cfg.Procs; m++ {
 		mm := w.sys.Memory().Module(m)
@@ -254,6 +261,9 @@ func (w *world) checkFrames() error {
 	}
 	if allocated != copies {
 		return fmt.Errorf("stress: frame leak: %d frames allocated, %d directory copies", allocated, copies)
+	}
+	if rec := w.k.Spans(); rec.Dropped() == 0 {
+		return span.Reconcile(rec.Spans(), total)
 	}
 	return nil
 }

@@ -171,3 +171,38 @@ func TestFrameExhaustionIsLegal(t *testing.T) {
 		t.Errorf("accesses stopped succeeding under exhaustion: reads=%d writes=%d", res.Reads, res.Writes)
 	}
 }
+
+// TestPinnedDigests pins the final-state digest of seeds 1-3 at 20,000
+// ops with fault injection off and on. The quick and CLI goldens never
+// inject faults, so this is the gate that catches an injected slow-ack,
+// stall or allocation-failure cost moving to another cause; Replay's
+// span reconciliation catches the same drift by cause.
+func TestPinnedDigests(t *testing.T) {
+	for _, tc := range []struct {
+		seed    int64
+		off, on string
+	}{
+		{1, "885b1604079621a4", "6688bd35d4098ede"},
+		{2, "177abd6fcca882d8", "f82a983b67574cab"},
+		{3, "ddf471f2ea8aac0a", "449d0a1a1873615d"},
+	} {
+		for _, faults := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Seed = tc.seed
+			cfg.Ops = 20000
+			want := tc.off
+			if faults {
+				cfg.Faults = DefaultFaultConfig()
+				want = tc.on
+			}
+			res := mustRun(t, cfg, false)
+			if res.Failure != nil {
+				t.Errorf("seed %d faults=%v failed:\n%s", tc.seed, faults, res.Failure.Repro())
+				continue
+			}
+			if res.Digest != want {
+				t.Errorf("seed %d faults=%v: digest %s, want %s", tc.seed, faults, res.Digest, want)
+			}
+		}
+	}
+}

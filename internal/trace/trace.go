@@ -4,8 +4,8 @@
 // visualization". It turns raw events into the shapes a programmer
 // tuning a PLATINUM application needs: per-page histories, ping-pong
 // detection (the pattern the freeze policy exists to stop), freeze/thaw
-// cycles (pages the defrost daemon keeps rescuing), and time-bucketed
-// activity profiles (phase structure).
+// cycles (pages the defrost daemon keeps rescuing), and per-node
+// time-bucketed activity profiles (phase structure).
 package trace
 
 import (
@@ -159,38 +159,6 @@ func pingPongRuns(events []core.Event) int {
 	return runs
 }
 
-// Bucket is protocol activity within one time slice.
-type Bucket struct {
-	Start  sim.Time
-	ByKind map[core.EventKind]int
-}
-
-// Buckets slices the event stream into fixed-width time buckets,
-// exposing the phase structure of a run (e.g. a startup burst of
-// replications followed by steady-state silence). Events are bucketed
-// by timestamp, which need not be globally sorted.
-func Buckets(events []core.Event, width sim.Time) []Bucket {
-	if width <= 0 || len(events) == 0 {
-		return nil
-	}
-	var max sim.Time
-	for _, ev := range events {
-		if ev.Time > max {
-			max = ev.Time
-		}
-	}
-	n := int(max/width) + 1
-	out := make([]Bucket, n)
-	for i := range out {
-		out[i].Start = sim.Time(i) * width
-		out[i].ByKind = make(map[core.EventKind]int)
-	}
-	for _, ev := range events {
-		out[ev.Time/width].ByKind[ev.Kind]++
-	}
-	return out
-}
-
 // NodeBucket is one (time slice, node) cell of a per-node activity
 // timeline: the protocol events node Node generated during
 // [Start, Start+width).
@@ -251,8 +219,7 @@ func TopCost(r core.Report, k int) []core.PageReport {
 		if pages[i].FaultTime != pages[j].FaultTime {
 			return pages[i].FaultTime > pages[j].FaultTime
 		}
-		fi := pages[i].ReadFaults + pages[i].WriteFaults
-		fj := pages[j].ReadFaults + pages[j].WriteFaults
+		fi, fj := pages[i].Faults(), pages[j].Faults()
 		if fi != fj {
 			return fi > fj
 		}
@@ -262,17 +229,4 @@ func TopCost(r core.Report, k int) []core.PageReport {
 		k = len(pages)
 	}
 	return pages[:k]
-}
-
-// HottestPages returns the ids of the k busiest pages by fault count.
-func HottestPages(events []core.Event, k int) []int64 {
-	pages := ByPage(events)
-	if k > len(pages) {
-		k = len(pages)
-	}
-	out := make([]int64, 0, k)
-	for _, h := range pages[:k] {
-		out = append(out, h.Cpage)
-	}
-	return out
 }

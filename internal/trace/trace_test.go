@@ -105,41 +105,6 @@ func TestPingPongDetection(t *testing.T) {
 	}
 }
 
-func TestBuckets(t *testing.T) {
-	events := []core.Event{
-		ev(100, core.EvReadFault, 0, 1),
-		ev(950, core.EvReplication, 0, 1),
-		ev(2100, core.EvWriteFault, 1, 1),
-	}
-	b := Buckets(events, 1000)
-	if len(b) != 3 {
-		t.Fatalf("buckets = %d, want 3", len(b))
-	}
-	if b[0].ByKind[core.EvReadFault] != 1 || b[0].ByKind[core.EvReplication] != 1 {
-		t.Errorf("bucket 0 %v", b[0].ByKind)
-	}
-	if b[2].ByKind[core.EvWriteFault] != 1 {
-		t.Errorf("bucket 2 %v", b[2].ByKind)
-	}
-	if Buckets(nil, 1000) != nil || Buckets(events, 0) != nil {
-		t.Error("degenerate inputs should yield nil")
-	}
-}
-
-func TestHottestPages(t *testing.T) {
-	events := []core.Event{
-		ev(0, core.EvReadFault, 0, 5),
-		ev(1, core.EvReadFault, 0, 9),
-		ev(2, core.EvReadFault, 1, 9),
-	}
-	if got := HottestPages(events, 1); len(got) != 1 || got[0] != 9 {
-		t.Fatalf("hottest = %v", got)
-	}
-	if got := HottestPages(events, 10); len(got) != 2 {
-		t.Fatalf("hottest(10) = %v", got)
-	}
-}
-
 // TestEndToEndPingPongThenFreeze verifies the analyzer on a real kernel
 // run: two writers ping-pong a page until the policy freezes it; the
 // trace must show a ping-pong run followed by a freeze.
@@ -244,9 +209,9 @@ func TestNodeBuckets(t *testing.T) {
 
 func TestTopCostRanksByFaultTime(t *testing.T) {
 	r := core.Report{Pages: []core.PageReport{
-		{ID: 1, ReadFaults: 100, FaultTime: 10},
-		{ID: 2, ReadFaults: 3, FaultTime: 500}, // few but slow faults
-		{ID: 3, ReadFaults: 50, FaultTime: 10}, // ties with 1 on time, more faults
+		{ID: 1, CpageStats: core.CpageStats{ReadFaults: 100, FaultTime: 10}},
+		{ID: 2, CpageStats: core.CpageStats{ReadFaults: 3, FaultTime: 500}}, // few but slow faults
+		{ID: 3, CpageStats: core.CpageStats{ReadFaults: 50, FaultTime: 10}}, // ties with 1 on time, more faults
 	}}
 	top := TopCost(r, 10)
 	if len(top) != 3 || top[0].ID != 2 || top[1].ID != 1 || top[2].ID != 3 {

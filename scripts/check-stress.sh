@@ -3,11 +3,14 @@
 #
 #   1. A fixed-seed fault-injection run: 20000 ops, seed 1, every
 #      operation followed by Validate + CheckConservation + shadow
-#      data check. Deterministic, so a failure here is a real
+#      data check, and the completed run by frame conservation and
+#      span reconciliation (each span-carried cause's Self sum equals
+#      its account total). Deterministic, so a failure here is a real
 #      regression, never flake.
 #   2. A short wall-clock soak over consecutive seeds with faults on,
-#      to cover fresh schedules as the protocol evolves. On failure
-#      the harness prints a shrunk seed+ops reproducer to stderr.
+#      to cover fresh schedules as the protocol evolves; every run
+#      reconciles its spans too. On failure the harness prints a
+#      shrunk seed+ops reproducer to stderr.
 #
 # Run from the repository root: ./scripts/check-stress.sh
 set -eu
