@@ -1,10 +1,11 @@
 package platinum
 
 // Alloc-regression gates for the pooled simulation core: the engine
-// step (Advance, both the fast path and the fused handoff, and the
-// Block/Unblock handoff), a whole Reset/Spawn/Run cycle, span
+// step (Advance, both the fast path and the fused handoff, Delay+Sync,
+// and the Block/Unblock handoff), a whole Reset/Spawn/Run cycle, span
 // Begin/End recording, and account charging must not allocate in
-// steady state. These are the invariants the pooling/arena design
+// steady state, and a whole quick Fig. 1 regeneration is pinned at its
+// steady-state count. These are the invariants the pooling/arena design
 // bought; testing.AllocsPerRun pins them against the compiler's actual
 // escape analysis so they cannot silently rot.
 //
@@ -14,6 +15,7 @@ package platinum
 import (
 	"testing"
 
+	"platinum/internal/exp"
 	"platinum/internal/sim"
 	"platinum/internal/span"
 )
@@ -89,6 +91,49 @@ func TestHandoffZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("fused-handoff Advance allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestDelaySyncZeroAlloc pins the deferred dispatch check — a Delay,
+// then the Sync that makes its check — at zero allocations, both in
+// place (a lone thread stays the earliest) and through a handoff (a
+// peer in lockstep runs before every Sync returns).
+func TestDelaySyncZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	step := func(th *sim.Thread) {
+		th.Delay(100)
+		th.Sync()
+	}
+	if got := measureInThread(t, step); got != 0 {
+		t.Errorf("Delay+Sync in place allocates %v per op, want 0", got)
+	}
+	var allocs float64
+	done := false
+	e := sim.NewEngine()
+	e.Spawn("meter", func(th *sim.Thread) {
+		for i := 0; i < 100; i++ {
+			step(th) // warm-up handoffs
+		}
+		allocs = testing.AllocsPerRun(200, func() { step(th) })
+		done = true
+	})
+	e.Spawn("peer", func(th *sim.Thread) {
+		// done is safe to share for the reason TestHandoffZeroAlloc
+		// gives.
+		for !done {
+			th.Advance(100)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Delay+Sync through a handoff allocates %v per op, want 0", allocs)
+	}
+	if _, resumes := e.Stats(); resumes < 300 {
+		t.Errorf("%d resumes: the Syncs did not hand off to the peer", resumes)
 	}
 }
 
@@ -259,5 +304,40 @@ func TestRecordTelemetryZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("Record with telemetry allocates %v per op, want 0", got)
+	}
+}
+
+// fig1SteadyAllocs is a quick Fig. 1 regeneration's allocation count
+// once the platform pool, the idle coroutine workers and every reused
+// buffer are warm: BenchmarkFig1Gauss's operation, on one host worker
+// so the count does not depend on the host's processor count (at the
+// default parallelism it is 318-320 on 2 CPUs; the first, cold run
+// makes about 400).
+const fig1SteadyAllocs = 313
+
+// TestFig1GaussSteadyAllocs pins a whole quick Fig. 1 regeneration at
+// exactly fig1SteadyAllocs allocations. A change that moves the count
+// either way updates the constant and says why.
+func TestFig1GaussSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	fig1, ok := exp.Find("fig1")
+	if !ok {
+		t.Fatal("no fig1 experiment")
+	}
+	var err error
+	run := func() {
+		if _, e := fig1.Run(exp.Options{Quick: true, Parallelism: 1}); e != nil {
+			err = e
+		}
+	}
+	run() // cold: boot and pool the platforms
+	got := testing.AllocsPerRun(3, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != fig1SteadyAllocs {
+		t.Errorf("quick fig1 makes %v allocations per run, want %d", got, fig1SteadyAllocs)
 	}
 }

@@ -61,6 +61,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	var bad string
+	switch {
+	case *top < 0:
+		bad = fmt.Sprintf("-top %d: must not be negative", *top)
+	case *trace < 0:
+		bad = fmt.Sprintf("-trace %d: must not be negative", *trace)
+	case *series < 0:
+		bad = fmt.Sprintf("-series %v: must not be negative", *series)
+	case *bucket <= 0:
+		bad = fmt.Sprintf("-bucket %v: must be positive", *bucket)
+	case *timeline != "" && *trace == 0:
+		bad = "-timeline needs -trace to record the events it buckets"
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "platinum-report:", bad)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-report:", err)
 		return 1

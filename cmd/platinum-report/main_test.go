@@ -248,3 +248,32 @@ func TestUnknownAppFails(t *testing.T) {
 		t.Fatalf("exit code %d, want 1", code)
 	}
 }
+
+// TestBadFlagsExitTwo checks every flag value that cannot describe a
+// report: exit 2 with one "platinum-report:" line on stderr, before
+// anything runs, so nothing reaches stdout and no file is written.
+func TestBadFlagsExitTwo(t *testing.T) {
+	dir := t.TempDir()
+	tl := filepath.Join(dir, "timeline.jsonl")
+	for _, args := range [][]string{
+		{"-top", "-1"},
+		{"-trace", "-5"},
+		{"-series", "-1ms"},
+		{"-trace", "100", "-timeline", tl, "-bucket", "0"},
+		{"-trace", "100", "-timeline", tl, "-bucket", "-1ms"},
+		{"-timeline", tl},
+	} {
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		lines := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n")
+		if code != 2 || len(lines) != 1 || !strings.HasPrefix(lines[0], "platinum-report: ") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one platinum-report: line", args, code, errb.String())
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", args, out.String())
+		}
+		if _, err := os.Stat(tl); !os.IsNotExist(err) {
+			t.Fatalf("%v: timeline file exists after a rejected run (stat: %v)", args, err)
+		}
+	}
+}

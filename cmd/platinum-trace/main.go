@@ -51,6 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *counters < 0 {
+		fmt.Fprintf(stderr, "platinum-trace: -counters %v: must not be negative\n", *counters)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-trace:", err)
 		return 1

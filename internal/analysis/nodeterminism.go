@@ -132,8 +132,8 @@ func emitCallName(pass *Pass, call *ast.CallExpr) string {
 		return "json.Encoder.Encode"
 	case pathHasSuffix(path, "internal/sim"):
 		switch name {
-		case "Advance", "AdvanceTo", "Charge", "Attribute", "AttributeAccount",
-			"Yield", "Block", "Unblock", "Spawn", "Run":
+		case "Advance", "AdvanceTo", "Delay", "Sync", "Charge", "Attribute",
+			"AttributeAccount", "Yield", "Block", "Unblock", "Spawn", "Run":
 			return "sim." + recvQual(fn) + name
 		}
 	case pathHasSuffix(path, "internal/span"):

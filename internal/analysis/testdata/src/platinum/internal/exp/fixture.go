@@ -35,6 +35,12 @@ func mapCharge(t *sim.Thread, costs map[int]sim.Time) {
 	}
 }
 
+func mapDelay(t *sim.Thread, costs map[int]sim.Time) {
+	for _, d := range costs { // want `range over map calls sim\.Thread\.Delay`
+		t.Delay(d)
+	}
+}
+
 func sortedPrint(m map[string]int) {
 	// The fix the analyzer demands: collect, sort, then emit.
 	keys := make([]string, 0, len(m))

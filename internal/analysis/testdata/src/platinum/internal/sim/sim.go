@@ -35,5 +35,8 @@ func (t *Thread) Attribute(c Cause, d Time) {}
 // Advance moves the thread's clock forward.
 func (t *Thread) Advance(d Time) { t.now += d }
 
+// Delay moves the thread's clock forward, checking dispatch later.
+func (t *Thread) Delay(d Time) { t.now += d }
+
 // Now returns the thread's clock.
 func (t *Thread) Now() Time { return t.now }

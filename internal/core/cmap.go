@@ -162,6 +162,7 @@ func (cm *Cmap) DiscardUnused(vpn int64) error {
 // Remove unbinds vpn, invalidating every processor's translation for it.
 // The caller is a kernel thread; shootdown costs are charged to it.
 func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
+	t.Sync()
 	e := cm.entries[vpn]
 	if e == nil {
 		return fmt.Errorf("core: vpn %d not mapped in cmap %d", vpn, cm.id)
@@ -192,8 +193,12 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 // Activate marks the address space active on processor proc and applies
 // any queued Cmap messages targeting proc (§3.1: a processor applies
 // pending changes before running any thread in the address space).
-// Activation nests; matching Deactivate calls are required.
+// Activation nests; matching Deactivate calls are required. A nil t
+// activates at setup time, outside the simulation.
 func (cm *Cmap) Activate(t *sim.Thread, proc int) {
+	if t != nil {
+		t.Sync()
+	}
 	cm.actives[proc]++
 	if cm.actives[proc] > 1 {
 		return

@@ -31,6 +31,7 @@ func (s *System) Touch(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool)
 // complete before an invalidation is acknowledged on real hardware.
 func (s *System) Resolve(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	apply func(words []uint32)) (Copy, error) {
+	t.Sync() // the ATC, Pmap and Cpage are shared; see sim.Thread.Delay
 	want := Read
 	if write {
 		want = Write

@@ -95,6 +95,45 @@ func TestInactiveSecondSpaceGetsQueuedMessage(t *testing.T) {
 	})
 }
 
+// TestActivateFollowsEarlierShootdown pins the order of an activation
+// taken right after a word access: a (proc 2) reads the page, goes
+// inactive, streams 100 words from module 5 and reactivates, while b
+// (proc 1) writes the page inside a's stream. b's shootdown finds proc
+// 2 inactive and queues a message, which a's activation then applies.
+func TestActivateFollowsEarlierShootdown(t *testing.T) {
+	fx := newFixture(t, nil)
+	fx.mapPage(0, Read|Write)
+	var streamStart, streamEnd, wrote, activated sim.Time
+	fx.e.Spawn("a", func(th *sim.Thread) {
+		fx.touch(th, 2, 0, false)
+		if err := fx.cm.Deactivate(2); err != nil {
+			t.Error(err)
+		}
+		streamStart = th.Now()
+		fx.m.Access(th, 2, 5, 100, false)
+		streamEnd = th.Now()
+		fx.cm.Activate(th, 2)
+		activated = th.Now()
+	})
+	fx.e.Spawn("b", func(th *sim.Thread) {
+		th.Advance(300 * sim.Microsecond)
+		wrote = th.Now()
+		fx.touch(th, 1, 0, true)
+	})
+	if err := fx.e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if wrote <= streamStart || wrote >= streamEnd {
+		t.Fatalf("b writes at %v, outside a's stream [%v, %v)", wrote, streamStart, streamEnd)
+	}
+	if got, want := activated-streamEnd, fx.s.cfg.MsgApply; got != want {
+		t.Errorf("activation cost %v, want one message applied (%v)", got, want)
+	}
+	if n := fx.cm.PendingMessages(); n != 0 {
+		t.Errorf("%d messages still queued after activation", n)
+	}
+}
+
 func TestCmapRemoveInvalidatesEverywhere(t *testing.T) {
 	fx := newFixture(t, nil)
 	cp := fx.mapPage(0, Read|Write)

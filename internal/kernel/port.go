@@ -63,6 +63,7 @@ func (t *Thread) Send(p *Port, data []uint32) {
 // Receive dequeues the next message, blocking until one arrives. The
 // receive-side kernel cost is charged to t.
 func (t *Thread) Receive(p *Port) []uint32 {
+	t.st.Sync()
 	if len(p.msgs) > 0 {
 		msg := p.msgs[0]
 		p.msgs = p.msgs[1:]

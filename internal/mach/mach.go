@@ -363,10 +363,15 @@ func (m *Machine) SetSpanRecorder(r *span.Recorder) { m.rec = r }
 // attributed to CauseLocalAccess or CauseRemoteAccess and the queueing
 // delay to CauseQueue, so the cost breakdown separates reference cost
 // from module contention.
+//
+// The module's busy-until clock is shared, so Access starts with a
+// Sync; the delay itself is a Delay, whose dispatch check waits for
+// the thread's next shared action.
 func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 	if n <= 0 {
 		return 0
 	}
+	t.Sync()
 	lat, occ := m.wordCost(proc, mod, n, write)
 	var retry sim.Time
 	if m.accessFault != nil {
@@ -401,7 +406,7 @@ func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 			NoteFmt: "module %d busy", NoteArg0: mod, NoteN: 1})
 	}
 	total := queue + lat + retry
-	t.Advance(total)
+	t.Delay(total)
 	return total
 }
 
@@ -437,6 +442,7 @@ func (m *Machine) AccessFree(now sim.Time, proc, mod, n int, write bool) sim.Tim
 // for the full duration; the transfer cannot start until both are free.
 // It returns the total delay (queueing + transfer).
 func (m *Machine) BlockTransfer(t *sim.Thread, src, dst, words int) sim.Time {
+	t.Sync()
 	return m.blockTransferAt(t, t.Now(), src, dst, words, true)
 }
 

@@ -308,3 +308,44 @@ func TestButterfly1ConfigValid(t *testing.T) {
 		t.Fatalf("generation ratio %f not clearly worse than Plus %f", r1, rp)
 	}
 }
+
+// TestModuleActionFollowsEarlierAccess pins the order of a module
+// action taken right after a word access: a reads module 1 (5 µs) and
+// then writes a word there or copies 64 words out of it, while b, at
+// 1 µs, inside a's read, streams 100 words from module 1. b reaches the
+// module first, so a's second action queues from 5 µs until b's
+// occupancy ends at 81 µs.
+func TestModuleActionFollowsEarlierAccess(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		act  func(m *Machine, th *sim.Thread) sim.Time
+		want sim.Time
+	}{
+		{"write", func(m *Machine, th *sim.Thread) sim.Time {
+			return m.Access(th, 0, 1, 1, true)
+		}, 76*sim.Microsecond + 4*sim.Microsecond},
+		{"block-transfer", func(m *Machine, th *sim.Thread) sim.Time {
+			return m.BlockTransfer(th, 1, 0, 64)
+		}, 76*sim.Microsecond + 64*1100*sim.Nanosecond},
+	} {
+		e, m := newTestMachine(t, DefaultConfig())
+		var got, streamed sim.Time
+		e.Spawn("a", func(th *sim.Thread) {
+			m.Access(th, 0, 1, 1, false)
+			got = c.act(m, th)
+		})
+		e.Spawn("b", func(th *sim.Thread) {
+			th.Advance(sim.Microsecond)
+			streamed = m.Access(th, 2, 1, 100, false)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", c.name, err)
+		}
+		if want := 500 * sim.Microsecond; streamed != want {
+			t.Errorf("%s: b's stream took %v, want %v (no queue)", c.name, streamed, want)
+		}
+		if got != c.want {
+			t.Errorf("%s: a's action took %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -2,24 +2,28 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
 // traceWorkload runs a mixed workload (advances, yields, block/unblock,
 // mid-run spawns, a daemon) and returns the finished engine and the
-// observed dispatch trace.
-func traceWorkload(fastPath bool) (*Engine, []string, error) {
+// observed dispatch trace. pure consumes time between the shared steps
+// (the trace appends, unblocks and spawns): Advance, or Delay, whose
+// check each shared step's Sync makes.
+func traceWorkload(fastPath bool, pure func(*Thread, Time)) (*Engine, []string, error) {
 	e := NewEngine()
 	e.SetFastPath(fastPath)
 	var trace []string
 	note := func(th *Thread) {
+		th.Sync()
 		trace = append(trace, fmt.Sprintf("%s@%d/%d", th.Name(), th.Now(), e.Now()))
 	}
 
 	var blocked *Thread
 	daemon := e.Spawn("daemon", func(th *Thread) {
 		for {
-			th.Advance(70)
+			pure(th, 70)
 			note(th)
 		}
 	})
@@ -27,25 +31,25 @@ func traceWorkload(fastPath bool) (*Engine, []string, error) {
 	blocked = e.Spawn("sleeper", func(th *Thread) {
 		th.Block()
 		note(th)
-		th.Advance(5)
+		pure(th, 5)
 		note(th)
 	})
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("w%d", i), func(th *Thread) {
 			for j := 0; j < 6; j++ {
-				th.Advance(Time(10*i + 13*j))
+				pure(th, Time(10*i+13*j))
 				note(th)
 				if i == 1 && j == 3 {
 					blocked.Unblock(th.Now())
 				}
 				if i == 2 && j == 2 {
 					e.Spawn("late", func(lt *Thread) {
-						lt.Advance(9)
+						pure(lt, 9)
 						note(lt)
 					})
 				}
-				th.Yield()
+				pure(th, 0) // a yield
 			}
 		})
 	}
@@ -53,34 +57,38 @@ func traceWorkload(fastPath bool) (*Engine, []string, error) {
 	return e, trace, err
 }
 
-// TestFastPathDeterminism checks the scheduler fast path is purely an
-// execution optimization: the dispatch trace with it on is identical to
-// the trace with it off. It also pins both modes' scheduler counters,
-// which bench/ hashes into its simulation digest.
+// TestFastPathDeterminism checks the scheduler fast path and the
+// deferred dispatch check are purely execution optimizations: the
+// dispatch trace is identical with the fast path on or off and with
+// the workload's pure steps taken by Advance or by Delay. It also pins
+// every mode's scheduler counters, which bench/ hashes into its
+// simulation digest; Delay resumes threads less often than Advance.
 func TestFastPathDeterminism(t *testing.T) {
-	slowE, slow, err := traceWorkload(false)
-	if err != nil {
-		t.Fatalf("slow path run: %v", err)
-	}
-	fastE, fast, err := traceWorkload(true)
-	if err != nil {
-		t.Fatalf("fast path run: %v", err)
-	}
+	var ref []string
 	for _, c := range []struct {
 		mode       string
-		e          *Engine
+		fastPath   bool
+		pure       func(*Thread, Time)
 		fast, slow int64
-	}{{"off", slowE, 0, 63}, {"on", fastE, 25, 38}} {
-		if f, s := c.e.Stats(); f != c.fast || s != c.slow {
+	}{
+		{"off", false, (*Thread).Advance, 0, 63},
+		{"on", true, (*Thread).Advance, 25, 38},
+		{"off, Delay", false, (*Thread).Delay, 0, 43},
+		{"on, Delay", true, (*Thread).Delay, 7, 36},
+	} {
+		e, trace, err := traceWorkload(c.fastPath, c.pure)
+		if err != nil {
+			t.Fatalf("fast path %s: %v", c.mode, err)
+		}
+		if f, s := e.Stats(); f != c.fast || s != c.slow {
 			t.Errorf("fast path %s: Stats() = (%d, %d), want (%d, %d)", c.mode, f, s, c.fast, c.slow)
 		}
-	}
-	if len(slow) != len(fast) {
-		t.Fatalf("trace lengths differ: slow %d, fast %d", len(slow), len(fast))
-	}
-	for i := range slow {
-		if slow[i] != fast[i] {
-			t.Fatalf("traces diverge at step %d: slow %q, fast %q", i, slow[i], fast[i])
+		if ref == nil {
+			ref = trace
+			continue
+		}
+		if strings.Join(trace, " ") != strings.Join(ref, " ") {
+			t.Fatalf("fast path %s: trace\n%v\ndiffers from fast path off's\n%v", c.mode, trace, ref)
 		}
 	}
 }

@@ -17,8 +17,9 @@
 // protocol state) needs no locking: it is only ever touched by the single
 // currently-executing thread.
 //
-// Two scheduling optimizations keep the dispatch order — and therefore
-// every simulation result — bit-for-bit identical while eliding work:
+// Three scheduling optimizations keep the order in which threads reach
+// shared state — and therefore every simulation result — bit-for-bit
+// identical while eliding work:
 //
 //   - fast path: a thread that advances its clock and remains strictly
 //     the earliest runnable thread keeps executing in place, with no
@@ -28,6 +29,11 @@
 //     thread swaps itself into that thread's heap slot and hands it to
 //     the engine loop as its successor, so the loop resumes it without
 //     a second heap operation.
+//   - deferred dispatch check: Delay advances the clock without the
+//     check, and Sync makes it before the thread's next shared action,
+//     so a thread yields only where order matters. Spawn, Unblock and
+//     thread exit sync the running thread themselves; layers above
+//     sync before touching their own shared state.
 package sim
 
 import (
@@ -163,14 +169,24 @@ func (e *Engine) Stats() (fastSteps, slowSteps int64) {
 }
 
 // Now reports the engine's current virtual time: the clock of the most
-// recently dispatched thread.
+// recently dispatched thread. It does not include the running thread's
+// pending Delay until that thread's next Sync.
 func (e *Engine) Now() Time { return e.now }
+
+// syncRunning makes the running thread's pending dispatch check (see
+// Thread.Sync) before an engine action taken on its behalf.
+func (e *Engine) syncRunning() {
+	if e.running != nil {
+		e.running.Sync()
+	}
+}
 
 // Spawn creates a new simulated thread whose body is fn, with its clock
 // initialized to the current virtual time. The thread does not run until
 // Run dispatches it. Spawn may be called before Run or from inside a
-// running thread.
+// running thread, whose pending dispatch check it makes first.
 func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
+	e.syncRunning()
 	var t *Thread
 	if n := len(e.pool); n > 0 {
 		t = e.pool[n-1]

@@ -12,15 +12,17 @@ const (
 )
 
 // Thread is a simulated thread of control with its own virtual clock.
-// All methods that consume or yield virtual time (Advance, Yield, Block)
-// must be called only from within the thread's own body function.
+// All methods that consume or yield virtual time (Advance, Delay, Sync,
+// Yield, Block) must be called only from within the thread's own body
+// function.
 type Thread struct {
-	engine *Engine
-	id     int
-	name   string
-	clock  Time
-	daemon bool
-	state  threadState
+	engine  *Engine
+	id      int
+	name    string
+	clock   Time
+	daemon  bool
+	state   threadState
+	pending bool // a Delay's dispatch check is still to be made
 
 	fn      func(*Thread) // the body; nil once it has finished
 	w       *worker       // runs the body; nil before dispatch and once done
@@ -97,7 +99,8 @@ func (t *Thread) finish() {
 }
 
 // Advance consumes d of virtual time and yields to the scheduler, so any
-// thread whose clock is now smaller runs first. d must be non-negative.
+// thread whose clock is now smaller runs first. It also makes the check
+// of any pending Delay. d must be non-negative.
 //
 // Fast path: if after advancing the thread is still strictly the
 // earliest runnable thread — the ready heap is empty, or its minimum
@@ -113,6 +116,7 @@ func (t *Thread) Advance(d Time) {
 	}
 	t.clock += d
 	t.bank(CauseUnattributed, d)
+	t.pending = false
 	e := t.engine
 	if e.fastPath && e.running == t && !e.stopping {
 		top := e.ready.peek()
@@ -144,6 +148,32 @@ func (t *Thread) Advance(d Time) {
 	t.suspend(nil)
 }
 
+// Delay consumes d of virtual time like Advance but postpones its
+// dispatch check to the thread's next Sync or Advance. Order matters
+// only where threads meet — shared state, spawn, unblock, exit — so a
+// thread whose next step is private runs on without yielding, and one
+// check before its next shared action puts it back in (clock, id)
+// order. Every shared action must therefore be preceded by a Sync;
+// Block panics while a Delay is pending. d must be non-negative.
+func (t *Thread) Delay(d Time) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative Delay(%d) by thread %q", d, t.name))
+	}
+	t.clock += d
+	t.bank(CauseUnattributed, d)
+	t.pending = true
+}
+
+// Sync makes the dispatch check a Delay postponed: with one pending it
+// is Advance(0), so every thread that orders before this one runs
+// first; otherwise, or on a stopping engine, it does nothing. Call it
+// at the start of every action on state other threads can see.
+func (t *Thread) Sync() {
+	if t.pending && !t.engine.stopping {
+		t.Advance(0)
+	}
+}
+
 // AdvanceTo advances the thread's clock to at least instant.
 func (t *Thread) AdvanceTo(instant Time) {
 	if instant > t.clock {
@@ -156,8 +186,13 @@ func (t *Thread) AdvanceTo(instant Time) {
 // Yield lets equal- or lower-clock threads run without consuming time.
 func (t *Thread) Yield() { t.Advance(0) }
 
-// Block parks the thread until another thread calls Unblock on it.
+// Block parks the thread until another thread calls Unblock on it. It
+// panics while a Delay is pending: blocking publishes the thread's
+// state, so a Sync must come first.
 func (t *Thread) Block() {
+	if t.pending {
+		panic(fmt.Sprintf("sim: thread %q blocks with a Delay pending (missing Sync)", t.name))
+	}
 	t.state = stateBlocked
 	t.suspend(nil)
 }
@@ -166,8 +201,10 @@ func (t *Thread) Block() {
 // to at least wake (a blocked thread cannot resume before the event that
 // woke it). The clock jump is attributed to CauseSync — it is time the
 // thread spent blocked. Unblocking a thread that is not blocked is a
-// no-op and reports false.
+// no-op and reports false. Called from a running thread, it first makes
+// that thread's pending dispatch check (see Sync).
 func (t *Thread) Unblock(wake Time) bool {
+	t.engine.syncRunning()
 	if t.state != stateBlocked {
 		return false
 	}

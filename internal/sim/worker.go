@@ -75,11 +75,15 @@ func (w *worker) loop(yield func(*Thread) bool) {
 }
 
 // run runs w.t's body, unless its engine is already shutting down;
-// Thread.finish recovers what the body panics.
+// Thread.finish recovers what the body panics. Exiting is a shared
+// action — the last live thread's exit ends Run, and Engine.Now must
+// include the final clock — so a body that returns with a Delay
+// pending makes its check first, as its last Advance would have.
 func (w *worker) run() {
 	t := w.t
 	defer t.finish()
 	if !t.engine.stopping {
 		t.fn(t)
+		t.Sync()
 	}
 }
