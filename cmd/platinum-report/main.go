@@ -3,7 +3,8 @@
 // management report (§4.2): per-Cpage fault counts, fault-handler
 // contention, replication/migration/freeze activity, and ATC hit rates.
 // This is the instrumentation that let the paper's authors diagnose the
-// frozen-pivot-page anomaly.
+// frozen-pivot-page anomaly. A run whose result is wrong (a gauss
+// checksum off the reference, an unsorted mergesort) exits 1.
 //
 // With -json the same data is emitted as one structured document
 // (metrics.Report, schema_version 1): the machine-wide and per-node
@@ -12,18 +13,27 @@
 // the field-by-field schema.
 //
 // With -spans the run also records causal spans (internal/span) and
-// writes them as Chrome trace-event JSON, loadable in Perfetto or
-// chrome://tracing; see cmd/platinum-trace for a dedicated exporter.
+// writes them as Chrome trace-event JSON, loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing: one track per simulated
+// processor plus an async track per coherent page, each span carrying
+// its page, protocol state, directory mask and cost cause. Before the
+// export the recording is validated, and a violation exits 1: spans
+// must nest (children within parents, no partial overlap on a track)
+// and per-cause span durations must reconcile exactly with the
+// engine's Account totals. With -series the export also carries
+// Perfetto counter tracks; with -text the file gets an indented text
+// tree instead.
 //
 // Usage:
 //
 //	platinum-report [-app gauss|mergesort|backprop|anecdote] [-procs n]
 //	                [-n size] [-top k] [-json]
 //	                [-trace n] [-timeline file.jsonl] [-bucket d]
-//	                [-spans file.json]
+//	                [-spans file [-text]] [-hist] [-series d]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,10 +41,12 @@ import (
 	"time"
 
 	"platinum/internal/apps"
+	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
 	"platinum/internal/span"
+	"platinum/internal/timeseries"
 	trc "platinum/internal/trace"
 )
 
@@ -49,13 +61,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	app := fs.String("app", "gauss", "application: gauss, mergesort, backprop, anecdote")
 	procs := fs.Int("procs", 8, "processors to use")
-	size := fs.Int("n", 240, "problem size (matrix dim / words / epochs)")
+	size := fs.Int("n", 240, "problem size (gauss matrix dim / mergesort words / backprop epochs)")
 	top := fs.Int("top", 20, "show the k busiest pages")
 	jsonOut := fs.Bool("json", false, "emit the structured metrics report as JSON")
 	trace := fs.Int("trace", 0, "record up to this many protocol events and print a summary")
 	timeline := fs.String("timeline", "", "write a per-node timeline as JSON Lines to this file (requires -trace)")
 	bucket := fs.Duration("bucket", time.Millisecond, "timeline bucket width (virtual time)")
-	spans := fs.String("spans", "", "record causal spans and write Chrome trace-event JSON to this file")
+	spans := fs.String("spans", "", "record causal spans, validate them and write Chrome trace-event JSON to this file")
+	text := fs.Bool("text", false, "write the -spans file as an indented text tree instead of Chrome JSON")
 	histOn := fs.Bool("hist", false, "record latency histograms (per-cause charges and whole operations) and print percentile tables")
 	series := fs.Duration("series", 0, "record windowed rate curves over simulated time with this window width (0 disables)")
 	if err := fs.Parse(args); err != nil {
@@ -63,6 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var bad string
 	switch {
+	case *size <= 0:
+		bad = fmt.Sprintf("-n %d: must be positive", *size)
 	case *top < 0:
 		bad = fmt.Sprintf("-top %d: must not be negative", *top)
 	case *trace < 0:
@@ -73,6 +88,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = fmt.Sprintf("-bucket %v: must be positive", *bucket)
 	case *timeline != "" && *trace == 0:
 		bad = "-timeline needs -trace to record the events it buckets"
+	case *text && *spans == "":
+		bad = "-text needs -spans to name the file it writes"
+	case *app == "anecdote" && (*trace > 0 || *spans != "" || *histOn || *series > 0):
+		bad = "-app anecdote boots its own kernel, which -trace, -spans, -hist and -series cannot record"
 	}
 	if bad != "" {
 		fmt.Fprintln(stderr, "platinum-report:", bad)
@@ -86,25 +105,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Acquire the platform through the pool: repeated in-process runs
 	// (the determinism A/B tests, future batch drivers) reuse one reset
 	// kernel instead of booting a fresh one. The key carries every
-	// setting that changes the kernel's instrumentation state.
+	// setting that changes the kernel's instrumentation state. The
+	// anecdote boots its own kernel and takes none, so pl stays nil.
 	poolKey := fmt.Sprintf("platinum-report:trace=%d spans=%t hist=%t series=%v",
 		*trace, *spans != "", *histOn, *series)
-	pl, err := apps.AcquirePlatform(poolKey, kernel.DefaultConfig())
-	if err != nil {
-		return fail(err)
-	}
-	if *trace > 0 {
-		pl.K.EnableTrace(*trace)
-	}
-	if *spans != "" {
-		if *app == "anecdote" {
-			return fail(fmt.Errorf("-spans is not supported with -app anecdote (it boots its own kernel)"))
+	var pl *apps.PlatinumPlatform
+	if *app != "anecdote" {
+		var err error
+		if pl, err = apps.AcquirePlatform(poolKey, kernel.DefaultConfig()); err != nil {
+			return fail(err)
 		}
-		pl.K.EnableSpans(0)
-	}
-	if *histOn || *series > 0 {
-		if *app == "anecdote" {
-			return fail(fmt.Errorf("-hist/-series are not supported with -app anecdote (it boots its own kernel)"))
+		if *trace > 0 {
+			pl.K.EnableTrace(*trace)
+		}
+		if *spans != "" {
+			pl.K.EnableSpans(0)
 		}
 		if *histOn {
 			pl.K.EnableHistograms()
@@ -116,6 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var elapsed sim.Time
 	var header string
+	var accounts []sim.Account
+	var report core.Report
 	switch *app {
 	case "gauss":
 		cfg := apps.DefaultGaussConfig(*size, *procs)
@@ -124,26 +141,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		want := apps.GaussReferenceChecksum(cfg)
+		if r.Checksum != want {
+			return fail(fmt.Errorf("gauss checksum %#x differs from the reference %#x", r.Checksum, want))
+		}
 		elapsed = r.Elapsed
 		header = fmt.Sprintf("gauss %dx%d on %d procs: %v (checksum %#x, reference %#x)",
 			*size, *size, *procs, r.Elapsed, r.Checksum, want)
 	case "mergesort":
 		cfg := apps.DefaultMergeSortConfig(*procs)
-		if *size > 0 {
-			cfg.Words = *size
-		}
+		cfg.Words = *size
 		r, err := apps.RunMergeSort(pl, cfg)
 		if err != nil {
 			return fail(err)
+		}
+		if !r.Sorted {
+			return fail(errors.New("mergesort output is not sorted"))
 		}
 		elapsed = r.Elapsed
 		header = fmt.Sprintf("mergesort %d words on %d procs: %v (sorted=%v)",
 			cfg.Words, *procs, r.Elapsed, r.Sorted)
 	case "backprop":
 		cfg := apps.DefaultBackpropConfig(*procs)
-		if *size > 0 && *size < 1000 {
-			cfg.Epochs = *size
-		}
+		cfg.Epochs = *size
 		r, err := apps.RunBackprop(pl, cfg)
 		if err != nil {
 			return fail(err)
@@ -152,32 +171,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		header = fmt.Sprintf("backprop %d epochs on %d procs: %v (SSE %.3f -> %.3f)",
 			cfg.Epochs, *procs, r.Elapsed, r.InitialSSE, r.FinalSSE)
 	case "anecdote":
-		cfg := apps.DefaultAnecdoteConfig(*procs)
-		r, err := apps.RunAnecdote(cfg)
+		r, err := apps.RunAnecdote(apps.DefaultAnecdoteConfig(*procs))
 		if err != nil {
 			return fail(err)
 		}
-		if err := metrics.CheckConservation(r.Accounts); err != nil {
-			return fail(err)
-		}
-		if *jsonOut {
-			// The anecdote boots its own kernel; report on that one.
-			mr := metrics.BuildReport("anecdote", *procs, r.Elapsed, r.Accounts, r.Report)
-			if err := metrics.WriteJSON(stdout, mr); err != nil {
-				return fail(err)
-			}
-			apps.ReleasePlatform(poolKey, pl)
-			return 0
-		}
-		fmt.Fprintf(stdout, "anecdote on %d procs: %v (size page frozen: %v)\n",
+		elapsed, accounts, report = r.Elapsed, r.Accounts, r.Report
+		header = fmt.Sprintf("anecdote on %d procs: %v (size page frozen: %v)",
 			*procs, r.Elapsed, r.SizeFrozen)
-		fmt.Fprintln(stdout, "(anecdote boots its own kernel; report below is for the unused default kernel)")
-		elapsed = r.Elapsed
 	default:
 		return fail(fmt.Errorf("unknown app %q", *app))
 	}
+	if pl != nil {
+		accounts, report = pl.K.NodeAccounts(), pl.K.Report()
+	}
+	var total sim.Account
+	for i := range accounts {
+		total.Add(&accounts[i])
+	}
 
-	accounts := pl.K.NodeAccounts()
 	if err := metrics.CheckConservation(accounts); err != nil {
 		return fail(err)
 	}
@@ -188,7 +199,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	report := pl.K.Report()
+	var recorded []span.Span
+	if *spans != "" {
+		rec := pl.K.Spans()
+		recorded = rec.Spans()
+		if rec.Dropped() > 0 {
+			fmt.Fprintf(stderr, "platinum-report: warning: %d spans dropped (retention cap); validation and export are partial\n",
+				rec.Dropped())
+		}
+		if err := span.ValidateNesting(recorded); err != nil {
+			return fail(err)
+		}
+		if err := span.Reconcile(recorded, total); err != nil {
+			return fail(err)
+		}
+	}
 	var hsec *metrics.Histograms
 	var ssec *metrics.SeriesMetrics
 	if *histOn || *series > 0 {
@@ -206,17 +231,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		if header != "" {
-			fmt.Fprintln(stdout, header)
-			fmt.Fprintln(stdout)
-		}
+		fmt.Fprintln(stdout, header)
+		fmt.Fprintln(stdout)
 		if *top > 0 && len(report.Pages) > *top {
 			report.Pages = report.Pages[:*top]
 		}
 		if _, err := report.WriteTo(stdout); err != nil {
 			return fail(err)
 		}
-		writeBreakdown(stdout, pl.K.TotalAccount())
+		writeBreakdown(stdout, total)
 		// ATC summary.
 		var hits, misses int64
 		for _, a := range report.ATC {
@@ -236,22 +259,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *spans != "" {
-		rec := pl.K.Spans()
-		all := rec.Spans()
 		f, err := os.Create(*spans)
 		if err != nil {
 			return fail(err)
 		}
-		if err := span.WriteChrome(f, all); err != nil {
-			f.Close()
-			return fail(err)
+		if *text {
+			_, err = span.Format(f, recorded)
+		} else {
+			err = span.WriteChromeWith(f, recorded, counterTracks(pl.K.CauseSeries(), pl.K.Spans().CountSeries()))
 		}
-		if err := f.Close(); err != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return fail(err)
 		}
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "\nspans: %d recorded (%d dropped) -> %s\n",
-				len(all), rec.Dropped(), *spans)
+			fmt.Fprintf(stdout, "\nspans: %d recorded (%d dropped), nest and reconcile exactly -> %s\n",
+				len(recorded), pl.K.Spans().Dropped(), *spans)
 		}
 	}
 
@@ -365,4 +390,55 @@ func writeBreakdown(w io.Writer, a sim.Account) {
 		}
 		fmt.Fprintf(w, "  %-15v %14v %6.1f%%\n", c, a[c], 100*float64(a[c])/float64(total))
 	}
+}
+
+// counterTracks turns the windowed telemetry series into Perfetto
+// counter tracks: operation rates per window from the span recorder's
+// count series, and the remote-access and fault+shootdown time
+// fractions per window from the engine's cause series. One point per
+// window across the full retained range (zeros included) so the curves
+// return to baseline between bursts.
+func counterTracks(cause, counts *timeseries.Series) []span.CounterTrack {
+	var tracks []span.CounterTrack
+	if counts != nil && !counts.Empty() {
+		cols := []struct {
+			col  int
+			name string
+		}{
+			{span.CountFault, "faults/window"},
+			{span.CountShootdown, "shootdowns/window"},
+			{span.CountBlockTransfer, "block-transfers/window"},
+			{span.CountFreeze, "freezes/window"},
+			{span.CountThaw, "thaws/window"},
+		}
+		for _, c := range cols {
+			tr := span.CounterTrack{Name: c.name}
+			for w := counts.LoWindow(); w <= counts.HiWindow(); w++ {
+				tr.Points = append(tr.Points, span.CounterPoint{
+					Ts: counts.WindowStart(w), Value: float64(counts.At(w, c.col)),
+				})
+			}
+			tracks = append(tracks, tr)
+		}
+	}
+	if cause != nil && !cause.Empty() {
+		remote := span.CounterTrack{Name: "remote-frac"}
+		fault := span.CounterTrack{Name: "fault-frac"}
+		for w := cause.LoWindow(); w <= cause.HiWindow(); w++ {
+			var total int64
+			for c := sim.Cause(0); c < sim.NumCauses; c++ {
+				total += cause.At(w, int(c))
+			}
+			rf, ff := 0.0, 0.0
+			if total > 0 {
+				rf = float64(cause.At(w, int(sim.CauseRemoteAccess))) / float64(total)
+				ff = float64(cause.At(w, int(sim.CauseFault))+cause.At(w, int(sim.CauseShootdown))) / float64(total)
+			}
+			ts := cause.WindowStart(w)
+			remote.Points = append(remote.Points, span.CounterPoint{Ts: ts, Value: rf})
+			fault.Points = append(fault.Points, span.CounterPoint{Ts: ts, Value: ff})
+		}
+		tracks = append(tracks, remote, fault)
+	}
+	return tracks
 }

@@ -163,6 +163,106 @@ func TestSpansGolden(t *testing.T) {
 	checkGolden(t, "gauss_spans.golden.json", got)
 }
 
+// chromeDoc is the part of a Chrome trace-event document the tests read.
+type chromeDoc struct {
+	TraceEvents []struct {
+		Ph   string         `json:"ph"`
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	} `json:"traceEvents"`
+}
+
+// spansFile runs the CLI with args plus "-spans FILE" and returns the
+// exported file.
+func spansFile(t *testing.T, args ...string) []byte {
+	t.Helper()
+	f := filepath.Join(t.TempDir(), "spans")
+	if _, code := runCmd(t, append(args, "-spans", f)...); code != 0 {
+		t.Fatalf("%v: exit code %d", args, code)
+	}
+	got, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestValidateApps exports the spans of each application: the export
+// succeeds only if they nest and reconcile exactly with the accounts,
+// and the report says so.
+func TestValidateApps(t *testing.T) {
+	for _, app := range []string{"gauss", "mergesort", "backprop"} {
+		f := filepath.Join(t.TempDir(), "spans.json")
+		out, code := runCmd(t, "-app", app, "-n", "32", "-procs", "4", "-spans", f)
+		if code != 0 {
+			t.Fatalf("%s: exit code %d", app, code)
+		}
+		if !strings.Contains(out, "nest and reconcile exactly") {
+			t.Errorf("%s: report does not confirm the validation:\n%s", app, out)
+		}
+	}
+}
+
+func TestChromeExportParses(t *testing.T) {
+	var doc chromeDoc
+	if err := json.Unmarshal(spansFile(t, "-app", "gauss", "-n", "16", "-procs", "2"), &doc); err != nil {
+		t.Fatalf("export is not valid Chrome trace JSON: %v", err)
+	}
+	var complete, meta, async int
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "X":
+			complete++
+		case "M":
+			meta++
+		case "b", "e":
+			async++
+		}
+	}
+	if complete == 0 || meta == 0 || async == 0 {
+		t.Errorf("export missing event phases: X=%d M=%d b/e=%d", complete, meta, async)
+	}
+}
+
+func TestTextDump(t *testing.T) {
+	out := string(spansFile(t, "-app", "gauss", "-n", "16", "-procs", "2", "-text"))
+	for _, want := range []string{"fault", "dir-lookup", "block-transfer", "page="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("text dump missing %q:\n%.2000s", want, out)
+		}
+	}
+}
+
+// TestCountersGolden pins the counter tracks that -series adds to the
+// -spans export byte for byte, and checks that a second run
+// reproduces them.
+func TestCountersGolden(t *testing.T) {
+	args := []string{"-app", "gauss", "-n", "16", "-procs", "2", "-series", "1ms"}
+	raw := spansFile(t, args...)
+	var doc chromeDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("export is not valid Chrome trace JSON: %v", err)
+	}
+	names := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "C" {
+			names[ev.Name]++
+			if _, ok := ev.Args["value"]; !ok {
+				t.Fatalf("counter event %q has no value arg", ev.Name)
+			}
+		}
+	}
+	for _, want := range []string{"faults/window", "remote-frac", "fault-frac"} {
+		if names[want] == 0 {
+			t.Errorf("no counter events for track %q (have %v)", want, names)
+		}
+	}
+	checkGolden(t, "gauss_counters.golden.json", raw)
+	if again := spansFile(t, args...); !bytes.Equal(raw, again) {
+		t.Error("two identical -series -spans runs produced different exports")
+	}
+}
+
 // TestPoolingOutputIdentical is the end-to-end pooled-vs-reference
 // gate: for gauss and mergesort, every output mode (-json report,
 // -trace timeline, -spans Chrome trace) must be byte-identical between
@@ -228,17 +328,30 @@ func TestPoolingOutputIdentical(t *testing.T) {
 	}
 }
 
+// TestAnecdoteReportGolden pins the report of the kernel the anecdote
+// boots for itself: the frozen size+lock page heads the page table.
+func TestAnecdoteReportGolden(t *testing.T) {
+	out, code := runCmd(t, "-app", "anecdote", "-procs", "6", "-top", "3")
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	checkGolden(t, "anecdote_report.golden.txt", []byte(out))
+}
+
+// The anecdote boots its own kernel, so the recording flags, which
+// instrument the pooled platform, are rejected before anything boots.
+
 func TestSpansRejectsAnecdote(t *testing.T) {
 	_, code := runCmd(t, "-app", "anecdote", "-spans", filepath.Join(t.TempDir(), "x.json"))
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 }
 
 func TestHistRejectsAnecdote(t *testing.T) {
 	_, code := runCmd(t, "-app", "anecdote", "-hist")
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 }
 
@@ -249,9 +362,46 @@ func TestUnknownAppFails(t *testing.T) {
 	}
 }
 
+// TestSpansUnknownAppFails checks that an unknown app fails a -spans
+// run before the export file is created.
+func TestSpansUnknownAppFails(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "spans.json")
+	_, code := runCmd(t, "-app", "nosuch", "-spans", f)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	if _, err := os.Stat(f); !os.IsNotExist(err) {
+		t.Fatalf("spans file exists after a failed run (stat: %v)", err)
+	}
+}
+
+// TestSpansBadFlagsExitTwo checks that a -spans run with a flag value
+// the export cannot use exits 2 with one "platinum-report:" line,
+// before anything runs or the export file is created.
+func TestSpansBadFlagsExitTwo(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "spans.json")
+	for _, args := range [][]string{
+		{"-spans", f, "-series", "-1ms"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		lines := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n")
+		if code != 2 || len(lines) != 1 || !strings.HasPrefix(lines[0], "platinum-report: ") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one platinum-report: line", args, code, errb.String())
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: wrote to stdout:\n%s", args, out.String())
+		}
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("%v: spans file exists after a rejected run (stat: %v)", args, err)
+		}
+	}
+}
+
 // TestBadFlagsExitTwo checks every flag value that cannot describe a
 // report: exit 2 with one "platinum-report:" line on stderr, before
 // anything runs, so nothing reaches stdout and no file is written.
+// The timeline path doubles as the -spans target of the anecdote row.
 func TestBadFlagsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "timeline.jsonl")
@@ -262,6 +412,15 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-trace", "100", "-timeline", tl, "-bucket", "0"},
 		{"-trace", "100", "-timeline", tl, "-bucket", "-1ms"},
 		{"-timeline", tl},
+		{"-n", "0"},
+		{"-app", "gauss", "-n", "-5"},
+		{"-app", "mergesort", "-n", "0"},
+		{"-app", "backprop", "-n", "-1"},
+		{"-text"},
+		{"-app", "anecdote", "-trace", "100"},
+		{"-app", "anecdote", "-spans", tl},
+		{"-app", "anecdote", "-hist"},
+		{"-app", "anecdote", "-series", "1ms"},
 	} {
 		var out, errb bytes.Buffer
 		code := run(args, &out, &errb)

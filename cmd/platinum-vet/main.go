@@ -16,7 +16,6 @@
 // Flags:
 //
 //	-json          emit the result as JSON (internal/analysis.Result)
-//	-sarif         emit the result as SARIF 2.1.0 (for code scanning)
 //	-list          print the registered analyzers (name and doc) and exit
 //	-srcroot dir   load packages from a GOPATH-style source tree rooted
 //	               at dir instead of the enclosing module (used by the
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("platinum-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	srcroot := fs.String("srcroot", "", "load packages from this GOPATH-style source root instead of the module")
 	if err := fs.Parse(args); err != nil {
@@ -91,22 +89,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.RelativeTo(wd)
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
 			return 2
 		}
-	case *sarifOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.ToSARIF(res, analyzers)); err != nil {
-			fmt.Fprintf(stderr, "platinum-vet: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		printText(stdout, res, len(pkgs))
 	}
 	if res.Failed() {

@@ -63,46 +63,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestSARIFOutput(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-srcroot", fixtures, "-sarif", "suppress"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", code, errb.String())
-	}
-	var log analysis.SARIFLog
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("output is not valid SARIF JSON: %v\n%s", err, out.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("SARIF version %q with %d runs, want 2.1.0 and one run", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	// platinum/lint plus one rule per registered analyzer.
-	if got, want := len(run.Tool.Driver.Rules), len(analysis.All())+1; got != want {
-		t.Errorf("SARIF rules = %d, want %d", got, want)
-	}
-	var suppressed, lint int
-	for _, r := range run.Results {
-		if len(r.Suppressions) > 0 {
-			suppressed++
-		}
-		if r.RuleID == "platinum/lint" {
-			lint++
-		}
-		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if strings.HasPrefix(uri, "/") {
-			t.Errorf("artifact URI %q is absolute; code scanning needs repo-relative paths", uri)
-		}
-	}
-	if suppressed != 2 {
-		t.Errorf("SARIF suppressed results = %d, want 2", suppressed)
-	}
-	// The same four bad ignores as TestJSONOutput.
-	if lint != 4 {
-		t.Errorf("SARIF platinum/lint results = %d, want 4", lint)
-	}
-}
-
 func TestListMatchesRegistry(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-list"}, &out, &out); code != 0 {

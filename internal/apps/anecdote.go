@@ -61,6 +61,9 @@ func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
 	if err != nil {
 		return AnecdoteResult{}, err
 	}
+	if cfg.Threads > k.Nodes() {
+		return AnecdoteResult{}, fmt.Errorf("apps: %d processors requested, machine has %d", cfg.Threads, k.Nodes())
+	}
 	sp := k.NewSpace()
 
 	var sizeVA, lockVA int64

@@ -402,6 +402,14 @@ func TestAnecdoteRequiresTwoThreads(t *testing.T) {
 	}
 }
 
+// TestAnecdoteRejectsTooManyThreads: one thread per processor, so a
+// count past the machine fails cleanly instead of panicking in Spawn.
+func TestAnecdoteRejectsTooManyThreads(t *testing.T) {
+	if _, err := RunAnecdote(DefaultAnecdoteConfig(17)); err == nil {
+		t.Fatal("17-thread anecdote accepted on a 16-processor machine")
+	}
+}
+
 func TestMergeSortRejectsTinyInput(t *testing.T) {
 	cfg := DefaultMergeSortConfig(8)
 	cfg.Words = 4

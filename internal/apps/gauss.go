@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"strconv"
 
 	"platinum/internal/baseline"
 	"platinum/internal/core"
@@ -162,7 +163,7 @@ func runGaussShared(pl *PlatinumPlatform, cfg GaussConfig, scatter bool) (GaussR
 	var out []uint32
 	for i := 0; i < p; i++ {
 		i := i
-		pl.K.Spawn(fmt.Sprintf("gauss-%d", i), i, pl.Sp, func(t *kernel.Thread) {
+		pl.K.Spawn("gauss-"+strconv.Itoa(i), i, pl.Sp, func(t *kernel.Thread) {
 			// Distribute owned rows (first touch places them locally
 			// unless the matrix was statically scattered).
 			for j := i; j < n; j += p {

@@ -62,10 +62,12 @@ func TestParallelismTableIdentical(t *testing.T) {
 	}
 }
 
-// TestForEachOrderAndErrors checks the worker pool runs every job and
-// reports the lowest-index error regardless of completion order.
+// TestForEachOrderAndErrors checks the worker pool runs every job,
+// counts each in Options.Progress, and reports the lowest-index error
+// regardless of completion order.
 func TestForEachOrderAndErrors(t *testing.T) {
-	o := Options{Parallelism: 4}
+	progress := &Progress{}
+	o := Options{Parallelism: 4, Progress: progress}
 	ran := make([]bool, 100)
 	if err := forEach(o, len(ran), func(i int) error { ran[i] = true; return nil }); err != nil {
 		t.Fatalf("forEach: %v", err)
@@ -74,6 +76,9 @@ func TestForEachOrderAndErrors(t *testing.T) {
 		if !r {
 			t.Fatalf("job %d never ran", i)
 		}
+	}
+	if got := progress.Snapshot().RunsDone; got != int64(len(ran)) {
+		t.Errorf("Progress counted %d finished runs, want %d", got, len(ran))
 	}
 
 	first := forEach(o, 10, func(i int) error {

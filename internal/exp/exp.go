@@ -10,6 +10,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,9 +37,9 @@ type Options struct {
 	// TOPOLOGY.md). Nil for the built-in machines.
 	Topology *mach.Topology
 
-	// Progress, when non-nil, receives live run counts from forEach as
-	// a sweep executes (see cmd/platinum-bench -status). Purely
-	// observational: results are identical with or without it.
+	// Progress, when non-nil, counts the runs forEach finishes (bench/
+	// reports the count as exp.sim_runs). Purely observational: results
+	// are identical with or without it.
 	Progress *Progress
 }
 
@@ -57,7 +58,6 @@ func (o Options) parallelism() int {
 // fails; the lowest-index error is returned, so failures are
 // deterministic too.
 func forEach(o Options, n int, job func(i int) error) error {
-	o.Progress.AddRuns(n)
 	workers := o.parallelism()
 	if workers > n {
 		workers = n
@@ -194,6 +194,9 @@ func procSweep(o Options) []int {
 	return []int{1, 2, 3, 4, 6, 8, 10, 12, 14, 16}
 }
 
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
-func itoa(v int) string   { return fmt.Sprintf("%d", v) }
+// The table helpers format with strconv rather than fmt, as
+// sim.Time.String does, so that a run's allocation count does not
+// depend on when a collection empties fmt's printer pool.
+func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+func itoa(v int) string   { return strconv.Itoa(v) }

@@ -73,7 +73,7 @@ func runGaussAt(o Options, procs int, variant string, srcSel core.SourceSelectio
 	// The pool key encodes every kernel-config parameter this function
 	// varies; procs and problem size select work on the machine, not the
 	// machine's shape.
-	key := fmt.Sprintf("gauss:%s:pw=%d:src=%d", variant, pw, srcSel)
+	key := "gauss:" + variant + ":pw=" + itoa(pw) + ":src=" + itoa(int(srcSel))
 	pl, err := apps.AcquirePlatform(key, kcfg)
 	if err != nil {
 		return 0, sim.Account{}, err
@@ -119,7 +119,7 @@ func runFig1(o Options) (*Table, error) {
 	n, pw := gaussSize(o)
 	t := &Table{
 		ID:     "fig1",
-		Title:  fmt.Sprintf("Gaussian elimination speedup, %dx%d (integer), %d-word pages", n, n, pw),
+		Title:  "Gaussian elimination speedup, " + itoa(n) + "x" + itoa(n) + " (integer), " + itoa(pw) + "-word pages",
 		Header: []string{"procs", "elapsed", "speedup", "remote-frac", "fault-frac"},
 		Notes: []string{
 			"paper (800x800, 16 procs): speedup 13.5",

@@ -1,102 +1,32 @@
 package exp
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Progress is a live, concurrency-safe view of a sweep in flight: how
-// many independent simulation runs the harness has scheduled and
-// finished, and which experiment is currently executing. A driver (see
-// cmd/platinum-bench -status) hands one in via Options.Progress and
-// reads snapshots from another goroutine while forEach's workers
-// update it; experiments themselves never touch it directly.
-//
-// All methods are nil-receiver safe, so the harness can report
-// unconditionally whether or not a driver asked for progress. Counters
-// are atomics — updates happen on the worker goroutines under -j — and
-// purely observational: the simulations' results are identical with or
-// without a Progress attached.
+// Progress counts the simulation runs a sweep has finished. A driver
+// hands one in via Options.Progress and reads it with Snapshot;
+// forEach's workers update it, concurrently under -j, and experiments
+// themselves never touch it. It is purely observational: results are
+// identical with or without it, and a nil *Progress counts nothing.
 type Progress struct {
-	runsTotal atomic.Int64
-	runsDone  atomic.Int64
-	expTotal  atomic.Int64
-	expDone   atomic.Int64
-
-	mu      sync.Mutex
-	current string
+	runsDone atomic.Int64
 }
 
-// ProgressSnapshot is one consistent-enough read of a Progress: the
-// counters are loaded individually, so a snapshot taken mid-update may
-// be momentarily ahead or behind by a run — fine for monitoring, not
-// for invariants.
+// ProgressSnapshot is one read of a Progress.
 type ProgressSnapshot struct {
-	RunsTotal        int64
-	RunsDone         int64
-	ExperimentsTotal int64
-	ExperimentsDone  int64
-	Current          string // experiment id now running, "" between experiments
-}
-
-// SetTotalExperiments records how many experiments the sweep will run.
-func (p *Progress) SetTotalExperiments(n int) {
-	if p == nil {
-		return
-	}
-	p.expTotal.Store(int64(n))
-}
-
-// BeginExperiment marks an experiment as the one currently running.
-func (p *Progress) BeginExperiment(id string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.current = id
-	p.mu.Unlock()
-}
-
-// EndExperiment marks the current experiment finished.
-func (p *Progress) EndExperiment() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.current = ""
-	p.mu.Unlock()
-	p.expDone.Add(1)
-}
-
-// AddRuns announces n more independent simulation runs to come.
-func (p *Progress) AddRuns(n int) {
-	if p == nil {
-		return
-	}
-	p.runsTotal.Add(int64(n))
+	RunsDone int64
 }
 
 // RunDone marks one simulation run finished.
 func (p *Progress) RunDone() {
-	if p == nil {
-		return
+	if p != nil {
+		p.runsDone.Add(1)
 	}
-	p.runsDone.Add(1)
 }
 
-// Snapshot returns the current counters and experiment id.
+// Snapshot returns the current count.
 func (p *Progress) Snapshot() ProgressSnapshot {
 	if p == nil {
 		return ProgressSnapshot{}
 	}
-	p.mu.Lock()
-	cur := p.current
-	p.mu.Unlock()
-	return ProgressSnapshot{
-		RunsTotal:        p.runsTotal.Load(),
-		RunsDone:         p.runsDone.Load(),
-		ExperimentsTotal: p.expTotal.Load(),
-		ExperimentsDone:  p.expDone.Load(),
-		Current:          cur,
-	}
+	return ProgressSnapshot{RunsDone: p.runsDone.Load()}
 }

@@ -39,6 +39,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"platinum/internal/hist"
 	"platinum/internal/timeseries"
@@ -59,14 +60,24 @@ const (
 func (t Time) String() string {
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%.3fs", float64(t)/float64(Second))
+		return fixed3(float64(t)/float64(Second), "s")
 	case t >= Millisecond:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+		return fixed3(float64(t)/float64(Millisecond), "ms")
 	case t >= Microsecond:
-		return fmt.Sprintf("%.3fµs", float64(t)/float64(Microsecond))
+		return fixed3(float64(t)/float64(Microsecond), "µs")
 	default:
-		return fmt.Sprintf("%dns", int64(t))
+		return strconv.FormatInt(int64(t), 10) + "ns"
 	}
+}
+
+// fixed3 formats v with three decimals followed by unit, in one
+// allocation. It uses strconv rather than fmt, whose printers come from
+// a sync.Pool that the collector empties: a run that formats times
+// would otherwise allocate more or less depending on when a collection
+// landed in it.
+func fixed3(v float64, unit string) string {
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], v, 'f', 3, 64), unit...))
 }
 
 // Seconds reports t as a floating-point number of seconds.

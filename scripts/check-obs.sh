@@ -9,11 +9,8 @@
 #      retained spans, and the cause series against the total account —
 #      exactly, not approximately.
 #   2. Telemetry CLI surfaces: platinum-report -hist/-series emit valid
-#      JSON with schema_version 2, and platinum-trace -counters emits a
-#      Chrome trace whose JSON parses.
-#   3. Live monitor smoke: platinum-bench -status serves its JSON and
-#      Prometheus endpoints during a -j 4 sweep (exercised through the
-#      command's own test, which hits the live endpoint mid-run).
+#      JSON with schema_version 2, and -series -spans emits a validated
+#      Chrome trace with counter tracks whose JSON parses.
 #
 # Run from the repository root: ./scripts/check-obs.sh
 set -eu
@@ -41,12 +38,13 @@ grep -q '"series"' "$TMP/report.json" || {
 	exit 1
 }
 
-echo "check-obs: platinum-trace -counters Chrome export"
-go run ./cmd/platinum-trace -app gauss -n 32 -procs 4 \
-	-counters 1ms -o "$TMP/counters.json"
+echo "check-obs: platinum-report -series -spans counter-track export"
+go run ./cmd/platinum-report -app gauss -n 32 -procs 4 \
+	-series 1ms -spans "$TMP/counters.json" >/dev/null
 go run ./scripts/jsoncheck "$TMP/counters.json"
-
-echo "check-obs: platinum-bench -status live-endpoint smoke (-j 4)"
-go test -run 'TestStatusEndpoint' ./cmd/platinum-bench
+grep -q '"ph": "C"' "$TMP/counters.json" || {
+	echo "check-obs: span export carries no counter tracks" >&2
+	exit 1
+}
 
 echo "check-obs: OK"

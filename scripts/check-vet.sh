@@ -7,15 +7,12 @@
 #      almost all type-checking; the five single-pass analyzers add
 #      little. The suppression summary it prints keeps //lint:ignore
 #      use visible.
-#   2. The same run is repeated with -sarif into $PLATINUM_VET_SARIF
-#      (default platinum-vet.sarif) so the CI vet job can upload the
-#      report for code-scanning annotation.
-#   3. platinum-vet over known-bad fixture packages must FAIL (exit 1)
+#   2. platinum-vet over known-bad fixture packages must FAIL (exit 1)
 #      with file:line findings — a self-test that the gate can actually
 #      reject code, so a loader regression cannot silently turn the
 #      suite into a no-op: chargecause (attribution), nodeterminism on
 #      a fixture at an internal/ path (determinism), and atomicsafe.
-#   4. With PLATINUM_VET_TOOLS=1 (set in CI, where the module proxy is
+#   3. With PLATINUM_VET_TOOLS=1 (set in CI, where the module proxy is
 #      reachable), staticcheck and govulncheck also run, pinned by
 #      version through `go run` so the tools are fetched reproducibly
 #      and nothing needs a global install. Offline runs skip them.
@@ -26,7 +23,6 @@ set -eu
 STATICCHECK_VERSION=2025.1
 GOVULNCHECK_VERSION=v1.1.4
 VET_BUDGET_SECONDS=30
-SARIF_OUT=${PLATINUM_VET_SARIF:-platinum-vet.sarif}
 
 # Build once so the budget below times the analysis, not the toolchain.
 go build -o /tmp/platinum-vet.bin ./cmd/platinum-vet
@@ -40,13 +36,6 @@ if [ "$vet_elapsed" -gt "$VET_BUDGET_SECONDS" ]; then
 	echo "check-vet: full-tree run exceeded the ${VET_BUDGET_SECONDS}s budget"
 	exit 1
 fi
-
-echo "== platinum-vet -sarif -> $SARIF_OUT"
-/tmp/platinum-vet.bin -sarif ./... >"$SARIF_OUT"
-grep -q '"2.1.0"' "$SARIF_OUT" || {
-	echo "check-vet: $SARIF_OUT does not look like SARIF 2.1.0"
-	exit 1
-}
 
 # negative <package> <grep pattern>: the fixture run must exit nonzero
 # and print a finding matching the pattern.
