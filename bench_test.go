@@ -381,11 +381,11 @@ func BenchmarkColocateOptions(b *testing.B) {
 	})
 }
 
-// BenchmarkVetFullTree runs the complete platinum-vet analyzer suite —
-// loading, type-checking, the single-pass analyzers and reporting —
-// over the whole module, exactly as the CI vet gate does. One
-// iteration is one full run from a cold loader, so the ns/op is the
-// gate's wall time and a loader or analyzer regression shows up in the
+// BenchmarkVetFullTree runs the complete analyzer suite — loading,
+// type-checking and the single-pass analyzers — over the whole module,
+// exactly as internal/analysis's TestModuleClean does in tier-1. One
+// iteration is one full run from a cold loader, so the ns/op is that
+// test's cost and a loader or analyzer regression shows up in the
 // bench snapshot diff next to the simulator numbers.
 // The analyzer count is reported as a metric so the snapshot records
 // how much checking that wall time bought.
@@ -403,13 +403,13 @@ func BenchmarkVetFullTree(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := analysis.Run(analysis.All(), pkgs)
+		findings, err := analysis.Run(analysis.All(), pkgs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Failed() {
-			b.Fatalf("tree is not vet-clean: %d findings, %d bad ignores",
-				len(res.Findings), len(res.BadIgnores))
+		if len(findings) > 0 {
+			b.Fatalf("tree is not vet-clean: %d findings, the first at %s: %s",
+				len(findings), findings[0].Pos(), findings[0].Message)
 		}
 	}
 	b.ReportMetric(float64(len(analysis.All())), "analyzers")

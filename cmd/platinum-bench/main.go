@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "platinum-bench: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "platinum-bench:", err)
 		return 1

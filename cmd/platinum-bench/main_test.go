@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,23 @@ func TestUnknownExperimentFails(t *testing.T) {
 	_, _, code := runCmd(t, "-exp", "nosuch")
 	if code != 2 {
 		t.Fatalf("exit code %d, want 2", code)
+	}
+}
+
+// TestStrayArgumentExitsTwo checks that a positional argument is
+// rejected rather than ignored: exit 2 with one line naming it, and
+// nothing run or listed.
+func TestStrayArgumentExitsTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-exp", "fig1", "fig5"},
+		{"-list", "fig1"},
+	} {
+		out, errs, code := runCmd(t, args...)
+		want := fmt.Sprintf("platinum-bench: unexpected argument %q\n", args[len(args)-1])
+		if code != 2 || errs != want || out != "" {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2, stderr %q, no stdout",
+				args, code, errs, out, want)
+		}
 	}
 }
 

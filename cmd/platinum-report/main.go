@@ -76,6 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var bad string
 	switch {
+	case fs.NArg() > 0:
+		bad = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
 	case *size <= 0:
 		bad = fmt.Sprintf("-n %d: must be positive", *size)
 	case *top < 0:
@@ -293,6 +295,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			if err := f.Close(); err != nil {
 				return fail(err)
+			}
+			if dropped > 0 {
+				fmt.Fprintf(stderr, "platinum-report: warning: %d protocol events dropped (-trace cap); the timeline is partial\n",
+					dropped)
 			}
 		}
 		if !*jsonOut {

@@ -137,6 +137,31 @@ func TestTimelineGolden(t *testing.T) {
 	checkGolden(t, "gauss_timeline.golden.jsonl", got)
 }
 
+// TestTimelineDropWarns checks that a -timeline written from a trace
+// that hit its -trace cap says so on stderr in both output modes, and
+// that a complete one prints nothing there.
+func TestTimelineDropWarns(t *testing.T) {
+	tl := filepath.Join(t.TempDir(), "timeline.jsonl")
+	const warning = "platinum-report: warning: 53 protocol events dropped (-trace cap); the timeline is partial\n"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trace", "10", "-json"}, warning},
+		{[]string{"-trace", "10"}, warning},
+		{[]string{"-trace", "2000", "-json"}, ""},
+	} {
+		args := append([]string{"-app", "gauss", "-n", "16", "-procs", "2", "-timeline", tl}, c.args...)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errb.String())
+		}
+		if errb.String() != c.want {
+			t.Errorf("%v: stderr %q, want %q", args, errb.String(), c.want)
+		}
+	}
+}
+
 func TestSpansGolden(t *testing.T) {
 	dir := t.TempDir()
 	tr := filepath.Join(dir, "spans.json")
@@ -421,6 +446,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-app", "anecdote", "-spans", tl},
 		{"-app", "anecdote", "-hist"},
 		{"-app", "anecdote", "-series", "1ms"},
+		{"-n", "16", "-procs", "2", "mergesort"},
+		{"-n", "16", "-procs", "2", "-trace", "100", "-timeline", tl, "extra"},
 	} {
 		var out, errb bytes.Buffer
 		code := run(args, &out, &errb)

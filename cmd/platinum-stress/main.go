@@ -10,8 +10,9 @@
 // On failure the schedule is shrunk (unless -shrink=false) and a
 // minimal reproducer — seed plus op listing — is printed to stderr,
 // and the process exits 1. Flags that cannot describe a run (no
-// processors, a negative op count, an unknown -bug) and machines that
-// do not boot exit 2 with one "platinum-stress:" line.
+// processors, a negative op count, an unknown -bug, a stray argument)
+// and machines that do not boot exit 2 with one "platinum-stress:"
+// line.
 package main
 
 import (
@@ -50,6 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "platinum-stress: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 

@@ -7,8 +7,8 @@ import (
 )
 
 // TestBadFlagsExitTwo checks every flag set that cannot describe a run
-// or does not boot a machine: exit 2, one "platinum-stress:" line on
-// stderr, and no reproducer.
+// or does not boot a machine, and a stray argument: exit 2, one
+// "platinum-stress:" line on stderr, and no reproducer.
 func TestBadFlagsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-procs", "0"},
@@ -19,6 +19,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-frames", "0"},
 		{"-procs", "5000"},
 		{"-bug", "nope"},
+		{"-ops", "200", "bogus"},
 	} {
 		var out, errb bytes.Buffer
 		code := run(args, &out, &errb)

@@ -1,5 +1,5 @@
 // Package analysis is a self-contained static-analysis suite that
-// enforces, at vet time, invariants every quantitative claim in this
+// statically enforces invariants every quantitative claim in this
 // reproduction rests on at run time: deterministic simulation code
 // (byte-identical reports across -j1/-j8), exact cause attribution,
 // panic-free protocol paths, begin/end-paired causal spans, and typed
@@ -12,16 +12,10 @@
 // and runs in a hermetic build. Every analyzer is single-pass: it reads
 // one package and reports only on that package. See the analyzer files
 // (nodeterminism, chargecause, spanpair, noprotocolpanic, atomicsafe)
-// for what is enforced and why, and cmd/platinum-vet for the
-// multichecker that runs the suite over the tree.
-//
-// Findings can be suppressed per line with
-//
-//	//lint:ignore platinum/<analyzer> <reason>
-//
-// placed on the flagged line or the line directly above it. The reason
-// is mandatory; suppressions are counted and reported by the driver,
-// never silent.
+// for what is enforced and why. TestModuleClean runs the suite over
+// every package of the module, so `go test ./...` fails on any finding.
+// There is no suppression directive: a false positive is fixed in the
+// analyzer or in the code.
 package analysis
 
 import (
@@ -33,8 +27,8 @@ import (
 )
 
 // Analyzer is one static check. Name is the short identifier reported
-// and suppressed as "platinum/<name>"; Doc is a one-line description
-// shown by platinum-vet -list; Run checks one package.
+// as "platinum/<name>"; Doc is a one-line description of what it
+// enforces; Run checks one package.
 type Analyzer struct {
 	Name string
 	Doc  string

@@ -4,25 +4,23 @@
 //	code() // want `regex` `another regex`
 //
 // modeled on golang.org/x/tools' analysistest but reimplemented on the
-// stdlib-only loader in internal/analysis. Every active finding must
-// match one unclaimed want expectation on its exact line, and every
+// stdlib-only loader in internal/analysis. Every finding must match
+// one unclaimed want expectation on its exact line, and every
 // expectation must be claimed — both extra and missing diagnostics fail
-// the test. Suppressed findings and malformed //lint:ignore directives
-// are deliberately not matched against wants: tests assert on those
-// through the returned Result, keeping the suppression accounting
-// explicit in the test body.
+// the test.
 package analysistest
 
 import (
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"platinum/internal/analysis"
 )
 
-// want is one parsed expectation: a regex that must match an active
-// finding's message on the same file and line.
+// want is one parsed expectation: a regex that must match a finding's
+// message on the same file and line.
 type want struct {
 	file string
 	line int
@@ -35,24 +33,39 @@ type want struct {
 // after "// want ".
 var wantRE = regexp.MustCompile("`([^`]+)`|\"((?:[^\"\\\\]|\\\\.)+)\"")
 
+// loaders holds one Loader per fixture root, so the standard-library
+// packages the fixtures import are type-checked once per test process
+// rather than once per Run.
+var (
+	loadersMu sync.Mutex
+	loaders   = map[string]*analysis.Loader{}
+)
+
+// load loads importPaths through srcroot's shared loader.
+func load(srcroot string, importPaths []string) ([]*analysis.Package, error) {
+	loadersMu.Lock()
+	defer loadersMu.Unlock()
+	if loaders[srcroot] == nil {
+		loaders[srcroot] = analysis.NewLoader(map[string]string{"": srcroot})
+	}
+	return loaders[srcroot].Load(importPaths...)
+}
+
 // Run loads the fixture packages at importPaths from the GOPATH-style
 // tree rooted at srcroot, runs the analyzers over them, and compares
-// the active findings against the packages' want comments. The full
-// Result is returned so callers can additionally assert on suppression
-// and malformed-directive accounting.
-func Run(t *testing.T, srcroot string, analyzers []*analysis.Analyzer, importPaths ...string) *analysis.Result {
+// the findings against the packages' want comments.
+func Run(t *testing.T, srcroot string, analyzers []*analysis.Analyzer, importPaths ...string) {
 	t.Helper()
-	loader := analysis.NewLoader(map[string]string{"": srcroot})
-	pkgs, err := loader.Load(importPaths...)
+	pkgs, err := load(srcroot, importPaths)
 	if err != nil {
 		t.Fatalf("loading %v: %v", importPaths, err)
 	}
-	res, err := analysis.Run(analyzers, pkgs)
+	findings, err := analysis.Run(analyzers, pkgs)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
 	wants := collectWants(t, pkgs)
-	for _, f := range res.Findings {
+	for _, f := range findings {
 		if claimWant(wants, f) == nil {
 			t.Errorf("%s: unexpected finding [%s] %s", f.Pos(), f.Analyzer, f.Message)
 		}
@@ -62,7 +75,6 @@ func Run(t *testing.T, srcroot string, analyzers []*analysis.Analyzer, importPat
 			t.Errorf("%s:%d: no finding matched want %s", w.file, w.line, w.raw)
 		}
 	}
-	return res
 }
 
 // collectWants parses every want comment in the loaded packages' files.

@@ -17,9 +17,10 @@
 # the fault path is visible in the same diff as one in the simulator.
 #
 # BenchmarkVetFullTree is included too: its ns_per_op is the wall time
-# of one complete platinum-vet run over the module and its "analyzers"
+# of one complete analyzer-suite run over the module (what
+# internal/analysis's TestModuleClean costs tier-1) and its "analyzers"
 # field records how many analyzers that run executed, so the snapshot
-# ties the gate's cost to its coverage.
+# ties the check's cost to its coverage.
 #
 # Usage (from the repository root):
 #

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check-bench.sh — the CI bench-smoke lane.
 #
-# Two gates, both cheap enough for every push:
+# Two steps, both cheap enough for every push:
 #
 #   1. The alloc-regression tests (alloc_test.go), run WITHOUT -race so
 #      testing.AllocsPerRun sees the real escape-analysis results. These
@@ -9,48 +9,32 @@
 #      a whole Reset/Spawn/Run cycle, Charge and span Begin/End/Record at
 #      zero steady-state allocations, and a quick Fig. 1 regeneration at
 #      its exact steady-state count (TestFig1GaussSteadyAllocs).
-#   2. A short BenchmarkFig1Gauss run (-benchtime 100x) compared against
-#      the committed reference snapshot (BENCH_2.json by default): ns/op
-#      is host-dependent, so its 2x ceiling only catches gross
-#      regressions (override the reference with BENCH_REF, or skip the
-#      time gate with BENCH_SKIP_NS=1 on exotic runners).
+#   2. A short BenchmarkFig1Gauss run (-benchtime 100x) that must
+#      complete. Its ns/op is printed, not gated: host time is compared
+#      only by a same-host A/B (bench/ab.sh). Over 10 runs on a 2-vCPU
+#      host, Fig1Gauss ns/op spread by 40% and its ratio to another
+#      benchmark in the same process by over 50%, so neither a snapshot
+#      from another host nor an in-process ratio makes a usable ceiling.
 #
 # Usage (from the repository root):
 #
 #   ./scripts/check-bench.sh
 set -eu
 
-REF=${BENCH_REF:-BENCH_2.json}
-
 echo "check-bench: alloc-regression tests (no -race)..."
-go test -count=1 -run 'ZeroAlloc$|SteadyAllocs$' -v . | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)'
+# Capture first: in a pipeline, sh would take grep's status, not go test's.
+ALLOCS=$(go test -count=1 -run 'ZeroAlloc$|SteadyAllocs$' -v .) || status=$?
+echo "$ALLOCS" | grep -E '^(=== RUN|--- (PASS|FAIL|SKIP)|PASS|FAIL|ok)' || true
+if [ "${status:-0}" -ne 0 ]; then
+	echo "check-bench: FAIL: alloc-regression tests" >&2
+	exit 1
+fi
 
 echo "check-bench: Fig1Gauss smoke (benchtime 100x)..."
 RAW=$(go test -run '^$' -bench '^BenchmarkFig1Gauss$' -benchmem -benchtime 100x .)
 echo "$RAW"
-
-NS=$(echo "$RAW" | awk '/^BenchmarkFig1Gauss/ { for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") print $i }')
-if [ -z "$NS" ]; then
-	echo "check-bench: could not parse benchmark output" >&2
-	exit 1
-fi
-
-if [ ! -r "$REF" ]; then
-	echo "check-bench: reference snapshot $REF not found" >&2
-	exit 1
-fi
-REF_LINE=$(grep '"BenchmarkFig1Gauss"' "$REF" || true)
-if [ -z "$REF_LINE" ]; then
-	echo "check-bench: $REF has no BenchmarkFig1Gauss entry" >&2
-	exit 1
-fi
-REF_NS=$(echo "$REF_LINE" | sed 's/.*"ns_per_op": *\([0-9.]*\).*/\1/')
-
-echo "check-bench: now ns/op=$NS; reference ns/op=$REF_NS (2x ceiling)"
-
-if [ "${BENCH_SKIP_NS:-0}" != "1" ] &&
-	awk -v n="$NS" -v r="$REF_NS" 'BEGIN { exit !(n > 2 * r) }'; then
-	echo "check-bench: FAIL: ns/op $NS exceeds 2x reference $REF_NS" >&2
+if ! echo "$RAW" | grep -q '^BenchmarkFig1Gauss.* ns/op'; then
+	echo "check-bench: BenchmarkFig1Gauss did not run" >&2
 	exit 1
 fi
 echo "check-bench: OK"

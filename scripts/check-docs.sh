@@ -43,18 +43,7 @@ for import_path in $(go list ./internal/...); do
 	fi
 done
 
-# 4. README's "Static analysis" bullet list names exactly the analyzers
-#    cmd/platinum-vet registers: a registered analyzer without a bullet
-#    and a bullet for an analyzer that no longer exists both fail.
-registered=$(go run ./cmd/platinum-vet -list | cut -f1 | sort)
-documented=$(awk '/^## /{in_sec = ($0 == "## Static analysis")} in_sec' README.md |
-	sed -n 's/^- \*\*`\([a-z]*\)`\*\*.*/\1/p' | sort)
-if [ "$registered" != "$documented" ]; then
-	echo "README: \"Static analysis\" lists [$(echo $documented)] but platinum-vet -list registers [$(echo $registered)]"
-	fail=1
-fi
-
-# 5. EXPERIMENTS.md documents every registered experiment by id
+# 4. EXPERIMENTS.md documents every registered experiment by id
 #    (cmd/platinum-bench -list is the registry), so new sweeps — like
 #    pt-variants — cannot land without a paper-vs-measured section.
 for id in $(go run ./cmd/platinum-bench -list | awk '{print $1}'); do
@@ -64,7 +53,7 @@ for id in $(go run ./cmd/platinum-bench -list | awk '{print $1}'); do
 	fi
 done
 
-# 6. TOPOLOGY.md's embedded JSON examples and the shipped example files
+# 5. TOPOLOGY.md's embedded JSON examples and the shipped example files
 #    must parse and validate with the real loader (mach.ParseTopology),
 #    so the normative spec cannot drift from the parser.
 if ! go run ./scripts/topocheck TOPOLOGY.md examples/topologies/*.json; then
@@ -72,7 +61,7 @@ if ! go run ./scripts/topocheck TOPOLOGY.md examples/topologies/*.json; then
 	fail=1
 fi
 
-# 7. EXPERIMENTS.md documents every JSON field of the telemetry metrics
+# 6. EXPERIMENTS.md documents every JSON field of the telemetry metrics
 #    schema (the `json:"..."` tags in internal/metrics/telemetry.go),
 #    so the schema-v2 sections cannot grow undocumented fields.
 for tag in $(grep -o 'json:"[a-z0-9_]*' internal/metrics/telemetry.go | cut -d'"' -f2 | sort -u); do
@@ -82,7 +71,7 @@ for tag in $(grep -o 'json:"[a-z0-9_]*' internal/metrics/telemetry.go | cut -d'"
 	fi
 done
 
-# 8. README's "Go (1.NN+)" names the go directive in go.mod, so a
+# 7. README's "Go (1.NN+)" names the go directive in go.mod, so a
 #    version bump cannot leave the stated requirement behind.
 gomod=$(awk '$1 == "go" { print $2; exit }' go.mod | cut -d. -f1,2)
 readme=$(grep -o 'Go (1\.[0-9]*+)' README.md | head -n 1 | sed 's/[^0-9.]//g')
