@@ -5,14 +5,19 @@ package platinum
 // and the Block/Unblock handoff), a whole Reset/Spawn/Run cycle, span
 // Begin/End recording, and account charging must not allocate in
 // steady state, and a whole quick Fig. 1 regeneration is pinned at its
-// steady-state count. These are the invariants the pooling/arena design
-// bought; testing.AllocsPerRun pins them against the compiler's actual
-// escape analysis so they cannot silently rot.
+// steady-state count. The Chrome span export must make as many
+// allocations for 10,000 spans as for 1,000
+// (TestChromeExportSteadyAllocs). These are the invariants the
+// pooling/arena design and the streaming export bought;
+// testing.AllocsPerRun pins them against the compiler's actual escape
+// analysis so they cannot silently rot.
 //
 // The tests skip under -race: the detector instruments allocations of
 // its own. CI runs them in the non-instrumented bench-smoke lane.
 
 import (
+	"io"
+	"strconv"
 	"testing"
 
 	"platinum/internal/exp"
@@ -341,5 +346,57 @@ func TestFig1GaussSteadyAllocs(t *testing.T) {
 	}
 	if got != fig1SteadyAllocs {
 		t.Errorf("quick fig1 makes %v allocations per run, want %d", got, fig1SteadyAllocs)
+	}
+}
+
+// chromeRecording is a synthetic recording of n spans in the order
+// Recorder.Spans returns them, on 16 tracks (one per processor) and 64
+// pages: each track opens with a slice span naming it, and the rest
+// are faults (mirrored on their page's track), shootdowns and block
+// transfers, all with plain-ASCII literal notes.
+func chromeRecording(n int) []span.Span {
+	spans := make([]span.Span, n)
+	for i := range spans {
+		sp := span.Span{ID: span.ID(i + 1), Start: sim.Time(10 * i), End: sim.Time(10*i + 7),
+			Proc: i % 16, Track: i % 16, Page: int64(i % 64)}
+		switch {
+		case i < 16:
+			sp.Kind, sp.Page, sp.Note = span.KindSlice, -1, "worker-"+strconv.Itoa(i)
+		case i%3 == 0:
+			sp.Kind, sp.Cause, sp.Self, sp.Note = span.KindFault, sim.CauseFault, 5, "read-fault"
+			sp.State, sp.DirMask = "present1", 1<<(i%16)
+		case i%3 == 1:
+			sp.Kind, sp.Parent, sp.Cause, sp.Self, sp.Note = span.KindShootdown, span.ID(i), sim.CauseShootdown, 3, "round"
+		default:
+			sp.Kind, sp.Cause, sp.Self, sp.Note = span.KindBlockTransfer, sim.CauseBlockTransfer, 7, "replicate"
+		}
+		spans[i] = sp
+	}
+	return spans
+}
+
+// TestChromeExportSteadyAllocs pins the Chrome span export's
+// allocations as independent of the recording's length: 10,000 spans
+// cost exactly as many as 1,000 on the same tracks and pages, because
+// every event is appended into one reused buffer and a literal note
+// needs no rendering.
+func TestChromeExportSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	var err error
+	export := func(spans []span.Span) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if e := span.WriteChrome(io.Discard, spans); e != nil {
+				err = e
+			}
+		})
+	}
+	small, large := export(chromeRecording(1000)), export(chromeRecording(10000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small != large {
+		t.Errorf("Chrome export makes %v allocations for 1,000 spans and %v for 10,000, want the same", small, large)
 	}
 }

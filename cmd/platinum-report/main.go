@@ -33,6 +33,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -261,18 +262,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *spans != "" {
-		f, err := os.Create(*spans)
-		if err != nil {
-			return fail(err)
-		}
-		if *text {
-			_, err = span.Format(f, recorded)
-		} else {
-			err = span.WriteChromeWith(f, recorded, counterTracks(pl.K.CauseSeries(), pl.K.Spans().CountSeries()))
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		err := writeFile(*spans, func(w io.Writer) error {
+			if *text {
+				_, err := span.Format(w, recorded)
+				return err
+			}
+			return span.WriteChromeWith(w, recorded, counterTracks(pl.K.CauseSeries(), pl.K.Spans().CountSeries()))
+		})
 		if err != nil {
 			return fail(err)
 		}
@@ -285,15 +281,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *trace > 0 {
 		events, dropped := pl.K.Trace()
 		if *timeline != "" {
-			f, err := os.Create(*timeline)
+			err := writeFile(*timeline, func(w io.Writer) error {
+				return metrics.WriteTimelineJSONL(w, events, sim.Time(*bucket))
+			})
 			if err != nil {
-				return fail(err)
-			}
-			if err := metrics.WriteTimelineJSONL(f, events, sim.Time(*bucket)); err != nil {
-				f.Close()
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
 				return fail(err)
 			}
 			if dropped > 0 {
@@ -319,6 +310,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	apps.ReleasePlatform(poolKey, pl)
 	return 0
+}
+
+// writeFile creates path and fills it with write through a 64 KiB
+// buffer, so many small writes become few system calls. A write,
+// flush or close error is returned.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, 64<<10)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeHistTables prints the latency-distribution tables: machine-wide

@@ -16,6 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 
 	"platinum/internal/core"
 	"platinum/internal/sim"
@@ -221,34 +224,40 @@ func WriteJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// TimelineBucket is one time slice of a per-node protocol activity
-// timeline: how many events of each kind each node generated during
-// [StartNs, StartNs+WidthNs). Event kind keys are core.EventKind
-// strings ("read-fault", "migration", ...).
-type TimelineBucket struct {
-	StartNs int64            `json:"start_ns"`
-	WidthNs int64            `json:"width_ns"`
-	Node    int              `json:"node"`
-	Events  map[string]int64 `json:"events"`
-}
-
 // WriteTimelineJSONL writes the trace's per-node time-bucketed series
-// as JSON Lines, one TimelineBucket per line, ordered by bucket start
-// then node. Empty (node, bucket) pairs are omitted, so the stream
-// size tracks activity, not elapsed time.
+// as JSON Lines, ordered by bucket start then node. Each line is one
+// time slice of one node's protocol activity:
+//
+//	{"start_ns":0,"width_ns":1000000,"node":0,"events":{"read-fault":3,"replication":1}}
+//
+// events counts the node's events of each kind during
+// [start_ns, start_ns+width_ns), keyed by core.EventKind name in name
+// order, with zero counts left out. Empty (node, bucket) pairs are
+// omitted, so the stream size tracks activity, not elapsed time.
 func WriteTimelineJSONL(w io.Writer, events []core.Event, width sim.Time) error {
-	enc := json.NewEncoder(w)
+	kinds := core.EventKinds()
+	slices.SortFunc(kinds, func(a, b core.EventKind) int { return strings.Compare(a.String(), b.String()) })
+	var line []byte
 	for _, nb := range trace.NodeBuckets(events, width) {
-		b := TimelineBucket{
-			StartNs: int64(nb.Start),
-			WidthNs: int64(width),
-			Node:    nb.Node,
-			Events:  make(map[string]int64, len(nb.ByKind)),
+		line = append(line[:0], `{"start_ns":`...)
+		line = strconv.AppendInt(line, int64(nb.Start), 10)
+		line = append(line, `,"width_ns":`...)
+		line = strconv.AppendInt(line, int64(width), 10)
+		line = append(line, `,"node":`...)
+		line = strconv.AppendInt(line, int64(nb.Node), 10)
+		line = append(line, `,"events":{`...)
+		sep := ""
+		for _, k := range kinds {
+			if c := nb.ByKind[k]; c > 0 {
+				line = append(line, sep...)
+				line = strconv.AppendQuote(line, k.String()) // plain ASCII names: Go and JSON quote them alike
+				line = append(line, ':')
+				line = strconv.AppendInt(line, int64(c), 10)
+				sep = ","
+			}
 		}
-		for kind, c := range nb.ByKind {
-			b.Events[kind.String()] = int64(c)
-		}
-		if err := enc.Encode(b); err != nil {
+		line = append(line, "}}\n"...)
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}

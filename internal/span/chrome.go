@@ -1,10 +1,13 @@
 package span
 
 import (
+	"cmp"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Chrome trace-event export (the JSON Object Format consumed by
@@ -23,35 +26,28 @@ const (
 	chromeCounterPid = 1<<20 + 2
 )
 
-// chromeEvent is one trace event. Timestamps and durations are
-// microseconds; virtual time is integer nanoseconds, so ts = ns/1000
-// is exact to the three decimal places float64 easily carries.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int64          `json:"pid"`
-	Tid  int64          `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
+// chromeChunk is how many bytes of events the export buffers before
+// it hands them to the writer.
+const chromeChunk = 32 << 10
 
-// chromeTrace is the top-level JSON document.
-type chromeTrace struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-}
-
+// usec converts virtual nanoseconds to the format's microseconds.
+// Virtual time is integer nanoseconds, so ns/1000 is exact to the
+// three decimal places float64 easily carries.
 func usec(ns int64) float64 { return float64(ns) / 1000.0 }
 
-// spanPid maps a span to its trace process: its processor, or the
-// synthetic no-processor process.
-func spanPid(sp Span) int64 {
-	if sp.Proc < 0 {
+// procPid maps a span's processor to its trace process: the processor
+// itself, or the synthetic no-processor process.
+func procPid(proc int) int64 {
+	if proc < 0 {
 		return chromeNoProcPid
 	}
-	return int64(sp.Proc)
+	return int64(proc)
+}
+
+// pageMirrored reports whether a span also gets async events on its
+// page's track: faults and thaws of a known page.
+func (sp *Span) pageMirrored() bool {
+	return sp.Page >= 0 && (sp.Kind == KindFault || sp.Kind == KindThaw)
 }
 
 // CounterPoint is one sample of a counter track: the counter takes
@@ -81,134 +77,278 @@ func WriteChrome(w io.Writer, spans []Span) error {
 // becomes a sequence of counter ("C") events on a synthetic "counters"
 // process, charted by Perfetto as a value-over-time row. Tracks are
 // emitted in the order given — callers keep that order deterministic.
+//
+// The document is streamed: each event is appended to one reused
+// buffer that goes to w in chunks. It is byte for byte what
+// encoding/json writes for the format with a one-space indent: every
+// event's fields in the order name, cat, ph, ts, dur, pid, tid, id,
+// args, leaving out the cat, dur, id or args an event does not have,
+// and its args keys in sorted order. A non-finite counter value
+// returns encoding/json's error before any byte is written.
 func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
-	ordered := append([]Span(nil), spans...)
-	sortSpans(ordered)
-
-	doc := chromeTrace{TraceEvents: make([]chromeEvent, 0, 2*len(ordered)+16)}
+	for _, tr := range counters {
+		for _, p := range tr.Points {
+			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+				_, err := json.Marshal(p.Value)
+				return err
+			}
+		}
+	}
+	ordered := inOrder(spans)
 
 	// Track names: a slice span names its thread's track; anything else
-	// seen first leaves a generic name.
+	// seen first leaves a generic name. Slice notes are rendered here
+	// and reused by the event loop, so every note is rendered once.
 	type track struct{ pid, tid int64 }
 	names := make(map[track]string)
 	pids := make(map[int64]bool)
 	pages := make(map[int64]bool)
-	for _, sp := range ordered {
-		tr := track{spanPid(sp), int64(sp.Track)}
+	var sliceNotes []string
+	for i := range ordered {
+		sp := &ordered[i]
+		tr := track{procPid(sp.Proc), int64(sp.Track)}
 		pids[tr.pid] = true
-		if sp.Kind == KindSlice && sp.NoteText() != "" {
-			names[tr] = sp.NoteText()
-		} else if _, ok := names[tr]; !ok {
-			names[tr] = fmt.Sprintf("thread %d", sp.Track)
+		note := ""
+		if sp.Kind == KindSlice {
+			note = sp.NoteText()
+			sliceNotes = append(sliceNotes, note)
 		}
-		if sp.Page >= 0 && (sp.Kind == KindFault || sp.Kind == KindThaw) {
+		if note != "" {
+			names[tr] = note
+		} else if _, ok := names[tr]; !ok {
+			names[tr] = "thread " + strconv.Itoa(sp.Track)
+		}
+		if sp.pageMirrored() {
 			pages[sp.Page] = true
 		}
 	}
+
+	// Metadata events, ordered by pid, then tid, then event name (map
+	// iteration order is not deterministic).
+	type meta struct {
+		pid, tid    int64
+		name, label string
+	}
+	metas := make([]meta, 0, len(pids)+len(names)+len(pages)+2)
 	for pid := range pids {
-		name := fmt.Sprintf("proc %d", pid)
+		label := "proc " + strconv.FormatInt(pid, 10)
 		if pid == chromeNoProcPid {
-			name = "unplaced"
+			label = "unplaced"
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
+		metas = append(metas, meta{pid, 0, "process_name", label})
 	}
 	if len(pages) > 0 {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: chromePagePid,
-			Args: map[string]any{"name": "pages"},
-		})
+		metas = append(metas, meta{chromePagePid, 0, "process_name", "pages"})
 	}
 	if len(counters) > 0 {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: chromeCounterPid,
-			Args: map[string]any{"name": "counters"},
-		})
+		metas = append(metas, meta{chromeCounterPid, 0, "process_name", "counters"})
 	}
 	for tr, name := range names {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: tr.pid, Tid: tr.tid,
-			Args: map[string]any{"name": name},
-		})
+		metas = append(metas, meta{tr.pid, tr.tid, "thread_name", name})
 	}
 	for page := range pages {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePagePid, Tid: page,
-			Args: map[string]any{"name": fmt.Sprintf("page %d", page)},
-		})
+		metas = append(metas, meta{chromePagePid, page, "thread_name", "page " + strconv.FormatInt(page, 10)})
 	}
-	// Deterministic metadata order (map iteration is not).
-	sortChrome(doc.TraceEvents)
+	slices.SortFunc(metas, func(a, b meta) int {
+		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid), strings.Compare(a.name, b.name))
+	})
 
-	for _, sp := range ordered {
-		dur := usec(int64(sp.End - sp.Start))
-		args := map[string]any{
-			"span_id": int64(sp.ID),
-			"cause":   sp.Cause.String(),
-			"self_ns": int64(sp.Self),
+	c := chromeWriter{w: w, b: make([]byte, 0, 2*chromeChunk)}
+	c.b = append(c.b, "{\n \"traceEvents\": ["...)
+	for _, m := range metas {
+		c.open(m.name, "", "M", 0)
+		c.track(m.pid, m.tid)
+		c.arg("name").str(m.label)
+		c.close()
+	}
+
+	for i := range ordered {
+		sp := &ordered[i]
+		var note string
+		if sp.Kind == KindSlice {
+			note, sliceNotes = sliceNotes[0], sliceNotes[1:]
+		} else {
+			note = sp.NoteText()
 		}
-		if sp.Parent != None {
-			args["parent"] = int64(sp.Parent)
+		kind, cause := sp.Kind.String(), sp.Cause.String()
+		c.open(kind, cause, "X", usec(int64(sp.Start)))
+		c.field("dur").float(usec(int64(sp.End - sp.Start)))
+		c.track(procPid(sp.Proc), int64(sp.Track))
+		c.arg("cause").str(cause)
+		if sp.State != "" {
+			c.arg("dir_mask").uint(sp.DirMask)
+		}
+		if note != "" {
+			c.arg("note").str(note)
 		}
 		if sp.Page >= 0 {
-			args["page"] = sp.Page
+			c.arg("page").int(sp.Page)
 		}
+		if sp.Parent != None {
+			c.arg("parent").int(int64(sp.Parent))
+		}
+		c.arg("self_ns").int(int64(sp.Self))
+		c.arg("span_id").int(int64(sp.ID))
 		if sp.State != "" {
-			args["state"] = sp.State
-			args["dir_mask"] = sp.DirMask
+			c.arg("state").str(sp.State)
 		}
-		if note := sp.NoteText(); note != "" {
-			args["note"] = note
-		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: sp.Kind.String(), Cat: sp.Cause.String(), Ph: "X",
-			Ts: usec(int64(sp.Start)), Dur: &dur,
-			Pid: spanPid(sp), Tid: int64(sp.Track), Args: args,
-		})
-		if sp.Page >= 0 && (sp.Kind == KindFault || sp.Kind == KindThaw) {
+		c.close()
+		if sp.pageMirrored() {
 			// Async mirror on the page's own track. Async events tolerate
 			// the overlap that queued concurrent faults produce on a page
 			// timeline, which complete events would render as nonsense.
-			id := fmt.Sprintf("span-%d", sp.ID)
-			pageArgs := map[string]any{"proc": sp.Proc, "note": sp.NoteText()}
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: sp.Kind.String(), Cat: "page", Ph: "b", ID: id,
-				Ts: usec(int64(sp.Start)), Pid: chromePagePid, Tid: sp.Page,
-				Args: pageArgs,
-			})
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: sp.Kind.String(), Cat: "page", Ph: "e", ID: id,
-				Ts: usec(int64(sp.End)), Pid: chromePagePid, Tid: sp.Page,
-			})
+			c.open(kind, "page", "b", usec(int64(sp.Start)))
+			c.track(chromePagePid, sp.Page)
+			c.spanID(sp.ID)
+			c.arg("note").str(note)
+			c.arg("proc").int(int64(sp.Proc))
+			c.close()
+			c.open(kind, "page", "e", usec(int64(sp.End)))
+			c.track(chromePagePid, sp.Page)
+			c.spanID(sp.ID)
+			c.close()
 		}
 	}
 
 	for _, tr := range counters {
 		for _, p := range tr.Points {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: tr.Name, Ph: "C", Ts: usec(p.Ts), Pid: chromeCounterPid,
-				Args: map[string]any{"value": p.Value},
-			})
+			c.open(tr.Name, "", "C", usec(p.Ts))
+			c.track(chromeCounterPid, 0)
+			c.arg("value").float(p.Value)
+			c.close()
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	if c.events > 0 {
+		c.b = append(c.b, "\n ]\n}\n"...)
+	} else {
+		c.b = append(c.b, "]\n}\n"...)
+	}
+	c.flush()
+	return c.err
 }
 
-// sortChrome orders metadata events deterministically: by pid, then
-// tid, then name.
-func sortChrome(evs []chromeEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Pid != evs[j].Pid {
-			return evs[i].Pid < evs[j].Pid
+// chromeWriter appends trace events to b in encoding/json's indented
+// layout and hands b to w whenever an event leaves it at least
+// chromeChunk bytes long. The first error sticks: nothing is written
+// after it.
+type chromeWriter struct {
+	w      io.Writer
+	b      []byte
+	events int  // events begun so far
+	inArgs bool // the current event's args object is open
+	err    error
+}
+
+// open begins an event with its name, cat (left out when empty), ph
+// and ts fields.
+func (c *chromeWriter) open(name, cat, ph string, ts float64) {
+	if c.events > 0 {
+		c.b = append(c.b, ',')
+	}
+	c.events++
+	c.b = append(c.b, "\n  {\n   \"name\": "...)
+	c.str(name)
+	if cat != "" {
+		c.field("cat").str(cat)
+	}
+	c.field("ph").str(ph)
+	c.field("ts").float(ts)
+}
+
+// field begins the current event's next field; the value follows.
+func (c *chromeWriter) field(key string) *chromeWriter {
+	c.b = append(c.b, ",\n   \""...)
+	c.b = append(c.b, key...)
+	c.b = append(c.b, "\": "...)
+	return c
+}
+
+// track writes the pid and tid fields.
+func (c *chromeWriter) track(pid, tid int64) {
+	c.field("pid").int(pid)
+	c.field("tid").int(tid)
+}
+
+// spanID writes the id field that pairs a span's async events.
+func (c *chromeWriter) spanID(id ID) {
+	c.field("id")
+	c.b = append(c.b, "\"span-"...)
+	c.b = strconv.AppendInt(c.b, int64(id), 10)
+	c.b = append(c.b, '"')
+}
+
+// arg begins the next key of the current event's args object, opening
+// the object at its first key; the value follows.
+func (c *chromeWriter) arg(key string) *chromeWriter {
+	if c.inArgs {
+		c.b = append(c.b, ',')
+	} else {
+		c.field("args")
+		c.b = append(c.b, '{')
+		c.inArgs = true
+	}
+	c.b = append(c.b, "\n    \""...)
+	c.b = append(c.b, key...)
+	c.b = append(c.b, "\": "...)
+	return c
+}
+
+// close ends the current event, and its args object if it has one.
+func (c *chromeWriter) close() {
+	if c.inArgs {
+		c.b = append(c.b, "\n   }"...)
+		c.inArgs = false
+	}
+	c.b = append(c.b, "\n  }"...)
+	if len(c.b) >= chromeChunk {
+		c.flush()
+	}
+}
+
+// flush hands the buffered bytes to w unless an error came first.
+func (c *chromeWriter) flush() {
+	if c.err == nil {
+		_, c.err = c.w.Write(c.b)
+	}
+	c.b = c.b[:0]
+}
+
+func (c *chromeWriter) int(v int64)   { c.b = strconv.AppendInt(c.b, v, 10) }
+func (c *chromeWriter) uint(v uint64) { c.b = strconv.AppendUint(c.b, v, 10) }
+
+// float writes f as encoding/json does: zero and magnitudes in
+// [1e-6, 1e21) in plain decimal, and any other value through
+// json.Marshal.
+func (c *chromeWriter) float(f float64) {
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		c.b = strconv.AppendFloat(c.b, f, 'f', -1, 64)
+		return
+	}
+	c.marshal(f)
+}
+
+// str writes s as a JSON string. Printable ASCII other than '"', '\\'
+// and encoding/json's HTML escapes '<', '>' and '&' is copied as it
+// is; any other string goes through json.Marshal, so its escapes,
+// invalid UTF-8 and U+2028 come out as encoding/json writes them.
+func (c *chromeWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
+			c.marshal(s)
+			return
 		}
-		if evs[i].Tid != evs[j].Tid {
-			return evs[i].Tid < evs[j].Tid
-		}
-		return evs[i].Name < evs[j].Name
-	})
+	}
+	c.b = append(c.b, '"')
+	c.b = append(c.b, s...)
+	c.b = append(c.b, '"')
+}
+
+// marshal writes v as json.Marshal renders it.
+func (c *chromeWriter) marshal(v any) {
+	out, err := json.Marshal(v)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	c.b = append(c.b, out...)
 }

@@ -161,18 +161,20 @@ func pingPongRuns(events []core.Event) int {
 
 // NodeBucket is one (time slice, node) cell of a per-node activity
 // timeline: the protocol events node Node generated during
-// [Start, Start+width).
+// [Start, Start+width), counted per kind. ByKind is indexed by
+// core.EventKind and has one entry per kind in core.EventKinds().
 type NodeBucket struct {
 	Start  sim.Time
 	Node   int
-	ByKind map[core.EventKind]int
+	ByKind []int
 }
 
 // NodeBuckets slices the event stream into fixed-width time buckets
 // per node, exposing which processors drive protocol activity in each
 // phase (the per-node series behind the metrics timeline export).
 // Cells with no events are omitted; the result is ordered by bucket
-// start, then node. Events with no processor (Proc < 0) are ignored.
+// start, then node. Events with no processor (Proc < 0) or a kind
+// outside core.EventKinds() are ignored.
 func NodeBuckets(events []core.Event, width sim.Time) []NodeBucket {
 	if width <= 0 || len(events) == 0 {
 		return nil
@@ -181,22 +183,26 @@ func NodeBuckets(events []core.Event, width sim.Time) []NodeBucket {
 		bucket sim.Time
 		node   int
 	}
-	cells := make(map[key]map[core.EventKind]int)
+	nkinds := len(core.EventKinds())
+	cells := make(map[key]int) // cell -> its index in out
+	var out []NodeBucket
+	var counts []int // nkinds counters per cell, in out's order
 	for _, ev := range events {
-		if ev.Proc < 0 {
+		if ev.Proc < 0 || int(ev.Kind) >= nkinds {
 			continue
 		}
 		k := key{bucket: ev.Time / width * width, node: ev.Proc}
-		m := cells[k]
-		if m == nil {
-			m = make(map[core.EventKind]int)
-			cells[k] = m
+		i, ok := cells[k]
+		if !ok {
+			i = len(out)
+			cells[k] = i
+			out = append(out, NodeBucket{Start: k.bucket, Node: k.node})
+			counts = append(counts, make([]int, nkinds)...)
 		}
-		m[ev.Kind]++
+		counts[i*nkinds+int(ev.Kind)]++
 	}
-	out := make([]NodeBucket, 0, len(cells))
-	for k, m := range cells {
-		out = append(out, NodeBucket{Start: k.bucket, Node: k.node, ByKind: m})
+	for i := range out {
+		out[i].ByKind = counts[i*nkinds : (i+1)*nkinds : (i+1)*nkinds]
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {

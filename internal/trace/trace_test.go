@@ -186,11 +186,24 @@ func TestNodeBuckets(t *testing.T) {
 		ev(900, core.EvReplication, 0, 1),
 		ev(1100, core.EvWriteFault, 1, 1),
 		ev(1200, core.EvInvalidation, 0, 1),
-		ev(1300, core.EvFreeze, -1, 1), // no processor: excluded
+		ev(1300, core.EvFreeze, -1, 1),                         // no processor: excluded
+		ev(2100, core.EventKind(len(core.EventKinds())), 0, 1), // unknown kind: excluded
 	}
 	nb := NodeBuckets(events, 1000)
 	if len(nb) != 3 {
 		t.Fatalf("want 3 cells, got %d: %+v", len(nb), nb)
+	}
+	for i, want := range []int{2, 1, 1} {
+		if len(nb[i].ByKind) != len(core.EventKinds()) {
+			t.Fatalf("cell %d counts %d kinds, want %d", i, len(nb[i].ByKind), len(core.EventKinds()))
+		}
+		total := 0
+		for _, c := range nb[i].ByKind {
+			total += c
+		}
+		if total != want {
+			t.Errorf("cell %d holds %d events, want %d: %+v", i, total, want, nb[i])
+		}
 	}
 	// Ordered by start then node.
 	if nb[0].Start != 0 || nb[0].Node != 0 || nb[0].ByKind[core.EvReadFault] != 1 {

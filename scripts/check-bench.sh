@@ -7,8 +7,10 @@
 #      testing.AllocsPerRun sees the real escape-analysis results. These
 #      pin Advance, the fused handoff through the engine loop, Delay+Sync,
 #      a whole Reset/Spawn/Run cycle, Charge and span Begin/End/Record at
-#      zero steady-state allocations, and a quick Fig. 1 regeneration at
-#      its exact steady-state count (TestFig1GaussSteadyAllocs).
+#      zero steady-state allocations, a quick Fig. 1 regeneration at
+#      its exact steady-state count (TestFig1GaussSteadyAllocs), and
+#      the Chrome span export at the same count for 10,000 spans as
+#      for 1,000 (TestChromeExportSteadyAllocs).
 #   2. A short BenchmarkFig1Gauss run (-benchtime 100x) that must
 #      complete. Its ns/op is printed, not gated: host time is compared
 #      only by a same-host A/B (bench/ab.sh). Over 10 runs on a 2-vCPU
