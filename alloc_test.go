@@ -287,14 +287,13 @@ func TestChargeTelemetryZeroAlloc(t *testing.T) {
 }
 
 // TestRecordTelemetryZeroAlloc pins instrumented span recording: with
-// op histograms and the count series enabled, Record (and the freeze
-// CountEvent hook) still must not allocate.
+// the count series enabled, Record (and the freeze CountEvent hook)
+// still must not allocate.
 func TestRecordTelemetryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates; run without -race")
 	}
 	rec := span.NewRecorder(8)
-	rec.EnableOpHists()
 	rec.EnableCountSeries(1000, 64)
 	sp := span.Span{Kind: span.KindFault, Start: 0, End: 1, Proc: 0, Page: -1}
 	for i := 0; i < 16; i++ {

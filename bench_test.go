@@ -150,13 +150,13 @@ func BenchmarkReplSource(b *testing.B) {
 }
 
 // BenchmarkGaussTelemetry prices the distributional telemetry: the same
-// gauss run with everything off versus charge histograms, op histograms
-// and both simulated-time series all on. The two sub-benchmarks share
-// nothing (distinct pool keys — instrumentation state is part of the
-// platform configuration), so "off" is the clean baseline; the "on"
-// variant additionally reports the fault-latency percentiles the
-// histograms exist to produce. The overhead budget is <2% and zero
-// extra allocations per op (scripts/bench-snapshot.sh records both).
+// gauss run with everything off versus charge histograms, the span
+// retention op histograms derive from, and both simulated-time series
+// all on. The two sub-benchmarks share nothing (distinct pool keys —
+// instrumentation state is part of the platform configuration), so
+// "off" is the clean baseline; the "on" variant additionally reports
+// the fault-latency percentiles of the fault histogram derived from the
+// retained spans (scripts/bench-snapshot.sh records them).
 func BenchmarkGaussTelemetry(b *testing.B) {
 	run := func(b *testing.B, instrument bool) {
 		key := "bench-gauss:telemetry=off"

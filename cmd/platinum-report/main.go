@@ -202,14 +202,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
+	if *spans != "" || *histOn {
+		// -hist derives its op histograms from the retained spans, so a
+		// capped recording leaves them partial too.
+		if d := pl.K.Spans().Dropped(); d > 0 {
+			fmt.Fprintf(stderr, "platinum-report: warning: %d spans dropped (retention cap); span validation, export and op histograms are partial\n", d)
+		}
+	}
 	var recorded []span.Span
 	if *spans != "" {
-		rec := pl.K.Spans()
-		recorded = rec.Spans()
-		if rec.Dropped() > 0 {
-			fmt.Fprintf(stderr, "platinum-report: warning: %d spans dropped (retention cap); validation and export are partial\n",
-				rec.Dropped())
-		}
+		recorded = pl.K.Spans().Spans()
 		if err := span.ValidateNesting(recorded); err != nil {
 			return fail(err)
 		}

@@ -221,12 +221,6 @@ type Config struct {
 	// variants (see PTConfig). The zero value is the paper's model:
 	// free walks, eager shootdown.
 	PageTables PTConfig
-
-	// Spans, when non-nil, is the causal span recorder to use. Left
-	// nil, NewSystem creates one with the default bounded flight ring —
-	// recording is always on (it is pure bookkeeping and cannot perturb
-	// the simulation); only retained-export mode is opt-in.
-	Spans *span.Recorder
 }
 
 // DefaultConfig returns parameters that reproduce the paper's §4
@@ -322,10 +316,6 @@ func NewSystem(m *mach.Machine, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := cfg.Spans
-	if rec == nil {
-		rec = span.NewRecorder(0)
-	}
 	s := &System{
 		machine: m,
 		mem:     mem,
@@ -333,7 +323,7 @@ func NewSystem(m *mach.Machine, cfg Config) (*System, error) {
 		cfg:     cfg,
 		atcs:    make([]*atc, m.Nodes()),
 		penalty: make([]sim.Time, m.Nodes()),
-		rec:     rec,
+		rec:     span.NewRecorder(0),
 	}
 	for i := range s.atcs {
 		s.atcs[i] = newATC(cfg.ATCEntries)

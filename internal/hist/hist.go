@@ -3,9 +3,10 @@
 // Where internal/sim's Account answers *how much* virtual time each
 // cause consumed, a histogram answers *how it was distributed*: the
 // p50/p99/p99.9 tail of fault latency, not just its sum. The engine
-// keeps one per (node, cause) of charged time and the span recorder
-// one per whole operation (fault, shootdown round, block transfer);
-// platinum-report -hist prints their percentile tables.
+// keeps one per (node, cause) of charged time, and the span recorder
+// builds one per whole operation (fault, shootdown round, block
+// transfer) from its retained spans at export; platinum-report -hist
+// prints their percentile tables.
 //
 // The bucket layout is log-linear (HdrHistogram-style): values below
 // SubCount land in exact unit buckets; above that, each power-of-two

@@ -293,14 +293,18 @@ func (k *Kernel) EnableSpans(capacity int) { k.sys.Spans().EnableRetain(capacity
 func (k *Kernel) Spans() *span.Recorder { return k.sys.Spans() }
 
 // EnableHistograms starts distributional latency telemetry: per-node
-// per-cause charge histograms in the engine plus whole-operation
-// histograms (full fault, shootdown round, block transfer) in the span
-// recorder. Pure bookkeeping — results are unchanged. Call before Run
-// so the recording is complete and the histogram conservation check
-// (metrics.CheckHistConservation) is exact; Reset turns it off again.
+// per-cause charge histograms in the engine, and span retention, from
+// which the report derives whole-operation histograms (full fault,
+// shootdown round, block transfer; span.Recorder.OpHist). Retention
+// already on, from EnableSpans, keeps its capacity. Pure bookkeeping —
+// results are unchanged. Call before Run so the recording is complete
+// and the histogram conservation check (metrics.CheckHistConservation)
+// is exact; Reset turns it off again.
 func (k *Kernel) EnableHistograms() {
 	k.engine.EnableChargeHistograms(k.Nodes())
-	k.sys.Spans().EnableOpHists()
+	if rec := k.sys.Spans(); !rec.Retaining() {
+		rec.EnableRetain(0)
+	}
 }
 
 // EnableSeries starts windowed time-series telemetry over simulated

@@ -149,6 +149,66 @@ func TestUpdateAppliesFunction(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Over an unaligned range spanning three pages, written on one
+	// processor and updated on another, Update and UpdateSlice end at
+	// the same clock, node accounts and memory contents.
+	type result struct {
+		now   sim.Time
+		accts []sim.Account
+		words []uint32
+	}
+	run := func(update func(th *Thread, va int64, n int)) result {
+		k := boot(t, nil)
+		pw := k.PageWords()
+		sp := k.NewSpace()
+		base, err := sp.AllocWords("upd", 4*pw, core.Read|core.Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		va, n := base+int64(pw/2+3), 2*pw+5
+		var r result
+		w := k.Spawn("w", 0, sp, func(th *Thread) {
+			src := make([]uint32, n)
+			for i := range src {
+				src[i] = uint32(7 * i)
+			}
+			th.WriteRange(va, src)
+		})
+		k.Spawn("u", 1, sp, func(th *Thread) {
+			th.Join(w)
+			update(th, va, n)
+			r.now = th.Now()
+			r.words = make([]uint32, n)
+			th.ReadRange(va, r.words)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.accts = k.NodeAccounts()
+		return r
+	}
+	perWord := run(func(th *Thread, va int64, n int) {
+		th.Update(va, n, func(i int, v uint32) uint32 { return 3*v + uint32(i) })
+	})
+	perRun := run(func(th *Thread, va int64, n int) {
+		th.UpdateSlice(va, n, func(base int, w []uint32) {
+			for j := range w {
+				w[j] = 3*w[j] + uint32(base+j)
+			}
+		})
+	})
+	if perWord.now != perRun.now {
+		t.Errorf("Update ends at %v, UpdateSlice at %v", perWord.now, perRun.now)
+	}
+	if fmt.Sprint(perWord.accts) != fmt.Sprint(perRun.accts) {
+		t.Errorf("node accounts differ:\nUpdate      %v\nUpdateSlice %v", perWord.accts, perRun.accts)
+	}
+	for i, v := range perWord.words {
+		if want := uint32(3*7*i + i); v != want || perRun.words[i] != want {
+			t.Fatalf("word %d: Update %d, UpdateSlice %d, want %d", i, v, perRun.words[i], want)
+		}
+	}
 }
 
 func TestAtomicAddSerializesCounts(t *testing.T) {

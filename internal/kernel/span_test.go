@@ -75,3 +75,41 @@ func TestMigrateSliceSpans(t *testing.T) {
 		prevEnd = s.End
 	}
 }
+
+// TestEnableHistogramsRetainsSpans checks that EnableHistograms turns
+// on the span retention the op histograms derive from, and that a
+// capacity set by an earlier EnableSpans survives it.
+func TestEnableHistogramsRetainsSpans(t *testing.T) {
+	run := func(enable func(k *Kernel)) *span.Recorder {
+		k := boot(t, nil)
+		enable(k)
+		sp := k.NewSpace()
+		va, err := sp.AllocWords("data", 32, core.Read|core.Write)
+		if err != nil {
+			t.Fatalf("AllocWords: %v", err)
+		}
+		for p := 0; p < 3; p++ {
+			k.Spawn("writer", p, sp, func(th *Thread) { th.Write(va, uint32(p)) })
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return k.Spans()
+	}
+
+	rec := run(func(k *Kernel) { k.EnableHistograms() })
+	var faults int64
+	for _, s := range rec.Spans() {
+		if s.Kind == span.KindFault {
+			faults++
+		}
+	}
+	if h := rec.OpHist(span.KindFault); faults == 0 || h == nil || h.Count() != faults {
+		t.Errorf("fault op histogram %v over %d retained fault spans", h, faults)
+	}
+
+	rec = run(func(k *Kernel) { k.EnableSpans(2); k.EnableHistograms() })
+	if got := len(rec.Spans()); got != 2 || rec.Dropped() == 0 {
+		t.Errorf("EnableSpans(2) then EnableHistograms retained %d spans, dropped %d; want 2 and some", got, rec.Dropped())
+	}
+}

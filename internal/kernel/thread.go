@@ -206,38 +206,22 @@ func (t *Thread) WriteRange(va int64, src []uint32) {
 	}
 }
 
-// Update applies f to each word in [va, va+n) in place. Each page run is
-// charged as one read pass plus one write pass over the touched words.
+// Update applies f to each word in [va, va+n) in place: UpdateSlice
+// with a per-word loop, so it charges exactly what UpdateSlice does.
 func (t *Thread) Update(va int64, n int, f func(i int, v uint32) uint32) {
-	done := 0
-	for done < n {
-		vpn, off := t.page(va)
-		run := t.k.PageWords() - off
-		if run > n-done {
-			run = n - done
+	t.UpdateSlice(va, n, func(base int, w []uint32) {
+		for i := range w {
+			w[i] = f(base+i, w[i])
 		}
-		base := done
-		t.access(va, run, true, func(w []uint32) {
-			for i := range w {
-				w[i] = f(base+i, w[i])
-			}
-		})
-		// The write-mode access charged the store pass; charge the load
-		// pass against the page's current module.
-		if c, err := t.k.sys.Touch(t.st, t.proc, t.space.vs.Cmap(), vpn, false); err == nil {
-			t.k.machine.Access(t.st, t.proc, c.Module, run, false)
-		}
-		done += run
-		va += int64(run)
-	}
+	})
 }
 
 // UpdateSlice applies f to each page run of [va, va+n) as a whole
 // slice: f(base, w) must update w in place, where w holds the words at
-// [va+base, va+base+len(w)). Charging is identical to Update — one read
-// pass plus one write pass per touched page run — but f runs once per
-// run instead of once per word, so tight numeric kernels avoid a
-// dynamic call per element.
+// [va+base, va+base+len(w)). Each page run is charged as one read pass
+// plus one write pass over the touched words; f runs once per run
+// instead of once per word, so tight numeric kernels avoid a dynamic
+// call per element.
 func (t *Thread) UpdateSlice(va int64, n int, f func(base int, w []uint32)) {
 	done := 0
 	for done < n {

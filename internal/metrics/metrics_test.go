@@ -9,6 +9,8 @@ import (
 
 	"platinum/internal/core"
 	"platinum/internal/sim"
+	"platinum/internal/span"
+	"platinum/internal/timeseries"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -151,5 +153,37 @@ func TestReportPagesRankedByCost(t *testing.T) {
 	}
 	if r.Pages[0].FaultTimeNs <= r.Pages[1].FaultTimeNs {
 		t.Fatalf("ranking violated: %d <= %d", r.Pages[0].FaultTimeNs, r.Pages[1].FaultTimeNs)
+	}
+}
+
+// TestBuildSeriesSpilledOnce drives the two series through a small
+// ring until both evict, the cause series one window further than the
+// count series (as a charge can land after the last span starts). The
+// evicted windows are counted once, and the listing starts where both
+// series still hold their columns.
+func TestBuildSeriesSpilledOnce(t *testing.T) {
+	const width, ringWindows = 10, 4
+	cause := timeseries.New(width, int(sim.NumCauses), ringWindows)
+	counts := timeseries.New(width, span.NumCounts, ringWindows)
+	for w := int64(0); w < 10; w++ {
+		cause.Add(w*width, int(sim.CauseFault), 5)
+		if w < 9 {
+			counts.Add(w*width, span.CountFault, 1)
+		}
+	}
+	if cause.SpilledWindows() != 6 || counts.SpilledWindows() != 5 {
+		t.Fatalf("spilled %d and %d windows, want 6 and 5", cause.SpilledWindows(), counts.SpilledWindows())
+	}
+	s := BuildSeries(cause, counts)
+	if s.SpilledWindows != 6 {
+		t.Errorf("SpilledWindows = %d, want 6", s.SpilledWindows)
+	}
+	if len(s.Windows) != 4 || s.Windows[0].StartNs != 6*width {
+		t.Fatalf("listed %d windows from %v, want 4 from %d", len(s.Windows), s.Windows, 6*width)
+	}
+	for _, w := range s.Windows[:3] {
+		if w.TimeNs["fault"] != 5 || w.Counts["faults"] != 1 {
+			t.Errorf("window at %d lists %v and %v, want fault 5 and faults 1", w.StartNs, w.TimeNs, w.Counts)
+		}
 	}
 }

@@ -80,9 +80,9 @@ type NodeHistograms struct {
 
 // Histograms is the report's "histograms" section. Charges are
 // machine-wide per-cause charge distributions (every node's histogram
-// for that cause merged); Ops are whole-operation distributions from
-// the span recorder (full fault, shootdown round, block transfer);
-// Nodes breaks the charge distributions down per node. Empty
+// for that cause merged); Ops are whole-operation distributions (full
+// fault, shootdown round, block transfer) derived from the retained
+// spans; Nodes breaks the charge distributions down per node. Empty
 // distributions are omitted throughout, so the section's size tracks
 // what actually ran.
 type Histograms struct {
@@ -92,45 +92,42 @@ type Histograms struct {
 }
 
 // BuildHistograms assembles the histograms section from an engine with
-// charge histograms enabled and/or a span recorder with op histograms
-// enabled. Returns nil when neither source is recording — the
-// omitempty contract for unconfigured runs.
+// charge histograms enabled, adding the op histograms when rec retains
+// spans (kernel.EnableHistograms turns both on). Returns nil when
+// charge histograms are off — the omitempty contract for unconfigured
+// runs.
 func BuildHistograms(e *sim.Engine, rec *span.Recorder) *Histograms {
-	chargesOn := e != nil && e.ChargeHistogramsEnabled()
-	opsOn := rec != nil && rec.OpHistsEnabled()
-	if !chargesOn && !opsOn {
+	if e == nil || !e.ChargeHistogramsEnabled() {
 		return nil
 	}
 	out := &Histograms{}
-	if chargesOn {
-		nodes := e.ChargeHistNodes()
-		var merged hist.H
-		for c := sim.Cause(0); c < sim.NumCauses; c++ {
-			merged.Reset()
-			for n := 0; n < nodes; n++ {
-				if h := e.ChargeHist(n, c); h != nil {
-					merged.Merge(h)
-				}
-			}
-			if !merged.Empty() {
-				out.Charges = append(out.Charges, FromHist(c.String(), &merged, true))
+	nodes := e.ChargeHistNodes()
+	var merged hist.H
+	for c := sim.Cause(0); c < sim.NumCauses; c++ {
+		merged.Reset()
+		for n := 0; n < nodes; n++ {
+			if h := e.ChargeHist(n, c); h != nil {
+				merged.Merge(h)
 			}
 		}
-		for n := 0; n < nodes; n++ {
-			nh := NodeHistograms{Node: n}
-			for c := sim.Cause(0); c < sim.NumCauses; c++ {
-				if h := e.ChargeHist(n, c); h != nil && !h.Empty() {
-					nh.Causes = append(nh.Causes, FromHist(c.String(), h, false))
-				}
-			}
-			if len(nh.Causes) > 0 {
-				out.Nodes = append(out.Nodes, nh)
-			}
+		if !merged.Empty() {
+			out.Charges = append(out.Charges, FromHist(c.String(), &merged, true))
 		}
 	}
-	if opsOn {
+	for n := 0; n < nodes; n++ {
+		nh := NodeHistograms{Node: n}
+		for c := sim.Cause(0); c < sim.NumCauses; c++ {
+			if h := e.ChargeHist(n, c); h != nil && !h.Empty() {
+				nh.Causes = append(nh.Causes, FromHist(c.String(), h, false))
+			}
+		}
+		if len(nh.Causes) > 0 {
+			out.Nodes = append(out.Nodes, nh)
+		}
+	}
+	if rec != nil && rec.Retaining() {
 		for _, k := range span.HistogramKinds {
-			if h := rec.OpHist(k); h != nil && !h.Empty() {
+			if h := rec.OpHist(k); !h.Empty() {
 				out.Ops = append(out.Ops, FromHist(k.String(), h, true))
 			}
 		}
@@ -163,45 +160,32 @@ type SeriesMetrics struct {
 // BuildSeries assembles the series section from the engine's per-cause
 // charged-time series and the span recorder's operation-count series
 // (either may be nil; both nil returns nil). When both are present they
-// must share a window width — kernel.EnableSeries configures them
-// together.
+// must share one geometry — kernel.EnableSeries configures them
+// together — so a window is evicted from the listing once: the listing
+// starts at the later of their lowest retained windows, where both
+// series still hold their columns, and SpilledWindows counts the
+// evictions of the series that evicted more.
 func BuildSeries(cause, counts *timeseries.Series) *SeriesMetrics {
 	if cause == nil && counts == nil {
 		return nil
 	}
-	var width int64
-	lo, hi := int64(0), int64(-1)
-	span0 := func(s *timeseries.Series) {
-		if s == nil || s.Empty() {
-			return
-		}
-		if hi < lo {
-			lo, hi = s.LoWindow(), s.HiWindow()
-			return
-		}
-		if s.LoWindow() < lo {
-			lo = s.LoWindow()
-		}
-		if s.HiWindow() > hi {
-			hi = s.HiWindow()
-		}
-	}
 	out := &SeriesMetrics{}
-	if cause != nil {
-		width = cause.Width()
-		out.SpilledWindows += cause.SpilledWindows()
-	}
-	if counts != nil {
-		if width == 0 {
-			width = counts.Width()
-		} else if counts.Width() != width {
-			panic(fmt.Sprintf("metrics: series width mismatch: %d vs %d", width, counts.Width()))
+	lo, hi := int64(0), int64(-1)
+	for _, s := range [...]*timeseries.Series{cause, counts} {
+		if s == nil {
+			continue
 		}
-		out.SpilledWindows += counts.SpilledWindows()
+		if out.WidthNs == 0 {
+			out.WidthNs = s.Width()
+		} else if s.Width() != out.WidthNs {
+			panic(fmt.Sprintf("metrics: series width mismatch: %d vs %d", out.WidthNs, s.Width()))
+		}
+		out.SpilledWindows = max(out.SpilledWindows, s.SpilledWindows())
+		if !s.Empty() {
+			lo, hi = max(lo, s.LoWindow()), max(hi, s.HiWindow())
+		}
 	}
-	out.WidthNs = width
-	span0(cause)
-	span0(counts)
+	width := out.WidthNs
 	for w := lo; w <= hi; w++ {
 		sw := SeriesWindow{StartNs: w * width}
 		if cause != nil {
@@ -267,42 +251,6 @@ func CheckHistConservation(e *sim.Engine, accts []sim.Account) error {
 			if btotal != count {
 				return fmt.Errorf("metrics: node %d cause %v: bucket total %d != count %d", n, c, btotal, count)
 			}
-		}
-	}
-	return nil
-}
-
-// CheckOpHistConservation verifies the whole-operation histograms
-// against a complete retained span recording: for every histogrammed
-// kind, the histogram's count and sum must equal the number and total
-// duration of the retained spans of that kind. The recorder must have
-// dropped nothing (Recorder.Dropped() == 0) for the comparison to be
-// meaningful; a nonzero drop count is an error here.
-func CheckOpHistConservation(rec *span.Recorder, spans []span.Span) error {
-	if rec == nil || !rec.OpHistsEnabled() {
-		return fmt.Errorf("metrics: op histograms not enabled")
-	}
-	if d := rec.Dropped(); d != 0 {
-		return fmt.Errorf("metrics: span recording dropped %d spans; op conservation unverifiable", d)
-	}
-	for _, k := range span.HistogramKinds {
-		var count, sum int64
-		for _, sp := range spans {
-			if sp.Kind == k {
-				count++
-				sum += int64(sp.Dur())
-			}
-		}
-		h := rec.OpHist(k)
-		if h == nil {
-			return fmt.Errorf("metrics: no op histogram for kind %v", k)
-		}
-		if h.Count() != count || h.Sum() != sum {
-			return fmt.Errorf("metrics: kind %v: histogram count/sum %d/%d != spans %d/%d",
-				k, h.Count(), h.Sum(), count, sum)
-		}
-		if h.BucketTotal() != h.Count() {
-			return fmt.Errorf("metrics: kind %v: bucket total %d != count %d", k, h.BucketTotal(), h.Count())
 		}
 	}
 	return nil

@@ -21,7 +21,8 @@
 //     invariant trips (see internal/stress);
 //   - an optional retained buffer (EnableRetain) holding every span for
 //     export as Chrome trace-event JSON (WriteChrome), loadable in
-//     Perfetto or chrome://tracing.
+//     Perfetto or chrome://tracing, and for the whole-operation latency
+//     histograms derived from it (OpHist).
 //
 // Every span carries a Cause and the slice of its duration it alone
 // attributes to that cause (Self). For the protocol causes
@@ -38,7 +39,6 @@ import (
 	"slices"
 	"sort"
 
-	"platinum/internal/hist"
 	"platinum/internal/sim"
 	"platinum/internal/timeseries"
 )
@@ -235,7 +235,7 @@ func (sp Span) Dur() sim.Time { return sp.End - sp.Start }
 const DefaultFlightSpans = 256
 
 // Recorder collects spans. The flight ring is always on; the retained
-// buffer only fills between EnableRetain and DisableRetain. A Recorder
+// buffer only fills after EnableRetain, until Reset. A Recorder
 // is not safe for concurrent use — like the rest of the simulator, it
 // relies on the engine running one thread at a time.
 type Recorder struct {
@@ -255,13 +255,11 @@ type Recorder struct {
 	// Begin/End pair allocates nothing once the recorder is warm.
 	opens []*Open
 
-	// Optional distributional telemetry (see telemetry.go): per-kind
-	// whole-operation latency histograms and a windowed operation-count
-	// series, both fed from Record.
-	opHistsOn bool
-	opHists   []hist.H
-	countsOn  bool
-	counts    *timeseries.Series
+	// Optional operation-count series (see telemetry.go), fed from
+	// Record. Whole-operation histograms are not kept here: OpHist
+	// derives them from the retained spans.
+	countsOn bool
+	counts   *timeseries.Series
 }
 
 // NewRecorder returns a recorder whose flight ring holds flightCap
@@ -287,7 +285,7 @@ func (r *Recorder) Record(sp Span) ID {
 		sp.ID = r.Alloc()
 	}
 	r.total++
-	if r.telemetryOn() {
+	if r.countsOn {
 		r.recordTelemetry(&sp)
 	}
 	if len(r.ring) < r.rcap {
@@ -410,15 +408,6 @@ func (r *Recorder) EnableRetain(capacity int) {
 	r.retaining = true
 	r.retainCap = capacity
 	r.retain = r.retain[:0] // keep the backing array across runs
-	r.dropped = 0
-}
-
-// DisableRetain stops retaining and discards the retained buffer's
-// contents (its backing array is kept for reuse). The flight ring keeps
-// recording.
-func (r *Recorder) DisableRetain() {
-	r.retaining = false
-	r.retain = r.retain[:0]
 	r.dropped = 0
 }
 

@@ -69,9 +69,9 @@ func TestRecorderRetain(t *testing.T) {
 			t.Fatalf("Spans() not sorted by start: %v after %v", sp[i].Start, sp[i-1].Start)
 		}
 	}
-	r.DisableRetain()
-	if r.Retaining() || len(r.Spans()) != 0 {
-		t.Fatalf("DisableRetain left retained state behind")
+	r.Reset()
+	if r.Retaining() || len(r.Spans()) != 0 || r.Dropped() != 0 {
+		t.Fatalf("Reset left retained state behind")
 	}
 }
 

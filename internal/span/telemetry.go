@@ -7,25 +7,22 @@ import (
 )
 
 // Composite-operation telemetry. Where internal/sim's charge histograms
-// see individual charges, the recorder can optionally keep, per span
-// kind, a latency histogram of *whole operations* — a full fault from
-// handler entry to completion, a complete shootdown round, a block
-// transfer — and a windowed count series of operation starts over
-// simulated time. Both are fed from Record, the single funnel every
-// completed span passes through, so they are exactly as complete as the
-// flight ring's total count: histogram Count sums equal the number of
-// recorded spans of each instrumented kind.
+// see individual charges, the recorder derives, per span kind, a
+// latency histogram of *whole operations* — a full fault from handler
+// entry to completion, a complete shootdown round, a block transfer —
+// from the retained spans at export (OpHist), and can keep a windowed
+// count series of operation starts over simulated time, fed live from
+// Record, the single funnel every completed span passes through.
 //
-// Like retention, telemetry is pure bookkeeping on the recording
-// thread — no allocation on the record path once enabled, no clock
-// access, no yielding — so enabling it cannot change dispatch order or
-// any simulation result. It is off by default and off again after
-// Reset.
+// The count series is pure bookkeeping on the recording thread — no
+// allocation on the record path once enabled, no clock access, no
+// yielding — so enabling it cannot change dispatch order or any
+// simulation result. It is off by default and off again after Reset.
 
-// HistogramKinds are the span kinds whose whole-operation durations get
-// a latency histogram when EnableOpHists is on: the paper's composite
-// costs (a coherent fault end to end, one shootdown round, one hardware
-// block transfer) rather than their individual charge components.
+// HistogramKinds are the span kinds whose whole-operation durations the
+// report's op histograms cover: the paper's composite costs (a coherent
+// fault end to end, one shootdown round, one hardware block transfer)
+// rather than their individual charge components.
 var HistogramKinds = []Kind{
 	KindFault,
 	KindShootdown,
@@ -64,49 +61,35 @@ func CountName(col int) string {
 	return "count(?)"
 }
 
-// histKind marks the kinds in HistogramKinds for O(1) hot-path lookup;
 // countCol maps a span kind to its count-series column (-1 for kinds
-// without one). Both are derived once at init.
-var (
-	histKind [numKinds]bool
-	countCol [numKinds]int
-)
+// without one), derived once at init.
+var countCol [numKinds]int
 
 func init() {
 	for k := range countCol {
 		countCol[k] = -1
-	}
-	for _, k := range HistogramKinds {
-		histKind[k] = true
 	}
 	countCol[KindFault] = CountFault
 	countCol[KindShootdown] = CountShootdown
 	countCol[KindBlockTransfer] = CountBlockTransfer
 }
 
-// EnableOpHists starts recording one whole-operation latency histogram
-// per kind in HistogramKinds. Call before the run so Count matches the
-// recorder's totals; storage from an earlier enable is reused.
-func (r *Recorder) EnableOpHists() {
-	if r.opHists == nil {
-		r.opHists = make([]hist.H, numKinds)
-	}
-	r.opHistsOn = true
-}
-
-// OpHist returns the live whole-operation histogram for kind k, or nil
-// when op histograms are off or k is not a histogrammed kind. The
-// histogram aliases recorder state: read it only between runs.
+// OpHist builds kind k's whole-operation duration histogram from the
+// retained spans, or returns nil when spans are not retained. It reads
+// the retained buffer in place, so a recording that dropped spans
+// (Dropped() > 0) yields a partial histogram.
 func (r *Recorder) OpHist(k Kind) *hist.H {
-	if !r.opHistsOn || k >= numKinds || !histKind[k] {
+	if !r.retaining {
 		return nil
 	}
-	return &r.opHists[k]
+	h := new(hist.H)
+	for i := range r.retain {
+		if sp := &r.retain[i]; sp.Kind == k {
+			h.Record(int64(sp.End - sp.Start))
+		}
+	}
+	return h
 }
-
-// OpHistsEnabled reports whether whole-operation histograms are
-// recording.
-func (r *Recorder) OpHistsEnabled() bool { return r.opHistsOn }
 
 // EnableCountSeries starts counting operation starts (columns CountFault
 // .. CountThaw) into windows of the given virtual-time width, retaining
@@ -141,33 +124,19 @@ func (r *Recorder) CountEvent(at sim.Time, col int) {
 	r.counts.Add(int64(at), col, 1)
 }
 
-// recordTelemetry feeds one completed span into whichever sinks are
-// enabled: the whole-operation duration histogram for histogrammed
-// kinds, and the operation-count series at the span's start time.
-// Called from Record only when r.telemetryOn() is true.
+// recordTelemetry counts one completed span's start in the
+// operation-count series. Called from Record only while the series is
+// on.
 func (r *Recorder) recordTelemetry(sp *Span) {
-	if r.opHistsOn && histKind[sp.Kind] {
-		r.opHists[sp.Kind].Record(int64(sp.End - sp.Start))
-	}
-	if r.countsOn {
-		if col := countCol[sp.Kind]; col >= 0 {
-			r.counts.Add(int64(sp.Start), col, 1)
-		}
+	if col := countCol[sp.Kind]; col >= 0 {
+		r.counts.Add(int64(sp.Start), col, 1)
 	}
 }
 
-// telemetryOn reports whether any span telemetry sink is recording.
-func (r *Recorder) telemetryOn() bool { return r.opHistsOn || r.countsOn }
-
-// resetTelemetry returns span telemetry to its boot state (off) while
-// keeping the storage both sinks have grown, so a pooled recorder's
-// later enable allocates nothing.
+// resetTelemetry turns the count series off while keeping its storage,
+// so a pooled recorder's later enable allocates nothing.
 func (r *Recorder) resetTelemetry() {
-	r.opHistsOn = false
 	r.countsOn = false
-	for i := range r.opHists {
-		r.opHists[i].Reset()
-	}
 	if r.counts != nil {
 		r.counts.Reset()
 	}

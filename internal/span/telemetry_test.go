@@ -2,28 +2,32 @@ package span
 
 import "testing"
 
-// TestOpHistRecordsCompositeKinds verifies whole-operation histograms
-// see exactly the histogrammed kinds, with exact counts and sums.
+// TestOpHistRecordsCompositeKinds verifies a whole-operation histogram
+// is derived from exactly the retained spans of its kind, with exact
+// counts and sums, and is nil while spans are not retained.
 func TestOpHistRecordsCompositeKinds(t *testing.T) {
 	r := NewRecorder(0)
-	r.EnableOpHists()
+	r.Record(Span{Kind: KindFault, Start: 0, End: 5000}) // before retention
+	if r.OpHist(KindFault) != nil {
+		t.Fatal("OpHist non-nil without retention")
+	}
+	r.EnableRetain(0)
 	r.Record(Span{Kind: KindFault, Start: 100, End: 350})
 	r.Record(Span{Kind: KindFault, Start: 400, End: 900})
 	r.Record(Span{Kind: KindShootdown, Start: 150, End: 250})
-	r.Record(Span{Kind: KindDirLookup, Start: 110, End: 120}) // not histogrammed
+	r.Record(Span{Kind: KindDirLookup, Start: 110, End: 120})
 
-	h := r.OpHist(KindFault)
-	if h == nil || h.Count() != 2 || h.Sum() != 250+500 {
-		t.Fatalf("fault hist count/sum = %v, want 2/750", h)
+	if h := r.OpHist(KindFault); h == nil || h.Count() != 2 || h.Sum() != 250+500 || h.Max() != 500 {
+		t.Fatalf("fault hist = %v, want count 2, sum 750, max 500", h)
 	}
 	if h := r.OpHist(KindShootdown); h.Count() != 1 || h.Sum() != 100 {
 		t.Errorf("shootdown hist count/sum = %d/%d, want 1/100", h.Count(), h.Sum())
 	}
-	if r.OpHist(KindDirLookup) != nil {
-		t.Error("OpHist returned a histogram for a non-histogrammed kind")
+	if h := r.OpHist(KindBlockTransfer); h == nil || !h.Empty() {
+		t.Error("block-transfer hist not empty with no block-transfer spans retained")
 	}
-	if r.OpHist(KindBlockTransfer) == nil {
-		t.Error("OpHist nil for an enabled histogrammed kind with no samples")
+	if got := len(r.Spans()); got != 4 {
+		t.Errorf("OpHist disturbed the recording: %d spans retained, want 4", got)
 	}
 }
 
@@ -71,25 +75,32 @@ func TestCountEventNilSafe(t *testing.T) {
 	}
 }
 
-// TestTelemetryResetAndReuse verifies Reset turns span telemetry off,
+// TestTelemetryResetAndReuse verifies Reset turns span telemetry off —
+// the count series and the retention op histograms derive from — and
 // clears it, and a re-enabled recorder starts empty without losing the
 // grown storage.
 func TestTelemetryResetAndReuse(t *testing.T) {
 	r := NewRecorder(0)
-	r.EnableOpHists()
+	r.EnableRetain(0)
 	r.EnableCountSeries(1000, 16)
 	r.Record(Span{Kind: KindFault, Start: 0, End: 10})
 	r.Reset()
-	if r.OpHistsEnabled() || r.CountSeries() != nil {
+	if r.OpHist(KindFault) != nil || r.CountSeries() != nil {
 		t.Error("telemetry still on after Reset")
 	}
-	r.EnableOpHists()
+	r.EnableRetain(0)
 	r.EnableCountSeries(1000, 16)
 	if h := r.OpHist(KindFault); h == nil || !h.Empty() {
 		t.Error("re-enabled op hist not empty")
 	}
+	if s := r.CountSeries(); !s.Empty() {
+		t.Error("re-enabled count series not empty")
+	}
 	r.Record(Span{Kind: KindFault, Start: 0, End: 10})
 	if h := r.OpHist(KindFault); h.Count() != 1 {
 		t.Errorf("re-enabled op hist count = %d, want 1", h.Count())
+	}
+	if got := r.CountSeries().Total(CountFault); got != 1 {
+		t.Errorf("re-enabled fault count = %d, want 1", got)
 	}
 }

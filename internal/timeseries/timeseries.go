@@ -129,9 +129,6 @@ func (s *Series) Width() int64 { return s.width }
 // Cols returns the number of counters per window.
 func (s *Series) Cols() int { return s.cols }
 
-// Cap returns the ring capacity in windows.
-func (s *Series) Cap() int { return s.capW }
-
 // row returns the storage row for window index w (which must be within
 // [lo, hi] and retained).
 func (s *Series) row(w int64) []int64 {
@@ -247,10 +244,6 @@ func (s *Series) At(w int64, col int) int64 {
 
 // WindowStart returns the virtual-time start of window index w.
 func (s *Series) WindowStart(w int64) int64 { return w * s.width }
-
-// Spill returns the per-column totals that fell off the ring (evicted
-// windows plus too-old adds). The returned slice aliases the series.
-func (s *Series) Spill() []int64 { return s.spill }
 
 // SpilledWindows returns how many windows were evicted from the ring.
 func (s *Series) SpilledWindows() int64 { return s.spilled }

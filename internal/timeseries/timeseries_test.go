@@ -46,8 +46,12 @@ func TestEviction(t *testing.T) {
 	if s.SpilledWindows() != 6 {
 		t.Errorf("SpilledWindows = %d, want 6", s.SpilledWindows())
 	}
-	if s.Spill()[0] != 6 {
-		t.Errorf("spill total = %d, want 6", s.Spill()[0])
+	var retained int64
+	for w := s.LoWindow(); w <= s.HiWindow(); w++ {
+		retained += s.At(w, 0)
+	}
+	if retained != 4 {
+		t.Errorf("retained total = %d, want 4", retained)
 	}
 	if s.Total(0) != 10 {
 		t.Errorf("Total = %d, want 10 (conservation)", s.Total(0))
@@ -123,11 +127,15 @@ func TestReconfigureReuse(t *testing.T) {
 	}
 	s.Reconfigure(5, 1, 4)
 	s.Add(21, 0, 2)
-	if s.Width() != 5 || s.Cols() != 1 || s.Cap() != 4 {
-		t.Errorf("Reconfigure shape = %d/%d/%d, want 5/1/4", s.Width(), s.Cols(), s.Cap())
+	if s.Width() != 5 || s.Cols() != 1 {
+		t.Errorf("Reconfigure shape = %d/%d, want 5/1", s.Width(), s.Cols())
 	}
 	if got := s.At(4, 0); got != 2 {
 		t.Errorf("window 4 = %d, want 2", got)
+	}
+	s.Add(35, 0, 1) // window 7: a 4-window ring retains [4,7]
+	if s.LoWindow() != 4 || s.HiWindow() != 7 {
+		t.Errorf("after Reconfigure to 4 windows: retained [%d,%d], want [4,7]", s.LoWindow(), s.HiWindow())
 	}
 }
 

@@ -2,12 +2,12 @@ package platinum
 
 // End-to-end conservation of the distributional telemetry: for real
 // workloads on real machines — gauss and mergesort on the paper's
-// topology, TopoMix on a clustered distance-matrix machine — every
+// topology, TopoMix on a clustered distance-matrix machine — every live
 // telemetry sink must reconcile exactly against the ground truth it
-// shadows. Charge histograms sum to the per-node accounts, op
-// histograms to the retained spans, and the cause series (retained
-// windows plus spill) to the total account. scripts/check-obs.sh runs
-// this file as the observability gate.
+// shadows. Charge histograms sum to the per-node accounts, and the
+// cause series (retained windows plus spill) to the total account. The
+// op histograms need no check here: they are derived from the retained
+// spans at export, and the report's hist goldens pin them.
 
 import (
 	"testing"
@@ -20,16 +20,13 @@ import (
 )
 
 // newTelemetryPlatform boots a fresh platform (no pooling — each test
-// owns its kernel) with every telemetry sink and full span retention
-// enabled, so the op-histogram check can compare against a complete
-// span record.
+// owns its kernel) with every telemetry sink enabled.
 func newTelemetryPlatform(t *testing.T, cfg kernel.Config) *apps.PlatinumPlatform {
 	t.Helper()
 	pl, err := apps.NewPlatinumPlatform(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.K.EnableSpans(0)
 	pl.K.EnableHistograms()
 	pl.K.EnableSeries(sim.Millisecond, 0)
 	return pl
@@ -44,10 +41,6 @@ func checkAllTelemetry(t *testing.T, pl *apps.PlatinumPlatform) {
 	}
 	if err := metrics.CheckHistConservation(pl.K.Engine(), pl.K.NodeAccounts()); err != nil {
 		t.Errorf("charge-histogram conservation: %v", err)
-	}
-	rec := pl.K.Spans()
-	if err := metrics.CheckOpHistConservation(rec, rec.Spans()); err != nil {
-		t.Errorf("op-histogram conservation: %v", err)
 	}
 	if err := metrics.CheckSeriesConservation(pl.K.Engine(), pl.K.TotalAccount()); err != nil {
 		t.Errorf("series conservation: %v", err)
