@@ -226,7 +226,7 @@ func TestSpanBeginEndZeroAlloc(t *testing.T) {
 			rec.Begin(span.KindFault, now).Proc(1).Track(2).Notef("probe %d", 3).End(now + 1)
 		},
 		func(rec *span.Recorder, now sim.Time) {
-			rec.Begin(span.KindFault, now).Parent(1).Page(2).Note("probe").End(now + 1)
+			rec.Begin(span.KindFault, now).Note("probe").End(now + 1)
 		},
 	}
 	for i, chain := range chains {

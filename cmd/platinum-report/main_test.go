@@ -216,14 +216,17 @@ func spansFile(t *testing.T, args ...string) []byte {
 // succeeds only if they nest and reconcile exactly with the accounts,
 // and the report says so.
 func TestValidateApps(t *testing.T) {
-	for _, app := range []string{"gauss", "mergesort", "backprop"} {
+	for _, run := range []struct{ app, n string }{
+		{"gauss", "32"}, {"mergesort", "32"}, {"backprop", "32"},
+		{"gauss", "48"}, {"mergesort", "8192"},
+	} {
 		f := filepath.Join(t.TempDir(), "spans.json")
-		out, code := runCmd(t, "-app", app, "-n", "32", "-procs", "4", "-spans", f)
+		out, code := runCmd(t, "-app", run.app, "-n", run.n, "-procs", "4", "-spans", f)
 		if code != 0 {
-			t.Fatalf("%s: exit code %d", app, code)
+			t.Fatalf("%s -n %s: exit code %d", run.app, run.n, code)
 		}
 		if !strings.Contains(out, "nest and reconcile exactly") {
-			t.Errorf("%s: report does not confirm the validation:\n%s", app, out)
+			t.Errorf("%s -n %s: report does not confirm the validation:\n%s", run.app, run.n, out)
 		}
 	}
 }

@@ -66,9 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Pages = *pages
 	cfg.FramesPerModule = *frames
 	cfg.Bug = *bug
-	if *faults {
-		cfg.Faults = stress.DefaultFaultConfig()
-	}
+	cfg.Faults = *faults
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(stderr, "platinum-stress: %v\n", err)
 		return 2
@@ -136,12 +134,12 @@ func runOne(cfg stress.Config, shrink, verbose bool, stdout, stderr io.Writer) i
 	}
 	if verbose {
 		mode := "faults=off"
-		if cfg.Faults.Enabled() {
+		if cfg.Faults {
 			mode = "faults=on"
 		}
 		fmt.Fprintf(stdout, "seed %-6d %s: %d ops, %v virtual, %d faults, %d freezes, %d thaws, %d no-memory, digest %s\n",
 			cfg.Seed, mode, res.OpsRun, res.Elapsed, res.Faults, res.Freezes, res.Thaws, res.NoMemory, res.Digest)
-		if cfg.Faults.Enabled() {
+		if cfg.Faults {
 			fmt.Fprintf(stdout, "  injected: retry=%v slow_ack=%v (unattributed=%v)\n",
 				res.Account[sim.CauseRetry], res.Account[sim.CauseSlowAck], res.Account[sim.CauseUnattributed])
 		}

@@ -56,20 +56,9 @@ func TestScopeLimits(t *testing.T) {
 // guard. The load must include internal/core: a discovery that finds
 // nothing cannot pass.
 func TestModuleClean(t *testing.T) {
-	loader, err := analysis.NewModuleLoader(moduleRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := loader.DiscoverAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(paths...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	if !slices.ContainsFunc(pkgs, func(p *analysis.Package) bool { return p.Path == "platinum/internal/core" }) {
-		t.Fatalf("loaded %d packages, none of them platinum/internal/core: %v", len(pkgs), paths)
+		t.Fatalf("loaded %d packages, none of them platinum/internal/core", len(pkgs))
 	}
 	findings, err := analysis.Run(analysis.All(), pkgs)
 	if err != nil {

@@ -24,8 +24,6 @@ import (
 // shared memory plus time accounting. kernel.Thread (PLATINUM) and
 // uma.Thread (Sequent-class UMA) both satisfy it.
 type Env interface {
-	Proc() int
-	Now() sim.Time
 	Compute(d sim.Time)
 	Read(va int64) uint32
 	Write(va int64, v uint32)

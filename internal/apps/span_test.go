@@ -19,11 +19,10 @@ import (
 // bootSpans boots a PLATINUM platform with span retention enabled and
 // the defrost daemon sped up so sweeps (and thaw spans) occur within
 // the short test runs.
-func bootSpans(t *testing.T, adaptive bool) *PlatinumPlatform {
+func bootSpans(t *testing.T) *PlatinumPlatform {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.Core.DefrostPeriod = 2 * sim.Millisecond
-	cfg.Core.AdaptiveDefrost = adaptive
 	pl, err := NewPlatinumPlatform(cfg)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
@@ -60,7 +59,7 @@ func kinds(spans []span.Span) map[span.Kind]int {
 }
 
 func TestSpansReconcileGauss(t *testing.T) {
-	pl := bootSpans(t, false)
+	pl := bootSpans(t)
 	cfg := DefaultGaussConfig(48, 4)
 	res, err := RunGaussPlatinum(pl, cfg)
 	if err != nil {
@@ -89,7 +88,7 @@ func TestSpansReconcileGauss(t *testing.T) {
 }
 
 func TestSpansReconcileMergeSort(t *testing.T) {
-	pl := bootSpans(t, true) // adaptive daemon: exercises DefrostDue
+	pl := bootSpans(t)
 	cfg := DefaultMergeSortConfig(4)
 	cfg.Words = 1 << 13
 	res, err := RunMergeSort(pl, cfg)

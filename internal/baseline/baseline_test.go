@@ -114,10 +114,12 @@ func TestUniformSystemNeverMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Scatter(sp, k, va, npages); err != nil {
-		t.Fatalf("Scatter: %v", err)
-	}
 	pw := int64(k.PageWords())
+	for i := 0; i < npages; i++ {
+		if err := sp.PlaceAt(va+int64(i)*pw, i%k.Nodes()); err != nil {
+			t.Fatalf("PlaceAt page %d: %v", i, err)
+		}
+	}
 	k.Spawn("w", 3, sp, func(th *kernel.Thread) {
 		for i := 0; i < npages; i++ {
 			th.Write(va+int64(i)*pw, uint32(i))
@@ -143,45 +145,5 @@ func TestUniformSystemNeverMoves(t *testing.T) {
 		if cp.Stats.Replications+cp.Stats.Migrations != 0 {
 			t.Errorf("page %d moved", i)
 		}
-	}
-}
-
-func TestScatterPlacesRoundRobin(t *testing.T) {
-	k, err := kernel.Boot(UniformSystemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := k.NewSpace()
-	va, _ := sp.AllocPages("arr", 20, core.Read|core.Write)
-	if err := Scatter(sp, k, va, 20); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := k.Manager().LookupObject("arr")
-	for i := 0; i < 20; i++ {
-		if mod := obj.Cpage(i).Copies()[0].Module; mod != i%16 {
-			t.Fatalf("page %d on module %d, want %d", i, mod, i%16)
-		}
-	}
-}
-
-func TestPlaceBlocked(t *testing.T) {
-	k, err := kernel.Boot(UniformSystemConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := k.NewSpace()
-	va, _ := sp.AllocPages("blk", 8, core.Read|core.Write)
-	if err := PlaceBlocked(sp, k, va, 8, 2); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := k.Manager().LookupObject("blk")
-	want := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	for i, w := range want {
-		if mod := obj.Cpage(i).Copies()[0].Module; mod != w {
-			t.Fatalf("page %d on module %d, want %d", i, mod, w)
-		}
-	}
-	if err := PlaceBlocked(sp, k, va, 8, 0); err == nil {
-		t.Fatal("blockPages=0 accepted")
 	}
 }

@@ -10,8 +10,8 @@
 //   - Uniform System-style static shared memory: shared data is
 //     scattered over all memory modules at startup and never moves;
 //     every access from a non-home processor is a remote reference.
-//     Implemented as a kernel booted with the NeverCache policy plus a
-//     scatter-placement helper.
+//     Implemented as a kernel booted with the NeverCache policy; the
+//     program places its pages with kernel.Space.PlaceAt.
 package baseline
 
 import (

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"platinum/internal/core"
 	"platinum/internal/kernel"
 )
@@ -12,42 +10,11 @@ import (
 // statically placed (scattered over memory modules) and never
 // replicated or migrated — every access from a non-home processor is a
 // remote reference. The NeverCache policy disables all data movement;
-// Scatter below performs the placement.
+// the program places its pages with Space.PlaceAt (RunGaussUniform
+// strides its matrix pages over the modules).
 func UniformSystemConfig() kernel.Config {
 	cfg := kernel.DefaultConfig()
 	cfg.Core.Policy = core.NeverCache{}
 	cfg.Core.DefrostPeriod = 0 // nothing ever freezes or thaws
 	return cfg
-}
-
-// Scatter statically places the npages pages starting at virtual
-// address va round-robin across all memory modules, the Uniform
-// System's default layout for large shared arrays (it balances memory
-// contention at the price of making most references remote).
-func Scatter(sp *kernel.Space, k *kernel.Kernel, va int64, npages int) error {
-	pw := int64(k.PageWords())
-	for i := 0; i < npages; i++ {
-		if err := sp.PlaceAt(va+int64(i)*pw, i%k.Nodes()); err != nil {
-			return fmt.Errorf("baseline: scattering page %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// PlaceBlocked statically places npages pages starting at va in
-// contiguous blocks of blockPages per module (block placement: each
-// processor's partition lands in its own memory when blockPages equals
-// the per-processor share).
-func PlaceBlocked(sp *kernel.Space, k *kernel.Kernel, va int64, npages, blockPages int) error {
-	if blockPages <= 0 {
-		return fmt.Errorf("baseline: blockPages = %d", blockPages)
-	}
-	pw := int64(k.PageWords())
-	for i := 0; i < npages; i++ {
-		mod := (i / blockPages) % k.Nodes()
-		if err := sp.PlaceAt(va+int64(i)*pw, mod); err != nil {
-			return fmt.Errorf("baseline: placing page %d: %w", i, err)
-		}
-	}
-	return nil
 }

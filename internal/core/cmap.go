@@ -308,6 +308,3 @@ func (cm *Cmap) postMsg(vpn int64, restrict bool, targets procset.Set) {
 	}
 	cm.msgs = append(cm.msgs, cmapMsg{vpn: vpn, restrict: restrict, targets: targets})
 }
-
-// PendingMessages reports the queued Cmap message count (instrumentation).
-func (cm *Cmap) PendingMessages() int { return len(cm.msgs) }

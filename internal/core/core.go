@@ -185,12 +185,6 @@ type Config struct {
 	// pages. Paper: 1 s. Zero disables the daemon.
 	DefrostPeriod sim.Time
 
-	// AdaptiveDefrost selects the paper's proposed alternative daemon
-	// (§4.2): instead of thawing everything every DefrostPeriod, each
-	// page thaws once it has been frozen for DefrostPeriod, with the
-	// daemon sleeping until the next page is due.
-	AdaptiveDefrost bool
-
 	// SourceSelection picks the block-transfer source for replication.
 	SourceSelection SourceSelection
 
@@ -311,7 +305,6 @@ func NewSystem(m *mach.Machine, cfg Config) (*System, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NewPlatinumPolicy(DefaultT1, false)
 	}
-	cfg.PageTables = cfg.PageTables.withDefaults()
 	mem, err := phys.NewMemory(m.Nodes(), cfg.FramesPerModule, m.Config().PageWords)
 	if err != nil {
 		return nil, err
@@ -384,17 +377,8 @@ func (s *System) Reset() {
 	s.sdTargets = s.sdTargets[:0]
 }
 
-// Machine returns the machine the system runs on.
-func (s *System) Machine() *mach.Machine { return s.machine }
-
 // Memory returns the physical memory substrate.
 func (s *System) Memory() *phys.Memory { return s.mem }
-
-// Config returns the system configuration (with defaults applied).
-func (s *System) Config() Config { return s.cfg }
-
-// Policy returns the active replication policy.
-func (s *System) Policy() Policy { return s.cfg.Policy }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector.
 // Injection only adds delay and allocation failures; it cannot corrupt

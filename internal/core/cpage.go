@@ -77,13 +77,12 @@ func (st *CpageStats) Faults() int64 { return st.ReadFaults + st.WriteFaults }
 // protocol state, and the invalidation history the replication policy
 // consumes.
 type Cpage struct {
-	id    int64
-	label string // optional debug label set by the VM layer
+	id int64
 
-	// labelBase/labelIdx are the lazy form of an indexed label
-	// ("base[idx]", the shape every VM object page uses): Label renders
-	// it on demand, so creating thousands of pages does not format
-	// thousands of strings that reports may never read.
+	// labelBase/labelIdx are the debug label "base[idx]" the VM layer
+	// gives every object page: Label renders it on demand, so creating
+	// thousands of pages does not format thousands of strings that
+	// reports may never read.
 	labelBase string
 	labelIdx  int
 
@@ -100,7 +99,6 @@ type Cpage struct {
 	everInval   bool
 	everWritten bool // a write fault has ever targeted this page
 	frozen      bool
-	frozenAt    sim.Time
 	enlisted    bool // on the defrost daemon's frozen list (possibly stale)
 
 	home      int      // module whose kernel memory holds this entry
@@ -118,16 +116,10 @@ func (cp *Cpage) ID() int64 { return cp.id }
 
 // Label returns the debug label, if any.
 func (cp *Cpage) Label() string {
-	if cp.labelBase != "" {
-		return fmt.Sprintf("%s[%d]", cp.labelBase, cp.labelIdx)
+	if cp.labelBase == "" {
+		return ""
 	}
-	return cp.label
-}
-
-// SetLabel attaches a debug label used in instrumentation reports.
-func (cp *Cpage) SetLabel(l string) {
-	cp.label = l
-	cp.labelBase = ""
+	return fmt.Sprintf("%s[%d]", cp.labelBase, cp.labelIdx)
 }
 
 // SetLabelIndexed attaches the indexed debug label "base[idx]" without
@@ -135,7 +127,6 @@ func (cp *Cpage) SetLabel(l string) {
 // VM layer uses for every object page, where eager formatting dominated
 // setup allocations.
 func (cp *Cpage) SetLabelIndexed(base string, idx int) {
-	cp.label = ""
 	cp.labelBase = base
 	cp.labelIdx = idx
 }
@@ -259,7 +250,6 @@ func (s *System) freeze(cp *Cpage, now sim.Time) {
 		return
 	}
 	cp.frozen = true
-	cp.frozenAt = now
 	s.event(now, EvFreeze, -1, cp)
 	if !cp.enlisted {
 		cp.enlisted = true

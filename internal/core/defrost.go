@@ -60,72 +60,12 @@ func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
 	return thawed
 }
 
-// DefrostDue thaws only the frozen pages whose age exceeds minAge,
-// implementing the paper's proposed alternative of a thaw queue ordered
-// by per-page thaw time (§4.2: "maintain the list of frozen pages as a
-// priority queue ordered by thaw time ... allows the daemon to run more
-// often than every t2 seconds"). It returns the number thawed and the
-// earliest next thaw time.
-//
-// next is 0 if and only if no pages remain frozen; otherwise it is
-// strictly greater than now (a page survives the sweep only when
-// now - frozenAt < minAge, i.e. frozenAt + minAge > now), so a caller
-// sleeping until next can never busy-loop on an already-due wakeup.
-func (s *System) DefrostDue(t *sim.Thread, proc int, minAge sim.Time) (thawed int, next sim.Time) {
-	now := t.Now()
-	sweepID := s.rec.Alloc()
-	s.spanParent = sweepID
-	s.spanTrack = t.ID()
-	var delay sim.Time
-	// In-place filter over the shared backing array: surviving pages are
-	// re-appended at a write index that never passes the read index.
-	list := s.frozen
-	s.frozen = s.frozen[:0]
-	for _, cp := range list {
-		if !cp.frozen {
-			cp.enlisted = false
-			continue
-		}
-		if now-cp.frozenAt < minAge {
-			s.frozen = append(s.frozen, cp) // stays enlisted
-			if due := cp.frozenAt + minAge; next == 0 || due < next {
-				next = due
-			}
-			continue
-		}
-		cp.enlisted = false
-		s.roundBegin()
-		d, _ := s.shootdownCpage(cp, proc, now, false, false, affectAll)
-		s.spanThaw(cp, proc, now+delay, d)
-		delay += d
-		cp.frozen = false
-		cp.writers.Clear()
-		if len(cp.copies) == 1 {
-			cp.state = Present1
-		}
-		s.event(now, EvThaw, proc, cp)
-		thawed++
-	}
-	if len(list) > 0 {
-		// No span for the empty polls the adaptive daemon makes every
-		// tick — only sweeps that examined at least one page.
-		s.rec.Record(span.Span{ID: sweepID, Kind: span.KindDefrostSweep, Start: now, End: now + delay,
-			Proc: proc, Track: t.ID(), Page: -1, NoteFmt: "thawed %d", NoteArg0: thawed, NoteN: 1})
-	}
-	s.spanFlush(t)
-	if delay > 0 {
-		t.Advance(delay)
-	}
-	return thawed, next
-}
-
 // StartDefrostDaemon spawns the defrost daemon as a simulation daemon
-// thread bound to processor proc. With AdaptiveDefrost unset it wakes
-// every cfg.DefrostPeriod and thaws everything frozen (the paper's
-// simple policy); with AdaptiveDefrost set it thaws each page once it
-// has been frozen for DefrostPeriod, sleeping only until the next page
-// is due (the §4.2 priority-queue alternative). It is a no-op
-// (returning nil) when the period is zero.
+// thread bound to processor proc. It wakes every cfg.DefrostPeriod and
+// thaws everything frozen: the paper's simple policy. The §4.2
+// alternative, a priority queue ordered by thaw time, is not built,
+// as in the paper. It is a no-op (returning nil) when the period is
+// zero.
 func (s *System) StartDefrostDaemon(proc int) *sim.Thread {
 	period := s.cfg.DefrostPeriod
 	if period <= 0 {
@@ -133,40 +73,11 @@ func (s *System) StartDefrostDaemon(proc int) *sim.Thread {
 	}
 	t := s.machine.Engine().Spawn("defrost-daemon", func(th *sim.Thread) {
 		th.BindNode(proc)
-		if !s.cfg.AdaptiveDefrost {
-			for {
-				th.Charge(sim.CauseSync, period)
-				s.DefrostSweep(th, proc)
-			}
-		}
-		// Adaptive: poll frequently enough to notice new freezes, but
-		// only thaw pages that have aged a full period.
-		tick := period / 8
-		if tick <= 0 {
-			tick = period
-		}
 		for {
-			_, next := s.DefrostDue(th, proc, period)
-			sleep := tick
-			if next > 0 {
-				if d := next - th.Now(); d > 0 && d < sleep {
-					sleep = d
-				}
-			}
-			th.Charge(sim.CauseSync, sleep)
+			th.Charge(sim.CauseSync, period)
+			s.DefrostSweep(th, proc)
 		}
 	})
 	t.SetDaemon(true)
 	return t
-}
-
-// FrozenPages returns the pages currently on the frozen list.
-func (s *System) FrozenPages() []*Cpage {
-	out := make([]*Cpage, 0, len(s.frozen))
-	for _, cp := range s.frozen {
-		if cp.frozen {
-			out = append(out, cp)
-		}
-	}
-	return out
 }

@@ -9,69 +9,8 @@ import (
 )
 
 // Tests for the panic-to-error hardening pass, the graceful frame
-// exhaustion paths, the DefrostDue boundary behaviour, and shootdown
-// races (concurrent initiators, teardown while translations are live).
-
-func TestDefrostDueBoundaries(t *testing.T) {
-	const minAge = 40 * sim.Millisecond
-	tests := []struct {
-		name      string
-		freezeAt  []sim.Time // how long before the DefrostDue call each page froze
-		wantThaw  int
-		wantNext  bool // a next thaw time must be reported
-		wantAfter int  // pages still frozen afterwards
-	}{
-		{name: "no frozen pages", freezeAt: nil, wantThaw: 0, wantNext: false, wantAfter: 0},
-		{name: "all younger than minAge", freezeAt: []sim.Time{2 * sim.Millisecond, sim.Millisecond},
-			wantThaw: 0, wantNext: true, wantAfter: 2},
-		{name: "exactly minAge old thaws", freezeAt: []sim.Time{minAge},
-			wantThaw: 1, wantNext: false, wantAfter: 0},
-		{name: "one due one fresh", freezeAt: []sim.Time{minAge + sim.Millisecond, sim.Millisecond},
-			wantThaw: 1, wantNext: true, wantAfter: 1},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			fx := newFixture(t, nil)
-			for i := range tc.freezeAt {
-				fx.mapPage(int64(i), Read|Write)
-			}
-			fx.run(func(th *sim.Thread) {
-				// Freeze the pages so their ages at the DefrostDue call
-				// match the table. Ages are measured backwards from the
-				// call, so freeze in oldest-first order.
-				for i, age := range tc.freezeAt {
-					var wait sim.Time
-					if i+1 < len(tc.freezeAt) {
-						wait = age - tc.freezeAt[i+1]
-					} else {
-						wait = age
-					}
-					freezePage(fx, th, int64(i), 0, 1, 2)
-					th.Advance(wait)
-				}
-				now := th.Now()
-				thawed, next := fx.s.DefrostDue(th, 0, minAge)
-				if thawed != tc.wantThaw {
-					t.Errorf("thawed = %d, want %d", thawed, tc.wantThaw)
-				}
-				if (next != 0) != tc.wantNext {
-					t.Errorf("next = %v, want reported=%v", next, tc.wantNext)
-				}
-				if next != 0 && next <= now {
-					// The busy-loop guard: a reported wakeup must be
-					// strictly in the future.
-					t.Errorf("next = %v is not after now = %v", next, now)
-				}
-				if got := len(fx.s.FrozenPages()); got != tc.wantAfter {
-					t.Errorf("frozen pages after = %d, want %d", got, tc.wantAfter)
-				}
-				if err := fx.s.Validate(); err != nil {
-					t.Errorf("Validate: %v", err)
-				}
-			})
-		})
-	}
-}
+// exhaustion paths, and shootdown races (concurrent initiators,
+// teardown while translations are live).
 
 // TestRefreezeDoesNotGrowFrozenList: a page thawed by a fault leaves a
 // stale entry on the daemon's list; re-freezing it must reuse that

@@ -52,18 +52,12 @@ func TestRightsAllows(t *testing.T) {
 
 func TestAccessorsAndLabels(t *testing.T) {
 	fx := newFixture(t, nil)
-	if fx.s.Machine() != fx.m {
-		t.Error("Machine accessor")
-	}
-	if fx.s.Config().FramesPerModule != DefaultConfig().FramesPerModule {
-		t.Error("Config accessor")
-	}
-	if fx.s.Policy().Name() == "" {
-		t.Error("Policy accessor")
-	}
 	cp := fx.s.NewCpage()
-	cp.SetLabel("hello")
-	if cp.Label() != "hello" || cp.ID() < 0 {
+	if cp.Label() != "" {
+		t.Errorf("unlabeled page has label %q", cp.Label())
+	}
+	cp.SetLabelIndexed("hello", 3)
+	if cp.Label() != "hello[3]" || cp.ID() < 0 {
 		t.Error("cpage accessors")
 	}
 }
@@ -97,25 +91,25 @@ func TestMaterializeAtErrors(t *testing.T) {
 func TestReportAndWriteTo(t *testing.T) {
 	fx := newFixture(t, nil)
 	cp := fx.mapPage(0, Read|Write)
-	cp.SetLabel("page-zero")
+	cp.SetLabelIndexed("page-zero", 0)
 	fx.run(func(th *sim.Thread) {
 		fx.touch(th, 0, 0, true)
 		th.Advance(quiet)
 		fx.touch(th, 1, 0, false)
 	})
 	r := fx.s.Report()
-	if len(r.Pages) != 1 || r.Pages[0].Label != "page-zero" {
+	if len(r.Pages) != 1 || r.Pages[0].Label != "page-zero[0]" {
 		t.Fatalf("report pages: %+v", r.Pages)
 	}
-	if r.TotalFaults() != cp.Stats.Faults() {
-		t.Errorf("TotalFaults = %d, want %d", r.TotalFaults(), cp.Stats.Faults())
+	if got := r.Pages[0].Faults(); got != cp.Stats.Faults() {
+		t.Errorf("reported faults = %d, want %d", got, cp.Stats.Faults())
 	}
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"page-zero", "present+", "coherent memory report"} {
+	for _, want := range []string{"page-zero[0]", "present+", "coherent memory report"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q", want)
 		}

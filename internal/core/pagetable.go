@@ -33,7 +33,7 @@ const (
 	// home. The zero value.
 	PTBaseline PTMode = iota
 
-	// PTHome charges every ATC miss a walk of WalkWords word reads
+	// PTHome charges every ATC miss a walk of ptWalkWords word reads
 	// against the address space's single page-table home node (chosen
 	// round-robin per Cmap), distance- and tier-scaled on generalized
 	// topologies. This is the "first touch somewhere" regime Mitosis
@@ -44,7 +44,7 @@ const (
 	// domain (every node, when the machine has no switch levels) holds
 	// a page-table replica, so walks go to the walker's own replica
 	// home — but each mapping install pays a posted write-through of
-	// PTEWriteWords words to every other replica home, charged to
+	// ptWriteWords words to every other replica home, charged to
 	// CausePTReplicate.
 	PTReplicate
 )
@@ -78,31 +78,15 @@ type PTConfig struct {
 	// many entries were coalesced — sync paid once per flush, not once
 	// per entry). Composes with any Mode.
 	BatchShootdown bool
-
-	// WalkWords is the number of word reads one page-table walk makes
-	// against the table's node. Zero defaults to 2 (a two-level walk)
-	// when Mode != PTBaseline.
-	WalkWords int
-
-	// PTEWriteWords is the number of words a mapping install writes
-	// through to each remote replica under PTReplicate. Zero defaults
-	// to 1.
-	PTEWriteWords int
 }
 
-// enabled reports whether any page-table modeling is active.
-func (c PTConfig) enabled() bool { return c.Mode != PTBaseline || c.BatchShootdown }
-
-// withDefaults fills the sizing fields PTConfig leaves zero.
-func (c PTConfig) withDefaults() PTConfig {
-	if c.Mode != PTBaseline && c.WalkWords == 0 {
-		c.WalkWords = 2
-	}
-	if c.Mode == PTReplicate && c.PTEWriteWords == 0 {
-		c.PTEWriteWords = 1
-	}
-	return c
-}
+// The page-table variants' sizes are fixed: a walk is two word reads (a
+// two-level table), and an install under PTReplicate writes one word
+// through to each remote replica.
+const (
+	ptWalkWords  = 2
+	ptWriteWords = 1
+)
 
 // PTStats counts page-table variant activity (instrumentation).
 type PTStats struct {
@@ -126,7 +110,7 @@ func (s *System) PTStats() PTStats { return s.ptStats }
 func (s *System) batchOn() bool { return s.cfg.PageTables.BatchShootdown }
 
 // ptWalk charges one page-table walk for an ATC miss by proc in cm,
-// starting at time at: WalkWords word reads against the node holding
+// starting at time at: ptWalkWords word reads against the node holding
 // the table proc walks — the Cmap's home under PTHome, proc's replica
 // home under PTReplicate. The walk is a real memory reference: it
 // occupies the target module (AccessFree), so walk traffic contends
@@ -144,11 +128,11 @@ func (s *System) ptWalk(at sim.Time, proc int, cm *Cmap) sim.Time {
 		return 0
 	}
 	s.ptStats.Walks++
-	return s.machine.AccessFree(at, proc, node, s.cfg.PageTables.WalkWords, false)
+	return s.machine.AccessFree(at, proc, node, ptWalkWords, false)
 }
 
 // ptReplicaInstall accumulates the write-through cost of one mapping
-// install under PTReplicate: PTEWriteWords posted word writes from
+// install under PTReplicate: ptWriteWords posted word writes from
 // proc to every replica home other than proc's own. The writes are
 // fire-and-forget (latency only, no module occupancy — the initiator
 // does not wait at the remote modules), summed per proc once and
@@ -167,7 +151,7 @@ func (s *System) ptReplicaInstall(proc int) {
 				if int(h) == own {
 					continue
 				}
-				s.ptRepCost[p] += s.machine.WordLatency(p, int(h), s.cfg.PageTables.PTEWriteWords, true)
+				s.ptRepCost[p] += s.machine.WordLatency(p, int(h), ptWriteWords, true)
 			}
 		}
 	}

@@ -24,12 +24,12 @@ func accountDelta(th *sim.Thread, fn func()) sim.Account {
 }
 
 // TestPTHomeWalkChargedOnATCMiss pins the PTHome walk cost: every ATC
-// miss pays WalkWords word reads against the Cmap's page-table home
+// miss pays a two-word walk against the Cmap's page-table home
 // node — on both the full-fault path and the Pmap-hit reload path — and
 // an ATC hit pays nothing.
 func TestPTHomeWalkChargedOnATCMiss(t *testing.T) {
 	fx := newFixture(t, func(_ *mach.Config, cc *Config) {
-		cc.PageTables = PTConfig{Mode: PTHome} // WalkWords defaults to 2
+		cc.PageTables = PTConfig{Mode: PTHome}
 	})
 	fx.mapPage(0, Read|Write)
 	mc := fx.m.Config()
@@ -64,10 +64,10 @@ func TestPTHomeWalkChargedOnATCMiss(t *testing.T) {
 // TestPTReplicateWalkLocalButInstallsWriteThrough pins the Mitosis-style
 // trade: walks go to the walker's own replica (local on the uniform
 // machine, where every node holds one), but each mapping install pays a
-// posted PTEWriteWords write-through to every other replica home.
+// posted one-word write-through to every other replica home.
 func TestPTReplicateWalkLocalButInstallsWriteThrough(t *testing.T) {
 	fx := newFixture(t, func(_ *mach.Config, cc *Config) {
-		cc.PageTables = PTConfig{Mode: PTReplicate} // WalkWords 2, PTEWriteWords 1
+		cc.PageTables = PTConfig{Mode: PTReplicate}
 	})
 	fx.mapPage(0, Read|Write)
 	mc := fx.m.Config()

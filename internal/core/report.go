@@ -95,12 +95,3 @@ func (r Report) WriteTo(w io.Writer) (int64, error) {
 	}
 	return n, nil
 }
-
-// TotalFaults sums faults across all reported pages.
-func (r Report) TotalFaults() int64 {
-	var total int64
-	for _, pg := range r.Pages {
-		total += pg.Faults()
-	}
-	return total
-}

@@ -160,6 +160,10 @@ func runAppSuite(o Options) (*Table, error) {
 		},
 	}
 	procs := []int{1, 2, 4, 8, 16}
+	// Neither answer depends on the thread count, so one sequential
+	// reference per application checks every run.
+	wantM := apps.MatMulReferenceChecksum(apps.DefaultMatMulConfig(n, 1))
+	wantS := apps.SORReferenceChecksum(apps.DefaultSORConfig(grid, 256, 1))
 	// One job per (processor count, application) pair.
 	elapsed := make([]sim.Time, 2*len(procs))
 	err := forEach(o, len(elapsed), func(i int) error {
@@ -172,12 +176,24 @@ func runAppSuite(o Options) (*Table, error) {
 		}
 		if i%2 == 0 {
 			mm, err := apps.RunMatMul(pl, apps.DefaultMatMulConfig(n, p))
+			if err != nil {
+				return err
+			}
+			if mm.Checksum != wantM {
+				return fmt.Errorf("exp: matmul checksum mismatch at %d procs", p)
+			}
 			elapsed[i] = mm.Elapsed
-			return err
+			return nil
 		}
 		sr, err := apps.RunSOR(pl, apps.DefaultSORConfig(grid, 256, p))
+		if err != nil {
+			return err
+		}
+		if sr.Checksum != wantS {
+			return fmt.Errorf("exp: SOR checksum mismatch at %d procs", p)
+		}
 		elapsed[i] = sr.Elapsed
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"platinum/internal/core"
-	"platinum/internal/hist"
 	"platinum/internal/mach"
 	"platinum/internal/sim"
 	"platinum/internal/span"
@@ -52,10 +51,10 @@ type Config struct {
 	// processors, on top of the block transfer of its kernel stack
 	// (§2.2: the kernel stack is explicitly moved with the thread).
 	MigrateOverhead sim.Time
-
-	// DefrostProc is the processor the defrost daemon runs on.
-	DefrostProc int
 }
+
+// defrostProc is the processor the defrost daemon runs on.
+const defrostProc = 0
 
 // DefaultConfig returns the paper's machine with kernel costs in
 // Butterfly-era proportions.
@@ -68,7 +67,6 @@ func DefaultConfig() Config {
 		PortOverhead:    150 * sim.Microsecond,
 		PortPerWord:     550 * sim.Nanosecond,
 		MigrateOverhead: 200 * sim.Microsecond,
-		DefrostProc:     0,
 	}
 }
 
@@ -110,9 +108,6 @@ func Boot(cfg Config) (*Kernel, error) {
 	if cfg.SpinPollMax < cfg.SpinPoll {
 		cfg.SpinPollMax = cfg.SpinPoll
 	}
-	if cfg.DefrostProc < 0 || cfg.DefrostProc >= m.Nodes() {
-		return nil, fmt.Errorf("kernel: DefrostProc %d out of range", cfg.DefrostProc)
-	}
 	pw := m.Config().PageWords
 	k := &Kernel{
 		cfg:     cfg,
@@ -137,7 +132,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	// transfers, injected retries) land in the same flight ring and
 	// export stream as the protocol's.
 	m.SetSpanRecorder(sys.Spans())
-	sys.StartDefrostDaemon(cfg.DefrostProc)
+	sys.StartDefrostDaemon(defrostProc)
 	return k, nil
 }
 
@@ -162,7 +157,7 @@ func (k *Kernel) Reset() {
 	k.mgr.Reset()
 	clear(k.ports)
 	k.machine.SetSpanRecorder(k.sys.Spans())
-	k.sys.StartDefrostDaemon(k.cfg.DefrostProc)
+	k.sys.StartDefrostDaemon(defrostProc)
 }
 
 // Engine returns the simulation engine.
@@ -170,10 +165,6 @@ func (k *Kernel) Engine() *sim.Engine { return k.engine }
 
 // Machine returns the simulated hardware.
 func (k *Kernel) Machine() *mach.Machine { return k.machine }
-
-// Topology returns the machine's declarative topology (a uniform
-// wrapper when the kernel was booted from bare cost constants).
-func (k *Kernel) Topology() *mach.Topology { return k.machine.Topology() }
 
 // System returns the coherent memory system.
 func (k *Kernel) System() *core.System { return k.sys }
@@ -214,9 +205,6 @@ func (k *Kernel) NewSpace() *Space {
 	return &Space{k: k, vs: k.mgr.NewSpace()}
 }
 
-// VM exposes the underlying vm.Space.
-func (sp *Space) VM() *vm.Space { return sp.vs }
-
 // AllocPages creates a fresh memory object of npages pages, maps it into
 // the space with the given rights, and returns the word-granular virtual
 // address of its first word. This is the paper's page-aligned allocation
@@ -244,16 +232,6 @@ func (sp *Space) AllocWords(label string, nwords int, rights core.Rights) (int64
 		npages = 1
 	}
 	return sp.AllocPages(label, npages, rights)
-}
-
-// MapObject binds an existing (possibly shared) object into this space
-// and returns its base virtual address here.
-func (sp *Space) MapObject(obj *vm.Object, rights core.Rights) (int64, error) {
-	vpn, err := sp.vs.MapAnywhere(obj, rights)
-	if err != nil {
-		return 0, err
-	}
-	return vpn * int64(sp.k.PageWords()), nil
 }
 
 // PlaceAt statically places the page containing virtual address va on
@@ -322,7 +300,3 @@ func (k *Kernel) EnableSeries(window sim.Time, capWindows int) {
 // CauseSeries returns the engine's per-cause charged-time series, or
 // nil when EnableSeries was not called.
 func (k *Kernel) CauseSeries() *timeseries.Series { return k.engine.CauseSeries() }
-
-// ChargeHist returns the engine's charge histogram for (node, cause),
-// or nil when EnableHistograms was not called.
-func (k *Kernel) ChargeHist(node int, c sim.Cause) *hist.H { return k.engine.ChargeHist(node, c) }

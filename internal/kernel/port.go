@@ -13,7 +13,6 @@ import (
 // synchronization.
 type Port struct {
 	k     *Kernel
-	name  string
 	msgs  [][]uint32
 	recvQ []*Thread
 }
@@ -23,22 +22,10 @@ func (k *Kernel) NewPort(name string) (*Port, error) {
 	if _, dup := k.ports[name]; dup {
 		return nil, fmt.Errorf("kernel: port %q already exists", name)
 	}
-	p := &Port{k: k, name: name}
+	p := &Port{k: k}
 	k.ports[name] = p
 	return p, nil
 }
-
-// LookupPort resolves a port by its global name.
-func (k *Kernel) LookupPort(name string) (*Port, bool) {
-	p, ok := k.ports[name]
-	return p, ok
-}
-
-// Name returns the port's global name.
-func (p *Port) Name() string { return p.name }
-
-// Len returns the number of queued messages.
-func (p *Port) Len() int { return len(p.msgs) }
 
 // msgCost is the kernel cost of moving one message across the port.
 func (p *Port) msgCost(words int) sim.Time {

@@ -73,14 +73,8 @@ func (t *Thread) beginSlice() {
 // endSlice closes and records the current slice span.
 func (t *Thread) endSlice() { t.slice.End(t.st.Now()) }
 
-// Kernel returns the owning kernel.
-func (t *Thread) Kernel() *Kernel { return t.k }
-
 // Proc returns the processor the thread currently runs on.
 func (t *Thread) Proc() int { return t.proc }
-
-// Space returns the thread's address space.
-func (t *Thread) Space() *Space { return t.space }
 
 // Now returns the thread's virtual clock.
 func (t *Thread) Now() sim.Time { return t.st.Now() }
@@ -204,16 +198,6 @@ func (t *Thread) WriteRange(va int64, src []uint32) {
 		src = src[n:]
 		va += int64(n)
 	}
-}
-
-// Update applies f to each word in [va, va+n) in place: UpdateSlice
-// with a per-word loop, so it charges exactly what UpdateSlice does.
-func (t *Thread) Update(va int64, n int, f func(i int, v uint32) uint32) {
-	t.UpdateSlice(va, n, func(base int, w []uint32) {
-		for i := range w {
-			w[i] = f(base+i, w[i])
-		}
-	})
 }
 
 // UpdateSlice applies f to each page run of [va, va+n) as a whole

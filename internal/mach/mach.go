@@ -143,9 +143,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PageBytes returns the page size in bytes (4 bytes per word).
-func (c Config) PageBytes() int { return c.PageWords * 4 }
-
 // Machine is the simulated hardware: topology plus per-module (and
 // per-switch-domain) serialization and statistics.
 type Machine struct {
@@ -225,10 +222,6 @@ func FromTopology(e *sim.Engine, t *Topology) (*Machine, error) {
 
 // Config returns the machine's base cost configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Topology returns the machine's declarative topology (a uniform
-// wrapper around Config for machines built with New). Do not modify.
-func (m *Machine) Topology() *Topology { return m.topo }
 
 // Engine returns the simulation engine the machine runs on.
 func (m *Machine) Engine() *sim.Engine { return m.engine }
@@ -508,29 +501,4 @@ func (m *Machine) blockTransferAt(t *sim.Thread, now sim.Time, src, dst, words i
 		t.Advance(total)
 	}
 	return total
-}
-
-// ModuleStats is a snapshot of one module's counters.
-type ModuleStats struct {
-	Module    int
-	Accesses  int64
-	Words     int64
-	QueueWait sim.Time
-	BusyTime  sim.Time
-}
-
-// Stats returns a snapshot of all module counters.
-func (m *Machine) Stats() []ModuleStats {
-	out := make([]ModuleStats, len(m.modules))
-	for i := range m.modules {
-		mm := &m.modules[i]
-		out[i] = ModuleStats{
-			Module:    i,
-			Accesses:  mm.Accesses,
-			Words:     mm.Words,
-			QueueWait: mm.QueueWait,
-			BusyTime:  mm.BusyTime,
-		}
-	}
-	return out
 }

@@ -21,8 +21,8 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
 	}
-	if got := DefaultConfig().PageBytes(); got != 4096 {
-		t.Fatalf("PageBytes = %d, want 4096", got)
+	if got := DefaultConfig().PageWords; got != 1024 {
+		t.Fatalf("PageWords = %d, want 1024 (4 KB pages)", got)
 	}
 }
 
@@ -198,15 +198,14 @@ func TestStatsAccumulate(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := m.Stats()
-	if st[1].Accesses != 2 {
-		t.Errorf("module 1 accesses = %d, want 2", st[1].Accesses)
+	if got := m.Module(1).Accesses; got != 2 {
+		t.Errorf("module 1 accesses = %d, want 2", got)
 	}
-	if st[1].Words != 5+3+7 {
-		t.Errorf("module 1 words = %d, want 15", st[1].Words)
+	if got := m.Module(1).Words; got != 5+3+7 {
+		t.Errorf("module 1 words = %d, want 15", got)
 	}
-	if st[0].Words != 7 {
-		t.Errorf("module 0 words = %d, want 7", st[0].Words)
+	if got := m.Module(0).Words; got != 7 {
+		t.Errorf("module 0 words = %d, want 7", got)
 	}
 }
 

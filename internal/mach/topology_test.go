@@ -103,7 +103,8 @@ func TestIdentityTopologyChargesBaseConfig(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		for _, st := range m.Stats() {
+		for i := range m.Nodes() {
+			st := m.Module(i)
 			out = append(out, sim.Time(st.Accesses), sim.Time(st.Words), st.QueueWait, st.BusyTime)
 		}
 		return out

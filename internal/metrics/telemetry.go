@@ -148,9 +148,9 @@ type SeriesWindow struct {
 
 // SeriesMetrics is the report's "series" section: rate curves over
 // simulated time in fixed-width windows. SpilledWindows counts windows
-// evicted from the retained rings (their contents are preserved in the
-// sources' spill accumulators but not listed here); zero means the
-// listing is complete.
+// with data evicted from the retained rings (their contents are
+// preserved in the sources' spill accumulators but not listed here);
+// zero means the listing is complete.
 type SeriesMetrics struct {
 	WidthNs        int64          `json:"width_ns"`
 	SpilledWindows int64          `json:"spilled_windows,omitempty"`

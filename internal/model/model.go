@@ -48,7 +48,8 @@ func (p Params) Numerator() float64 {
 
 // Coefficient returns C = T_b/(T_r − T_l), the paper's single most
 // important architectural characteristic: it lower-bounds the reference
-// density for which migration can ever make sense.
+// density for which migration can ever make sense (below ρ* = C·g,
+// SMin is +Inf).
 func (p Params) Coefficient() float64 {
 	return float64(p.Tb) / float64(p.Tr-p.Tl)
 }
@@ -75,13 +76,6 @@ func (p Params) SMin(rho, g float64) float64 {
 	return g * p.Numerator() / denom
 }
 
-// MigrationWins reports whether migrating is cheaper than remote access
-// for page size s (words), density rho, and movement ratio g.
-func (p Params) MigrationWins(s int, rho, g float64) bool {
-	smin := p.SMin(rho, g)
-	return !math.IsInf(smin, 1) && float64(s) > smin
-}
-
 // Table1Row is one row of the paper's Table 1.
 type Table1Row struct {
 	Rho  float64
@@ -104,10 +98,4 @@ func (p Params) Table1() []Table1Row {
 		}
 	}
 	return rows
-}
-
-// BreakEvenDensity returns the minimum density below which migration
-// never pays for movement ratio g, i.e. ρ* = C·g.
-func (p Params) BreakEvenDensity(g float64) float64 {
-	return p.Coefficient() * g
 }

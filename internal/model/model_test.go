@@ -71,23 +71,21 @@ func TestGRoundRobin(t *testing.T) {
 
 func TestMigrationWins(t *testing.T) {
 	p := PaperParams()
-	// From Table 1: rho=1.0, g=1 => S_min ~141.
-	if p.MigrationWins(100, 1.0, 1) {
-		t.Error("migration should lose below S_min")
-	}
-	if !p.MigrationWins(200, 1.0, 1) {
-		t.Error("migration should win above S_min")
+	// From Table 1: rho=1.0, g=1 => S_min ~141, so migration loses at
+	// 100 words and wins at 200.
+	if s := p.SMin(1.0, 1); s <= 100 || s >= 200 {
+		t.Errorf("SMin(1.0, 1) = %v, want between 100 and 200", s)
 	}
 	// Density below break-even: never wins, any size.
-	if p.MigrationWins(1<<20, 0.2, 1) {
-		t.Error("migration should never win below break-even density")
+	if s := p.SMin(0.2, 1); !math.IsInf(s, 1) {
+		t.Errorf("SMin(0.2, 1) = %v, want +Inf below break-even density", s)
 	}
 }
 
 func TestBreakEvenDensity(t *testing.T) {
 	p := PaperParams()
 	for _, g := range []float64{0.5, 1, 2} {
-		be := p.BreakEvenDensity(g)
+		be := p.Coefficient() * g // ρ* = C·g
 		if !math.IsInf(p.SMin(be, g), 1) {
 			t.Errorf("SMin at break-even density should be Inf")
 		}
@@ -132,10 +130,10 @@ func TestFasterBlockTransferLowersBreakEven(t *testing.T) {
 	p := PaperParams()
 	fast := p
 	fast.Tb = p.Tb / 2
-	if fast.BreakEvenDensity(1) >= p.BreakEvenDensity(1) {
+	if fast.Coefficient() >= p.Coefficient() {
 		t.Error("faster block transfer did not lower break-even density")
 	}
-	if math.Abs(fast.BreakEvenDensity(1)-p.BreakEvenDensity(1)/2) > 1e-12 {
+	if math.Abs(fast.Coefficient()-p.Coefficient()/2) > 1e-12 {
 		t.Error("break-even density not proportional to T_b")
 	}
 }

@@ -33,8 +33,7 @@ type Frame struct {
 // Memory is the machine's physical memory: one frame pool plus inverted
 // page table per memory module.
 type Memory struct {
-	pageWords int
-	modules   []ModuleMemory
+	modules []ModuleMemory
 }
 
 // ModuleMemory is the physical memory of one node.
@@ -51,7 +50,7 @@ func NewMemory(nodes, framesPerModule, pageWords int) (*Memory, error) {
 		return nil, fmt.Errorf("phys: invalid geometry (%d nodes, %d frames, %d words)",
 			nodes, framesPerModule, pageWords)
 	}
-	m := &Memory{pageWords: pageWords, modules: make([]ModuleMemory, nodes)}
+	m := &Memory{modules: make([]ModuleMemory, nodes)}
 	for i := range m.modules {
 		mm := &m.modules[i]
 		mm.pageWords = pageWords
@@ -82,9 +81,6 @@ func (m *Memory) Reset() {
 		mm.free = len(mm.frames)
 	}
 }
-
-// PageWords returns the page size in words.
-func (m *Memory) PageWords() int { return m.pageWords }
 
 // hash spreads a coherent page id over the IPT. The multiplier is the
 // 64-bit Fibonacci-hashing constant.

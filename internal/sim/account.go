@@ -263,17 +263,8 @@ func (t *Thread) BindNode(n int) {
 	t.node = n
 }
 
-// Node returns the node this thread's charges are currently bound to,
-// or -1 if unbound.
-func (t *Thread) Node() int { return t.node }
-
 // Account returns a snapshot of the thread's per-cause time.
 func (t *Thread) Account() Account { return t.acct }
-
-// Consumed returns the total virtual time the thread has been charged
-// since it was spawned (its clock minus its spawn-time clock). It
-// always equals Account().Total() exactly — the conservation invariant.
-func (t *Thread) Consumed() Time { return t.clock - t.born }
 
 // NodeAccounts returns a snapshot of per-node attributed time, indexed
 // by node. Only charges made while a thread was bound (BindNode) to a

@@ -80,9 +80,6 @@ func fixed3(v float64, unit string) string {
 	return string(append(strconv.AppendFloat(buf[:0], v, 'f', 3, 64), unit...))
 }
 
-// Seconds reports t as a floating-point number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // ErrDeadlock is returned by Run when every remaining non-daemon thread
 // is blocked and no thread can ever unblock them.
 var ErrDeadlock = errors.New("sim: deadlock: all non-daemon threads blocked")

@@ -46,9 +46,6 @@ func (t *Thread) Name() string { return t.name }
 // Now returns the thread's virtual clock.
 func (t *Thread) Now() Time { return t.clock }
 
-// Engine returns the engine the thread belongs to.
-func (t *Thread) Engine() *Engine { return t.engine }
-
 // SetDaemon marks the thread as a daemon. The engine's Run returns once
 // all non-daemon threads finish, even if daemons are still runnable.
 // Must be called before Run dispatches the thread for the first time.
@@ -216,6 +213,3 @@ func (t *Thread) Unblock(wake Time) bool {
 	t.engine.pushReady(t)
 	return true
 }
-
-// Done reports whether the thread's body has returned.
-func (t *Thread) Done() bool { return t.state == stateDone }

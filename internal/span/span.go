@@ -166,16 +166,6 @@ func (k Kind) String() string {
 	return "span(?)"
 }
 
-// Kinds returns every span kind, for exhaustiveness tests and export
-// legends.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Span is one completed span: a [Start, End) interval of virtual time
 // on one track (simulated thread), causally linked to a parent span,
 // annotated with the page, processor and protocol state involved, and
@@ -349,17 +339,11 @@ func (r *Recorder) Begin(kind Kind, start sim.Time) *Open {
 	return o
 }
 
-// Parent links the span under an enclosing span.
-func (o *Open) Parent(id ID) *Open { o.sp.Parent = id; return o }
-
 // Proc sets the processor involved.
 func (o *Open) Proc(p int) *Open { o.sp.Proc = p; return o }
 
 // Track sets the sim thread id whose virtual time the span occupies.
 func (o *Open) Track(id int) *Open { o.sp.Track = id; return o }
-
-// Page sets the coherent page id.
-func (o *Open) Page(p int64) *Open { o.sp.Page = p; return o }
 
 // Note sets the free-form cause tag.
 func (o *Open) Note(n string) *Open { o.sp.Note = n; return o }

@@ -11,7 +11,7 @@ import (
 
 func TestKindStringsExhaustive(t *testing.T) {
 	seen := make(map[string]Kind)
-	for _, k := range Kinds() {
+	for k := range numKinds {
 		s := k.String()
 		if s == "span(?)" {
 			t.Fatalf("kind %d has no name in kindNames", k)
@@ -20,9 +20,6 @@ func TestKindStringsExhaustive(t *testing.T) {
 			t.Fatalf("kinds %d and %d share the name %q", prev, k, s)
 		}
 		seen[s] = k
-	}
-	if len(seen) != int(numKinds) {
-		t.Fatalf("Kinds() returned %d kinds, want %d", len(seen), numKinds)
 	}
 	if Kind(numKinds).String() != "span(?)" {
 		t.Fatalf("out-of-range kind should stringify as span(?)")

@@ -60,7 +60,8 @@ func Reconcile(spans []Span, total sim.Account) error {
 //     interval, and on the same track;
 //   - every span has End >= Start.
 //
-// It is the CI gate behind scripts/check-trace.sh.
+// platinum-report -spans runs it before writing an export
+// (TestValidateApps).
 func ValidateNesting(spans []Span) error {
 	byID := make(map[ID]Span, len(spans))
 	for _, sp := range spans {

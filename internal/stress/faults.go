@@ -4,107 +4,74 @@ import (
 	"platinum/internal/sim"
 )
 
-// FaultConfig configures deterministic fault injection. Each knob
-// triggers every Nth opportunity (0 disables it): counter-based
-// injection is exactly reproducible for a given schedule, which a
-// PRNG shared with anything else would not be.
+// Deterministic fault injection (Config.Faults). Each kind fires on
+// every Nth opportunity: counter-based injection is exactly
+// reproducible for a given schedule, which a PRNG shared with anything
+// else would not be. The mix is aggressive but bounded: frequent small
+// retries, occasional long transfer stalls and slow acks, and periodic
+// allocation failures.
 //
 // Injection only adds delay and allocation failures — it cannot corrupt
 // protocol state — and every injected delay is charged to the dedicated
 // causes sim.CauseRetry and sim.CauseSlowAck, so fault-injection runs
 // still satisfy the attribution conservation invariant.
-type FaultConfig struct {
-	// RetryEvery injects a transient busy/retry delay of RetryDelay
+const (
+	// retryEvery injects a transient busy/retry delay of retryDelay
 	// into every Nth word access (mach.SetAccessFault).
-	RetryEvery int
-	RetryDelay sim.Time
+	retryEvery = 97
+	retryDelay = 3 * sim.Microsecond
 
-	// StallEvery stalls every Nth hardware block transfer by
-	// StallDelay (core.FaultInjector.TransferStall).
-	StallEvery int
-	StallDelay sim.Time
+	// stallEvery stalls every Nth hardware block transfer by
+	// stallDelay (core.FaultInjector.TransferStall).
+	stallEvery = 11
+	stallDelay = 400 * sim.Microsecond
 
-	// AckEvery delays every Nth shootdown-target acknowledgement by
-	// AckDelay (core.FaultInjector.AckDelay).
-	AckEvery int
-	AckDelay sim.Time
+	// ackEvery delays every Nth shootdown-target acknowledgement by
+	// ackDelay (core.FaultInjector.AckDelay).
+	ackEvery = 7
+	ackDelay = 50 * sim.Microsecond
 
-	// AllocFailEvery fails every Nth frame allocation as if the pool
+	// allocFailEvery fails every Nth frame allocation as if the pool
 	// were exhausted (core.FaultInjector.FailAlloc), driving the
 	// remote-reference fallback paths even with frames free.
-	AllocFailEvery int
-}
-
-// Enabled reports whether any injection knob is active.
-func (fc FaultConfig) Enabled() bool {
-	return fc.RetryEvery > 0 || fc.StallEvery > 0 || fc.AckEvery > 0 || fc.AllocFailEvery > 0
-}
-
-// DefaultFaultConfig returns an aggressive but bounded injection mix:
-// frequent small retries, occasional long transfer stalls and slow
-// acks, and periodic allocation failures.
-func DefaultFaultConfig() FaultConfig {
-	return FaultConfig{
-		RetryEvery:     97,
-		RetryDelay:     3 * sim.Microsecond,
-		StallEvery:     11,
-		StallDelay:     400 * sim.Microsecond,
-		AckEvery:       7,
-		AckDelay:       50 * sim.Microsecond,
-		AllocFailEvery: 13,
-	}
-}
+	allocFailEvery = 13
+)
 
 // injector implements core.FaultInjector plus the mach access-fault
-// hook, firing each knob on a modular counter.
+// hook, firing each kind on a modular counter.
 type injector struct {
-	cfg                           FaultConfig
 	accesses, xfers, acks, allocs int64
 }
 
-func newInjector(cfg FaultConfig) *injector { return &injector{cfg: cfg} }
-
 // accessFault is installed via mach.SetAccessFault.
 func (in *injector) accessFault(proc, mod int) sim.Time {
-	if in.cfg.RetryEvery <= 0 {
-		return 0
-	}
 	in.accesses++
-	if in.accesses%int64(in.cfg.RetryEvery) == 0 {
-		return in.cfg.RetryDelay
+	if in.accesses%retryEvery == 0 {
+		return retryDelay
 	}
 	return 0
 }
 
 // TransferStall implements core.FaultInjector.
 func (in *injector) TransferStall(src, dst int) sim.Time {
-	if in.cfg.StallEvery <= 0 {
-		return 0
-	}
 	in.xfers++
-	if in.xfers%int64(in.cfg.StallEvery) == 0 {
-		return in.cfg.StallDelay
+	if in.xfers%stallEvery == 0 {
+		return stallDelay
 	}
 	return 0
 }
 
 // AckDelay implements core.FaultInjector.
 func (in *injector) AckDelay(initiator, target int) sim.Time {
-	if in.cfg.AckEvery <= 0 {
-		return 0
-	}
 	in.acks++
-	if in.acks%int64(in.cfg.AckEvery) == 0 {
-		return in.cfg.AckDelay
+	if in.acks%ackEvery == 0 {
+		return ackDelay
 	}
 	return 0
 }
 
 // FailAlloc implements core.FaultInjector.
 func (in *injector) FailAlloc(mod int) bool {
-	if in.cfg.AllocFailEvery <= 0 {
-		return false
-	}
 	in.allocs++
-	return in.allocs%int64(in.cfg.AllocFailEvery) == 0
+	return in.allocs%allocFailEvery == 0
 }

@@ -78,8 +78,8 @@ func buildWorld(cfg Config) (*world, error) {
 		w.base = append(w.base, vpn)
 		w.active = append(w.active, make([]bool, cfg.Procs))
 	}
-	if cfg.Faults.Enabled() {
-		in := newInjector(cfg.Faults)
+	if cfg.Faults {
+		in := &injector{}
 		w.sys.SetFaultInjector(in)
 		k.Machine().SetAccessFault(in.accessFault)
 	}

@@ -124,8 +124,8 @@ type Config struct {
 	// millisecond schedules see several sweeps.
 	DefrostPeriod sim.Time
 
-	// Faults configures fault injection. The zero value injects nothing.
-	Faults FaultConfig
+	// Faults turns on deterministic fault injection (faults.go).
+	Faults bool
 
 	// Bug deliberately corrupts protocol state to prove the harness
 	// catches and shrinks real defects. "" disables; "desync" moves a

@@ -69,7 +69,7 @@ func TestCleanRun(t *testing.T) {
 func TestFaultInjectionRunIsConservationClean(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ops = 3000
-	cfg.Faults = DefaultFaultConfig()
+	cfg.Faults = true
 	res := mustRun(t, cfg, true)
 	if res.Failure != nil {
 		// Replay checks CheckConservation after every op, so a clean
@@ -92,7 +92,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Ops = 2000
 		if faults {
-			cfg.Faults = DefaultFaultConfig()
+			cfg.Faults = true
 		}
 		a := mustRun(t, cfg, false)
 		b := mustRun(t, cfg, false)
@@ -192,7 +192,7 @@ func TestPinnedDigests(t *testing.T) {
 			cfg.Ops = 20000
 			want := tc.off
 			if faults {
-				cfg.Faults = DefaultFaultConfig()
+				cfg.Faults = true
 				want = tc.on
 			}
 			res := mustRun(t, cfg, false)

@@ -41,7 +41,8 @@ type Series struct {
 
 	// spill accumulates, per column, everything that fell off the ring:
 	// rows evicted when the ring advanced and adds older than lo.
-	// spilled counts evicted windows.
+	// spilled counts evicted windows that held data (a nonzero
+	// counter); empty windows leave without counting.
 	spill   []int64
 	spilled int64
 
@@ -126,9 +127,6 @@ func (s *Series) clearUsed() {
 // Width returns the window width.
 func (s *Series) Width() int64 { return s.width }
 
-// Cols returns the number of counters per window.
-func (s *Series) Cols() int { return s.cols }
-
 // row returns the storage row for window index w (which must be within
 // [lo, hi] and retained).
 func (s *Series) row(w int64) []int64 {
@@ -181,11 +179,15 @@ func (s *Series) addSlow(at int64, col int, v int64) {
 		}
 		for old := s.lo; old < evictEnd; old++ {
 			r := s.row(old)
+			held := false
 			for c, ov := range r {
+				held = held || ov != 0
 				s.spill[c] += ov
 				r[c] = 0
 			}
-			s.spilled++
+			if held {
+				s.spilled++
+			}
 		}
 		// Zero the not-previously-used rows entering the range. Skip
 		// rows already cleared by the eviction loop above (ring slots
@@ -225,14 +227,6 @@ func (s *Series) LoWindow() int64 { return s.lo }
 // HiWindow returns the highest window index seen.
 func (s *Series) HiWindow() int64 { return s.hi }
 
-// Len returns the number of retained windows (0 before any Add).
-func (s *Series) Len() int {
-	if s.n == 0 && s.spilled == 0 {
-		return 0
-	}
-	return int(s.hi - s.lo + 1)
-}
-
 // At returns the counter for column col in window index w, or 0 when w
 // is outside the retained range.
 func (s *Series) At(w int64, col int) int64 {
@@ -245,7 +239,9 @@ func (s *Series) At(w int64, col int) int64 {
 // WindowStart returns the virtual-time start of window index w.
 func (s *Series) WindowStart(w int64) int64 { return w * s.width }
 
-// SpilledWindows returns how many windows were evicted from the ring.
+// SpilledWindows returns how many windows holding data were evicted
+// from the ring. Empty windows, including the ring's initial window 0
+// before any add reached it, do not count.
 func (s *Series) SpilledWindows() int64 { return s.spilled }
 
 // Total returns the exact sum of everything ever added to column col —

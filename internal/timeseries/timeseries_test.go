@@ -25,8 +25,8 @@ func TestWindowing(t *testing.T) {
 	if got := s.At(3, 0); got != 7 {
 		t.Errorf("window 3 col 0 = %d, want 7", got)
 	}
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
+	if s.LoWindow() != 0 || s.HiWindow() != 3 {
+		t.Errorf("retained range [%d,%d], want [0,3]", s.LoWindow(), s.HiWindow())
 	}
 	if s.WindowStart(3) != 30 {
 		t.Errorf("WindowStart(3) = %d, want 30", s.WindowStart(3))
@@ -122,13 +122,13 @@ func TestReconfigureReuse(t *testing.T) {
 	s := New(10, 2, 8)
 	s.Add(5, 1, 9)
 	s.Reset()
-	if !s.Empty() || s.Len() != 0 || s.Total(1) != 0 {
-		t.Errorf("Reset left residue: len=%d total=%d", s.Len(), s.Total(1))
+	if !s.Empty() || s.HiWindow() != 0 || s.Total(1) != 0 {
+		t.Errorf("Reset left residue: hi=%d total=%d", s.HiWindow(), s.Total(1))
 	}
 	s.Reconfigure(5, 1, 4)
 	s.Add(21, 0, 2)
-	if s.Width() != 5 || s.Cols() != 1 {
-		t.Errorf("Reconfigure shape = %d/%d, want 5/1", s.Width(), s.Cols())
+	if s.Width() != 5 {
+		t.Errorf("Reconfigure width = %d, want 5", s.Width())
 	}
 	if got := s.At(4, 0); got != 2 {
 		t.Errorf("window 4 = %d, want 2", got)
@@ -136,6 +136,11 @@ func TestReconfigureReuse(t *testing.T) {
 	s.Add(35, 0, 1) // window 7: a 4-window ring retains [4,7]
 	if s.LoWindow() != 4 || s.HiWindow() != 7 {
 		t.Errorf("after Reconfigure to 4 windows: retained [%d,%d], want [4,7]", s.LoWindow(), s.HiWindow())
+	}
+	// No added value left the ring: the empty windows the advances
+	// passed over are not evictions.
+	if got := s.SpilledWindows(); got != 0 {
+		t.Errorf("SpilledWindows = %d, want 0", got)
 	}
 }
 

@@ -160,11 +160,6 @@ func (m *Machine) bus(now sim.Time, occ sim.Time) sim.Time {
 	return wait
 }
 
-// CacheStats reports hits and misses for processor p's cache.
-func (m *Machine) CacheStats(p int) (hits, misses int64) {
-	return m.caches[p].Hits, m.caches[p].Misses
-}
-
 // Thread is a processor-bound thread on the UMA machine.
 type Thread struct {
 	m    *Machine
@@ -188,17 +183,8 @@ func (m *Machine) Spawn(name string, proc int, body func(*Thread)) *Thread {
 // Run drains the engine.
 func (m *Machine) Run() error { return m.engine.Run() }
 
-// Proc returns the processor the thread runs on.
-func (t *Thread) Proc() int { return t.proc }
-
-// Now returns the thread's virtual clock.
-func (t *Thread) Now() sim.Time { return t.st.Now() }
-
 // Compute charges pure processor time.
 func (t *Thread) Compute(d sim.Time) { t.st.Charge(sim.CauseCompute, d) }
-
-// Sim returns the underlying simulation thread.
-func (t *Thread) Sim() *sim.Thread { return t.st }
 
 // readCost accounts one word read at va relative to a running cursor.
 // It returns the added delay and how much of it was queueing for the

@@ -50,12 +50,12 @@ func TestCacheHitsAfterFill(t *testing.T) {
 	va := m.Alloc(cfg.LineWords)
 	var first, second sim.Time
 	m.Spawn("r", 0, func(th *Thread) {
-		s0 := th.Now()
+		s0 := th.st.Now()
 		th.Read(va) // miss, fills line
-		first = th.Now() - s0
-		s1 := th.Now()
+		first = th.st.Now() - s0
+		s1 := th.st.Now()
 		th.Read(va + 1) // same line: hit
-		second = th.Now() - s1
+		second = th.st.Now() - s1
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCacheHitsAfterFill(t *testing.T) {
 	if second != cfg.HitTime {
 		t.Errorf("hit cost %v, want %v", second, cfg.HitTime)
 	}
-	hits, misses := m.CacheStats(0)
+	hits, misses := m.caches[0].Hits, m.caches[0].Misses
 	if hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits %d misses, want 1/1", hits, misses)
 	}
@@ -80,11 +80,11 @@ func TestWriteInvalidatesOtherCaches(t *testing.T) {
 	m.Spawn("a", 0, func(th *Thread) {
 		th.Read(va) // fill in cache 0
 		th.Compute(10 * sim.Microsecond)
-		s := th.Now()
+		s := th.st.Now()
 		if v := th.Read(va); v != 77 {
 			t.Errorf("stale read %d, want 77", v)
 		}
-		reread = th.Now() - s
+		reread = th.st.Now() - s
 	})
 	m.Spawn("b", 1, func(th *Thread) {
 		th.Compute(5 * sim.Microsecond)
@@ -109,9 +109,9 @@ func TestSmallCacheEvicts(t *testing.T) {
 	m.Spawn("r", 0, func(th *Thread) {
 		buf := make([]uint32, span)
 		th.ReadRange(va, buf)
-		s := th.Now()
+		s := th.st.Now()
 		th.Read(va) // evicted by the wrap-around line
-		if d := th.Now() - s; d < cfg.MissLatency {
+		if d := th.st.Now() - s; d < cfg.MissLatency {
 			t.Errorf("read of evicted line cost %v, want miss", d)
 		}
 	})
@@ -130,7 +130,7 @@ func TestBusContentionSerializesWrites(t *testing.T) {
 		p := p
 		m.Spawn("w", p, func(th *Thread) {
 			th.WriteRange(va+int64(p*words), make([]uint32, words))
-			finish[p] = th.Now()
+			finish[p] = th.st.Now()
 		})
 	}
 	if err := m.Run(); err != nil {

@@ -27,9 +27,6 @@ type Object struct {
 	cpages []*core.Cpage
 }
 
-// Name returns the object's global name.
-func (o *Object) Name() string { return o.name }
-
 // Pages returns the object's length in pages.
 func (o *Object) Pages() int { return len(o.cpages) }
 
@@ -49,9 +46,6 @@ type Manager struct {
 func NewManager(sys *core.System) *Manager {
 	return &Manager{sys: sys, objects: make(map[string]*Object)}
 }
-
-// System returns the underlying coherent memory system.
-func (m *Manager) System() *core.System { return m.sys }
 
 // Reset forgets every object and address space, returning the manager
 // to its freshly-constructed state (object ids and space ids restart at
@@ -122,9 +116,6 @@ func (m *Manager) NewSpace() *Space {
 
 // Cmap exposes the space's coherent map to the kernel layer.
 func (sp *Space) Cmap() *core.Cmap { return sp.cmap }
-
-// Bindings returns the space's current bindings.
-func (sp *Space) Bindings() []Binding { return sp.bindings }
 
 // Map binds pages [firstPage, firstPage+npages) of obj at virtual pages
 // [vpn, vpn+npages) with the given rights.

@@ -10,6 +10,13 @@ import (
 
 func newManager(t *testing.T) *Manager {
 	t.Helper()
+	mgr, _ := newManagerEngine(t)
+	return mgr
+}
+
+// newManagerEngine returns a manager and the engine its machine runs on.
+func newManagerEngine(t *testing.T) (*Manager, *sim.Engine) {
+	t.Helper()
 	e := sim.NewEngine()
 	m, err := mach.New(e, mach.DefaultConfig())
 	if err != nil {
@@ -19,7 +26,7 @@ func newManager(t *testing.T) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewManager(sys)
+	return NewManager(sys), e
 }
 
 func TestObjectCreationAndLookup(t *testing.T) {
@@ -28,8 +35,8 @@ func TestObjectCreationAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewObject: %v", err)
 	}
-	if obj.Pages() != 4 || obj.Name() != "code" {
-		t.Fatalf("object = %q/%d pages", obj.Name(), obj.Pages())
+	if obj.Pages() != 4 || obj.name != "code" {
+		t.Fatalf("object = %q/%d pages", obj.name, obj.Pages())
 	}
 	if got, ok := mgr.LookupObject("code"); !ok || got != obj {
 		t.Fatal("LookupObject failed")
@@ -62,8 +69,8 @@ func TestMapValidatesRange(t *testing.T) {
 	if err := sp.Map(obj, 1, 3, 10, core.Read|core.Write); err != nil {
 		t.Fatalf("valid Map failed: %v", err)
 	}
-	if len(sp.Bindings()) != 1 {
-		t.Fatalf("bindings = %d, want 1", len(sp.Bindings()))
+	if len(sp.bindings) != 1 {
+		t.Fatalf("bindings = %d, want 1", len(sp.bindings))
 	}
 }
 
@@ -83,8 +90,8 @@ func TestMapRollsBackOnOverlap(t *testing.T) {
 	if sp.Cmap().Lookup(10) != nil {
 		t.Fatal("partial mapping not rolled back")
 	}
-	if len(sp.Bindings()) != 1 {
-		t.Fatalf("bindings = %d after failed map, want 1", len(sp.Bindings()))
+	if len(sp.bindings) != 1 {
+		t.Fatalf("bindings = %d after failed map, want 1", len(sp.bindings))
 	}
 	// The rolled-back range can be mapped again.
 	if err := sp.Map(b, 0, 1, 10, core.Read); err != nil {
@@ -151,19 +158,18 @@ func TestObjectMappableTwiceInOneSpace(t *testing.T) {
 }
 
 func TestUnmapRemovesBinding(t *testing.T) {
-	mgr := newManager(t)
+	mgr, e := newManagerEngine(t)
 	obj, _ := mgr.NewObject("gone", 3)
 	sp := mgr.NewSpace()
 	vpn, err := sp.MapAnywhere(obj, core.Read|core.Write)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mgr.System().Machine().Engine()
 	cm := sp.Cmap()
 	cm.Activate(nil, 0)
 	e.Spawn("driver", func(th *sim.Thread) {
 		// Touch a page so there is a live translation to shoot down.
-		if _, err := mgr.System().Touch(th, 0, cm, vpn, true); err != nil {
+		if _, err := mgr.sys.Touch(th, 0, cm, vpn, true); err != nil {
 			t.Errorf("Touch: %v", err)
 			return
 		}
@@ -174,7 +180,7 @@ func TestUnmapRemovesBinding(t *testing.T) {
 		if cm.Lookup(vpn) != nil || cm.Lookup(vpn+2) != nil {
 			t.Error("entries survived Unmap")
 		}
-		if len(sp.Bindings()) != 0 {
+		if len(sp.bindings) != 0 {
 			t.Error("binding list not cleaned")
 		}
 		if err := sp.Unmap(th, 0, vpn); err == nil {
@@ -189,7 +195,7 @@ func TestUnmapRemovesBinding(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.System().Validate(); err != nil {
+	if err := mgr.sys.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
