@@ -13,7 +13,7 @@ package platinum
 // analysis so they cannot silently rot.
 //
 // The tests skip under -race: the detector instruments allocations of
-// its own. CI runs them in the non-instrumented bench-smoke lane.
+// its own. CI's test job runs them in its go test ./..., without -race.
 
 import (
 	"io"

@@ -6,7 +6,6 @@ import (
 	"platinum/internal/apps"
 	"platinum/internal/baseline"
 	"platinum/internal/exp"
-	"platinum/internal/uma"
 )
 
 // This file exposes the paper's applications, baselines, and experiment
@@ -40,8 +39,6 @@ type (
 	PlatinumPlatform = apps.PlatinumPlatform
 	// UMAPlatform runs programs on the Sequent-class UMA machine.
 	UMAPlatform = apps.UMAPlatform
-	// UMAConfig holds the UMA machine's cost parameters.
-	UMAConfig = uma.Config
 )
 
 // DefaultGaussConfig returns the paper-shaped configuration for an n×n
@@ -65,18 +62,14 @@ func DefaultAnecdoteConfig(threads int) AnecdoteConfig {
 	return apps.DefaultAnecdoteConfig(threads)
 }
 
-// DefaultUMAConfig returns the Sequent Symmetry (model A)-class machine.
-func DefaultUMAConfig() UMAConfig { return uma.DefaultConfig() }
-
 // NewPlatinumPlatform boots a kernel and wraps it as a Platform.
 func NewPlatinumPlatform(cfg Config) (*PlatinumPlatform, error) {
 	return apps.NewPlatinumPlatform(cfg)
 }
 
-// NewUMAPlatform builds a UMA machine Platform.
-func NewUMAPlatform(cfg UMAConfig) (*UMAPlatform, error) {
-	return apps.NewUMAPlatform(cfg)
-}
+// NewUMAPlatform builds the Sequent Symmetry (model A)-class machine
+// as a Platform.
+func NewUMAPlatform() *UMAPlatform { return apps.NewUMAPlatform() }
 
 // UniformSystemConfig returns a kernel configuration modeling the
 // Uniform System baseline (static placement, no data movement).

@@ -34,10 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		up, err := platinum.NewUMAPlatform(platinum.DefaultUMAConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
+		up := platinum.NewUMAPlatform()
 		ru, err := platinum.RunMergeSort(up, cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -27,11 +27,10 @@ import (
 )
 
 // Analyzer is one static check. Name is the short identifier reported
-// as "platinum/<name>"; Doc is a one-line description of what it
-// enforces; Run checks one package.
+// as "platinum/<name>"; Run checks one package. README's "Static
+// analysis" list documents what each analyzer enforces.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 

@@ -12,7 +12,6 @@ import "go/ast"
 // access unrepresentable, so the mixed-access race cannot be written.
 var AnalyzerAtomicSafe = &Analyzer{
 	Name: "atomicsafe",
-	Doc:  "use atomic.Int64-style typed wrappers, not package-level sync/atomic functions on plain variables",
 	Run:  runAtomicSafe,
 }
 

@@ -29,7 +29,6 @@ import (
 // declared outside internal/sim, and calls computing a cause.
 var AnalyzerChargeCause = &Analyzer{
 	Name: "chargecause",
-	Doc:  "sim.Charge/Attribute must be passed a cause constant declared in internal/sim",
 	Run:  runChargeCause,
 }
 

@@ -13,8 +13,8 @@ import (
 	"platinum/internal/analysis"
 )
 
-// The module is parsed and type-checked once, for TestModuleClean and
-// TestExportsHaveCallers both.
+// The module is parsed and type-checked once, for TestModuleClean,
+// TestExportsHaveCallers and TestFieldsAreRead.
 var (
 	moduleOnce sync.Once
 	modulePkgs []*analysis.Package
@@ -130,7 +130,7 @@ func TestExportsHaveCallers(t *testing.T) {
 		return false
 	}
 
-	listed := exportedForTests(t)
+	listed := contributingList(t, "Exported for tests")
 	var missing []string
 	testOnly := map[string]bool{}
 	for fn, name := range names {
@@ -198,24 +198,24 @@ func stdlibInterface(pkgs []*analysis.Package, path, name string) *types.Interfa
 	return nil
 }
 
-// exportedForTests reads the bullets of CONTRIBUTING.md's "Exported
-// for tests" section: "- `pkg.Name`: reason", mapping each name to its
+// contributingList reads the bullets of CONTRIBUTING.md's section
+// with the given heading, "- `name`: reason", mapping each name to its
 // reason.
-func exportedForTests(t *testing.T) map[string]string {
+func contributingList(t *testing.T, heading string) map[string]string {
 	t.Helper()
 	doc, err := os.ReadFile(moduleRoot + "/CONTRIBUTING.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(doc), "\n## Exported for tests\n")
+	_, section, ok := strings.Cut(string(doc), "\n## "+heading+"\n")
 	if !ok {
-		t.Fatal(`CONTRIBUTING.md has no "## Exported for tests" section`)
+		t.Fatalf(`CONTRIBUTING.md has no "## %s" section`, heading)
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
 	listed := map[string]string{}
 	for _, m := range regexp.MustCompile("(?m)^- `([A-Za-z0-9_.]+)`:(.*)$").FindAllStringSubmatch(section, -1) {
 		if _, dup := listed[m[1]]; dup {
-			t.Errorf("CONTRIBUTING.md lists %s twice under \"Exported for tests\"", m[1])
+			t.Errorf("CONTRIBUTING.md lists %s twice under %q", m[1], heading)
 		}
 		listed[m[1]] = m[2]
 	}

@@ -27,7 +27,6 @@ import (
 //     between runs. Collect into a slice and sort before emitting.
 var AnalyzerNoDeterminism = &Analyzer{
 	Name: "nodeterminism",
-	Doc:  "forbid wall-clock reads, unseeded math/rand and map-ordered emission under internal/",
 	Run:  runNoDeterminism,
 }
 

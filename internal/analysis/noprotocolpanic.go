@@ -15,7 +15,6 @@ import "go/ast"
 // cases are what ErrInvariant exists to report.
 var AnalyzerNoProtocolPanic = &Analyzer{
 	Name: "noprotocolpanic",
-	Doc:  "internal/core and internal/mach must return ErrInvariant-style errors, not panic",
 	Run:  runNoProtocolPanic,
 }
 

@@ -26,7 +26,6 @@ import (
 // a local variable that is never ended and never escapes.
 var AnalyzerSpanPair = &Analyzer{
 	Name: "spanpair",
-	Doc:  "a span begun with span.Begin* must be ended (End) or handed off on every path",
 	Run:  runSpanPair,
 }
 

@@ -27,8 +27,10 @@ type AnecdoteConfig struct {
 	Iters    int      // inner-loop iterations per thread
 	Colocate bool     // matrix-size variable shares the lock's page
 	Defrost  sim.Time // defrost period (0 = daemon disabled)
-	Work     sim.Time // non-memory work per inner-loop iteration
 }
+
+// anecdoteWork is the non-memory work per inner-loop iteration.
+const anecdoteWork = 1 * sim.Microsecond
 
 // DefaultAnecdoteConfig reproduces the paper's setup in miniature.
 func DefaultAnecdoteConfig(threads int) AnecdoteConfig {
@@ -37,7 +39,6 @@ func DefaultAnecdoteConfig(threads int) AnecdoteConfig {
 		Iters:    20000,
 		Colocate: true,
 		Defrost:  0,
-		Work:     1 * sim.Microsecond,
 	}
 }
 
@@ -102,7 +103,7 @@ func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
 				if v := t.Read(sizeVA); v != want {
 					panic(fmt.Sprintf("apps: matrix size corrupted: %d", v))
 				}
-				t.Compute(cfg.Work)
+				t.Compute(anecdoteWork)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"platinum/internal/mach"
 	"platinum/internal/model"
 	"platinum/internal/sim"
-	"platinum/internal/uma"
 )
 
 func platinumPl(t *testing.T) *PlatinumPlatform {
@@ -152,10 +151,7 @@ func TestMergeSortSortsOnPlatinum(t *testing.T) {
 
 func TestMergeSortSortsOnUMA(t *testing.T) {
 	for _, p := range []int{1, 4, 16} {
-		pl, err := NewUMAPlatform(uma.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := NewUMAPlatform()
 		cfg := DefaultMergeSortConfig(p)
 		cfg.Words = 4096
 		res, err := RunMergeSort(pl, cfg)
@@ -366,10 +362,6 @@ func simulatorModelParams() model.Params {
 	}
 }
 
-// defaultUMAForTest returns the UMA config used by app cross-machine
-// tests.
-func defaultUMAForTest() uma.Config { return uma.DefaultConfig() }
-
 func TestSharingConfigValidation(t *testing.T) {
 	bad := []SharingConfig{
 		{PageWords: 0, Rho: 1, Procs: 2, Ops: 1, Policy: alwaysCache},
@@ -419,9 +411,14 @@ func TestMergeSortRejectsTinyInput(t *testing.T) {
 }
 
 func TestBackpropRejectsTooManyThreads(t *testing.T) {
-	cfg := DefaultBackpropConfig(16)
-	cfg.Hidden, cfg.Out = 4, 8 // fewer units than threads
-	if _, err := RunBackprop(platinumPl(t), cfg); err == nil {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Machine.Nodes = 32
+	pl, err := NewPlatinumPlatform(kcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 17 threads: more than both the 8 hidden and the 16 output units.
+	if _, err := RunBackprop(pl, DefaultBackpropConfig(17)); err == nil {
 		t.Fatal("accepted more threads than units")
 	}
 }

@@ -28,22 +28,21 @@ import (
 
 // BackpropConfig parameterizes a run.
 type BackpropConfig struct {
-	In, Hidden, Out int      // layer sizes (paper: 16, 8, 16 = 40 units)
-	Epochs          int      // training epochs over the 16 patterns
-	Threads         int      // worker threads
-	Rate            float32  // learning rate
-	MacCost         sim.Time // processor time per multiply-accumulate
+	Epochs  int // training epochs over the 16 patterns
+	Threads int // worker threads
 }
 
-// DefaultBackpropConfig returns the paper's network.
+// The paper's network.
+const (
+	bpIn, bpHid, bpOut = 16, 8, 16            // layer sizes: 40 units
+	bpRate             = 1.5                  // learning rate
+	bpMacCost          = 15 * sim.Microsecond // processor time per multiply-accumulate
+)
+
+// DefaultBackpropConfig returns the paper's training run on threads
+// threads.
 func DefaultBackpropConfig(threads int) BackpropConfig {
-	return BackpropConfig{
-		In: 16, Hidden: 8, Out: 16,
-		Epochs:  30,
-		Threads: threads,
-		Rate:    1.5,
-		MacCost: 15 * sim.Microsecond,
-	}
+	return BackpropConfig{Epochs: 30, Threads: threads}
 }
 
 // BackpropResult reports a finished run.
@@ -60,30 +59,30 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 	if err := checkProcs(pl, cfg.Threads); err != nil {
 		return BackpropResult{}, err
 	}
-	nIn, nHid, nOut, p := cfg.In, cfg.Hidden, cfg.Out, cfg.Threads
-	if nHid < p && nOut < p {
-		return BackpropResult{}, fmt.Errorf("apps: %d threads for %d/%d units", p, nHid, nOut)
+	p := cfg.Threads
+	if bpHid < p && bpOut < p {
+		return BackpropResult{}, fmt.Errorf("apps: %d threads for %d/%d units", p, bpHid, bpOut)
 	}
 
 	// Shared state. Activations and deltas are fine-grain write-shared;
 	// weights are partitioned by owner but read by everyone.
-	actH, err := pl.Alloc("bp-hidden-acts", nHid)
+	actH, err := pl.Alloc("bp-hidden-acts", bpHid)
 	if err != nil {
 		return BackpropResult{}, err
 	}
-	actO, err := pl.Alloc("bp-output-acts", nOut)
+	actO, err := pl.Alloc("bp-output-acts", bpOut)
 	if err != nil {
 		return BackpropResult{}, err
 	}
-	deltaO, err := pl.Alloc("bp-output-deltas", nOut)
+	deltaO, err := pl.Alloc("bp-output-deltas", bpOut)
 	if err != nil {
 		return BackpropResult{}, err
 	}
-	w1, err := pl.Alloc("bp-w1", nIn*nHid) // input -> hidden
+	w1, err := pl.Alloc("bp-w1", bpIn*bpHid) // input -> hidden
 	if err != nil {
 		return BackpropResult{}, err
 	}
-	w2, err := pl.Alloc("bp-w2", nHid*nOut) // hidden -> output
+	w2, err := pl.Alloc("bp-w2", bpHid*bpOut) // hidden -> output
 	if err != nil {
 		return BackpropResult{}, err
 	}
@@ -108,7 +107,7 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 	}
 
 	// one-hot input/target patterns.
-	patterns := nIn
+	patterns := bpIn
 	var res BackpropResult
 
 	for ti := 0; ti < p; ti++ {
@@ -125,8 +124,8 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 						t.Write(base+int64(i), f2w(v))
 					}
 				}
-				init(w1, nIn*nHid)
-				init(w2, nHid*nOut)
+				init(w1, bpIn*bpHid)
+				init(w2, bpHid*bpOut)
 				t.Write(ev, 1)
 			} else {
 				t.WaitAtLeast(ev, 1)
@@ -137,19 +136,19 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 				// the current weights (sequential forward pass).
 				var total float64
 				for pat := 0; pat < patterns; pat++ {
-					h := make([]float32, nHid)
-					for j := 0; j < nHid; j++ {
-						sum := w2f(t.Read(w1 + int64(pat*nHid+j)))
+					h := make([]float32, bpHid)
+					for j := 0; j < bpHid; j++ {
+						sum := w2f(t.Read(w1 + int64(pat*bpHid+j)))
 						h[j] = sigmoid(sum)
-						t.Compute(cfg.MacCost * sim.Time(nIn/8+1))
+						t.Compute(bpMacCost * sim.Time(bpIn/8+1))
 					}
-					for k := 0; k < nOut; k++ {
+					for k := 0; k < bpOut; k++ {
 						var sum float32
-						for j := 0; j < nHid; j++ {
-							sum += w2f(t.Read(w2+int64(j*nOut+k))) * h[j]
+						for j := 0; j < bpHid; j++ {
+							sum += w2f(t.Read(w2+int64(j*bpOut+k))) * h[j]
 						}
 						o := sigmoid(sum)
-						t.Compute(cfg.MacCost * sim.Time(nHid))
+						t.Compute(bpMacCost * sim.Time(bpHid))
 						target := float32(0)
 						if k == pat {
 							target = 1
@@ -175,20 +174,20 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 				for pat := 0; pat < patterns; pat++ {
 					// Forward, hidden layer: one-hot input means the
 					// activation is sigmoid(w1[pat][j]).
-					for j := ti; j < nHid; j += p {
-						sum := w2f(t.Read(w1 + int64(pat*nHid+j)))
-						t.Compute(cfg.MacCost * sim.Time(nIn/8+1))
+					for j := ti; j < bpHid; j += p {
+						sum := w2f(t.Read(w1 + int64(pat*bpHid+j)))
+						t.Compute(bpMacCost * sim.Time(bpIn/8+1))
 						t.Write(actH+int64(j), f2w(sigmoid(sum)))
 					}
 					// Forward, output layer (reads possibly-stale
 					// hidden activations — no sync, as in the paper).
-					for k := ti; k < nOut; k += p {
+					for k := ti; k < bpOut; k += p {
 						var sum float32
-						for j := 0; j < nHid; j++ {
-							sum += w2f(t.Read(w2+int64(j*nOut+k))) * w2f(t.Read(actH+int64(j)))
+						for j := 0; j < bpHid; j++ {
+							sum += w2f(t.Read(w2+int64(j*bpOut+k))) * w2f(t.Read(actH+int64(j)))
 						}
 						o := sigmoid(sum)
-						t.Compute(cfg.MacCost * sim.Time(nHid))
+						t.Compute(bpMacCost * sim.Time(bpHid))
 						t.Write(actO+int64(k), f2w(o))
 						target := float32(0)
 						if k == pat {
@@ -199,26 +198,26 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 					// Backward: hidden->output weights owned by their
 					// output unit's thread; w1 update via backprop of
 					// the owned hidden units.
-					for k := ti; k < nOut; k += p {
+					for k := ti; k < bpOut; k += p {
 						d := w2f(t.Read(deltaO + int64(k)))
-						for j := 0; j < nHid; j++ {
-							va := w2 + int64(j*nOut+k)
+						for j := 0; j < bpHid; j++ {
+							va := w2 + int64(j*bpOut+k)
 							w := w2f(t.Read(va))
 							h := w2f(t.Read(actH + int64(j)))
-							t.Write(va, f2w(w+cfg.Rate*d*h))
+							t.Write(va, f2w(w+bpRate*d*h))
 						}
-						t.Compute(cfg.MacCost * sim.Time(nHid))
+						t.Compute(bpMacCost * sim.Time(bpHid))
 					}
-					for j := ti; j < nHid; j += p {
+					for j := ti; j < bpHid; j += p {
 						var back float32
-						for k := 0; k < nOut; k++ {
-							back += w2f(t.Read(w2+int64(j*nOut+k))) * w2f(t.Read(deltaO+int64(k)))
+						for k := 0; k < bpOut; k++ {
+							back += w2f(t.Read(w2+int64(j*bpOut+k))) * w2f(t.Read(deltaO+int64(k)))
 						}
 						h := w2f(t.Read(actH + int64(j)))
-						va := w1 + int64(pat*nHid+j)
+						va := w1 + int64(pat*bpHid+j)
 						w := w2f(t.Read(va))
-						t.Write(va, f2w(w+cfg.Rate*back*h*(1-h)))
-						t.Compute(cfg.MacCost * sim.Time(nOut))
+						t.Write(va, f2w(w+bpRate*back*h*(1-h)))
+						t.Compute(bpMacCost * sim.Time(bpOut))
 					}
 				}
 				// Epoch barrier via a single event count.

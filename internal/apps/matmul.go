@@ -18,15 +18,18 @@ import (
 
 // MatMulConfig parameterizes a run.
 type MatMulConfig struct {
-	N       int      // matrices are N×N
-	Threads int      // worker threads
-	Seed    int64    // input seed
-	MacCost sim.Time // processor time per multiply-accumulate
+	N       int // matrices are N×N
+	Threads int // worker threads
 }
+
+const (
+	matmulSeed    = 3                   // input seed
+	matmulMacCost = 3 * sim.Microsecond // processor time per multiply-accumulate
+)
 
 // DefaultMatMulConfig returns a paper-era configuration.
 func DefaultMatMulConfig(n, threads int) MatMulConfig {
-	return MatMulConfig{N: n, Threads: threads, Seed: 3, MacCost: 3 * sim.Microsecond}
+	return MatMulConfig{N: n, Threads: threads}
 }
 
 // MatMulResult reports a run.
@@ -39,7 +42,8 @@ func matmulInput(cfg MatMulConfig) (a, b []uint32) {
 	n := cfg.N
 	a = make([]uint32, n*n)
 	b = make([]uint32, n*n)
-	rng := uint64(cfg.Seed)*6364136223846793005 + 1442695040888963407
+	seed := uint64(matmulSeed) // a variable: the constant product would overflow
+	rng := seed*6364136223846793005 + 1442695040888963407
 	for i := range a {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		a[i] = uint32(rng >> 40)
@@ -123,7 +127,7 @@ func RunMatMul(pl Platform, cfg MatMulConfig) (MatMulResult, error) {
 					crow[j] = sum
 				}
 				// One row of C: n cells × n multiply-accumulates.
-				t.Compute(cfg.MacCost * sim.Time(n*n))
+				t.Compute(matmulMacCost * sim.Time(n*n))
 				t.WriteRange(cVA+int64(r*n), crow)
 			}
 			t.AtomicAdd(ev+1, 1)

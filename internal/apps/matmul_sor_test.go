@@ -81,11 +81,7 @@ func TestSORMatchesReference(t *testing.T) {
 func TestSORMatchesReferenceOnUMA(t *testing.T) {
 	cfg := DefaultSORConfig(16, 32, 4)
 	want := SORReferenceChecksum(cfg)
-	pl, err := NewUMAPlatform(defaultUMAForTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RunSOR(pl, cfg)
+	r, err := RunSOR(NewUMAPlatform(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

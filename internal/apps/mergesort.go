@@ -22,20 +22,18 @@ import (
 
 // MergeSortConfig parameterizes a run.
 type MergeSortConfig struct {
-	Words   int      // input size in 32-bit words
-	Threads int      // worker threads (one per processor)
-	Seed    int64    // input permutation seed
-	Compare sim.Time // processor time per compare-and-advance step
+	Words   int // input size in 32-bit words
+	Threads int // worker threads (one per processor)
 }
+
+const (
+	msortSeed    = 1                    // input permutation seed
+	msortCompare = 500 * sim.Nanosecond // processor time per compare-and-advance step
+)
 
 // DefaultMergeSortConfig returns a medium problem: 64K words.
 func DefaultMergeSortConfig(threads int) MergeSortConfig {
-	return MergeSortConfig{
-		Words:   1 << 16,
-		Threads: threads,
-		Seed:    1,
-		Compare: 500 * sim.Nanosecond,
-	}
+	return MergeSortConfig{Words: 1 << 16, Threads: threads}
 }
 
 // MergeSortResult reports a finished run.
@@ -80,7 +78,8 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 
 	// Deterministic pseudo-random input, written by thread 0 at start.
 	input := make([]uint32, n)
-	rng := uint64(cfg.Seed)*2862933555777941757 + 3037000493
+	seed := uint64(msortSeed) // a variable: the constant product would overflow
+	rng := seed*2862933555777941757 + 3037000493
 	for i := range input {
 		rng = rng*2862933555777941757 + 3037000493
 		input[i] = uint32(rng >> 32)
@@ -101,7 +100,7 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 			sort.Slice(chunk, func(a, b int) bool { return chunk[a] < chunk[b] })
 			// n log n compares of register-resident data.
 			steps := len(chunk) * bits(len(chunk))
-			t.Compute(cfg.Compare * sim.Time(steps))
+			t.Compute(msortCompare * sim.Time(steps))
 			t.WriteRange(bufA+int64(lo), chunk)
 			t.AtomicAdd(done+int64(i), 1)
 
@@ -174,7 +173,7 @@ func mergeRuns(t Env, cfg MergeSortConfig, src, dst int64, lo, mid, hi int) {
 	}
 	outBuf = append(outBuf, a[ai:]...)
 	outBuf = append(outBuf, b[bi:]...)
-	t.Compute(cfg.Compare * sim.Time(len(outBuf)))
+	t.Compute(msortCompare * sim.Time(len(outBuf)))
 	t.WriteRange(dst+int64(lo), outBuf)
 }
 

@@ -95,17 +95,11 @@ type UMAPlatform struct {
 	M *uma.Machine
 }
 
-// NewUMAPlatform builds a UMA machine with cfg and wraps it.
-func NewUMAPlatform(cfg uma.Config) (*UMAPlatform, error) {
-	m, err := uma.New(sim.NewEngine(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &UMAPlatform{M: m}, nil
-}
+// NewUMAPlatform builds the UMA machine and wraps it.
+func NewUMAPlatform() *UMAPlatform { return &UMAPlatform{M: uma.New(sim.NewEngine())} }
 
 // Procs implements Platform.
-func (p *UMAPlatform) Procs() int { return p.M.Config().Procs }
+func (p *UMAPlatform) Procs() int { return uma.Procs }
 
 // Alloc implements Platform.
 func (p *UMAPlatform) Alloc(_ string, nwords int) (int64, error) {

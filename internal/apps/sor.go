@@ -22,15 +22,18 @@ import (
 
 // SORConfig parameterizes a run.
 type SORConfig struct {
-	Rows, Cols int      // grid dimensions
-	Sweeps     int      // red-black half-sweeps performed together
-	Threads    int      // worker threads
-	OpCost     sim.Time // processor time per cell update
+	Rows, Cols int // grid dimensions
+	Threads    int // worker threads
 }
+
+const (
+	sorSweeps = 6                   // red-black half-sweeps performed together
+	sorOpCost = 2 * sim.Microsecond // processor time per cell update
+)
 
 // DefaultSORConfig returns a medium grid.
 func DefaultSORConfig(rows, cols, threads int) SORConfig {
-	return SORConfig{Rows: rows, Cols: cols, Sweeps: 6, Threads: threads, OpCost: 2 * sim.Microsecond}
+	return SORConfig{Rows: rows, Cols: cols, Threads: threads}
 }
 
 // SORResult reports a run.
@@ -61,7 +64,7 @@ func SORReferenceChecksum(cfg SORConfig) uint32 {
 	g := sorInput(cfg)
 	next := make([]uint32, len(g))
 	copy(next, g)
-	for s := 0; s < cfg.Sweeps; s++ {
+	for s := 0; s < sorSweeps; s++ {
 		for r := 1; r < rows-1; r++ {
 			for c := 1; c < cols-1; c++ {
 				next[r*cols+c] = sorUpdate(
@@ -97,7 +100,7 @@ func RunSOR(pl Platform, cfg SORConfig) (SORResult, error) {
 	if err != nil {
 		return SORResult{}, err
 	}
-	ev, err := pl.Alloc("sor-ev", cfg.Sweeps+2)
+	ev, err := pl.Alloc("sor-ev", sorSweeps+2)
 	if err != nil {
 		return SORResult{}, err
 	}
@@ -120,7 +123,7 @@ func RunSOR(pl Platform, cfg SORConfig) (SORResult, error) {
 			north := make([]uint32, cols)
 			south := make([]uint32, cols)
 			outRow := make([]uint32, cols)
-			for s := 0; s < cfg.Sweeps; s++ {
+			for s := 0; s < sorSweeps; s++ {
 				for r := lo; r < hi; r++ {
 					if r == 0 || r == rows-1 {
 						// Boundary rows pass through unchanged.
@@ -135,7 +138,7 @@ func RunSOR(pl Platform, cfg SORConfig) (SORResult, error) {
 					for c := 1; c < cols-1; c++ {
 						outRow[c] = sorUpdate(row[c], north[c], south[c], row[c-1], row[c+1])
 					}
-					t.Compute(cfg.OpCost * sim.Time(cols-2))
+					t.Compute(sorOpCost * sim.Time(cols-2))
 					t.WriteRange(dst+int64(r*cols), outRow)
 				}
 				// Sweep barrier: neighbours must finish writing before
@@ -145,7 +148,7 @@ func RunSOR(pl Platform, cfg SORConfig) (SORResult, error) {
 				src, dst = dst, src
 			}
 			if i == 0 {
-				t.WaitAtLeast(ev+int64(cfg.Sweeps), uint32(p))
+				t.WaitAtLeast(ev+int64(sorSweeps), uint32(p))
 				final := make([]uint32, rows*cols)
 				t.ReadRange(src, final)
 				out = final

@@ -20,7 +20,7 @@ import (
 //     the page migrates to, then stays on, its owner's module);
 //   - reads from a small set of shared read-mostly pages (replication
 //     traffic: every module eventually holds a copy);
-//   - every HotWriteEvery-th round, one atomic increment of a
+//   - every topoHotWriteEvery-th round, one atomic increment of a
 //     write-shared hot counter page (migration/invalidation traffic —
 //     the freeze/defrost pressure point).
 //
@@ -31,29 +31,23 @@ import (
 type TopoMixConfig struct {
 	Procs     int // processors used (one thread each)
 	PageWords int // must match the machine's page size
-	Rounds    int // rounds per processor
-
-	LocalRefs     int // private-page references per round
-	SharedReads   int // read-mostly page reads per round
-	HotWriteEvery int // one hot-counter increment every k-th round
-
-	ReadPages int // size of the shared read-mostly set
-	HotPages  int // size of the write-shared counter set
 }
 
-// DefaultTopoMixConfig returns the sweep workload: constant per-proc
-// work sized so a 1024-node run stays affordable.
+// The mix: constant per-proc work sized so a 1024-node run stays
+// affordable.
+const (
+	topoRounds        = 24 // rounds per processor
+	topoLocalRefs     = 64 // private-page references per round
+	topoSharedReads   = 16 // read-mostly page reads per round
+	topoHotWriteEvery = 4  // one hot-counter increment every k-th round
+	topoReadPages     = 8  // size of the shared read-mostly set
+	topoHotPages      = 4  // size of the write-shared counter set
+)
+
+// DefaultTopoMixConfig returns the sweep workload on procs processors
+// with pages of pageWords words.
 func DefaultTopoMixConfig(procs, pageWords int) TopoMixConfig {
-	return TopoMixConfig{
-		Procs:         procs,
-		PageWords:     pageWords,
-		Rounds:        24,
-		LocalRefs:     64,
-		SharedReads:   16,
-		HotWriteEvery: 4,
-		ReadPages:     8,
-		HotPages:      4,
-	}
+	return TopoMixConfig{Procs: procs, PageWords: pageWords}
 }
 
 // TopoMixResult carries the workload's outcome.
@@ -66,20 +60,19 @@ func RunTopoMix(pl Platform, cfg TopoMixConfig) (TopoMixResult, error) {
 	if err := checkProcs(pl, cfg.Procs); err != nil {
 		return TopoMixResult{}, err
 	}
-	if cfg.PageWords < 1 || cfg.Rounds < 1 || cfg.LocalRefs < 1 ||
-		cfg.HotWriteEvery < 1 || cfg.ReadPages < 1 || cfg.HotPages < 1 {
-		return TopoMixResult{}, fmt.Errorf("apps: bad topomix config %+v", cfg)
+	if cfg.PageWords < 1 {
+		return TopoMixResult{}, fmt.Errorf("apps: bad topomix page size %d", cfg.PageWords)
 	}
 	pw := cfg.PageWords
 	privBase, err := pl.Alloc("topomix-priv", cfg.Procs*pw)
 	if err != nil {
 		return TopoMixResult{}, err
 	}
-	readBase, err := pl.Alloc("topomix-read", cfg.ReadPages*pw)
+	readBase, err := pl.Alloc("topomix-read", topoReadPages*pw)
 	if err != nil {
 		return TopoMixResult{}, err
 	}
-	hotBase, err := pl.Alloc("topomix-hot", cfg.HotPages*pw)
+	hotBase, err := pl.Alloc("topomix-hot", topoHotPages*pw)
 	if err != nil {
 		return TopoMixResult{}, err
 	}
@@ -88,7 +81,7 @@ func RunTopoMix(pl Platform, cfg TopoMixConfig) (TopoMixResult, error) {
 		return TopoMixResult{}, err
 	}
 
-	hotWrites := (cfg.Rounds + cfg.HotWriteEvery - 1) / cfg.HotWriteEvery
+	const hotWrites = (topoRounds + topoHotWriteEvery - 1) / topoHotWriteEvery
 	var runErr error
 	fail := func(e error) {
 		if runErr == nil {
@@ -99,23 +92,23 @@ func RunTopoMix(pl Platform, cfg TopoMixConfig) (TopoMixResult, error) {
 		proc := p
 		pl.Spawn(fmt.Sprintf("topomix-%d", proc), proc, func(t Env) {
 			priv := privBase + int64(proc*pw)
-			for r := 0; r < cfg.Rounds; r++ {
+			for r := 0; r < topoRounds; r++ {
 				// Private-page work: one write stamping the round, then
 				// reads over the page (constant locality per round).
 				w := (r * 7) % pw
-				t.Write(priv+int64(w), uint32(proc*cfg.Rounds+r+1))
-				for i := 0; i < cfg.LocalRefs-1; i++ {
+				t.Write(priv+int64(w), uint32(proc*topoRounds+r+1))
+				for i := 0; i < topoLocalRefs-1; i++ {
 					t.Read(priv + int64((w+i)%pw))
 				}
 				// Shared read-mostly pages: spread so neighbours start on
 				// different pages but everyone covers the whole set.
-				for i := 0; i < cfg.SharedReads; i++ {
-					page := (proc + r + i) % cfg.ReadPages
+				for i := 0; i < topoSharedReads; i++ {
+					page := (proc + r + i) % topoReadPages
 					t.Read(readBase + int64(page*pw+(r%pw)))
 				}
 				// Hot counters: the write-sharing the policy must survive.
-				if r%cfg.HotWriteEvery == 0 {
-					page := (proc + r/cfg.HotWriteEvery) % cfg.HotPages
+				if r%topoHotWriteEvery == 0 {
+					page := (proc + r/topoHotWriteEvery) % topoHotPages
 					t.AtomicAdd(hotBase+int64(page*pw), 1)
 				}
 				t.Compute(2 * sim.Microsecond)
@@ -123,8 +116,8 @@ func RunTopoMix(pl Platform, cfg TopoMixConfig) (TopoMixResult, error) {
 			// Verify the private page: the last value written per word
 			// survives all the coherency traffic.
 			last := make(map[int]uint32)
-			for r := 0; r < cfg.Rounds; r++ {
-				last[(r*7)%pw] = uint32(proc*cfg.Rounds + r + 1)
+			for r := 0; r < topoRounds; r++ {
+				last[(r*7)%pw] = uint32(proc*topoRounds + r + 1)
 			}
 			for w, want := range last {
 				if got := t.Read(priv + int64(w)); got != want {
@@ -135,7 +128,7 @@ func RunTopoMix(pl Platform, cfg TopoMixConfig) (TopoMixResult, error) {
 			// The last processor to finish audits the hot counters.
 			if t.AtomicAdd(doneBase, 1) == uint32(cfg.Procs) {
 				var sum uint32
-				for page := 0; page < cfg.HotPages; page++ {
+				for page := 0; page < topoHotPages; page++ {
 					sum += t.Read(hotBase + int64(page*pw))
 				}
 				if want := uint32(cfg.Procs * hotWrites); sum != want {

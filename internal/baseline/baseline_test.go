@@ -97,7 +97,7 @@ func TestBcastIsLogDepth(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	perMsg := kernel.DefaultConfig().PortOverhead + kernel.DefaultConfig().PortPerWord
+	perMsg := 150*sim.Microsecond + 550*sim.Nanosecond // the kernel's port cost for one word
 	if rootTime > 5*perMsg {
 		t.Fatalf("root spent %v broadcasting, want <= ~4 sends (%v)", rootTime, 4*perMsg)
 	}

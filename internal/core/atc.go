@@ -239,17 +239,15 @@ func (a *atc) restrict(cmap int, vpn int64) {
 
 // ATCStats is a snapshot of one processor's ATC counters.
 type ATCStats struct {
-	Proc      int
-	Hits      int64
-	Misses    int64
-	Evictions int64
+	Hits   int64
+	Misses int64
 }
 
-// ATCStats returns hit/miss/eviction counters for every processor's ATC.
+// ATCStats returns hit and miss counters for every processor's ATC.
 func (s *System) ATCStats() []ATCStats {
 	out := make([]ATCStats, len(s.atcs))
 	for i, a := range s.atcs {
-		out[i] = ATCStats{Proc: i, Hits: a.Hits, Misses: a.Misses, Evictions: a.Evictions}
+		out[i] = ATCStats{Hits: a.Hits, Misses: a.Misses}
 	}
 	return out
 }

@@ -190,6 +190,10 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 	return nil
 }
 
+// msgApply is the cost for a processor to apply one queued Cmap message
+// when it activates an address space.
+const msgApply = 2 * sim.Microsecond
+
 // Activate marks the address space active on processor proc and applies
 // any queued Cmap messages targeting proc (§3.1: a processor applies
 // pending changes before running any thread in the address space).
@@ -210,7 +214,7 @@ func (cm *Cmap) Activate(t *sim.Thread, proc int) {
 		if m.targets.Has(proc) {
 			cm.applyMsg(proc, m)
 			m.targets.Del(proc)
-			cost += cm.sys.cfg.MsgApply
+			cost += msgApply
 		}
 		if !m.targets.Empty() {
 			out = append(out, m)

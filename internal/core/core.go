@@ -207,10 +207,6 @@ type Config struct {
 	// 1.38 ms spread between local and remote kernel data structures).
 	KernelRemotePenalty sim.Time
 
-	// MsgApply is the cost for a processor to apply one queued Cmap
-	// message when it activates an address space.
-	MsgApply sim.Time
-
 	// PageTables selects the page-table placement and invalidation
 	// variants (see PTConfig). The zero value is the paper's model:
 	// free walks, eager shootdown.
@@ -239,7 +235,6 @@ func DefaultConfig() Config {
 		ShootdownPost:       50 * sim.Microsecond,
 		ShootdownSync:       100 * sim.Microsecond,
 		KernelRemotePenalty: 40 * sim.Microsecond,
-		MsgApply:            2 * sim.Microsecond,
 	}
 }
 

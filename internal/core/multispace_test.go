@@ -126,7 +126,7 @@ func TestActivateFollowsEarlierShootdown(t *testing.T) {
 	if wrote <= streamStart || wrote >= streamEnd {
 		t.Fatalf("b writes at %v, outside a's stream [%v, %v)", wrote, streamStart, streamEnd)
 	}
-	if got, want := activated-streamEnd, fx.s.cfg.MsgApply; got != want {
+	if got, want := activated-streamEnd, msgApply; got != want {
 		t.Errorf("activation cost %v, want one message applied (%v)", got, want)
 	}
 	if n := fx.cm.PendingMessages(); n != 0 {

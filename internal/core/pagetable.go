@@ -72,7 +72,7 @@ type PTConfig struct {
 	// shootdownEntryTracked applies the Pmap change immediately (the
 	// protocol stays correct) but defers the target-side ATC
 	// invalidation cost, coalescing per target until the target next
-	// activates the space (MsgApply per coalesced entry, charged to
+	// activates the space (msgApply per coalesced entry, charged to
 	// CauseBatchFlush) or the initiator reaches a sync point that
 	// frees frames (one interrupt per pending target regardless of how
 	// many entries were coalesced — sync paid once per flush, not once
@@ -225,8 +225,8 @@ func (s *System) flushBatch(initiator, prior int) (delay sim.Time, interrupted i
 
 // batchActivate applies proc's coalesced deferred invalidations when
 // it activates address space cm — the lazy half of the batched
-// variant, mirroring the Cmap message queue's MsgApply cost: one
-// MsgApply per coalesced entry, charged to the activating thread under
+// variant, mirroring the Cmap message queue's msgApply cost: one
+// msgApply per coalesced entry, charged to the activating thread under
 // CauseBatchFlush. The Pmap changes were applied at defer time, so
 // this models the target-side ATC maintenance cost, not a state
 // change. The pending count is global per target (deferred entries are
@@ -241,7 +241,7 @@ func (s *System) batchActivate(t *sim.Thread, proc int) {
 	s.batchPend[proc] = 0
 	s.batchProcs--
 	s.ptStats.FlushApplies += int64(n)
-	cost := s.cfg.MsgApply * sim.Time(n)
+	cost := msgApply * sim.Time(n)
 	now := t.Now()
 	s.rec.Charge(t, span.Span{Kind: span.KindBatchFlush, Start: now, End: now + cost,
 		Proc: proc, Page: -1, Cause: sim.CauseBatchFlush, Self: cost,

@@ -12,11 +12,14 @@ import (
 // charge, so a refactor that accidentally double-charges (or drops) a
 // component fails loudly rather than shifting a figure by a few percent.
 
-// delta runs fn and returns the change in th's per-cause account.
-func accountDelta(th *sim.Thread, fn func()) sim.Account {
-	before := th.Account()
+// accountDelta binds th, the fixture's only thread, to node 0, runs fn
+// and returns the change in node 0's per-cause account: what fn charged
+// th.
+func (fx *fixture) accountDelta(th *sim.Thread, fn func()) sim.Account {
+	th.BindNode(0)
+	before := fx.e.NodeAccounts()[0]
 	fn()
-	after := th.Account()
+	after := fx.e.NodeAccounts()[0]
 	for c := range after {
 		after[c] -= before[c]
 	}
@@ -37,18 +40,18 @@ func TestPTHomeWalkChargedOnATCMiss(t *testing.T) {
 	// and proc 1's walks are remote.
 	wantWalk := 2 * mc.RemoteRead
 	fx.run(func(th *sim.Thread) {
-		d := accountDelta(th, func() { fx.touch(th, 1, 0, false) })
+		d := fx.accountDelta(th, func() { fx.touch(th, 1, 0, false) })
 		if d[sim.CausePmapWalk] != wantWalk {
 			t.Errorf("fault-path walk = %v, want %v", d[sim.CausePmapWalk], wantWalk)
 		}
 		// ATC hit: no walk.
-		d = accountDelta(th, func() { fx.touch(th, 1, 0, false) })
+		d = fx.accountDelta(th, func() { fx.touch(th, 1, 0, false) })
 		if d[sim.CausePmapWalk] != 0 {
 			t.Errorf("ATC hit charged a walk: %v", d[sim.CausePmapWalk])
 		}
 		// ATC miss that hits in the Pmap: walk + reload, nothing else.
 		fx.s.atcs[1].invalidate(fx.cm.id, 0)
-		d = accountDelta(th, func() { fx.touch(th, 1, 0, false) })
+		d = fx.accountDelta(th, func() { fx.touch(th, 1, 0, false) })
 		if d[sim.CausePmapWalk] != wantWalk {
 			t.Errorf("reload-path walk = %v, want %v", d[sim.CausePmapWalk], wantWalk)
 		}
@@ -74,7 +77,7 @@ func TestPTReplicateWalkLocalButInstallsWriteThrough(t *testing.T) {
 	wantWalk := 2 * mc.LocalRead // proc 3's replica home is node 3
 	wantRep := sim.Time(fx.m.Nodes()-1) * mc.RemoteWrite
 	fx.run(func(th *sim.Thread) {
-		d := accountDelta(th, func() { fx.touch(th, 3, 0, false) })
+		d := fx.accountDelta(th, func() { fx.touch(th, 3, 0, false) })
 		if d[sim.CausePmapWalk] != wantWalk {
 			t.Errorf("walk = %v, want local %v", d[sim.CausePmapWalk], wantWalk)
 		}
@@ -120,7 +123,7 @@ func batchReclaimScenario(t *testing.T, fx *fixture) sim.Account {
 		th.Advance(quiet)
 		// Proc 0 writes: reclaims module 1's copy. TWO entries (one per
 		// space) are shot down, both targeting proc 1.
-		delta = accountDelta(th, func() { fx.touch(th, 0, 0, true) })
+		delta = fx.accountDelta(th, func() { fx.touch(th, 0, 0, true) })
 		// The mapping changes themselves are never deferred.
 		if _, ok := fx.cm.translation(1, 0); ok {
 			t.Error("proc 1's cm1 translation survived the reclaim")
@@ -190,7 +193,7 @@ func TestBatchFlushScalesPerTarget(t *testing.T) {
 				fx.touch(th, p, 0, false) // k replicas
 			}
 			th.Advance(quiet)
-			d := accountDelta(th, func() { fx.touch(th, 0, 0, true) })
+			d := fx.accountDelta(th, func() { fx.touch(th, 0, 0, true) })
 			want := cfg.ShootdownSync + sim.Time(k-1)*mc.InterruptDispatch
 			if got := d[sim.CauseBatchFlush]; got != want {
 				t.Errorf("k=%d: flush cost = %v, want sync + %d dispatches = %v", k, got, k-1, want)
@@ -204,14 +207,13 @@ func TestBatchFlushScalesPerTarget(t *testing.T) {
 
 // TestBatchDeferredAppliedOnActivation pins the lazy half: a deferral
 // with no intervening frame-freeing sync point is drained when the
-// target next activates an address space, at MsgApply per coalesced
+// target next activates an address space, at msgApply per coalesced
 // entry — and the Pmap change itself was applied at defer time.
 func TestBatchDeferredAppliedOnActivation(t *testing.T) {
 	fx := newFixture(t, func(_ *mach.Config, cc *Config) {
 		cc.PageTables = PTConfig{BatchShootdown: true}
 	})
 	fx.mapPage(0, Read|Write)
-	cfg := DefaultConfig()
 	fx.run(func(th *sim.Thread) {
 		fx.touch(th, 0, 0, true) // modified, writer proc 0
 		th.Advance(quiet)
@@ -227,13 +229,13 @@ func TestBatchDeferredAppliedOnActivation(t *testing.T) {
 		}
 		// Proc 0's next activation drains the coalesced invalidation.
 		fx.cm.Deactivate(0)
-		d := accountDelta(th, func() { fx.cm.Activate(th, 0) })
-		if got := d[sim.CauseBatchFlush]; got != cfg.MsgApply {
-			t.Errorf("activation drain = %v, want MsgApply %v", got, cfg.MsgApply)
+		d := fx.accountDelta(th, func() { fx.cm.Activate(th, 0) })
+		if got := d[sim.CauseBatchFlush]; got != msgApply {
+			t.Errorf("activation drain = %v, want msgApply %v", got, msgApply)
 		}
 		// Drained: a second activation charges nothing.
 		fx.cm.Deactivate(0)
-		d = accountDelta(th, func() { fx.cm.Activate(th, 0) })
+		d = fx.accountDelta(th, func() { fx.cm.Activate(th, 0) })
 		if got := d[sim.CauseBatchFlush]; got != 0 {
 			t.Errorf("second activation charged %v, want 0", got)
 		}

@@ -41,20 +41,26 @@ func newOpsFixture() (*opsFixture, error) {
 	return &opsFixture{k: k, cm: cm, s: s}, nil
 }
 
-// measureOp runs setup and op on a driver thread and returns op's cost.
-func (fx *opsFixture) measureOp(setup, op func(th *sim.Thread)) (sim.Time, error) {
+// measureOp runs setup and op on a driver thread and returns op's
+// cost, or the first error setup or op returns: a failed fault fails
+// the scenario rather than timing it.
+func (fx *opsFixture) measureOp(setup, op func(th *sim.Thread) error) (sim.Time, error) {
 	var cost sim.Time
+	var opErr error
 	fx.k.Engine().Spawn("measure", func(th *sim.Thread) {
-		if setup != nil {
-			setup(th)
+		if opErr = setup(th); opErr != nil {
+			return
 		}
 		th.Charge(sim.CauseSync, 3*core.DefaultT1) // quiet period
 		start := th.Now()
-		op(th)
+		opErr = op(th)
 		cost = th.Now() - start
 	})
 	if err := fx.k.Engine().Run(); err != nil {
 		return 0, err
+	}
+	if opErr != nil {
+		return 0, opErr
 	}
 	return cost, nil
 }
@@ -115,8 +121,8 @@ func runBasicOps(o Options) (*Table, error) {
 				return 0, err
 			}
 			return fx.measureOp(
-				func(th *sim.Thread) { _ = fx.touch(th, 0, vpn, false) },
-				func(th *sim.Thread) { _ = fx.touch(th, 1, vpn, false) },
+				func(th *sim.Thread) error { return fx.touch(th, 0, vpn, false) },
+				func(th *sim.Thread) error { return fx.touch(th, 1, vpn, false) },
 			)
 		}
 	}
@@ -129,8 +135,8 @@ func runBasicOps(o Options) (*Table, error) {
 			return 0, err
 		}
 		return fx.measureOp(
-			func(th *sim.Thread) { _ = fx.touch(th, 0, 0, true) },
-			func(th *sim.Thread) { _ = fx.touch(th, 1, 0, false) },
+			func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
+			func(th *sim.Thread) error { return fx.touch(th, 1, 0, false) },
 		)
 	}
 	writeMiss := func() (sim.Time, error) {
@@ -142,12 +148,14 @@ func runBasicOps(o Options) (*Table, error) {
 			return 0, err
 		}
 		return fx.measureOp(
-			func(th *sim.Thread) {
-				_ = fx.touch(th, 0, 0, false)
+			func(th *sim.Thread) error {
+				if err := fx.touch(th, 0, 0, false); err != nil {
+					return err
+				}
 				th.Charge(sim.CauseSync, 3*core.DefaultT1)
-				_ = fx.touch(th, 1, 0, false)
+				return fx.touch(th, 1, 0, false)
 			},
-			func(th *sim.Thread) { _ = fx.touch(th, 0, 0, true) },
+			func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
 		)
 	}
 	shootdownCost := func(readers int) func() (sim.Time, error) {
@@ -160,14 +168,19 @@ func runBasicOps(o Options) (*Table, error) {
 				return 0, err
 			}
 			return fx.measureOp(
-				func(th *sim.Thread) {
-					_ = fx.touch(th, 0, 0, false)
+				func(th *sim.Thread) error {
+					if err := fx.touch(th, 0, 0, false); err != nil {
+						return err
+					}
 					th.Charge(sim.CauseSync, 3*core.DefaultT1)
 					for r := 1; r <= readers; r++ {
-						_ = fx.touch(th, r, 0, false)
+						if err := fx.touch(th, r, 0, false); err != nil {
+							return err
+						}
 					}
+					return nil
 				},
-				func(th *sim.Thread) { _ = fx.touch(th, 0, 0, true) },
+				func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
 			)
 		}
 	}

@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"platinum/internal/core"
+	"platinum/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -88,5 +92,26 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find(nope) succeeded")
+	}
+}
+
+// TestMeasureOpFailsOnFaultError checks that basic-ops' measurement
+// harness fails a scenario whose op faults on an unmapped page, instead
+// of printing a timing.
+func TestMeasureOpFailsOnFaultError(t *testing.T) {
+	fx, err := newOpsFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.page(0); err != nil {
+		t.Fatal(err)
+	}
+	_, err = fx.measureOp(
+		func(th *sim.Thread) error { return fx.touch(th, 0, 0, false) },
+		func(th *sim.Thread) error { return fx.touch(th, 1, 7, false) }, // vpn 7 is unmapped
+	)
+	var um *core.ErrUnmapped
+	if !errors.As(err, &um) {
+		t.Fatalf("measureOp = %v, want ErrUnmapped", err)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"platinum/internal/baseline"
 	"platinum/internal/core"
 	"platinum/internal/kernel"
-	"platinum/internal/mach"
 	"platinum/internal/metrics"
-	"platinum/internal/model"
 	"platinum/internal/sim"
 )
 
@@ -217,19 +215,4 @@ func runReplSource(o Options) (*Table, error) {
 	t.Rows = append(t.Rows, []string{"first copy (default)", first.String(), "1.00"})
 	t.Rows = append(t.Rows, []string{"least loaded", least.String(), f2(float64(first) / float64(least))})
 	return t, nil
-}
-
-// simulatorParams builds §4.1 model parameters from the simulator's
-// default constants.
-func simulatorParams() model.Params {
-	mc := mach.DefaultConfig()
-	cc := core.DefaultConfig()
-	f := cc.FaultBase + cc.FrameAlloc + cc.ShootdownPost + cc.ShootdownSync +
-		cc.FrameFree + cc.MapInstall
-	return model.Params{
-		Tl: mc.LocalRead,
-		Tr: mc.RemoteRead,
-		Tb: mc.BlockCopyPerWord,
-		F:  f,
-	}
 }

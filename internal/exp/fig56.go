@@ -7,7 +7,6 @@ import (
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
-	"platinum/internal/uma"
 )
 
 // fig5 regenerates the merge-sort comparison (PLATINUM on the NUMA
@@ -49,7 +48,7 @@ func runMergeSortOn(platform string, words, procs int) (sim.Time, sim.Account, e
 		ppl, err = apps.AcquirePlatform(kernelDefaultPool, kernel.DefaultConfig())
 		pl = ppl
 	case "uma":
-		pl, err = apps.NewUMAPlatform(uma.DefaultConfig())
+		pl = apps.NewUMAPlatform()
 	default:
 		return 0, sim.Account{}, fmt.Errorf("exp: unknown platform %q", platform)
 	}

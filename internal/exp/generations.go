@@ -61,37 +61,28 @@ func runGenerations(o Options) (*Table, error) {
 		},
 	}
 	gens := []struct {
-		label string
-		mc    mach.Config
-		// Kernel fixed overheads scale with processor speed; the first
-		// generation's 68000-class processors were ~2x slower.
+		label         string
+		mc            mach.Config
 		overheadScale float64
 	}{
-		{"Butterfly 1", mach.Butterfly1Config(), 2.0},
+		{"Butterfly 1", mach.Butterfly1Config(), butterfly1Scale},
 		{"Butterfly Plus", mach.DefaultConfig(), 1.0},
 	}
 	// One job per (generation, processor count) pair.
 	procs := []int{1, 16}
 	elapsed := make([]sim.Time, len(gens)*len(procs))
 	err := forEach(o, len(elapsed), func(i int) error {
-		g, p := gens[i/len(procs)], procs[i%len(procs)]
-		mc := g.mc
-		mc.PageWords = pw
-		kcfg := kernel.DefaultConfig()
-		kcfg.Machine = mc
-		scaleOverheads(&kcfg.Core, g.overheadScale)
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
+		p := procs[i%len(procs)]
+		var err error
+		if i < len(procs) { // gens[0], the Butterfly 1
+			elapsed[i], err = runGaussButterfly1(n, pw, p)
+		} else {
+			// The Butterfly Plus is the paper's machine: fig1's run.
+			elapsed[i], _, err = runGaussAt(o, p, "platinum", core.SourceFirstCopy)
 		}
-		cfg := apps.DefaultGaussConfig(n, p)
-		// Slower processors: scale the arithmetic too.
-		cfg.OpCost = sim1(float64(cfg.OpCost) * g.overheadScale)
-		r, err := apps.RunGaussPlatinum(pl, cfg)
 		if err != nil {
-			return fmt.Errorf("%s p=%d: %w", g.label, p, err)
+			return fmt.Errorf("%s p=%d: %w", gens[i/len(procs)].label, p, err)
 		}
-		elapsed[i] = r.Elapsed
 		return nil
 	})
 	if err != nil {
@@ -114,6 +105,32 @@ func runGenerations(o Options) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// butterfly1Scale is how much slower the first-generation Butterfly's
+// 68000-class processors were: its kernel fixed overheads and
+// arithmetic scale by it.
+const butterfly1Scale = 2.0
+
+// runGaussButterfly1 runs an n×n Gaussian elimination on procs
+// processors of the first-generation Butterfly with pw-word pages.
+func runGaussButterfly1(n, pw, procs int) (sim.Time, error) {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Machine = mach.Butterfly1Config()
+	kcfg.Machine.PageWords = pw
+	scaleOverheads(&kcfg.Core, butterfly1Scale)
+	pl, err := apps.NewPlatinumPlatform(kcfg)
+	if err != nil {
+		return 0, err
+	}
+	cfg := apps.DefaultGaussConfig(n, procs)
+	// Slower processors: scale the arithmetic too.
+	cfg.OpCost = sim1(float64(cfg.OpCost) * butterfly1Scale)
+	r, err := apps.RunGaussPlatinum(pl, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return r.Elapsed, nil
 }
 
 // scaleOverheads multiplies the kernel's fixed fault-handling costs.

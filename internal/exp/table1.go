@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"platinum/internal/apps"
+	"platinum/internal/mach"
 	"platinum/internal/model"
 )
 
@@ -57,7 +58,7 @@ func runTable1(Options) (*Table, error) {
 func runTable1Empirical(o Options) (*Table, error) {
 	// Evaluate the model with the simulator's own constants so the
 	// comparison is apples-to-apples, then bisect empirically.
-	params := simulatorParams()
+	params := generationParams(mach.DefaultConfig(), 1)
 	t := &Table{
 		ID:     "table1-empirical",
 		Title:  "empirical break-even page size vs model (simulator constants)",

@@ -104,19 +104,30 @@ type topoResult struct {
 	thaws   int64
 }
 
+// Platform-pool key namespaces for runTopoMixAt. A user-supplied
+// topology's keys start with customKeys, which no built-in sweep
+// point's key can produce (no built-in topology's Name starts with
+// "custom:"), so a user topology named like a built-in one never
+// shares its platforms.
+const (
+	builtinKeys = "topomix:"
+	customKeys  = "topomix:custom:"
+)
+
 // runTopoMixAt runs TopoMix on the given topology under the given
 // policy and returns the data point, after verifying the per-cause
-// attribution conservation invariant. The topology's Name must encode
-// every parameter that distinguishes it (clusterTopology does), since
-// it keys the platform pool.
-func runTopoMixAt(topo *mach.Topology, poli int, mix apps.TopoMixConfig) (topoResult, error) {
+// attribution conservation invariant. The platform pool is keyed by
+// ns, the topology's Name and the policy, so within ns the Name must
+// encode every parameter that distinguishes a topology
+// (clusterTopology's does).
+func runTopoMixAt(ns string, topo *mach.Topology, poli int, mix apps.TopoMixConfig) (topoResult, error) {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Topology = topo
 	// TopoMix touches ~15 pages per module at peak; 32 frames per module
 	// keeps a 1024-node machine's physical-memory metadata small.
 	kcfg.Core.FramesPerModule = 32
 	kcfg.Core.Policy = topoPolicies[poli].mk()
-	key := fmt.Sprintf("topomix:%s:pol=%s", topo.Name, topoPolicies[poli].name)
+	key := fmt.Sprintf("%s%s:pol=%s", ns, topo.Name, topoPolicies[poli].name)
 	pl, err := apps.AcquirePlatform(key, kcfg)
 	if err != nil {
 		return topoResult{}, err
@@ -158,7 +169,7 @@ func runTopoNodes(o Options) (*Table, error) {
 	err := forEach(o, len(results), func(i int) error {
 		nodes := nodeCounts[i/len(topoPolicies)]
 		topo := clusterTopology(nodes, 16, 2000)
-		r, err := runTopoMixAt(topo, i%len(topoPolicies), apps.DefaultTopoMixConfig(nodes, 256))
+		r, err := runTopoMixAt(builtinKeys, topo, i%len(topoPolicies), apps.DefaultTopoMixConfig(nodes, 256))
 		results[i] = r
 		return err
 	})
@@ -196,7 +207,7 @@ func runTopoSkew(o Options) (*Table, error) {
 	results := make([]topoResult, len(fars))
 	err := forEach(o, len(results), func(i int) error {
 		topo := clusterTopology(64, 8, fars[i])
-		r, err := runTopoMixAt(topo, 0, apps.DefaultTopoMixConfig(64, 256))
+		r, err := runTopoMixAt(builtinKeys, topo, 0, apps.DefaultTopoMixConfig(64, 256))
 		results[i] = r
 		return err
 	})
@@ -252,7 +263,7 @@ func runTopoTiers(o Options) (*Table, error) {
 	results := make([]topoResult, len(topos)*len(polis))
 	err := forEach(o, len(results), func(i int) error {
 		topo := topos[i/len(polis)]()
-		r, err := runTopoMixAt(topo, polis[i%len(polis)], apps.DefaultTopoMixConfig(16, 256))
+		r, err := runTopoMixAt(builtinKeys, topo, polis[i%len(polis)], apps.DefaultTopoMixConfig(16, 256))
 		results[i] = r
 		return err
 	})
@@ -292,7 +303,7 @@ func runTopoCustom(o Options) (*Table, error) {
 	mix := apps.DefaultTopoMixConfig(nodes, topo.Base.PageWords)
 	results := make([]topoResult, len(topoPolicies))
 	err := forEach(o, len(results), func(i int) error {
-		r, err := runTopoMixAt(topo, i, mix)
+		r, err := runTopoMixAt(customKeys, topo, i, mix)
 		results[i] = r
 		return err
 	})

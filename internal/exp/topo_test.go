@@ -88,7 +88,7 @@ func TestTopoConservation256(t *testing.T) {
 		t.Skip("256-node sweep point")
 	}
 	topo := clusterTopology(256, 16, 2000)
-	r, err := runTopoMixAt(topo, 0, apps.DefaultTopoMixConfig(256, 256))
+	r, err := runTopoMixAt(builtinKeys, topo, 0, apps.DefaultTopoMixConfig(256, 256))
 	if err != nil {
 		t.Fatalf("256-node run: %v", err)
 	}
@@ -120,5 +120,33 @@ func TestTopoCustomUsesOptionsTopology(t *testing.T) {
 		if row[0] != "test-8" {
 			t.Errorf("row names topology %q, want \"test-8\"", row[0])
 		}
+	}
+}
+
+// TestUserTopologyKeepsOffBuiltinPlatforms runs topo-custom on a user
+// topology named like one of topo-skew's sweep points but with a slower
+// remote read, then topo-skew: the pool must not hand the user's
+// machine to that sweep point, so topo-skew renders exactly as it does
+// with pooling off.
+func TestUserTopologyKeepsOffBuiltinPlatforms(t *testing.T) {
+	topo, err := mach.ParseTopology([]byte(`{
+		"name": "cluster-64x8-far4000", "nodes": 64, "page_words": 256,
+		"latencies_ns": {"remote_read": 9000},
+		"distance": {"kind": "clusters", "cluster_size": 8, "far": 4000},
+		"switch_levels": [{"cluster_size": 8, "per_word_ns": 50}]
+	}`))
+	if err != nil {
+		t.Fatalf("ParseTopology: %v", err)
+	}
+	o := Options{Quick: true, Parallelism: 1}
+	prev := apps.SetPooling(false)
+	ref := render(t, "topo-skew", o)
+	apps.SetPooling(true) // an empty pool
+	defer apps.SetPooling(prev)
+	if _, err := runTopoCustom(Options{Quick: true, Parallelism: 1, Topology: topo}); err != nil {
+		t.Fatalf("topo-custom: %v", err)
+	}
+	if got := render(t, "topo-skew", o); got != ref {
+		t.Fatalf("topo-skew after topo-custom differs from a run without pooling:\n--- pooling off ---\n%s--- after topo-custom ---\n%s", ref, got)
 	}
 }

@@ -35,44 +35,37 @@ type Config struct {
 	// constants. The topology is captured by reference and must not be
 	// mutated after Boot.
 	Topology *mach.Topology
+}
 
-	// SpinPoll is the initial interval between polls in SpinWait;
-	// unsuccessful polls back off exponentially up to SpinPollMax.
-	SpinPoll    sim.Time
-	SpinPollMax sim.Time
+// Kernel costs, in Butterfly-era proportions.
+const (
+	// spinPoll is SpinWait's first interval between polls; unsuccessful
+	// polls back off exponentially up to spinPollMax.
+	spinPoll    = 5 * sim.Microsecond
+	spinPollMax = 160 * sim.Microsecond
 
-	// PortOverhead is the fixed kernel cost of one send or receive;
-	// PortPerWord is the per-word message copy cost. Together they model
+	// portOverhead is the fixed kernel cost of one send or receive;
+	// portPerWord is the per-word message copy cost. Together they model
 	// the Butterfly's structured-message-passing cost.
-	PortOverhead sim.Time
-	PortPerWord  sim.Time
+	portOverhead = 150 * sim.Microsecond
+	portPerWord  = 550 * sim.Nanosecond
 
-	// MigrateOverhead is the fixed cost of moving a thread between
+	// migrateOverhead is the fixed cost of moving a thread between
 	// processors, on top of the block transfer of its kernel stack
 	// (§2.2: the kernel stack is explicitly moved with the thread).
-	MigrateOverhead sim.Time
-}
+	migrateOverhead = 200 * sim.Microsecond
+)
 
 // defrostProc is the processor the defrost daemon runs on.
 const defrostProc = 0
 
-// DefaultConfig returns the paper's machine with kernel costs in
-// Butterfly-era proportions.
+// DefaultConfig returns the paper's machine.
 func DefaultConfig() Config {
-	return Config{
-		Machine:         mach.DefaultConfig(),
-		Core:            core.DefaultConfig(),
-		SpinPoll:        5 * sim.Microsecond,
-		SpinPollMax:     160 * sim.Microsecond,
-		PortOverhead:    150 * sim.Microsecond,
-		PortPerWord:     550 * sim.Nanosecond,
-		MigrateOverhead: 200 * sim.Microsecond,
-	}
+	return Config{Machine: mach.DefaultConfig(), Core: core.DefaultConfig()}
 }
 
 // Kernel is one booted simulated machine.
 type Kernel struct {
-	cfg     Config
 	pw      int   // cached Machine.PageWords, on every access path
 	pwShift uint  // log2(pw) when pw is a power of two
 	pwMask  int64 // pw-1 when pw is a power of two
@@ -102,15 +95,8 @@ func Boot(cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SpinPoll <= 0 {
-		cfg.SpinPoll = 5 * sim.Microsecond
-	}
-	if cfg.SpinPollMax < cfg.SpinPoll {
-		cfg.SpinPollMax = cfg.SpinPoll
-	}
 	pw := m.Config().PageWords
 	k := &Kernel{
-		cfg:     cfg,
 		pw:      pw,
 		engine:  e,
 		machine: m,

@@ -291,7 +291,7 @@ func TestPortCostScalesWithSize(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	want := k.cfg.PortPerWord * 990
+	want := portPerWord * 990
 	if large-small != want {
 		t.Fatalf("size premium = %v, want %v", large-small, want)
 	}

@@ -12,7 +12,6 @@ import (
 // between threads that share no memory object and blocking
 // synchronization.
 type Port struct {
-	k     *Kernel
 	msgs  [][]uint32
 	recvQ []*Thread
 }
@@ -22,21 +21,20 @@ func (k *Kernel) NewPort(name string) (*Port, error) {
 	if _, dup := k.ports[name]; dup {
 		return nil, fmt.Errorf("kernel: port %q already exists", name)
 	}
-	p := &Port{k: k}
+	p := &Port{}
 	k.ports[name] = p
 	return p, nil
 }
 
-// msgCost is the kernel cost of moving one message across the port.
-func (p *Port) msgCost(words int) sim.Time {
-	return p.k.cfg.PortOverhead + p.k.cfg.PortPerWord*sim.Time(words)
-}
+// msgCost is the kernel cost of moving one message of words words
+// across a port.
+func msgCost(words int) sim.Time { return portOverhead + portPerWord*sim.Time(words) }
 
 // Send enqueues a copy of data on the port, waking one blocked receiver
 // if any. The send-side kernel cost is charged to t.
 func (t *Thread) Send(p *Port, data []uint32) {
 	msg := append([]uint32(nil), data...)
-	t.st.Charge(sim.CauseKernel, p.msgCost(len(msg)))
+	t.st.Charge(sim.CauseKernel, msgCost(len(msg)))
 	if len(p.recvQ) > 0 {
 		r := p.recvQ[0]
 		p.recvQ = p.recvQ[1:]
@@ -54,7 +52,7 @@ func (t *Thread) Receive(p *Port) []uint32 {
 	if len(p.msgs) > 0 {
 		msg := p.msgs[0]
 		p.msgs = p.msgs[1:]
-		t.st.Charge(sim.CauseKernel, p.msgCost(len(msg)))
+		t.st.Charge(sim.CauseKernel, msgCost(len(msg)))
 		return msg
 	}
 	p.recvQ = append(p.recvQ, t)
@@ -64,6 +62,6 @@ func (t *Thread) Receive(p *Port) []uint32 {
 	}
 	msg := t.inbox[0]
 	t.inbox = t.inbox[1:]
-	t.st.Charge(sim.CauseKernel, p.msgCost(len(msg)))
+	t.st.Charge(sim.CauseKernel, msgCost(len(msg)))
 	return msg
 }

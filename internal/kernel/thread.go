@@ -103,7 +103,7 @@ func (t *Thread) Migrate(proc int) {
 	if err := t.space.vs.Cmap().Deactivate(old); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}
-	t.st.Charge(sim.CauseKernel, t.k.cfg.MigrateOverhead)
+	t.st.Charge(sim.CauseKernel, migrateOverhead)
 	t.k.machine.BlockTransfer(t.st, old, proc, t.k.PageWords())
 	t.proc = proc
 	// Future charges accrue to the new processor; history stays put.
@@ -246,24 +246,19 @@ func (t *Thread) AtomicAdd(va int64, delta uint32) uint32 {
 }
 
 // SpinWait polls the word at va until pred accepts it, backing off
-// exponentially from SpinPoll to SpinPollMax between polls. Every poll
+// exponentially from spinPoll to spinPollMax between polls. Every poll
 // is a real (possibly remote) memory reference, so spinning on a frozen
 // page congests that page's memory module — the §4.2 anecdote emerges
 // from this, it is not scripted.
 func (t *Thread) SpinWait(va int64, pred func(uint32) bool) uint32 {
-	backoff := t.k.cfg.SpinPoll
+	backoff := spinPoll
 	for {
 		v := t.Read(va)
 		if pred(v) {
 			return v
 		}
 		t.st.Charge(sim.CauseSync, backoff)
-		if backoff < t.k.cfg.SpinPollMax {
-			backoff *= 2
-			if backoff > t.k.cfg.SpinPollMax {
-				backoff = t.k.cfg.SpinPollMax
-			}
-		}
+		backoff = min(2*backoff, spinPollMax)
 	}
 }
 

@@ -186,7 +186,6 @@ type Module struct {
 	Accesses  int64    // word-access requests served
 	Words     int64    // words transferred (incl. block transfers)
 	QueueWait sim.Time // total time requesters spent queued
-	BusyTime  sim.Time // total occupancy
 }
 
 // New constructs a machine on the given simulation engine from bare
@@ -384,7 +383,6 @@ func (m *Machine) Access(t *sim.Thread, proc, mod, n int, write bool) sim.Time {
 	mm.Accesses++
 	mm.Words += int64(n)
 	mm.QueueWait += queue
-	mm.BusyTime += occ + retry
 	cause := sim.CauseRemoteAccess
 	if proc == mod {
 		cause = sim.CauseLocalAccess
@@ -426,7 +424,6 @@ func (m *Machine) AccessFree(now sim.Time, proc, mod, n int, write bool) sim.Tim
 	mm.Accesses++
 	mm.Words += int64(n)
 	mm.QueueWait += queue
-	mm.BusyTime += occ
 	return queue + lat
 }
 
@@ -484,11 +481,9 @@ func (m *Machine) blockTransferAt(t *sim.Thread, now sim.Time, src, dst, words i
 	ms.busyUntil = start + occ
 	ms.Words += int64(words)
 	ms.QueueWait += queue
-	ms.BusyTime += occ
 	if src != dst {
 		md.busyUntil = start + occ
 		md.Words += int64(words)
-		md.BusyTime += occ
 	}
 	total := queue + dur
 	if advance {

@@ -105,7 +105,7 @@ func TestIdentityTopologyChargesBaseConfig(t *testing.T) {
 		}
 		for i := range m.Nodes() {
 			st := m.Module(i)
-			out = append(out, sim.Time(st.Accesses), sim.Time(st.Words), st.QueueWait, st.BusyTime)
+			out = append(out, sim.Time(st.Accesses), sim.Time(st.Words), st.QueueWait, st.busyUntil)
 		}
 		return out
 	}

@@ -6,7 +6,6 @@ import (
 	"platinum/internal/apps"
 	"platinum/internal/kernel"
 	"platinum/internal/sim"
-	"platinum/internal/uma"
 )
 
 // End-to-end conservation: after a real application run, every
@@ -85,10 +84,7 @@ func TestConservationMergeSort(t *testing.T) {
 
 // The UMA comparison machine attributes its costs too.
 func TestConservationMergeSortUMA(t *testing.T) {
-	pl, err := apps.NewUMAPlatform(uma.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := apps.NewUMAPlatform()
 	cfg := apps.DefaultMergeSortConfig(8)
 	cfg.Words = 1 << 12
 	r, err := apps.RunMergeSort(pl, cfg)

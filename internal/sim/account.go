@@ -5,18 +5,19 @@ package sim
 // fault-handler overhead, and shootdown cost; §9 credits exactly this
 // kind of "instrumentation for performance monitoring, analysis, and
 // visualization" with finding the frozen-pivot-page anomaly. The engine
-// therefore tags every nanosecond of charged virtual time with a Cause,
-// accumulated per thread and per node, so higher layers can report an
-// exact — not sampled — breakdown of where simulated time went.
+// therefore tags every nanosecond of virtual time a thread bound to a
+// node is charged with a Cause, accumulated per node, so higher layers
+// can report an exact — not sampled — breakdown of where simulated time
+// went.
 //
 // Attribution is pure bookkeeping: it never advances a clock and never
 // yields, so enabling it cannot change dispatch order or any simulation
 // result. Conservation holds by construction: Advance banks the charged
 // time as CauseUnattributed and Attribute moves it to a specific cause,
-// so an Account always sums to exactly the thread's consumed virtual
-// time. A charge a layer forgot to classify is therefore visible as a
-// non-zero CauseUnattributed balance — the invariant
-// metrics.CheckConservation enforces.
+// so a node's Account always sums to exactly the virtual time its
+// bound threads consumed there. A charge a layer forgot to classify is
+// therefore visible as a non-zero CauseUnattributed balance — the
+// invariant metrics.CheckConservation enforces.
 
 // Cause classifies why virtual time was charged to a thread. The causes
 // mirror the paper's cost decomposition: word-access latencies (§2,
@@ -154,8 +155,8 @@ func (c Cause) String() string {
 type Account [NumCauses]Time
 
 // Total returns the account's total charged time across all causes —
-// by construction, exactly the virtual time the owning thread (or
-// node) has consumed.
+// by construction, exactly the virtual time the owning node's threads
+// have consumed there.
 func (a *Account) Total() Time {
 	var t Time
 	for _, d := range a {
@@ -172,22 +173,17 @@ func (a *Account) Add(b *Account) {
 }
 
 // attribute moves d of already-charged time from CauseUnattributed to
-// cause c in the thread's account and, if the thread is bound to a
-// node, in the engine's per-node account. Called with c ==
-// CauseUnattributed it is a no-op.
+// cause c in the account of the node the thread is bound to. Called
+// with c == CauseUnattributed, or on an unbound thread, it is a no-op.
 func (t *Thread) attribute(c Cause, d Time) {
-	if c == CauseUnattributed || d == 0 {
+	if c == CauseUnattributed || d == 0 || t.node < 0 {
 		return
 	}
-	t.acct[CauseUnattributed] -= d
-	t.acct[c] += d
-	if t.node >= 0 {
-		na := &t.engine.nodeAcct[t.node]
-		na[CauseUnattributed] -= d
-		na[c] += d
-		if t.engine.telemetry {
-			t.engine.recordCharge(t.node, c, t.clock, d)
-		}
+	na := &t.engine.nodeAcct[t.node]
+	na[CauseUnattributed] -= d
+	na[c] += d
+	if t.engine.telemetry {
+		t.engine.recordCharge(t.node, c, t.clock, d)
 	}
 }
 
@@ -195,18 +191,15 @@ func (t *Thread) attribute(c Cause, d Time) {
 // c without touching the unattributed balance. Advance banks under
 // CauseUnattributed; Unblock banks its clock jump under CauseSync.
 func (t *Thread) bank(c Cause, d Time) {
-	if d == 0 {
+	if d == 0 || t.node < 0 {
 		return
 	}
-	t.acct[c] += d
-	if t.node >= 0 {
-		t.engine.nodeAcct[t.node][c] += d
-		if t.engine.telemetry && c != CauseUnattributed {
-			// Unattributed banks are Advance's fresh time, later moved by
-			// attribute; recording them here would double-count against
-			// the classified charges the histograms mirror.
-			t.engine.recordCharge(t.node, c, t.clock, d)
-		}
+	t.engine.nodeAcct[t.node][c] += d
+	if t.engine.telemetry && c != CauseUnattributed {
+		// Unattributed banks are Advance's fresh time, later moved by
+		// attribute; recording them here would double-count against
+		// the classified charges the histograms mirror.
+		t.engine.recordCharge(t.node, c, t.clock, d)
 	}
 }
 
@@ -238,11 +231,10 @@ func (t *Thread) Charge(c Cause, d Time) {
 }
 
 // BindNode directs this thread's future charges into the engine's
-// per-node account for node n (in addition to the thread's own
-// account). Charges made before the call stay where they were
-// recorded, so a migrating thread's history remains with the node that
-// actually spent the time. Binding to a negative node detaches the
-// thread from per-node accounting.
+// per-node account for node n. Charges made before the call stay where
+// they were recorded, so a migrating thread's history remains with the
+// node that actually spent the time. Binding to a negative node
+// detaches the thread from accounting.
 func (t *Thread) BindNode(n int) {
 	if n >= len(t.engine.nodeAcct) {
 		if n < cap(t.engine.nodeAcct) {
@@ -262,9 +254,6 @@ func (t *Thread) BindNode(n int) {
 	}
 	t.node = n
 }
-
-// Account returns a snapshot of the thread's per-cause time.
-func (t *Thread) Account() Account { return t.acct }
 
 // NodeAccounts returns a snapshot of per-node attributed time, indexed
 // by node. Only charges made while a thread was bound (BindNode) to a

@@ -2,14 +2,16 @@ package sim
 
 import "testing"
 
-// Conservation by construction: a thread's account always sums to
-// exactly the virtual time it has consumed, however charges are
-// attributed (or not).
+// Conservation by construction: a node's account always sums to
+// exactly the virtual time its thread consumed, however charges are
+// attributed (or not). The thread spawns at time 0, so that time is its
+// clock.
 func TestAccountConservation(t *testing.T) {
 	e := NewEngine()
 	var th *Thread
 	e.Spawn("w", func(x *Thread) {
 		th = x
+		x.BindNode(0)
 		x.Advance(100)                     // unattributed
 		x.Charge(CauseCompute, 50)         // attributed up front
 		x.Attribute(CauseRemoteAccess, 30) // classify part of the first 100
@@ -18,12 +20,12 @@ func TestAccountConservation(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a := th.Account()
-	if got, want := a.Total(), th.Consumed(); got != want {
+	a := e.NodeAccounts()[0]
+	if got, want := a.Total(), th.Now(); got != want {
 		t.Fatalf("account total %v, consumed %v", got, want)
 	}
-	if th.Consumed() != 157 {
-		t.Fatalf("consumed %v, want 157", th.Consumed())
+	if th.Now() != 157 {
+		t.Fatalf("consumed %v, want 157", th.Now())
 	}
 	if a[CauseCompute] != 50 || a[CauseRemoteAccess] != 30 {
 		t.Fatalf("attributed slots wrong: %+v", a)
@@ -106,9 +108,7 @@ func TestBindNodeRoutesCharges(t *testing.T) {
 func TestAttributeAccount(t *testing.T) {
 	e := NewEngine()
 	e.EnableChargeHistograms(1)
-	var th *Thread
 	e.Spawn("w", func(x *Thread) {
-		th = x
 		x.BindNode(0)
 		var a Account
 		a[CauseFault] = 70
@@ -120,7 +120,7 @@ func TestAttributeAccount(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a := th.Account()
+	a := e.NodeAccounts()[0]
 	if a[CauseFault] != 70 || a[CauseShootdown] != 30 || a[CauseUnattributed] != 0 {
 		t.Fatalf("account %+v, want fault=70 shootdown=30 unattributed=0", a)
 	}
@@ -132,7 +132,8 @@ func TestAttributeAccount(t *testing.T) {
 }
 
 // Unblock's clock jump (blocked time) is banked as CauseSync, keeping
-// the conservation invariant exact across Block/Unblock.
+// the conservation invariant exact across Block/Unblock. The sleeper
+// spawns at time 0, so its clock is the time it consumed.
 func TestBlockedTimeIsSync(t *testing.T) {
 	e := NewEngine()
 	var blocked *Thread
@@ -148,12 +149,12 @@ func TestBlockedTimeIsSync(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a := blocked.Account()
+	a := e.NodeAccounts()[0]
 	if a[CauseSync] != 40 {
 		t.Fatalf("sync %v, want 40", a[CauseSync])
 	}
-	if a.Total() != blocked.Consumed() {
-		t.Fatalf("account total %v != consumed %v", a.Total(), blocked.Consumed())
+	if a.Total() != blocked.Now() {
+		t.Fatalf("account total %v != consumed %v", a.Total(), blocked.Now())
 	}
 }
 
@@ -164,18 +165,19 @@ func TestOverAttributionGoesNegative(t *testing.T) {
 	var th *Thread
 	e.Spawn("w", func(x *Thread) {
 		th = x
+		x.BindNode(0)
 		x.Advance(10)
 		x.Attribute(CauseFault, 25)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	a := th.Account()
+	a := e.NodeAccounts()[0]
 	if a[CauseUnattributed] != -15 {
 		t.Fatalf("unattributed %v, want -15", a[CauseUnattributed])
 	}
-	if a.Total() != th.Consumed() {
-		t.Fatalf("conservation broken: %v != %v", a.Total(), th.Consumed())
+	if a.Total() != th.Now() {
+		t.Fatalf("conservation broken: %v != %v", a.Total(), th.Now())
 	}
 }
 

@@ -95,6 +95,7 @@ func TestBlockWithPendingDelayPanics(t *testing.T) {
 func TestDelayBanksAndDefersEngineClock(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("a", func(th *Thread) {
+		th.BindNode(0)
 		th.Delay(40)
 		if th.Now() != 40 || e.Now() != 0 {
 			t.Errorf("after Delay: thread %d, engine %d; want 40, 0", th.Now(), e.Now())
@@ -103,8 +104,8 @@ func TestDelayBanksAndDefersEngineClock(t *testing.T) {
 		if e.Now() != 40 {
 			t.Errorf("after Sync: engine %d, want 40", e.Now())
 		}
-		a := th.Account()
-		if c := th.Consumed(); c != 40 || a.Total() != c {
+		a := e.NodeAccounts()[0]
+		if c := th.Now(); c != 40 || a.Total() != c {
 			t.Errorf("consumed %d, account %d; want 40 both", c, a.Total())
 		}
 	})

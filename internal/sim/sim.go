@@ -210,7 +210,6 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 		fn:      fn,
 		clock:   e.now,
 		heapIdx: -1,
-		born:    e.now,
 		node:    -1,
 	}
 	e.threads = append(e.threads, t)

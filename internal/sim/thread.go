@@ -28,12 +28,8 @@ type Thread struct {
 	w       *worker       // runs the body; nil before dispatch and once done
 	heapIdx int           // index in the ready heap, -1 if absent
 
-	// Cost attribution (see account.go): born is the clock at Spawn,
-	// acct the per-cause time consumed since, node the processor whose
-	// engine-level account also receives this thread's charges (-1:
-	// none).
-	born Time
-	acct Account
+	// node is the processor whose engine-level account receives this
+	// thread's charges (-1: none; see account.go).
 	node int
 }
 

@@ -118,6 +118,7 @@ func TestChargeAttributesAndRecords(t *testing.T) {
 	var th *sim.Thread
 	e.Spawn("w", func(x *sim.Thread) {
 		th = x
+		x.BindNode(0)
 		r.Charge(x, Span{Kind: KindRetry, Start: 0, End: 5, Cause: sim.CauseRetry, Self: 5})
 		var nilRec *Recorder
 		nilRec.Charge(x, Span{Kind: KindRetry, Start: 5, End: 8, Cause: sim.CauseRetry, Self: 3})
@@ -126,7 +127,7 @@ func TestChargeAttributesAndRecords(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := th.Account()[sim.CauseRetry]; got != 8 {
+	if got := e.NodeAccounts()[0][sim.CauseRetry]; got != 8 {
 		t.Errorf("retry charged %v, want 8", got)
 	}
 	spans := r.Spans()

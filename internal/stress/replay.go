@@ -52,7 +52,7 @@ func buildWorld(cfg Config) (*world, error) {
 	kcfg.Machine.Nodes = cfg.Procs
 	kcfg.Machine.PageWords = pageWords
 	kcfg.Core.FramesPerModule = cfg.FramesPerModule
-	kcfg.Core.DefrostPeriod = cfg.DefrostPeriod
+	kcfg.Core.DefrostPeriod = defrostPeriod
 	k, err := kernel.Boot(kcfg)
 	if err != nil {
 		return nil, err

@@ -120,10 +120,6 @@ type Config struct {
 	// fallback paths.
 	FramesPerModule int
 
-	// DefrostPeriod is the daemon's t2; short enough that multi-
-	// millisecond schedules see several sweeps.
-	DefrostPeriod sim.Time
-
 	// Faults turns on deterministic fault injection (faults.go).
 	Faults bool
 
@@ -144,9 +140,12 @@ func DefaultConfig() Config {
 		Spaces:          2,
 		Pages:           8,
 		FramesPerModule: 6,
-		DefrostPeriod:   50 * sim.Millisecond,
 	}
 }
+
+// defrostPeriod is the daemon's t2; short enough that multi-millisecond
+// schedules see several sweeps.
+const defrostPeriod = 50 * sim.Millisecond
 
 // Validate reports the first field that makes cfg unrunnable: a
 // schedule needs a non-negative length, at least one processor, address
@@ -191,7 +190,7 @@ func Generate(cfg Config) []Op {
 			op.Kind = OpAdvance
 			// Spread across the interesting scales: within T1, past T1,
 			// and past the defrost period.
-			op.Dt = sim.Time(1 + rng.Int63n(int64(2*cfg.DefrostPeriod)))
+			op.Dt = sim.Time(1 + rng.Int63n(int64(2*defrostPeriod)))
 		case p < 90:
 			op.Kind = OpDeactivate
 		case p < 96:
@@ -250,18 +249,17 @@ func (f *Failure) Repro() string {
 
 // Result summarizes a completed stress run.
 type Result struct {
-	OpsRun    int      // ops executed (schedule length on a clean run)
-	Elapsed   sim.Time // final virtual time
-	Reads     int64
-	Writes    int64
-	NoMemory  int64 // accesses that hit total frame exhaustion (legal)
-	Faults    int64 // coherent faults taken (read + write)
-	Thaws     int64
-	Freezes   int64
-	Account   sim.Account // machine-wide cost breakdown (sum of node accounts)
-	Digest    string      // deterministic fingerprint of the final state
-	Failure   *Failure    // nil on a clean run
-	ShrunkLen int         // minimal schedule length after shrinking (0 if clean or not shrunk)
+	OpsRun   int      // ops executed (schedule length on a clean run)
+	Elapsed  sim.Time // final virtual time
+	Reads    int64
+	Writes   int64
+	NoMemory int64 // accesses that hit total frame exhaustion (legal)
+	Faults   int64 // coherent faults taken (read + write)
+	Thaws    int64
+	Freezes  int64
+	Account  sim.Account // machine-wide cost breakdown (sum of node accounts)
+	Digest   string      // deterministic fingerprint of the final state
+	Failure  *Failure    // nil on a clean run
 }
 
 // Run validates cfg, generates its schedule, replays it, and — when
@@ -279,10 +277,8 @@ func Run(cfg Config, shrink bool) (*Result, error) {
 		return nil, err
 	}
 	if res.Failure != nil && shrink {
-		minOps, minFail := Shrink(cfg, res.Failure.Ops[:res.Failure.OpIndex+1])
-		if minFail != nil {
+		if _, minFail := Shrink(cfg, res.Failure.Ops[:res.Failure.OpIndex+1]); minFail != nil {
 			res.Failure = minFail
-			res.ShrunkLen = len(minOps)
 		}
 	}
 	return res, nil

@@ -12,8 +12,8 @@
 // same way the NUMA machine's memory modules do.
 //
 // The model A Symmetry's write-through cache has no write buffer: every
-// store stalls the processor for a full bus transaction (WriteLatency),
-// and occupies the bus for WriteBusOcc — write traffic both slows each
+// store stalls the processor for a full bus transaction (writeLatency),
+// and occupies the bus for writeBusOcc — write traffic both slows each
 // processor and saturates the bus as processors are added. (Anderson's
 // merge-sort study singled out exactly this property.)
 package uma
@@ -24,111 +24,63 @@ import (
 	"platinum/internal/sim"
 )
 
-// Config holds the UMA machine's cost parameters.
-type Config struct {
-	Procs      int
-	CacheBytes int // per-processor cache size (Symmetry model A: 8 KB)
-	LineWords  int // cache line size in 32-bit words
+// The machine: a 16-processor model A Symmetry with an 8 KB
+// direct-mapped write-through cache of 4-word lines per processor.
+const (
+	// Procs is the machine's processor count.
+	Procs      = 16
+	cacheBytes = 8192
+	lineWords  = 4                            // cache line size in 32-bit words
+	cacheLines = cacheBytes / (4 * lineWords) // sets per (direct-mapped) cache
 
-	HitTime      sim.Time // cache-hit read
-	MissLatency  sim.Time // read miss: bus arbitration + memory
-	MissBusOcc   sim.Time // bus occupancy per line fill
-	WriteLatency sim.Time // processor stall per (buffered) write-through
-	WriteBusOcc  sim.Time // bus occupancy per word written through
-	AtomicTime   sim.Time // locked read-modify-write latency
-	AtomicBusOcc sim.Time // bus occupancy of a locked RMW
-}
+	hitTime      = 250 * sim.Nanosecond  // cache-hit read
+	missLatency  = 1500 * sim.Nanosecond // read miss: bus arbitration + memory
+	missBusOcc   = 600 * sim.Nanosecond  // bus occupancy per line fill
+	writeLatency = 1200 * sim.Nanosecond // processor stall per write-through
+	writeBusOcc  = 300 * sim.Nanosecond  // bus occupancy per word written through
+	atomicTime   = 2000 * sim.Nanosecond // locked read-modify-write latency
+	atomicBusOcc = 600 * sim.Nanosecond  // bus occupancy of a locked RMW
+)
 
-// DefaultConfig returns a 16-processor Symmetry-class configuration.
-func DefaultConfig() Config {
-	return Config{
-		Procs:        16,
-		CacheBytes:   8192,
-		LineWords:    4,
-		HitTime:      250 * sim.Nanosecond,
-		MissLatency:  1500 * sim.Nanosecond,
-		MissBusOcc:   600 * sim.Nanosecond,
-		WriteLatency: 1200 * sim.Nanosecond,
-		WriteBusOcc:  300 * sim.Nanosecond,
-		AtomicTime:   2000 * sim.Nanosecond,
-		AtomicBusOcc: 600 * sim.Nanosecond,
-	}
-}
-
-// Validate reports an error for unusable configurations.
-func (c Config) Validate() error {
-	if c.Procs <= 0 || c.CacheBytes <= 0 || c.LineWords <= 0 {
-		return fmt.Errorf("uma: invalid geometry %+v", c)
-	}
-	if c.CacheBytes/(4*c.LineWords) == 0 {
-		return fmt.Errorf("uma: cache smaller than one line")
-	}
-	return nil
-}
-
-// cache is a direct-mapped write-through cache: tags[i] holds the line
+// cache is a direct-mapped write-through cache: c[i] holds the line
 // address resident in set i, or -1.
-type cache struct {
-	tags  []int64
-	nsets int64
+type cache [cacheLines]int64
 
-	Hits   int64
-	Misses int64
-}
-
-func newCache(cfg Config) *cache {
-	n := cfg.CacheBytes / (4 * cfg.LineWords)
-	c := &cache{tags: make([]int64, n), nsets: int64(n)}
-	for i := range c.tags {
-		c.tags[i] = -1
+func newCache() *cache {
+	c := new(cache)
+	for i := range c {
+		c[i] = -1
 	}
 	return c
 }
 
-func (c *cache) lookup(line int64) bool {
-	if c.tags[line%c.nsets] == line {
-		c.Hits++
-		return true
-	}
-	c.Misses++
-	return false
-}
+func (c *cache) lookup(line int64) bool { return c[line%cacheLines] == line }
 
-func (c *cache) fill(line int64) { c.tags[line%c.nsets] = line }
+func (c *cache) fill(line int64) { c[line%cacheLines] = line }
 func (c *cache) invalidate(line int64) {
-	if i := line % c.nsets; c.tags[i] == line {
-		c.tags[i] = -1
+	if i := line % cacheLines; c[i] == line {
+		c[i] = -1
 	}
 }
 
 // Machine is the simulated UMA multiprocessor.
 type Machine struct {
-	cfg    Config
 	engine *sim.Engine
 	memory []uint32
-	caches []*cache
+	caches [Procs]*cache
 
-	busUntil sim.Time
-	BusBusy  sim.Time // total bus occupancy (stats)
-	BusWait  sim.Time // total time spent queued for the bus
-
+	busUntil  sim.Time
 	nextAlloc int64
 }
 
-// New builds a UMA machine on engine e.
-func New(e *sim.Engine, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Machine{cfg: cfg, engine: e, caches: make([]*cache, cfg.Procs)}
+// New builds the UMA machine on engine e.
+func New(e *sim.Engine) *Machine {
+	m := &Machine{engine: e}
 	for i := range m.caches {
-		m.caches[i] = newCache(cfg)
+		m.caches[i] = newCache()
 	}
-	return m, nil
+	return m
 }
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // Engine returns the simulation engine.
 func (m *Machine) Engine() *sim.Engine { return m.engine }
@@ -155,8 +107,6 @@ func (m *Machine) bus(now sim.Time, occ sim.Time) sim.Time {
 	}
 	wait := start - now
 	m.busUntil = start + occ
-	m.BusBusy += occ
-	m.BusWait += wait
 	return wait
 }
 
@@ -169,7 +119,7 @@ type Thread struct {
 
 // Spawn creates a thread bound to processor proc.
 func (m *Machine) Spawn(name string, proc int, body func(*Thread)) *Thread {
-	if proc < 0 || proc >= m.cfg.Procs {
+	if proc < 0 || proc >= Procs {
 		panic(fmt.Sprintf("uma: Spawn on bad processor %d", proc))
 	}
 	t := &Thread{m: m, proc: proc}
@@ -190,32 +140,29 @@ func (t *Thread) Compute(d sim.Time) { t.st.Charge(sim.CauseCompute, d) }
 // It returns the added delay and how much of it was queueing for the
 // bus (zero on a cache hit).
 func (t *Thread) readCost(va int64, cur sim.Time) (delay, wait sim.Time) {
-	cfg := &t.m.cfg
-	line := va / int64(cfg.LineWords)
+	line := va / lineWords
 	c := t.m.caches[t.proc]
 	if c.lookup(line) {
-		return cfg.HitTime, 0
+		return hitTime, 0
 	}
-	wait = t.m.bus(cur, cfg.MissBusOcc)
+	wait = t.m.bus(cur, missBusOcc)
 	c.fill(line)
-	return wait + cfg.MissLatency, wait
+	return wait + missLatency, wait
 }
 
 // writeCost accounts one word written through at va, returning the
 // delay and its bus-queueing component.
 func (t *Thread) writeCost(va int64, cur sim.Time) (delay, wait sim.Time) {
-	cfg := &t.m.cfg
-	line := va / int64(cfg.LineWords)
-	wait = t.m.bus(cur, cfg.WriteBusOcc)
+	line := va / lineWords
+	wait = t.m.bus(cur, writeBusOcc)
 	// Snoop: invalidate every other cache's copy of the line.
 	for p, c := range t.m.caches {
 		if p != t.proc {
 			c.invalidate(line)
 		}
 	}
-	// Write-through no-allocate: update own copy only if resident.
-	// (lookup() would skew stats; check the tag directly.)
-	return wait + cfg.WriteLatency, wait
+	// Write-through no-allocate: the writer's own cache is unchanged.
+	return wait + writeLatency, wait
 }
 
 // chargeAccess attributes and charges one burst: queueing for the bus
@@ -270,9 +217,8 @@ func (t *Thread) WriteRange(va int64, src []uint32) {
 
 // AtomicAdd performs a locked read-modify-write.
 func (t *Thread) AtomicAdd(va int64, delta uint32) uint32 {
-	cfg := &t.m.cfg
-	wait := t.m.bus(t.st.Now(), cfg.AtomicBusOcc)
-	line := va / int64(cfg.LineWords)
+	wait := t.m.bus(t.st.Now(), atomicBusOcc)
+	line := va / lineWords
 	for p, c := range t.m.caches {
 		if p != t.proc {
 			c.invalidate(line)
@@ -280,7 +226,7 @@ func (t *Thread) AtomicAdd(va int64, delta uint32) uint32 {
 	}
 	t.m.memory[va] += delta
 	v := t.m.memory[va]
-	t.chargeAccess(wait+cfg.AtomicTime, wait)
+	t.chargeAccess(wait+atomicTime, wait)
 	return v
 }
 

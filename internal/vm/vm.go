@@ -22,7 +22,6 @@ import (
 // Object is a memory object: an ordered list of coherent pages with a
 // global name.
 type Object struct {
-	id     int64
 	name   string
 	cpages []*core.Cpage
 }
@@ -38,8 +37,6 @@ func (o *Object) Cpage(i int) *core.Cpage { return o.cpages[i] }
 type Manager struct {
 	sys     *core.System
 	objects map[string]*Object
-	nextObj int64
-	spaces  []*Space
 }
 
 // NewManager returns a manager on sys.
@@ -47,18 +44,10 @@ func NewManager(sys *core.System) *Manager {
 	return &Manager{sys: sys, objects: make(map[string]*Object)}
 }
 
-// Reset forgets every object and address space, returning the manager
-// to its freshly-constructed state (object ids and space ids restart at
-// zero). The coherent memory system must be reset alongside it — the
-// kernel's Reset does both in order.
-func (m *Manager) Reset() {
-	clear(m.objects)
-	m.nextObj = 0
-	for i := range m.spaces {
-		m.spaces[i] = nil
-	}
-	m.spaces = m.spaces[:0]
-}
+// Reset forgets every object, returning the manager to its
+// freshly-constructed state. The coherent memory system must be reset
+// alongside it — the kernel's Reset does both in order.
+func (m *Manager) Reset() { clear(m.objects) }
 
 // NewObject creates a memory object of npages pages. The name must be
 // unique; pages are labeled "name[i]" in instrumentation reports.
@@ -69,8 +58,7 @@ func (m *Manager) NewObject(name string, npages int) (*Object, error) {
 	if _, dup := m.objects[name]; dup {
 		return nil, fmt.Errorf("vm: object %q already exists", name)
 	}
-	o := &Object{id: m.nextObj, name: name, cpages: make([]*core.Cpage, npages)}
-	m.nextObj++
+	o := &Object{name: name, cpages: make([]*core.Cpage, npages)}
 	for i := range o.cpages {
 		cp := m.sys.NewCpage()
 		// Lazy indexed label: reports render "name[i]" on demand, so
@@ -88,30 +76,24 @@ func (m *Manager) LookupObject(name string) (*Object, bool) {
 	return o, ok
 }
 
-// Binding records one mapped range in an address space.
-type Binding struct {
-	Object    *Object
-	FirstPage int   // first page of the object in this binding
-	NumPages  int   // pages bound
-	VPN       int64 // first virtual page number
-	Rights    core.Rights
+// binding records one mapped range in an address space: the range's
+// first virtual page and its length. Unmap needs no more.
+type binding struct {
+	vpn    int64
+	npages int
 }
 
 // Space is an address space: a set of bindings plus the Cmap caching
 // their composition.
 type Space struct {
-	id       int
-	mgr      *Manager
 	cmap     *core.Cmap
-	bindings []Binding
+	bindings []binding
 	nextVPN  int64 // bump allocator for MapAnywhere
 }
 
 // NewSpace creates an empty address space.
 func (m *Manager) NewSpace() *Space {
-	sp := &Space{id: len(m.spaces), mgr: m, cmap: m.sys.NewCmap(), nextVPN: 1}
-	m.spaces = append(m.spaces, sp)
-	return sp
+	return &Space{cmap: m.sys.NewCmap(), nextVPN: 1}
 }
 
 // Cmap exposes the space's coherent map to the kernel layer.
@@ -137,9 +119,7 @@ func (sp *Space) Map(obj *Object, firstPage, npages int, vpn int64, rights core.
 			return fmt.Errorf("vm: mapping %q at vpn %d: %w", obj.name, vpn+int64(i), err)
 		}
 	}
-	sp.bindings = append(sp.bindings, Binding{
-		Object: obj, FirstPage: firstPage, NumPages: npages, VPN: vpn, Rights: rights,
-	})
+	sp.bindings = append(sp.bindings, binding{vpn: vpn, npages: npages})
 	if end := vpn + int64(npages); end > sp.nextVPN {
 		sp.nextVPN = end
 	}
@@ -162,7 +142,7 @@ func (sp *Space) MapAnywhere(obj *Object, rights core.Rights) (int64, error) {
 func (sp *Space) Unmap(t *sim.Thread, proc int, vpn int64) error {
 	idx := -1
 	for i, b := range sp.bindings {
-		if b.VPN == vpn {
+		if b.vpn == vpn {
 			idx = i
 			break
 		}
@@ -171,9 +151,9 @@ func (sp *Space) Unmap(t *sim.Thread, proc int, vpn int64) error {
 		return fmt.Errorf("vm: no binding starts at vpn %d", vpn)
 	}
 	b := sp.bindings[idx]
-	for i := 0; i < b.NumPages; i++ {
-		if err := sp.cmap.Remove(t, proc, b.VPN+int64(i)); err != nil {
-			return fmt.Errorf("vm: unmapping vpn %d: %w", b.VPN+int64(i), err)
+	for i := 0; i < b.npages; i++ {
+		if err := sp.cmap.Remove(t, proc, b.vpn+int64(i)); err != nil {
+			return fmt.Errorf("vm: unmapping vpn %d: %w", b.vpn+int64(i), err)
 		}
 	}
 	sp.bindings = append(sp.bindings[:idx], sp.bindings[idx+1:]...)

@@ -83,10 +83,7 @@ func TestFacadeMergeSortOnBothMachines(t *testing.T) {
 	if err != nil || !rp.Sorted {
 		t.Fatalf("platinum: %v sorted=%v", err, rp.Sorted)
 	}
-	up, err := NewUMAPlatform(DefaultUMAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := NewUMAPlatform()
 	ru, err := RunMergeSort(up, cfg)
 	if err != nil || !ru.Sorted {
 		t.Fatalf("uma: %v sorted=%v", err, ru.Sorted)
