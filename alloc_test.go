@@ -7,8 +7,11 @@ package platinum
 // steady state, and a whole quick Fig. 1 regeneration is pinned at its
 // steady-state count. The Chrome span export must make as many
 // allocations for 10,000 spans as for 1,000
-// (TestChromeExportSteadyAllocs). These are the invariants the
-// pooling/arena design and the streaming export bought;
+// (TestChromeExportSteadyAllocs), the report export as many for 1,000
+// pages and windows as for 10 (TestReportExportSteadyAllocs), and
+// Recorder.Spans only the slice it returns (TestRecorderSpansSteadyAllocs).
+// These are the invariants the pooling/arena design and the streaming
+// exports bought;
 // testing.AllocsPerRun pins them against the compiler's actual escape
 // analysis so they cannot silently rot.
 //
@@ -20,7 +23,9 @@ import (
 	"strconv"
 	"testing"
 
+	"platinum/internal/core"
 	"platinum/internal/exp"
+	"platinum/internal/metrics"
 	"platinum/internal/sim"
 	"platinum/internal/span"
 )
@@ -351,8 +356,9 @@ func TestFig1GaussSteadyAllocs(t *testing.T) {
 // chromeRecording is a synthetic recording of n spans in the order
 // Recorder.Spans returns them, on 16 tracks (one per processor) and 64
 // pages: each track opens with a slice span naming it, and the rest
-// are faults (mirrored on their page's track), shootdowns and block
-// transfers, all with plain-ASCII literal notes.
+// are faults (mirrored on their page's track) and shootdowns with
+// literal notes, and block transfers with core's lazy "module %d->%d"
+// note, whose '>' JSON escapes.
 func chromeRecording(n int) []span.Span {
 	spans := make([]span.Span, n)
 	for i := range spans {
@@ -367,7 +373,8 @@ func chromeRecording(n int) []span.Span {
 		case i%3 == 1:
 			sp.Kind, sp.Parent, sp.Cause, sp.Self, sp.Note = span.KindShootdown, span.ID(i), sim.CauseShootdown, 3, "round"
 		default:
-			sp.Kind, sp.Cause, sp.Self, sp.Note = span.KindBlockTransfer, sim.CauseBlockTransfer, 7, "replicate"
+			sp.Kind, sp.Cause, sp.Self = span.KindBlockTransfer, sim.CauseBlockTransfer, 7
+			sp.NoteFmt, sp.NoteArg0, sp.NoteArg1, sp.NoteN = "module %d->%d", i%16, (i+1)%16, 2
 		}
 		spans[i] = sp
 	}
@@ -377,8 +384,8 @@ func chromeRecording(n int) []span.Span {
 // TestChromeExportSteadyAllocs pins the Chrome span export's
 // allocations as independent of the recording's length: 10,000 spans
 // cost exactly as many as 1,000 on the same tracks and pages, because
-// every event is appended into one reused buffer and a literal note
-// needs no rendering.
+// every event is appended into one reused buffer and every note,
+// literal or lazy, is copied or rendered into it directly.
 func TestChromeExportSteadyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates; run without -race")
@@ -397,5 +404,78 @@ func TestChromeExportSteadyAllocs(t *testing.T) {
 	}
 	if small != large {
 		t.Errorf("Chrome export makes %v allocations for 1,000 spans and %v for 10,000, want the same", small, large)
+	}
+}
+
+// syntheticReport is a version 2 report with n pages and n series
+// windows, each window with times and counts, plus one histogram of n
+// buckets and a per-node section.
+func syntheticReport(n int) metrics.Report {
+	var nodes []sim.Account
+	for i := 0; i < 4; i++ {
+		var a sim.Account
+		a[sim.CauseCompute], a[sim.CauseFault] = sim.Time(1000*i), 7
+		nodes = append(nodes, a)
+	}
+	cr := core.Report{Policy: "platinum"}
+	for i := 0; i < n; i++ {
+		cr.Pages = append(cr.Pages, core.PageReport{ID: int64(i), Label: "gauss-matrix[" + strconv.Itoa(i) + "]",
+			CpageStats: core.CpageStats{ReadFaults: int64(i), FaultTime: sim.Time(i)}})
+	}
+	r := metrics.BuildReport("gauss", 4, 123456, nodes, cr)
+	h := metrics.HistogramMetrics{Name: "fault", Count: int64(n)}
+	for i := 0; i < n; i++ {
+		h.Buckets = append(h.Buckets, metrics.BucketMetrics{LoNs: int64(i), HiNs: int64(i), Count: 1})
+	}
+	s := &metrics.SeriesMetrics{WidthNs: 1000}
+	for i := 0; i < n; i++ {
+		w := metrics.SeriesWindow{StartNs: int64(1000 * i)}
+		w.TimeNs[sim.CauseFault], w.TimeNs[sim.CauseCompute], w.Counts[span.CountFault] = int64(i+1), 5, 1
+		s.Windows = append(s.Windows, w)
+	}
+	r.AttachTelemetry(&metrics.Histograms{
+		Charges: []metrics.HistogramMetrics{h},
+		Nodes:   []metrics.NodeHistograms{{Node: 0, Causes: []metrics.HistogramMetrics{h}}},
+	}, s)
+	return r
+}
+
+// TestReportExportSteadyAllocs pins the report export's allocations as
+// independent of its length: 1,000 pages and windows cost exactly as
+// many as 10, because the report is streamed into one reused buffer.
+func TestReportExportSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	var err error
+	export := func(r metrics.Report) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if e := metrics.WriteJSON(io.Discard, r); e != nil {
+				err = e
+			}
+		})
+	}
+	small, large := export(syntheticReport(10)), export(syntheticReport(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small != large {
+		t.Errorf("report export makes %v allocations for 10 pages and windows and %v for 1,000, want the same", small, large)
+	}
+}
+
+// TestRecorderSpansSteadyAllocs pins Recorder.Spans at one allocation, the
+// slice it returns: its sort keys are kept by the recorder and reused.
+func TestRecorderSpansSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	rec := span.NewRecorder(0)
+	rec.EnableRetain(0)
+	for i := 0; i < 5000; i++ { // children complete before parents: out of start order
+		rec.Record(span.Span{Kind: span.KindFault, Start: sim.Time(5000 - i%7*100 - i), End: sim.Time(6000 + i), Page: -1})
+	}
+	if got := testing.AllocsPerRun(5, func() { rec.Spans() }); got != 1 {
+		t.Errorf("Recorder.Spans makes %v allocations, want 1 (the slice it returns)", got)
 	}
 }

@@ -10,6 +10,7 @@ package platinum
 // -quick); EXPERIMENTS.md records paper-vs-measured for those.
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"platinum/internal/exp"
 	"platinum/internal/kernel"
 	"platinum/internal/mach"
+	"platinum/internal/metrics"
 	"platinum/internal/sim"
 	"platinum/internal/span"
 )
@@ -190,6 +192,79 @@ func BenchmarkGaussTelemetry(b *testing.B) {
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
 }
+
+// BenchmarkObservedExport times each step of an observed run's export
+// on one fixed recording: Fig. 1's 240x240 Gauss on 16 processors with
+// 256-word pages, seed 1 and every recording sink on (the run
+// bench/'s gauss-16p-observed workload exports). The sub-benchmarks
+// are the steps platinum-report -json -hist -series 1ms -spans
+// -timeline takes after the run:
+//
+//   - spans: the retained spans in start order (Recorder.Spans);
+//   - chrome: the Chrome trace-event export of those spans;
+//   - report: build the report with its histograms and series, then
+//     write it as JSON;
+//   - timeline: the per-node timeline as JSON Lines.
+//
+// Run it with -benchmem: the allocation columns are what the streaming
+// exports keep low.
+func BenchmarkObservedExport(b *testing.B) {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Machine.PageWords = 256
+	pl, err := apps.NewPlatinumPlatform(kcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := pl.K
+	k.EnableTrace(1 << 16)
+	k.EnableSpans(0)
+	k.EnableHistograms()
+	k.EnableSeries(sim.Millisecond, 0)
+	cfg := apps.DefaultGaussConfig(240, 16)
+	cfg.Seed = 1
+	r, err := apps.RunGaussPlatinum(pl, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	accts := k.NodeAccounts()
+	spans := k.Spans().Spans()
+	events, _ := k.Trace()
+	b.Run("spans", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			spansSink = k.Spans().Spans()
+		}
+	})
+	b.Run("chrome", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := span.WriteChrome(io.Discard, spans); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("report", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mr := metrics.BuildReport("gauss", cfg.Threads, r.Elapsed, accts, k.Report())
+			mr.Pages = mr.Pages[:min(len(mr.Pages), 20)]
+			mr.AttachTelemetry(
+				metrics.BuildHistograms(k.Engine(), k.Spans()),
+				metrics.BuildSeries(k.CauseSeries(), k.Spans().CountSeries()))
+			if err := metrics.WriteJSON(io.Discard, mr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("timeline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := metrics.WriteTimelineJSONL(io.Discard, events, sim.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// spansSink keeps BenchmarkObservedExport's sorted spans live, so the
+// compiler cannot drop the call that builds them.
+var spansSink []span.Span
 
 // parseDur converts a sim.Time string like "1.340ms" to milliseconds.
 func parseDur(s string) float64 {

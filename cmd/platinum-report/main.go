@@ -373,16 +373,12 @@ func writeSeriesTable(w io.Writer, s *metrics.SeriesMetrics) {
 	fmt.Fprintf(w, "  %-14s %7s %7s %7s %7s %7s %8s %8s\n",
 		"window", "faults", "shoot", "xfer", "freeze", "thaw", "remote%", "fault%")
 	for _, win := range s.Windows {
-		var total, remote, fault int64
-		for name, v := range win.TimeNs {
+		var total int64
+		for _, v := range win.TimeNs {
 			total += v
-			switch name {
-			case "remote_access":
-				remote += v
-			case "fault", "shootdown":
-				fault += v
-			}
 		}
+		remote := win.TimeNs[sim.CauseRemoteAccess]
+		fault := win.TimeNs[sim.CauseFault] + win.TimeNs[sim.CauseShootdown]
 		remoteFrac, faultFrac := 0.0, 0.0
 		if total > 0 {
 			remoteFrac = 100 * float64(remote) / float64(total)
@@ -390,8 +386,8 @@ func writeSeriesTable(w io.Writer, s *metrics.SeriesMetrics) {
 		}
 		fmt.Fprintf(w, "  %-14v %7d %7d %7d %7d %7d %7.1f%% %7.1f%%\n",
 			sim.Time(win.StartNs),
-			win.Counts["faults"], win.Counts["shootdowns"], win.Counts["block_transfers"],
-			win.Counts["freezes"], win.Counts["thaws"], remoteFrac, faultFrac)
+			win.Counts[span.CountFault], win.Counts[span.CountShootdown], win.Counts[span.CountBlockTransfer],
+			win.Counts[span.CountFreeze], win.Counts[span.CountThaw], remoteFrac, faultFrac)
 	}
 }
 

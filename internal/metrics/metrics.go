@@ -13,7 +13,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -22,6 +21,7 @@ import (
 
 	"platinum/internal/core"
 	"platinum/internal/sim"
+	"platinum/internal/span"
 	"platinum/internal/trace"
 )
 
@@ -191,6 +191,9 @@ func BuildReport(app string, procs int, elapsed sim.Time, nodes []sim.Account, c
 		r.Nodes = append(r.Nodes, NodeBreakdown{Node: i, Breakdown: FromAccount(nodes[i])})
 	}
 	r.Total = FromAccount(total)
+	if len(cr.Pages) > 0 {
+		r.Pages = make([]PageMetrics, 0, len(cr.Pages))
+	}
 	for _, p := range trace.TopCost(cr, len(cr.Pages)) {
 		r.Pages = append(r.Pages, FromPageReport(p))
 	}
@@ -217,11 +220,108 @@ func CheckConservation(accts []sim.Account) error {
 	return nil
 }
 
-// WriteJSON writes v as indented JSON followed by a newline.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+// WriteJSON writes r as encoding/json renders it with a two-space
+// indent, followed by a newline: the fields in declaration order under
+// their json tag names (a NodeBreakdown's Breakdown fields inline), a
+// nil slice as null and an empty one as [], and each omitempty field
+// left out when it is zero or empty. A series window's TimeNs and
+// Counts are written as objects keyed by cause and count name in name
+// order, holding only the non-zero entries and left out when all are
+// zero. The report is streamed through span.JSONWriter, with no
+// intermediate values: TestWriteJSONMatchesReference pins the bytes to
+// encoding/json's.
+func WriteJSON(w io.Writer, r Report) error {
+	j := span.NewJSONWriter(w, "  ")
+	j.OpenObject()
+	j.Key("schema_version").Int(int64(r.SchemaVersion))
+	j.Key("app").String(r.App)
+	j.Key("policy").String(r.Policy)
+	j.Key("procs").Int(int64(r.Procs))
+	j.Key("elapsed_ns").Int(r.ElapsedNs)
+	j.Key("shootdowns").Int(r.Shootdowns)
+	j.Key("total").OpenObject()
+	writeBreakdown(j, &r.Total)
+	j.CloseObject()
+	j.Key("nodes")
+	writeArray(j, r.Nodes, func(j *span.JSONWriter, n *NodeBreakdown) {
+		j.OpenObject()
+		j.Key("node").Int(int64(n.Node))
+		writeBreakdown(j, &n.Breakdown)
+		j.CloseObject()
+	})
+	j.Key("pages")
+	writeArray(j, r.Pages, writePage)
+	if r.Histograms != nil {
+		j.Key("histograms")
+		writeHistograms(j, r.Histograms)
+	}
+	if r.Series != nil {
+		j.Key("series")
+		writeSeries(j, r.Series)
+	}
+	j.CloseObject()
+	return j.Close()
+}
+
+// writeArray writes xs as a JSON array, each element by write, or null
+// when xs is nil.
+func writeArray[T any](j *span.JSONWriter, xs []T, write func(*span.JSONWriter, *T)) {
+	if xs == nil {
+		j.Null()
+		return
+	}
+	j.OpenArray()
+	for i := range xs {
+		write(j, &xs[i])
+	}
+	j.CloseArray()
+}
+
+// writeBreakdown writes b's fields into the open object.
+func writeBreakdown(j *span.JSONWriter, b *Breakdown) {
+	j.Key("total_ns").Int(b.TotalNs)
+	j.Key("unattributed_ns").Int(b.UnattributedNs)
+	j.Key("compute_ns").Int(b.ComputeNs)
+	j.Key("local_access_ns").Int(b.LocalAccessNs)
+	j.Key("remote_access_ns").Int(b.RemoteAccessNs)
+	j.Key("block_transfer_ns").Int(b.BlockTransferNs)
+	j.Key("fault_ns").Int(b.FaultNs)
+	j.Key("shootdown_ns").Int(b.ShootdownNs)
+	j.Key("queue_ns").Int(b.QueueNs)
+	j.Key("sync_ns").Int(b.SyncNs)
+	j.Key("kernel_ns").Int(b.KernelNs)
+	j.Key("retry_ns").Int(b.RetryNs)
+	j.Key("slow_ack_ns").Int(b.SlowAckNs)
+	if b.PmapWalkNs != 0 {
+		j.Key("pmap_walk_ns").Int(b.PmapWalkNs)
+	}
+	if b.PTReplicateNs != 0 {
+		j.Key("pt_replicate_ns").Int(b.PTReplicateNs)
+	}
+	if b.BatchFlushNs != 0 {
+		j.Key("batch_flush_ns").Int(b.BatchFlushNs)
+	}
+}
+
+func writePage(j *span.JSONWriter, p *PageMetrics) {
+	j.OpenObject()
+	j.Key("id").Int(p.ID)
+	j.Key("label").String(p.Label)
+	j.Key("state").String(p.State)
+	j.Key("frozen").Bool(p.Frozen)
+	j.Key("copies").Int(int64(p.Copies))
+	j.Key("read_faults").Int(p.ReadFaults)
+	j.Key("write_faults").Int(p.WriteFaults)
+	j.Key("replications").Int(p.Replications)
+	j.Key("migrations").Int(p.Migrations)
+	j.Key("invalidations").Int(p.Invalidations)
+	j.Key("remote_maps").Int(p.RemoteMaps)
+	j.Key("freezes").Int(p.Freezes)
+	j.Key("thaws").Int(p.Thaws)
+	j.Key("alloc_fails").Int(p.AllocFails)
+	j.Key("handler_wait_ns").Int(p.HandlerWaitNs)
+	j.Key("fault_time_ns").Int(p.FaultTimeNs)
+	j.CloseObject()
 }
 
 // WriteTimelineJSONL writes the trace's per-node time-bucketed series
@@ -250,8 +350,9 @@ func WriteTimelineJSONL(w io.Writer, events []core.Event, width sim.Time) error 
 		for _, k := range kinds {
 			if c := nb.ByKind[k]; c > 0 {
 				line = append(line, sep...)
-				line = strconv.AppendQuote(line, k.String()) // plain ASCII names: Go and JSON quote them alike
-				line = append(line, ':')
+				line = append(line, '"') // plain ASCII names: quoted as they are
+				line = append(line, k.String()...)
+				line = append(line, '"', ':')
 				line = strconv.AppendInt(line, int64(c), 10)
 				sep = ","
 			}

@@ -182,7 +182,7 @@ func TestBuildSeriesSpilledOnce(t *testing.T) {
 		t.Fatalf("listed %d windows from %v, want 4 from %d", len(s.Windows), s.Windows, 6*width)
 	}
 	for _, w := range s.Windows[:3] {
-		if w.TimeNs["fault"] != 5 || w.Counts["faults"] != 1 {
+		if w.TimeNs[sim.CauseFault] != 5 || w.Counts[span.CountFault] != 1 {
 			t.Errorf("window at %d lists %v and %v, want fault 5 and faults 1", w.StartNs, w.TimeNs, w.Counts)
 		}
 	}

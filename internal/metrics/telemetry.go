@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"platinum/internal/hist"
 	"platinum/internal/sim"
@@ -139,11 +141,14 @@ func BuildHistograms(e *sim.Engine, rec *span.Recorder) *Histograms {
 // charged time and per-operation counts during [StartNs,
 // StartNs+WidthNs). All-zero rows are omitted from the report, and
 // within a window only non-zero entries appear, so the stream size
-// tracks activity.
+// tracks activity. WriteJSON writes TimeNs as "time_ns", an object
+// keyed by cause name (sim.Cause.String), and Counts as "counts",
+// keyed by count name (span.CountName), each in name order and left
+// out when all its entries are zero.
 type SeriesWindow struct {
-	StartNs int64            `json:"start_ns"`
-	TimeNs  map[string]int64 `json:"time_ns,omitempty"`
-	Counts  map[string]int64 `json:"counts,omitempty"`
+	StartNs int64 `json:"start_ns"`
+	TimeNs  [sim.NumCauses]int64
+	Counts  [span.NumCounts]int64
 }
 
 // SeriesMetrics is the report's "series" section: rate curves over
@@ -186,33 +191,127 @@ func BuildSeries(cause, counts *timeseries.Series) *SeriesMetrics {
 		}
 	}
 	width := out.WidthNs
+	if hi >= lo {
+		out.Windows = make([]SeriesWindow, 0, hi-lo+1)
+	}
 	for w := lo; w <= hi; w++ {
 		sw := SeriesWindow{StartNs: w * width}
+		nonzero := false
 		if cause != nil {
-			for c := sim.Cause(0); c < sim.NumCauses; c++ {
-				if v := cause.At(w, int(c)); v != 0 {
-					if sw.TimeNs == nil {
-						sw.TimeNs = make(map[string]int64)
-					}
-					sw.TimeNs[c.String()] = v
-				}
+			for c := range sw.TimeNs {
+				sw.TimeNs[c] = cause.At(w, c)
+				nonzero = nonzero || sw.TimeNs[c] != 0
 			}
 		}
 		if counts != nil {
-			for col := 0; col < span.NumCounts; col++ {
-				if v := counts.At(w, col); v != 0 {
-					if sw.Counts == nil {
-						sw.Counts = make(map[string]int64)
-					}
-					sw.Counts[span.CountName(col)] = v
-				}
+			for col := range sw.Counts {
+				sw.Counts[col] = counts.At(w, col)
+				nonzero = nonzero || sw.Counts[col] != 0
 			}
 		}
-		if sw.TimeNs != nil || sw.Counts != nil {
+		if nonzero {
 			out.Windows = append(out.Windows, sw)
 		}
 	}
+	if len(out.Windows) == 0 {
+		out.Windows = nil // no window with data: the listing is null, not []
+	}
 	return out
+}
+
+// causesByName and countsByName list the causes and count columns in
+// name order, the order encoding/json gives a map's keys.
+var (
+	causesByName = byName(int(sim.NumCauses), causeName)
+	countsByName = byName(span.NumCounts, span.CountName)
+)
+
+func causeName(c int) string { return sim.Cause(c).String() }
+
+func byName(n int, name func(int) string) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(name(a), name(b)) })
+	return order
+}
+
+func writeHistograms(j *span.JSONWriter, h *Histograms) {
+	j.OpenObject()
+	j.Key("charges")
+	writeArray(j, h.Charges, writeHist)
+	if len(h.Ops) > 0 {
+		j.Key("ops")
+		writeArray(j, h.Ops, writeHist)
+	}
+	if len(h.Nodes) > 0 {
+		j.Key("nodes")
+		writeArray(j, h.Nodes, func(j *span.JSONWriter, n *NodeHistograms) {
+			j.OpenObject()
+			j.Key("node").Int(int64(n.Node))
+			j.Key("causes")
+			writeArray(j, n.Causes, writeHist)
+			j.CloseObject()
+		})
+	}
+	j.CloseObject()
+}
+
+func writeHist(j *span.JSONWriter, m *HistogramMetrics) {
+	j.OpenObject()
+	j.Key("name").String(m.Name)
+	j.Key("count").Int(m.Count)
+	j.Key("sum_ns").Int(m.SumNs)
+	j.Key("max_ns").Int(m.MaxNs)
+	j.Key("p50_ns").Int(m.P50Ns)
+	j.Key("p90_ns").Int(m.P90Ns)
+	j.Key("p99_ns").Int(m.P99Ns)
+	j.Key("p999_ns").Int(m.P999Ns)
+	if len(m.Buckets) > 0 {
+		j.Key("buckets")
+		writeArray(j, m.Buckets, func(j *span.JSONWriter, b *BucketMetrics) {
+			j.OpenObject()
+			j.Key("lo_ns").Int(b.LoNs)
+			j.Key("hi_ns").Int(b.HiNs)
+			j.Key("count").Int(b.Count)
+			j.CloseObject()
+		})
+	}
+	j.CloseObject()
+}
+
+func writeSeries(j *span.JSONWriter, s *SeriesMetrics) {
+	j.OpenObject()
+	j.Key("width_ns").Int(s.WidthNs)
+	if s.SpilledWindows != 0 {
+		j.Key("spilled_windows").Int(s.SpilledWindows)
+	}
+	j.Key("windows")
+	writeArray(j, s.Windows, func(j *span.JSONWriter, w *SeriesWindow) {
+		j.OpenObject()
+		j.Key("start_ns").Int(w.StartNs)
+		writeNamed(j, "time_ns", w.TimeNs[:], causesByName, causeName)
+		writeNamed(j, "counts", w.Counts[:], countsByName, span.CountName)
+		j.CloseObject()
+	})
+	j.CloseObject()
+}
+
+// writeNamed writes vals' non-zero entries under key as an object
+// keyed by name, in the name order order gives; nothing when all are
+// zero.
+func writeNamed(j *span.JSONWriter, key string, vals []int64, order []int, name func(int) string) {
+	if !slices.ContainsFunc(vals, func(v int64) bool { return v != 0 }) {
+		return
+	}
+	j.Key(key).OpenObject()
+	for _, i := range order {
+		if vals[i] != 0 {
+			j.Key(name(i)).Int(vals[i])
+		}
+	}
+	j.CloseObject()
 }
 
 // AttachTelemetry adds the telemetry sections to a report and bumps its

@@ -26,14 +26,36 @@ const (
 	chromeCounterPid = 1<<20 + 2
 )
 
-// chromeChunk is how many bytes of events the export buffers before
-// it hands them to the writer.
-const chromeChunk = 32 << 10
-
 // usec converts virtual nanoseconds to the format's microseconds.
 // Virtual time is integer nanoseconds, so ns/1000 is exact to the
 // three decimal places float64 easily carries.
 func usec(ns int64) float64 { return float64(ns) / 1000.0 }
+
+// appendUsec appends usec(ns) as encoding/json writes it, from the
+// integer: for |ns| < 10^15 the exact decimal ns/1000 has at most 15
+// significant digits, so it is the shortest decimal that reads back as
+// usec(ns), which is what strconv.AppendFloat prints. Beyond that it
+// formats the float.
+func appendUsec(b []byte, ns int64) []byte {
+	if ns <= -1e15 || ns >= 1e15 {
+		return appendFloat(b, usec(ns))
+	}
+	if ns < 0 {
+		b = append(b, '-')
+		ns = -ns
+	}
+	b = strconv.AppendInt(b, ns/1000, 10)
+	if frac := ns % 1000; frac != 0 {
+		b = append(b, '.', byte('0'+frac/100))
+		if frac%100 != 0 {
+			b = append(b, byte('0'+frac/10%10))
+			if frac%10 != 0 {
+				b = append(b, byte('0'+frac%10))
+			}
+		}
+	}
+	return b
+}
 
 // procPid maps a span's processor to its trace process: the processor
 // itself, or the synthetic no-processor process.
@@ -78,13 +100,15 @@ func WriteChrome(w io.Writer, spans []Span) error {
 // process, charted by Perfetto as a value-over-time row. Tracks are
 // emitted in the order given — callers keep that order deterministic.
 //
-// The document is streamed: each event is appended to one reused
-// buffer that goes to w in chunks. It is byte for byte what
-// encoding/json writes for the format with a one-space indent: every
-// event's fields in the order name, cat, ph, ts, dur, pid, tid, id,
-// args, leaving out the cat, dur, id or args an event does not have,
-// and its args keys in sorted order. A non-finite counter value
-// returns encoding/json's error before any byte is written.
+// The document is streamed through a JSONWriter with a one-space
+// indent, and is byte for byte what encoding/json writes for the
+// format: every event's fields in the order name, cat, ph, ts, dur,
+// pid, tid, id, args, leaving out the cat, dur, id or args an event
+// does not have, and its args keys in sorted order. Timestamps are
+// printed from the integer nanoseconds and lazy notes rendered into
+// one reused buffer, so the export allocates per track and page, not
+// per span. A non-finite counter value returns encoding/json's error
+// before any byte is written.
 func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 	for _, tr := range counters {
 		for _, p := range tr.Points {
@@ -97,13 +121,11 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 	ordered := inOrder(spans)
 
 	// Track names: a slice span names its thread's track; anything else
-	// seen first leaves a generic name. Slice notes are rendered here
-	// and reused by the event loop, so every note is rendered once.
+	// seen first leaves a generic name.
 	type track struct{ pid, tid int64 }
 	names := make(map[track]string)
 	pids := make(map[int64]bool)
 	pages := make(map[int64]bool)
-	var sliceNotes []string
 	for i := range ordered {
 		sp := &ordered[i]
 		tr := track{procPid(sp.Proc), int64(sp.Track)}
@@ -111,7 +133,6 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 		note := ""
 		if sp.Kind == KindSlice {
 			note = sp.NoteText()
-			sliceNotes = append(sliceNotes, note)
 		}
 		if note != "" {
 			names[tr] = note
@@ -153,202 +174,116 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 		return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid), strings.Compare(a.name, b.name))
 	})
 
-	c := chromeWriter{w: w, b: make([]byte, 0, 2*chromeChunk)}
-	c.b = append(c.b, "{\n \"traceEvents\": ["...)
+	j := NewJSONWriter(w, " ")
+	j.OpenObject()
+	j.Key("traceEvents").OpenArray()
 	for _, m := range metas {
-		c.open(m.name, "", "M", 0)
-		c.track(m.pid, m.tid)
-		c.arg("name").str(m.label)
-		c.close()
+		j.event(m.name, "", "M", 0)
+		j.track(m.pid, m.tid)
+		j.Key("args").OpenObject()
+		j.Key("name").String(m.label)
+		j.CloseObject()
+		j.CloseObject()
 	}
 
+	var note []byte
 	for i := range ordered {
 		sp := &ordered[i]
-		var note string
-		if sp.Kind == KindSlice {
-			note, sliceNotes = sliceNotes[0], sliceNotes[1:]
-		} else {
-			note = sp.NoteText()
-		}
+		note = sp.appendNote(note[:0])
 		kind, cause := sp.Kind.String(), sp.Cause.String()
-		c.open(kind, cause, "X", usec(int64(sp.Start)))
-		c.field("dur").float(usec(int64(sp.End - sp.Start)))
-		c.track(procPid(sp.Proc), int64(sp.Track))
-		c.arg("cause").str(cause)
+		j.event(kind, cause, "X", int64(sp.Start))
+		j.Key("dur").usec(int64(sp.End - sp.Start))
+		j.track(procPid(sp.Proc), int64(sp.Track))
+		j.Key("args").OpenObject()
+		j.Key("cause").String(cause)
 		if sp.State != "" {
-			c.arg("dir_mask").uint(sp.DirMask)
+			j.Key("dir_mask").uint(sp.DirMask)
 		}
-		if note != "" {
-			c.arg("note").str(note)
+		if len(note) > 0 {
+			j.Key("note").text(note)
 		}
 		if sp.Page >= 0 {
-			c.arg("page").int(sp.Page)
+			j.Key("page").Int(sp.Page)
 		}
 		if sp.Parent != None {
-			c.arg("parent").int(int64(sp.Parent))
+			j.Key("parent").Int(int64(sp.Parent))
 		}
-		c.arg("self_ns").int(int64(sp.Self))
-		c.arg("span_id").int(int64(sp.ID))
+		j.Key("self_ns").Int(int64(sp.Self))
+		j.Key("span_id").Int(int64(sp.ID))
 		if sp.State != "" {
-			c.arg("state").str(sp.State)
+			j.Key("state").String(sp.State)
 		}
-		c.close()
+		j.CloseObject()
+		j.CloseObject()
 		if sp.pageMirrored() {
 			// Async mirror on the page's own track. Async events tolerate
 			// the overlap that queued concurrent faults produce on a page
 			// timeline, which complete events would render as nonsense.
-			c.open(kind, "page", "b", usec(int64(sp.Start)))
-			c.track(chromePagePid, sp.Page)
-			c.spanID(sp.ID)
-			c.arg("note").str(note)
-			c.arg("proc").int(int64(sp.Proc))
-			c.close()
-			c.open(kind, "page", "e", usec(int64(sp.End)))
-			c.track(chromePagePid, sp.Page)
-			c.spanID(sp.ID)
-			c.close()
+			j.event(kind, "page", "b", int64(sp.Start))
+			j.track(chromePagePid, sp.Page)
+			j.Key("id").spanID(sp.ID)
+			j.Key("args").OpenObject()
+			j.Key("note").text(note)
+			j.Key("proc").Int(int64(sp.Proc))
+			j.CloseObject()
+			j.CloseObject()
+			j.event(kind, "page", "e", int64(sp.End))
+			j.track(chromePagePid, sp.Page)
+			j.Key("id").spanID(sp.ID)
+			j.CloseObject()
 		}
 	}
 
 	for _, tr := range counters {
 		for _, p := range tr.Points {
-			c.open(tr.Name, "", "C", usec(p.Ts))
-			c.track(chromeCounterPid, 0)
-			c.arg("value").float(p.Value)
-			c.close()
+			j.event(tr.Name, "", "C", p.Ts)
+			j.track(chromeCounterPid, 0)
+			j.Key("args").OpenObject()
+			j.Key("value").float(p.Value)
+			j.CloseObject()
+			j.CloseObject()
 		}
 	}
 
-	if c.events > 0 {
-		c.b = append(c.b, "\n ]\n}\n"...)
-	} else {
-		c.b = append(c.b, "]\n}\n"...)
-	}
-	c.flush()
-	return c.err
+	j.CloseArray()
+	j.CloseObject()
+	return j.Close()
 }
 
-// chromeWriter appends trace events to b in encoding/json's indented
-// layout and hands b to w whenever an event leaves it at least
-// chromeChunk bytes long. The first error sticks: nothing is written
-// after it.
-type chromeWriter struct {
-	w      io.Writer
-	b      []byte
-	events int  // events begun so far
-	inArgs bool // the current event's args object is open
-	err    error
-}
-
-// open begins an event with its name, cat (left out when empty), ph
-// and ts fields.
-func (c *chromeWriter) open(name, cat, ph string, ts float64) {
-	if c.events > 0 {
-		c.b = append(c.b, ',')
-	}
-	c.events++
-	c.b = append(c.b, "\n  {\n   \"name\": "...)
-	c.str(name)
+// event opens a trace event and writes its name, cat (left out when
+// empty), ph and ts fields.
+func (j *JSONWriter) event(name, cat, ph string, tsNs int64) {
+	j.OpenObject()
+	j.Key("name").String(name)
 	if cat != "" {
-		c.field("cat").str(cat)
+		j.Key("cat").String(cat)
 	}
-	c.field("ph").str(ph)
-	c.field("ts").float(ts)
+	j.Key("ph").String(ph)
+	j.Key("ts").usec(tsNs)
 }
 
-// field begins the current event's next field; the value follows.
-func (c *chromeWriter) field(key string) *chromeWriter {
-	c.b = append(c.b, ",\n   \""...)
-	c.b = append(c.b, key...)
-	c.b = append(c.b, "\": "...)
-	return c
+// track writes an event's pid and tid fields.
+func (j *JSONWriter) track(pid, tid int64) {
+	j.Key("pid").Int(pid)
+	j.Key("tid").Int(tid)
 }
 
-// track writes the pid and tid fields.
-func (c *chromeWriter) track(pid, tid int64) {
-	c.field("pid").int(pid)
-	c.field("tid").int(tid)
+// usec writes virtual nanoseconds as the format's microseconds.
+func (j *JSONWriter) usec(ns int64) {
+	j.value()
+	j.b = appendUsec(j.b, ns)
 }
 
-// spanID writes the id field that pairs a span's async events.
-func (c *chromeWriter) spanID(id ID) {
-	c.field("id")
-	c.b = append(c.b, "\"span-"...)
-	c.b = strconv.AppendInt(c.b, int64(id), 10)
-	c.b = append(c.b, '"')
+// spanID writes the id that pairs a span's async events.
+func (j *JSONWriter) spanID(id ID) {
+	j.value()
+	j.b = append(j.b, `"span-`...)
+	j.b = strconv.AppendInt(j.b, int64(id), 10)
+	j.b = append(j.b, '"')
 }
 
-// arg begins the next key of the current event's args object, opening
-// the object at its first key; the value follows.
-func (c *chromeWriter) arg(key string) *chromeWriter {
-	if c.inArgs {
-		c.b = append(c.b, ',')
-	} else {
-		c.field("args")
-		c.b = append(c.b, '{')
-		c.inArgs = true
-	}
-	c.b = append(c.b, "\n    \""...)
-	c.b = append(c.b, key...)
-	c.b = append(c.b, "\": "...)
-	return c
-}
-
-// close ends the current event, and its args object if it has one.
-func (c *chromeWriter) close() {
-	if c.inArgs {
-		c.b = append(c.b, "\n   }"...)
-		c.inArgs = false
-	}
-	c.b = append(c.b, "\n  }"...)
-	if len(c.b) >= chromeChunk {
-		c.flush()
-	}
-}
-
-// flush hands the buffered bytes to w unless an error came first.
-func (c *chromeWriter) flush() {
-	if c.err == nil {
-		_, c.err = c.w.Write(c.b)
-	}
-	c.b = c.b[:0]
-}
-
-func (c *chromeWriter) int(v int64)   { c.b = strconv.AppendInt(c.b, v, 10) }
-func (c *chromeWriter) uint(v uint64) { c.b = strconv.AppendUint(c.b, v, 10) }
-
-// float writes f as encoding/json does: zero and magnitudes in
-// [1e-6, 1e21) in plain decimal, and any other value through
-// json.Marshal.
-func (c *chromeWriter) float(f float64) {
-	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
-		c.b = strconv.AppendFloat(c.b, f, 'f', -1, 64)
-		return
-	}
-	c.marshal(f)
-}
-
-// str writes s as a JSON string. Printable ASCII other than '"', '\\'
-// and encoding/json's HTML escapes '<', '>' and '&' is copied as it
-// is; any other string goes through json.Marshal, so its escapes,
-// invalid UTF-8 and U+2028 come out as encoding/json writes them.
-func (c *chromeWriter) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < 0x20 || b > 0x7e || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			c.marshal(s)
-			return
-		}
-	}
-	c.b = append(c.b, '"')
-	c.b = append(c.b, s...)
-	c.b = append(c.b, '"')
-}
-
-// marshal writes v as json.Marshal renders it.
-func (c *chromeWriter) marshal(v any) {
-	out, err := json.Marshal(v)
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	c.b = append(c.b, out...)
+// text writes a rendered note as a JSON string.
+func (j *JSONWriter) text(s []byte) {
+	j.value()
+	j.b = appendString(j.b, s)
 }

@@ -2,10 +2,11 @@ package span
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"platinum/internal/sim"
@@ -79,8 +80,7 @@ func hostileCounters() []CounterTrack {
 // the encoding/json reference byte for byte.
 func TestWriteChromeMatchesReference(t *testing.T) {
 	spans := hostileSpans()
-	sorted := slices.Clone(spans)
-	sort.Sort(byStart(sorted))
+	sorted := inOrder(spans)
 	cases := []struct {
 		name     string
 		spans    []Span
@@ -164,5 +164,59 @@ func TestWriteChromeStopsAtWriteError(t *testing.T) {
 	}
 	if w.writes != 1 {
 		t.Errorf("%d writes after the first failed, want none", w.writes-1)
+	}
+}
+
+// TestAppendUsecMatchesFloat checks the integer timestamp formatter
+// against encoding/json's rendering of usec(ns): at the edges of its
+// exact range (|ns| < 10^15), beyond them, and on values of every
+// magnitude and fraction in between.
+func TestAppendUsecMatchesFloat(t *testing.T) {
+	ns := []int64{0, 1, 5, 10, 99, 100, 105, 120, 999, 1000, 1001, 1010, 1100, 123456789,
+		1e15 - 1, 1e15, 1e15 + 1, 1<<53 - 1, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	rng := uint64(1)
+	for range 20000 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		ns = append(ns, int64(rng>>(rng%64))) // every magnitude up to 2^63
+	}
+	for _, v := range ns {
+		for _, v := range []int64{v, -v} {
+			want, err := json.Marshal(usec(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendUsec(nil, v); !bytes.Equal(got, want) {
+				t.Fatalf("appendUsec(%d) = %s, want %s", v, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendNoteMatchesSprintf checks that a lazy note renders as
+// fmt.Sprintf renders it, whether the fast path takes it (one %d per
+// argument) or fmt does (other verbs, %%, too few or too many verbs).
+func TestAppendNoteMatchesSprintf(t *testing.T) {
+	formats := []string{"module %d->%d", "%d probes", "thawed %d <", "%d", "%d%d", "no verbs",
+		"100%", "%%d %d", "%x", "%5d", "a %d b %d c %d", "%d %s", "<&> \"%d\"", ""}
+	for _, f := range formats {
+		for n := uint8(0); n <= 2; n++ {
+			sp := Span{NoteFmt: f, NoteArg0: -42, NoteArg1: 1 << 40, NoteN: n}
+			want := fmt.Sprintf(f, sp.NoteArg0)
+			if n == 2 {
+				want = fmt.Sprintf(f, sp.NoteArg0, sp.NoteArg1)
+			}
+			if f == "" {
+				want = "" // no lazy note at all
+			}
+			if got := string(sp.appendNote([]byte("x"))); got != "x"+want {
+				t.Errorf("format %q with %d args: %q, want %q", f, n, got, "x"+want)
+			}
+			if got := sp.NoteText(); got != want {
+				t.Errorf("format %q with %d args: NoteText %q, want %q", f, n, got, want)
+			}
+		}
+	}
+	if got := (&Span{Note: "literal", NoteFmt: "%d"}).NoteText(); got != "literal" {
+		t.Errorf("a literal note renders as %q, want it to win over the lazy one", got)
 	}
 }

@@ -34,10 +34,14 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
 	"platinum/internal/sim"
 	"platinum/internal/timeseries"
@@ -210,10 +214,42 @@ func (sp Span) NoteText() string {
 	if sp.Note != "" || sp.NoteFmt == "" {
 		return sp.Note
 	}
-	if sp.NoteN <= 1 {
-		return fmt.Sprintf(sp.NoteFmt, sp.NoteArg0)
+	return string(sp.appendNote(nil))
+}
+
+// appendNote appends NoteText's rendering to b. A lazy note whose only
+// verbs are one %d per argument is rendered here, without fmt; any
+// other format, or a verb count that differs from the argument count,
+// goes through fmt, so the bytes are always fmt.Sprintf's.
+func (sp *Span) appendNote(b []byte) []byte {
+	if sp.Note != "" || sp.NoteFmt == "" {
+		return append(b, sp.Note...)
 	}
-	return fmt.Sprintf(sp.NoteFmt, sp.NoteArg0, sp.NoteArg1)
+	args := [2]int{sp.NoteArg0, sp.NoteArg1}
+	nargs := 1
+	if sp.NoteN > 1 {
+		nargs = 2
+	}
+	start, f := len(b), sp.NoteFmt
+	for used := 0; ; used++ {
+		i := strings.IndexByte(f, '%')
+		if i < 0 {
+			if used == nargs {
+				return append(b, f...)
+			}
+			break
+		}
+		if used == nargs || i+1 == len(f) || f[i+1] != 'd' {
+			break
+		}
+		b = append(b, f[:i]...)
+		b = strconv.AppendInt(b, int64(args[used]), 10)
+		f = f[i+2:]
+	}
+	if nargs == 1 {
+		return fmt.Appendf(b[:start], sp.NoteFmt, sp.NoteArg0)
+	}
+	return fmt.Appendf(b[:start], sp.NoteFmt, sp.NoteArg0, sp.NoteArg1)
 }
 
 // Dur returns the span's duration.
@@ -250,6 +286,10 @@ type Recorder struct {
 	// derives them from the retained spans.
 	countsOn bool
 	counts   *timeseries.Series
+
+	// order is Spans' sort keys, kept so repeated exports reuse their
+	// array: one integer per retained span, never a Span.
+	order []uint64
 }
 
 // NewRecorder returns a recorder whose flight ring holds flightCap
@@ -415,10 +455,11 @@ func (r *Recorder) Reset() {
 }
 
 // Spans returns a copy of the retained spans sorted by start time
-// (ties by ID, which is completion order).
+// (ties by ID, which is completion order). It allocates only the slice
+// it returns.
 func (r *Recorder) Spans() []Span {
-	out := append([]Span(nil), r.retain...)
-	sort.Sort(byStart(out))
+	var out []Span
+	out, r.order = byStart(r.retain, r.order)
 	return out
 }
 
@@ -441,41 +482,83 @@ func (r *Recorder) Total() int64 { return r.total }
 // over it would be meaningless.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
-// byStart orders spans by start time, then ID. Less compares in
-// place: a comparison function taking two Spans by value copies both
-// on every call, which made slices.SortFunc twice as slow as this on
-// a 22k-span recording.
-type byStart []Span
-
-func (s byStart) Len() int      { return len(s) }
-func (s byStart) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byStart) Less(i, j int) bool {
-	if s[i].Start != s[j].Start {
-		return s[i].Start < s[j].Start
+// byStart returns a copy of spans in start order (ties by ID), and the
+// sort keys it used, in keys' array when that is large enough. Each
+// key packs a span's start and ID, as offsets from their minimums, above
+// its index, so plain integer order is start order; a recording whose
+// ranges do not fit in 64 bits sorts bare indexes by comparing the
+// spans. Either way each span is copied once, which is several times
+// faster than swapping the 168-byte spans themselves, and the keys are
+// all a caller need keep.
+func byStart(spans []Span, keys []uint64) ([]Span, []uint64) {
+	if cap(keys) < len(spans) {
+		keys = make([]uint64, 0, len(spans))
 	}
-	return s[i].ID < s[j].ID
+	keys = keys[:0]
+	if len(spans) == 0 {
+		return nil, keys
+	}
+	lo, hi := spans[0], spans[0]
+	for i := range spans {
+		sp := &spans[i]
+		lo.Start, hi.Start = min(lo.Start, sp.Start), max(hi.Start, sp.Start)
+		lo.ID, hi.ID = min(lo.ID, sp.ID), max(hi.ID, sp.ID)
+	}
+	idxBits := bits.Len(uint(len(spans) - 1))
+	idBits := bits.Len64(uint64(hi.ID) - uint64(lo.ID))
+	index := uint64(1)<<idxBits - 1 // the key bits that hold the index
+	if bits.Len64(uint64(hi.Start)-uint64(lo.Start))+idBits+idxBits <= 64 {
+		for i := range spans {
+			sp := &spans[i]
+			keys = append(keys, (uint64(sp.Start)-uint64(lo.Start))<<(idBits+idxBits)|
+				(uint64(sp.ID)-uint64(lo.ID))<<idxBits|uint64(i))
+		}
+		slices.Sort(keys)
+	} else {
+		for i := range spans {
+			keys = append(keys, uint64(i))
+		}
+		slices.SortFunc(keys, func(i, j uint64) int {
+			a, b := &spans[i], &spans[j]
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		index = math.MaxUint64
+	}
+	out := make([]Span, len(keys))
+	for n, k := range keys {
+		out[n] = spans[k&index]
+	}
+	return out, keys
 }
 
-// inOrder returns spans ordered by byStart: spans itself when it
-// already is (Recorder.Spans output), a sorted copy otherwise. The
-// caller's slice is never reordered.
+// inOrder returns spans in start order: spans itself when it already
+// is (Recorder.Spans output), a sorted copy otherwise. The caller's
+// slice is never reordered.
 func inOrder(spans []Span) []Span {
-	if sort.IsSorted(byStart(spans)) {
-		return spans
+	for i := 1; i < len(spans); i++ {
+		a, b := &spans[i-1], &spans[i]
+		if b.Start < a.Start || b.Start == a.Start && b.ID < a.ID {
+			out, _ := byStart(spans, nil)
+			return out
+		}
 	}
-	out := slices.Clone(spans)
-	sort.Sort(byStart(out))
-	return out
+	return spans
 }
 
 // Format writes spans as an indented text listing — the flight-recorder
 // dump format. Spans are ordered by start time; children indent under
-// the nearest enclosing recorded parent.
+// the nearest enclosing recorded parent. Each span is one line, built
+// in a reused buffer and written with one Write.
 func Format(w io.Writer, spans []Span) (int64, error) {
 	ordered := inOrder(spans)
 	depth := make(map[ID]int, len(ordered))
 	var n int64
-	for _, sp := range ordered {
+	var line []byte
+	for i := range ordered {
+		sp := &ordered[i]
 		d := 0
 		if sp.Parent != None {
 			if pd, ok := depth[sp.Parent]; ok {
@@ -483,52 +566,25 @@ func Format(w io.Writer, spans []Span) (int64, error) {
 			}
 		}
 		depth[sp.ID] = d
-		k, err := fmt.Fprintf(w, "%*s%v", 2*d, "", sp.Kind)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
+		line = fmt.Appendf(line[:0], "%*s%v", 2*d, "", sp.Kind)
 		if note := sp.NoteText(); note != "" {
-			k, err = fmt.Fprintf(w, " (%s)", note)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			line = fmt.Appendf(line, " (%s)", note)
 		}
-		k, err = fmt.Fprintf(w, " [%v +%v]", sp.Start, sp.Dur())
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
+		line = fmt.Appendf(line, " [%v +%v]", sp.Start, sp.Dur())
 		if sp.Page >= 0 {
-			k, err = fmt.Fprintf(w, " page=%d", sp.Page)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			line = fmt.Appendf(line, " page=%d", sp.Page)
 		}
 		if sp.Proc >= 0 {
-			k, err = fmt.Fprintf(w, " proc=%d", sp.Proc)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			line = fmt.Appendf(line, " proc=%d", sp.Proc)
 		}
 		if sp.State != "" {
-			k, err = fmt.Fprintf(w, " state=%s dirMask=%b", sp.State, sp.DirMask)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			line = fmt.Appendf(line, " state=%s dirMask=%b", sp.State, sp.DirMask)
 		}
 		if sp.Self != 0 {
-			k, err = fmt.Fprintf(w, " %v=%v", sp.Cause, sp.Self)
-			n += int64(k)
-			if err != nil {
-				return n, err
-			}
+			line = fmt.Appendf(line, " %v=%v", sp.Cause, sp.Self)
 		}
-		k, err = fmt.Fprintln(w)
+		line = append(line, '\n')
+		k, err := w.Write(line)
 		n += int64(k)
 		if err != nil {
 			return n, err

@@ -2,7 +2,10 @@ package span
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -141,9 +144,10 @@ func TestValidateNesting(t *testing.T) {
 		{ID: 1, Kind: KindSlice, Track: 7, Start: 0, End: 100, Proc: 0},
 		{ID: 2, Parent: 1, Kind: KindFault, Track: 7, Start: 10, End: 50},
 		{ID: 3, Parent: 2, Kind: KindShootdown, Track: 7, Start: 20, End: 30},
-		{ID: 4, Kind: KindFault, Track: 7, Start: 50, End: 70}, // touching is disjoint
-		{ID: 5, Kind: KindFault, Track: 9, Start: 15, End: 60}, // other track
-		{ID: 6, Kind: KindFault, Track: 7, Start: 80, End: 80}, // zero duration
+		{ID: 4, Kind: KindFault, Track: 7, Start: 50, End: 70},  // touching is disjoint
+		{ID: 5, Kind: KindFault, Track: 9, Start: 15, End: 60},  // other track
+		{ID: 6, Kind: KindFault, Track: 7, Start: 80, End: 80},  // zero duration
+		{ID: 7, Kind: KindFault, Track: 9, Start: 60, End: 150}, // outlasts track 7's open spans
 	}
 	if err := ValidateNesting(ok); err != nil {
 		t.Fatalf("valid nesting rejected: %v", err)
@@ -168,6 +172,55 @@ func TestValidateNesting(t *testing.T) {
 	escape[1].End = 60
 	if err := ValidateNesting(escape); err == nil {
 		t.Fatalf("child escaping parent not detected")
+	}
+}
+
+// TestByStartOrders checks both of byStart's sorts against a plain
+// comparison sort: packed keys when the start and ID ranges fit beside
+// the index in 64 bits, and the comparison fallback when they do not.
+func TestByStartOrders(t *testing.T) {
+	cases := map[string]func(i int) (sim.Time, ID){
+		"packed":        func(i int) (sim.Time, ID) { return sim.Time(i * 7919 % 1000), ID(3000 - i) },
+		"wide starts":   func(i int) (sim.Time, ID) { return sim.Time(i*7919%1000) << 52 * sim.Time(1-i%2*2), ID(i) },
+		"wide ids":      func(i int) (sim.Time, ID) { return sim.Time(i % 5), ID(i) << 50 },
+		"extreme start": func(i int) (sim.Time, ID) { return []sim.Time{math.MinInt64, math.MaxInt64, 0}[i%3], ID(i) },
+	}
+	for name, gen := range cases {
+		spans := make([]Span, 2000)
+		for i := range spans {
+			spans[i].Start, spans[i].ID = gen(i)
+			spans[i].Page = int64(i)
+		}
+		want := slices.Clone(spans)
+		slices.SortFunc(want, func(a, b Span) int { return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID)) })
+		got, _ := byStart(spans, nil)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: byStart order differs from a comparison sort", name)
+		}
+	}
+	if got, _ := byStart(nil, nil); got != nil {
+		t.Errorf("byStart of no spans = %v, want nil", got)
+	}
+}
+
+// TestValidateNestingReportsLowestTrack checks that when several tracks
+// break nesting, ValidateNesting reports the lowest-numbered one on
+// every call, so platinum-report -spans fails the same way each time;
+// a sweep over a map of tracks would name one at random.
+func TestValidateNestingReportsLowestTrack(t *testing.T) {
+	var spans []Span
+	for trk := 8; trk > 0; trk-- {
+		id := ID(2 * trk)
+		spans = append(spans,
+			Span{ID: id - 1, Kind: KindFault, Track: trk, Start: 0, End: 50},
+			Span{ID: id, Kind: KindFault, Track: trk, Start: 40, End: 60})
+	}
+	want := "span: track 1: fault id=2 [40ns,60ns] partially overlaps fault id=1 [0ns,50ns]"
+	for i := 0; i < 50; i++ {
+		err := ValidateNesting(spans)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"platinum/internal/sim"
 )
@@ -63,21 +64,24 @@ func Reconcile(spans []Span, total sim.Account) error {
 // platinum-report -spans runs it before writing an export
 // (TestValidateApps).
 func ValidateNesting(spans []Span) error {
-	byID := make(map[ID]Span, len(spans))
-	for _, sp := range spans {
+	byID := make(map[ID]int, len(spans)) // span id -> index in spans
+	for i := range spans {
+		sp := &spans[i]
 		if sp.End < sp.Start {
 			return fmt.Errorf("span: %v id=%d has End %v before Start %v", sp.Kind, sp.ID, sp.End, sp.Start)
 		}
-		byID[sp.ID] = sp
+		byID[sp.ID] = i
 	}
-	for _, sp := range spans {
+	for i := range spans {
+		sp := &spans[i]
 		if sp.Parent == None {
 			continue
 		}
-		p, ok := byID[sp.Parent]
+		pi, ok := byID[sp.Parent]
 		if !ok {
 			continue // parent fell out of a bounded ring; not an error
 		}
+		p := &spans[pi]
 		if sp.Start < p.Start || sp.End > p.End {
 			return fmt.Errorf("span: %v id=%d [%v,%v] escapes parent %v id=%d [%v,%v]",
 				sp.Kind, sp.ID, sp.Start, sp.End, p.Kind, p.ID, p.Start, p.End)
@@ -87,35 +91,34 @@ func ValidateNesting(spans []Span) error {
 				sp.Kind, sp.ID, sp.Track, p.Kind, p.ID, p.Track)
 		}
 	}
-	// Per-track interval nesting: sweep in start order (longer span
-	// first on ties so enclosing spans are seen before their children)
-	// with a stack of open intervals.
-	byTrack := make(map[int][]Span)
-	for _, sp := range spans {
-		byTrack[sp.Track] = append(byTrack[sp.Track], sp)
+	// Per-track interval nesting: sweep the tracks in ascending order,
+	// each in start order (longer span first on ties so enclosing spans
+	// are seen before their children), with a stack of open intervals.
+	// The order makes the reported violation the same on every call.
+	order := make([]int, len(spans))
+	for i := range order {
+		order[i] = i
 	}
-	for trk, ts := range byTrack {
-		sort.Slice(ts, func(i, j int) bool {
-			if ts[i].Start != ts[j].Start {
-				return ts[i].Start < ts[j].Start
-			}
-			if ts[i].End != ts[j].End {
-				return ts[i].End > ts[j].End
-			}
-			return ts[i].ID < ts[j].ID
-		})
-		var stack []Span
-		for _, sp := range ts {
-			for len(stack) > 0 && stack[len(stack)-1].End <= sp.Start {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) > 0 && sp.End > stack[len(stack)-1].End {
-				top := stack[len(stack)-1]
-				return fmt.Errorf("span: track %d: %v id=%d [%v,%v] partially overlaps %v id=%d [%v,%v]",
-					trk, sp.Kind, sp.ID, sp.Start, sp.End, top.Kind, top.ID, top.Start, top.End)
-			}
-			stack = append(stack, sp)
+	slices.SortFunc(order, func(i, j int) int {
+		a, b := &spans[i], &spans[j]
+		return cmp.Or(cmp.Compare(a.Track, b.Track), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(b.End, a.End), cmp.Compare(a.ID, b.ID))
+	})
+	var stack []*Span
+	for n, i := range order {
+		sp := &spans[i]
+		if n > 0 && spans[order[n-1]].Track != sp.Track {
+			stack = stack[:0]
 		}
+		for len(stack) > 0 && stack[len(stack)-1].End <= sp.Start {
+			stack = stack[:len(stack)-1]
+		}
+		if len(stack) > 0 && sp.End > stack[len(stack)-1].End {
+			top := stack[len(stack)-1]
+			return fmt.Errorf("span: track %d: %v id=%d [%v,%v] partially overlaps %v id=%d [%v,%v]",
+				sp.Track, sp.Kind, sp.ID, sp.Start, sp.End, top.Kind, top.ID, top.Start, top.End)
+		}
+		stack = append(stack, sp)
 	}
 	return nil
 }

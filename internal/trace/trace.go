@@ -9,8 +9,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"platinum/internal/core"
@@ -179,37 +181,47 @@ func NodeBuckets(events []core.Event, width sim.Time) []NodeBucket {
 	if width <= 0 || len(events) == 0 {
 		return nil
 	}
+	// Sort one key per counted event by cell, then count runs: every
+	// cell's counters are a window of one array, sized once.
 	type key struct {
-		bucket sim.Time
-		node   int
+		start sim.Time
+		node  int
+		kind  core.EventKind
 	}
 	nkinds := len(core.EventKinds())
-	cells := make(map[key]int) // cell -> its index in out
-	var out []NodeBucket
-	var counts []int // nkinds counters per cell, in out's order
+	keys := make([]key, 0, len(events))
 	for _, ev := range events {
-		if ev.Proc < 0 || int(ev.Kind) >= nkinds {
-			continue
+		if ev.Proc >= 0 && int(ev.Kind) < nkinds {
+			keys = append(keys, key{ev.Time / width * width, ev.Proc, ev.Kind})
 		}
-		k := key{bucket: ev.Time / width * width, node: ev.Proc}
-		i, ok := cells[k]
-		if !ok {
-			i = len(out)
-			cells[k] = i
-			out = append(out, NodeBucket{Start: k.bucket, Node: k.node})
-			counts = append(counts, make([]int, nkinds)...)
-		}
-		counts[i*nkinds+int(ev.Kind)]++
 	}
-	for i := range out {
-		out[i].ByKind = counts[i*nkinds : (i+1)*nkinds : (i+1)*nkinds]
+	if len(keys) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return out[i].Node < out[j].Node
+		return cmp.Compare(a.node, b.node)
 	})
+	newCell := func(i int) bool {
+		return i == 0 || keys[i].start != keys[i-1].start || keys[i].node != keys[i-1].node
+	}
+	cells := 0
+	for i := range keys {
+		if newCell(i) {
+			cells++
+		}
+	}
+	out := make([]NodeBucket, 0, cells)
+	counts := make([]int, cells*nkinds)
+	for i, k := range keys {
+		if newCell(i) {
+			c := len(out)
+			out = append(out, NodeBucket{Start: k.start, Node: k.node, ByKind: counts[c*nkinds : (c+1)*nkinds : (c+1)*nkinds]})
+		}
+		out[len(out)-1].ByKind[k.kind]++
+	}
 	return out
 }
 
