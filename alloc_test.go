@@ -4,8 +4,8 @@ package platinum
 // step (Advance, both the fast path and the fused handoff, Delay+Sync,
 // and the Block/Unblock handoff), a whole Reset/Spawn/Run cycle, span
 // Begin/End recording, and account charging must not allocate in
-// steady state, and a whole quick Fig. 1 regeneration is pinned at its
-// steady-state count. The Chrome span export must make as many
+// steady state, and a run on a fresh engine and a whole quick Fig. 1
+// regeneration are pinned at their steady-state counts. The Chrome span export must make as many
 // allocations for 10,000 spans as for 1,000
 // (TestChromeExportSteadyAllocs), the report export as many for 1,000
 // pages and windows as for 10 (TestReportExportSteadyAllocs), and
@@ -72,8 +72,8 @@ func TestChargeZeroAlloc(t *testing.T) {
 }
 
 // TestHandoffZeroAlloc pins the fused handoff step — two threads in
-// lockstep, every Advance a switch through the engine loop to the
-// peer — at zero allocations.
+// lockstep, every Advance a coroutine switch to the peer — at zero
+// allocations.
 func TestHandoffZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector allocates; run without -race")
@@ -213,6 +213,41 @@ func TestSpawnRunZeroAlloc(t *testing.T) {
 	cycle() // warm the free lists and the worker pool
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("Reset/Spawn/Run cycle allocates %v per run, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshEngineAllocs is what a run on a fresh engine costs once the
+// idle worker pool is warm — NewEngine, eight Spawns of a closure each,
+// and Run: the engine (1), the threads (8), their closures (8), and the
+// growth of the thread table and of the ready heap to eight entries
+// (4 each). Dispatch bookkeeping adds none: the engine keeps its idle
+// workers in a list linked through the workers. Packages such as uma,
+// baseline and model boot a fresh engine for every run.
+const freshEngineAllocs = 25
+
+// TestFreshEngineSteadyAllocs pins a run on a fresh engine at exactly
+// freshEngineAllocs allocations.
+func TestFreshEngineSteadyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates; run without -race")
+	}
+	var err error
+	run := func() {
+		e := sim.NewEngine()
+		for j := 0; j < 8; j++ {
+			e.Spawn("w", func(th *sim.Thread) {
+				th.Advance(sim.Time(1 + j))
+				th.Advance(3)
+			})
+		}
+		err = e.Run()
+	}
+	run() // warm the worker pool
+	if got := testing.AllocsPerRun(100, run); got != freshEngineAllocs {
+		t.Errorf("a run on a fresh engine makes %v allocations, want %d", got, freshEngineAllocs)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,7 @@ func parseDur(s string) float64 {
 //   - fastpath-eligible: one thread always strictly minimum, so every
 //     Advance returns without any coroutine switch;
 //   - handoff: eight threads in lockstep, every Advance a fused
-//     replace-top handoff through the engine loop to the next thread;
+//     replace-top handoff, one coroutine switch to the next thread;
 //   - nofastpath: the same lockstep workload with the fast path
 //     disabled (the A/B determinism configuration).
 func BenchmarkEngineStep(b *testing.B) {
@@ -335,15 +335,19 @@ func BenchmarkTouchATCHit(b *testing.B) {
 	}
 	n := b.N
 	b.ResetTimer()
+	var touchErr error // b.Fatal must not run on a thread body's goroutine
 	e.Spawn("t", func(th *sim.Thread) {
 		for i := 0; i < n; i++ {
-			if _, err := s.Touch(th, 0, cm, 0, false); err != nil {
-				b.Fatal(err)
+			if _, touchErr = s.Touch(th, 0, cm, 0, false); touchErr != nil {
+				return
 			}
 		}
 	})
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if touchErr != nil {
+		b.Fatal(touchErr)
 	}
 }
 
@@ -371,17 +375,21 @@ func BenchmarkFaultReplication(b *testing.B) {
 	}
 	n := b.N
 	b.ResetTimer()
+	var touchErr error // b.Fatal must not run on a thread body's goroutine
 	e.Spawn("t", func(th *sim.Thread) {
 		for i := 0; i < n; i++ {
 			// Write on alternating processors migrates the page back
 			// and forth: one full fault + shootdown + transfer per op.
-			if _, err := s.Touch(th, i%2, cm, 0, true); err != nil {
-				b.Fatal(err)
+			if _, touchErr = s.Touch(th, i%2, cm, 0, true); touchErr != nil {
+				return
 			}
 		}
 	})
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if touchErr != nil {
+		b.Fatal(touchErr)
 	}
 }
 

@@ -4,12 +4,13 @@
 //
 // The engine multiplexes any number of simulated threads, each with its
 // own virtual clock. Each thread's body runs on a coroutine (iter.Pull)
-// taken from a process-wide pool of reusable workers, and one engine
-// loop, in Run, owns all dispatch: it resumes the runnable thread with
-// the globally minimum (clock, id) pair and regains control when that
-// thread yields, blocks or finishes. At most one simulated thread
-// executes at a time, so every run is bit-for-bit reproducible
-// regardless of the Go scheduler.
+// taken from a process-wide pool of reusable workers. Dispatch always
+// resumes the runnable thread with the globally minimum (clock, id)
+// pair, and there is no central loop: a thread that yields, blocks or
+// finishes picks its successor and resumes it itself, with one
+// coroutine switch, while Run's caller waits until the run ends (see
+// worker.go). At most one simulated thread executes at a time, so
+// every run is bit-for-bit reproducible regardless of the Go scheduler.
 //
 // A simulated thread consumes virtual time by calling Advance, blocks by
 // calling Block, and is made runnable again when some other thread calls
@@ -26,9 +27,8 @@
 //     coroutine switch at all (see Thread.Advance); SetFastPath
 //     disables it per engine for A/B testing.
 //   - fused handoff: a thread that advances past the earliest ready
-//     thread swaps itself into that thread's heap slot and hands it to
-//     the engine loop as its successor, so the loop resumes it without
-//     a second heap operation.
+//     thread swaps itself into that thread's heap slot and resumes it
+//     as its successor, without a second heap operation.
 //   - deferred dispatch check: Delay advances the clock without the
 //     check, and Sync makes it before the thread's next shared action,
 //     so a thread yields only where order matters. Spawn, Unblock and
@@ -39,6 +39,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 
 	"platinum/internal/hist"
@@ -103,10 +104,18 @@ type Engine struct {
 
 	// fastSteps counts dispatches elided entirely (a thread kept
 	// executing in place, without any coroutine switch); slowSteps
-	// counts the engine loop's resumes of a suspended thread. Exposed
-	// through Stats.
+	// counts dispatches, each a handoff to the dispatched thread by one
+	// coroutine switch, or none when that thread runs on the
+	// dispatching goroutine. Exposed through Stats.
 	fastSteps int64
 	slowSteps int64
+
+	// callerAt is the coroutine Run's caller waits at (see worker.go);
+	// spare lists the workers of finished threads, linked through
+	// worker.link, for the engine's next threads and, once the run
+	// ends, for the idle pool.
+	callerAt *worker
+	spare    *worker
 
 	// nodeAcct accumulates per-node cost attribution for threads bound
 	// via Thread.BindNode (see account.go); grown on demand.
@@ -124,7 +133,7 @@ type Engine struct {
 
 	// pool holds finished Thread structs recycled by Reset, which
 	// Spawn reuses for new threads. (Their workers went back to the
-	// process-wide idle pool when their bodies finished.)
+	// process-wide idle pool when Run returned.)
 	pool []*Thread
 }
 
@@ -170,8 +179,8 @@ func NewEngine() *Engine {
 // the coroutine switches are elided. Enabled by default.
 func (e *Engine) SetFastPath(on bool) { e.fastPath = on }
 
-// Stats reports scheduler counters: dispatches elided by the fast path
-// and the engine loop's resumes of suspended threads (handoffs).
+// Stats reports scheduler counters: dispatches elided by the fast path,
+// and dispatches made, each a handoff to the thread dispatched.
 func (e *Engine) Stats() (fastSteps, slowSteps int64) {
 	return e.fastSteps, e.slowSteps
 }
@@ -221,46 +230,60 @@ func (e *Engine) Spawn(name string, fn func(*Thread)) *Thread {
 // Run executes the simulation until every non-daemon thread has finished.
 // It returns ErrDeadlock if non-daemon threads remain but all are blocked.
 // Daemon threads (see Thread.SetDaemon) still runnable at shutdown are
-// unwound cleanly.
+// unwound cleanly. The caller dispatches the first thread and then waits
+// until a thread ends the run; a body's runtime.Goexit ends the caller
+// too.
 //
 // Run must not be called from a goroutine locked to its OS thread: the
 // runtime aborts when a coroutine, shared here by all engines, is
 // resumed under other thread locking than its creator's.
 func (e *Engine) Run() error {
 	defer e.shutdown()
-	var t *Thread // the successor the last thread handed over, if any
-	for {
-		if t == nil {
-			if e.nlive == 0 || e.fail != nil {
-				return e.fail
-			}
-			// If every live non-daemon thread is blocked, daemons in this
-			// system never unblock application threads, so this is a
-			// deadlock even while daemons remain runnable.
-			if e.readyND == 0 {
-				return ErrDeadlock
-			}
-			t = e.ready.pop()
-			if !t.daemon {
-				e.readyND--
-			}
+	if w := e.dispatch(nil); w != nil {
+		e.wait(w.at)
+	}
+	if e.nlive == 0 || e.fail != nil {
+		return e.fail
+	}
+	// Every live non-daemon thread is blocked. Daemons in this system
+	// never unblock application threads, so this is a deadlock even
+	// while daemons remain runnable.
+	return ErrDeadlock
+}
+
+// dispatch makes next, or the earliest ready thread if next is nil, the
+// running thread, and returns the worker that runs it. It returns nil
+// instead when the run is over — every non-daemon thread finished, a
+// body panicked, or every live non-daemon thread is blocked — or the
+// engine is shutting down: then Run's caller takes the processor back.
+func (e *Engine) dispatch(next *Thread) *worker {
+	if next == nil {
+		if e.stopping || e.nlive == 0 || e.fail != nil || e.readyND == 0 {
+			return nil
 		}
-		if t.clock > e.now {
-			e.now = t.clock
+		next = e.ready.pop()
+		if !next.daemon {
+			e.readyND--
 		}
-		e.running = t
-		t.state = stateRunning
-		e.slowSteps++
-		// Run t on its worker until it gives control back, handing over
-		// its successor (nil: pick one).
-		if t.w == nil {
-			getWorker(t)
-		}
-		next, _ := t.w.next()
-		if t.state == stateDone {
-			putWorker(t)
-		}
-		t = next
+	}
+	if next.clock > e.now {
+		e.now = next.clock
+	}
+	e.running = next
+	next.state = stateRunning
+	e.slowSteps++
+	if next.w == nil {
+		e.getWorker(next)
+	}
+	return next.w
+}
+
+// wait is Run's caller's switch: it resumes the goroutine waiting at c
+// and returns once the processor comes back. A body's runtime.Goexit
+// ends the caller too (see passGoexit).
+func (e *Engine) wait(c *worker) {
+	if !switchOn(&e.callerAt, c) {
+		runtime.Goexit()
 	}
 }
 
@@ -268,6 +291,12 @@ func (e *Engine) Run() error {
 // stopping engine, a thread panics with errStopped at its suspension
 // point (or, never dispatched, skips its body), so it finishes; a
 // deferred call that suspends it again while unwinding is resumed again.
+// Then every worker is idle, and shutdown walks each back to its own
+// coroutine and returns it to the idle pool. Resuming a worker that
+// waits elsewhere sends it home, which resumes the worker waiting at
+// its coroutine, which goes home in turn, until the one whose coroutine
+// the caller waits at resumes the caller: one wait puts a whole cycle
+// of the permutation home.
 func (e *Engine) shutdown() {
 	e.stopping = true
 	for _, t := range e.threads {
@@ -275,13 +304,19 @@ func (e *Engine) shutdown() {
 			continue
 		}
 		if t.w == nil {
-			getWorker(t)
+			e.getWorker(t)
 		}
 		for t.state != stateDone {
-			t.w.next()
+			e.wait(t.w.at)
 		}
-		putWorker(t)
 	}
+	for w := e.spare; w != nil; w = w.link {
+		if w.at != w {
+			e.wait(w.at)
+		}
+	}
+	putWorkers(e.spare)
+	e.spare = nil
 }
 
 // Reset returns the engine to its freshly-constructed state — virtual

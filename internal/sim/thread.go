@@ -24,7 +24,7 @@ type Thread struct {
 	state   threadState
 	pending bool // a Delay's dispatch check is still to be made
 
-	fn      func(*Thread) // the body; nil once it has finished
+	fn      func(*Thread) // the body; nil once it has returned or finished
 	w       *worker       // runs the body; nil before dispatch and once done
 	heapIdx int           // index in the ready heap, -1 if absent
 
@@ -64,31 +64,41 @@ func (t *Thread) SetDaemon(d bool) {
 	}
 }
 
-// suspend gives control back to the engine loop, handing it next to run
-// (nil: the loop picks), and returns once the loop resumes t. On a
-// stopping engine it unwinds t instead.
+// suspend gives the processor to next (nil: the earliest ready thread,
+// or Run's caller once the run is over) and returns once t is resumed.
+// On a stopping engine it unwinds t instead.
 func (t *Thread) suspend(next *Thread) {
-	t.w.yield(next)
+	t.w.handoff(t.engine, next)
 	if t.engine.stopping {
 		panic(errStopped{})
 	}
 }
 
-// finish runs when t's body returns or panics, on t's worker: it marks
-// t done and records a panic other than errStopped as the machine
-// halting, for Run to report.
+// finish runs when t's body returns, panics or calls runtime.Goexit, on
+// t's worker: it marks t done, records a panic other than errStopped as
+// the machine halting, for Run to report, and leaves the worker to the
+// engine's spare list, or, after a Goexit, to passGoexit.
 func (t *Thread) finish() {
 	e := t.engine
-	if r := recover(); r != nil {
+	r := recover()
+	if r != nil {
 		if _, ok := r.(errStopped); !ok && e.fail == nil {
 			e.fail = &ThreadPanicError{Thread: t.name, Value: r}
 		}
 	}
+	goexit := r == nil && t.fn != nil // neither returned nor panicked
 	t.state = stateDone
 	t.fn = nil // Reset's free list keeps t; let the body's captures go
 	if !t.daemon {
 		e.nlive--
 	}
+	w := t.w
+	w.t, t.w = nil, nil
+	if goexit {
+		e.passGoexit(w)
+		return
+	}
+	w.link, e.spare = e.spare, w
 }
 
 // Advance consumes d of virtual time and yields to the scheduler, so any
@@ -97,11 +107,10 @@ func (t *Thread) finish() {
 //
 // Fast path: if after advancing the thread is still strictly the
 // earliest runnable thread — the ready heap is empty, or its minimum
-// entry orders after (clock, id) — the engine loop would pop this thread
-// right back, so Advance skips the round trip through the loop and
-// returns with the thread still running. This elides two coroutine
-// switches per reference for any phase where one thread runs behind all
-// others (in particular the whole of every 1-processor run) while
+// entry orders after (clock, id) — dispatch would pop this thread right
+// back, so Advance skips it and returns with the thread still running.
+// This elides the dispatch for any phase where one thread runs behind
+// all others (in particular the whole of every 1-processor run) while
 // leaving the dispatch order bit-for-bit identical.
 func (t *Thread) Advance(d Time) {
 	if d < 0 {
@@ -124,9 +133,9 @@ func (t *Thread) Advance(d Time) {
 		if !t.daemon {
 			// Fused handoff: top orders before t, so push(t)+pop() would
 			// return exactly top. Swap t into top's slot with one
-			// sift-down and hand top to the engine loop as the successor.
-			// t being a live non-daemon guarantees the loop's liveness
-			// conditions (nlive > 0, a non-daemon ready) hold.
+			// sift-down and resume top as the successor. t being a live
+			// non-daemon guarantees the run is not over (nlive > 0, a
+			// non-daemon ready).
 			u := e.ready.replaceTop(t)
 			t.state = stateReady
 			if u.daemon {
