@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"platinum/internal/mach"
@@ -60,12 +61,13 @@ func (fx *fixture) run(fn func(th *sim.Thread)) {
 	}
 }
 
-// touch is a Touch that fails the test on error.
+// touch is a Touch that panics on error, which ends the body and fails
+// the test through fx.run. It runs on a thread body, where the test's
+// FailNow is not allowed.
 func (fx *fixture) touch(th *sim.Thread, proc int, vpn int64, write bool) Copy {
-	fx.t.Helper()
 	c, err := fx.s.Touch(th, proc, fx.cm, vpn, write)
 	if err != nil {
-		fx.t.Fatalf("Touch(proc=%d, vpn=%d, write=%v): %v", proc, vpn, write, err)
+		panic(fmt.Sprintf("Touch(proc=%d, vpn=%d, write=%v): %v", proc, vpn, write, err))
 	}
 	return c
 }
@@ -142,7 +144,7 @@ func TestReadReplicationCopiesData(t *testing.T) {
 		th.Advance(quiet)
 		c1 := fx.touch(th, 1, 0, false)
 		if c1.Module != 1 {
-			t.Fatalf("read did not replicate locally: module %d", c1.Module)
+			panic(fmt.Sprintf("read did not replicate locally: module %d", c1.Module))
 		}
 		if got := fx.word(c1); got != 1234 {
 			t.Errorf("replica word = %d, want 1234", got)
@@ -187,7 +189,7 @@ func TestWriteMigrationMovesPageAndData(t *testing.T) {
 		th.Advance(quiet)
 		c1 := fx.touch(th, 1, 0, true)
 		if c1.Module != 1 {
-			t.Fatalf("write miss did not migrate: module %d", c1.Module)
+			panic(fmt.Sprintf("write miss did not migrate: module %d", c1.Module))
 		}
 		if got := fx.word(c1); got != 777 {
 			t.Errorf("migrated word = %d, want 777", got)
@@ -239,7 +241,7 @@ func TestWriteOnPresentPlusReclaimsRemoteCopies(t *testing.T) {
 		fx.touch(th, 1, 0, false)
 		fx.touch(th, 2, 0, false)
 		if len(cp.Copies()) != 3 {
-			t.Fatalf("copies = %d, want 3", len(cp.Copies()))
+			panic(fmt.Sprintf("copies = %d, want 3", len(cp.Copies())))
 		}
 		fx.touch(th, 0, 0, true)
 		if len(cp.Copies()) != 1 {
@@ -340,7 +342,7 @@ func TestThawOnFaultVariant(t *testing.T) {
 		th.Advance(sim.Millisecond)
 		fx.touch(th, 2, 0, true) // freezes
 		if !cp.Frozen() {
-			t.Fatal("page not frozen")
+			panic("page not frozen")
 		}
 		th.Advance(quiet)
 		c := fx.touch(th, 3, 0, true)
@@ -367,10 +369,10 @@ func TestDefrostSweepThaws(t *testing.T) {
 		fx.touch(th, 2, 0, true) // freezes
 		th.Advance(quiet)
 		if n := fx.s.DefrostSweep(th, 0); n != 1 {
-			t.Fatalf("DefrostSweep thawed %d, want 1", n)
+			panic(fmt.Sprintf("DefrostSweep thawed %d, want 1", n))
 		}
 		if cp.Frozen() {
-			t.Fatal("page frozen after sweep")
+			panic("page frozen after sweep")
 		}
 		// All mappings were invalidated: the writer re-faults.
 		if _, ok := fx.cm.translation(2, 0); ok {
@@ -429,12 +431,12 @@ func TestProtectionViolation(t *testing.T) {
 	fx.mapPage(0, Read) // read-only binding
 	fx.run(func(th *sim.Thread) {
 		if _, err := fx.s.Touch(th, 0, fx.cm, 0, false); err != nil {
-			t.Fatalf("read: %v", err)
+			panic(fmt.Sprintf("read: %v", err))
 		}
 		_, err := fx.s.Touch(th, 0, fx.cm, 0, true)
 		var pv *ErrProtection
 		if !errors.As(err, &pv) {
-			t.Fatalf("write on read-only page: err = %v, want ErrProtection", err)
+			panic(fmt.Sprintf("write on read-only page: err = %v, want ErrProtection", err))
 		}
 	})
 }
@@ -445,7 +447,7 @@ func TestUnmappedAccess(t *testing.T) {
 		_, err := fx.s.Touch(th, 0, fx.cm, 42, false)
 		var um *ErrUnmapped
 		if !errors.As(err, &um) {
-			t.Fatalf("err = %v, want ErrUnmapped", err)
+			panic(fmt.Sprintf("err = %v, want ErrUnmapped", err))
 		}
 	})
 }
@@ -562,11 +564,11 @@ func TestActivationAppliesQueuedMessages(t *testing.T) {
 		fx.touch(th, 0, 0, true) // reclaims module 1's copy
 		// Proc 1 was not interrupted; the change is queued.
 		if fx.cm.PendingMessages() == 0 {
-			t.Fatal("no Cmap message queued for inactive processor")
+			panic("no Cmap message queued for inactive processor")
 		}
 		// Stale translation still present until activation...
 		if _, ok := fx.cm.translation(1, 0); !ok {
-			t.Fatal("inactive proc's translation removed eagerly")
+			panic("inactive proc's translation removed eagerly")
 		}
 		// ...and applied on activation.
 		fx.cm.Activate(th, 1)

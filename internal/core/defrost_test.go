@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"platinum/internal/mach"
@@ -45,15 +46,15 @@ func TestFrozenPagesListing(t *testing.T) {
 	fx.run(func(th *sim.Thread) {
 		freezePage(fx, th, 0, 0, 1, 2)
 		if got := len(fx.s.FrozenPages()); got != 1 {
-			t.Fatalf("frozen pages = %d, want 1", got)
+			panic(fmt.Sprintf("frozen pages = %d, want 1", got))
 		}
 		freezePage(fx, th, 1, 3, 4, 5)
 		if got := len(fx.s.FrozenPages()); got != 2 {
-			t.Fatalf("frozen pages = %d, want 2", got)
+			panic(fmt.Sprintf("frozen pages = %d, want 2", got))
 		}
 		fx.s.DefrostSweep(th, 0)
 		if got := len(fx.s.FrozenPages()); got != 0 {
-			t.Fatalf("frozen pages after sweep = %d, want 0", got)
+			panic(fmt.Sprintf("frozen pages after sweep = %d, want 0", got))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"platinum/internal/mach"
@@ -26,14 +27,14 @@ func TestRefreezeDoesNotGrowFrozenList(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			freezePage(fx, th, 0, 0, 1, 2)
 			if !cp.Frozen() {
-				t.Fatalf("round %d: page not frozen", i)
+				panic(fmt.Sprintf("round %d: page not frozen", i))
 			}
 			// A write fault from another processor migrates and thaws the
 			// page without the daemon ever seeing it.
 			th.Advance(quiet)
 			fx.touch(th, 3, 0, true)
 			if cp.Frozen() {
-				t.Fatalf("round %d: fault did not thaw", i)
+				panic(fmt.Sprintf("round %d: fault did not thaw", i))
 			}
 			th.Advance(quiet)
 		}
@@ -62,7 +63,7 @@ func TestFrameExhaustionFallsBackToRemote(t *testing.T) {
 		}
 		for m := 0; m < 4; m++ {
 			if free := fx.s.Memory().Module(m).FreeFrames(); free != 0 {
-				t.Fatalf("module %d still has %d free frames", m, free)
+				panic(fmt.Sprintf("module %d still has %d free frames", m, free))
 			}
 		}
 		// A read fault on page 0 from proc 1 cannot replicate (no frames
@@ -71,7 +72,7 @@ func TestFrameExhaustionFallsBackToRemote(t *testing.T) {
 		th.Advance(quiet)
 		c, err := fx.s.Touch(th, 1, fx.cm, 0, false)
 		if err != nil {
-			t.Fatalf("read under exhaustion failed: %v", err)
+			panic(fmt.Sprintf("read under exhaustion failed: %v", err))
 		}
 		if c.Module != 0 {
 			t.Errorf("fallback mapped module %d, want remote copy on 0", c.Module)
@@ -86,7 +87,7 @@ func TestFrameExhaustionFallsBackToRemote(t *testing.T) {
 		// remote write mapping rather than failing.
 		th.Advance(quiet)
 		if _, err := fx.s.Touch(th, 2, fx.cm, 0, true); err != nil {
-			t.Fatalf("write under exhaustion failed: %v", err)
+			panic(fmt.Sprintf("write under exhaustion failed: %v", err))
 		}
 		// Only a never-materialized page has nowhere to go.
 		var nomem *ErrNoMemory
@@ -112,7 +113,7 @@ func TestInjectedAllocFailureIsGraceful(t *testing.T) {
 		// touch reports ErrNoMemory despite free frames.
 		var nomem *ErrNoMemory
 		if _, err := fx.s.Touch(th, 0, fx.cm, 0, false); !errors.As(err, &nomem) {
-			t.Fatalf("err = %v, want ErrNoMemory", err)
+			panic(fmt.Sprintf("err = %v, want ErrNoMemory", err))
 		}
 		if cp.Stats.AllocFails == 0 {
 			t.Error("injected failures not counted")
@@ -120,7 +121,7 @@ func TestInjectedAllocFailureIsGraceful(t *testing.T) {
 		// Remove the injector: the same access now succeeds.
 		fx.s.SetFaultInjector(nil)
 		if _, err := fx.s.Touch(th, 0, fx.cm, 0, false); err != nil {
-			t.Fatalf("touch after removing injector: %v", err)
+			panic(fmt.Sprintf("touch after removing injector: %v", err))
 		}
 		if err := fx.s.Validate(); err != nil {
 			t.Errorf("Validate: %v", err)
@@ -211,24 +212,24 @@ func TestTeardownDuringShootdownActivity(t *testing.T) {
 		th.Advance(quiet)
 		fx.touch(th, 1, 0, false)
 		if _, err := fx.s.Touch(th, 2, cm2, 7, false); err != nil {
-			t.Fatalf("space-2 touch: %v", err)
+			panic(fmt.Sprintf("space-2 touch: %v", err))
 		}
 		if len(cp.mappers) != 2 {
-			t.Fatalf("mappers = %d, want 2", len(cp.mappers))
+			panic(fmt.Sprintf("mappers = %d, want 2", len(cp.mappers)))
 		}
 		// Space 2 tears down its mapping while space 1's translations
 		// are live.
 		if err := cm2.Remove(th, 2, 7); err != nil {
-			t.Fatalf("Remove: %v", err)
+			panic(fmt.Sprintf("Remove: %v", err))
 		}
 		if err := fx.s.Validate(); err != nil {
-			t.Fatalf("Validate after teardown: %v", err)
+			panic(fmt.Sprintf("Validate after teardown: %v", err))
 		}
 		// A migration now must shoot down only the remaining space's
 		// translations — the dead CmapEntry is unlinked.
 		fx.touch(th, 3, 0, true)
 		if err := fx.s.Validate(); err != nil {
-			t.Fatalf("Validate after migration: %v", err)
+			panic(fmt.Sprintf("Validate after migration: %v", err))
 		}
 		if len(cp.mappers) != 1 {
 			t.Errorf("mappers after teardown = %d, want 1", len(cp.mappers))
@@ -254,7 +255,7 @@ func TestDirectoryDesyncReturnsErrInvariant(t *testing.T) {
 		_, err := fx.s.Touch(th, 3, fx.cm, 0, true)
 		var inv *ErrInvariant
 		if !errors.As(err, &inv) {
-			t.Fatalf("err = %v, want ErrInvariant", err)
+			panic(fmt.Sprintf("err = %v, want ErrInvariant", err))
 		}
 		if inv.Page != cp.id {
 			t.Errorf("error names page %d, want %d", inv.Page, cp.id)

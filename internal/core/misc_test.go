@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -188,17 +189,17 @@ func TestResolveAppliesAtomically(t *testing.T) {
 		if _, err := fx.s.Resolve(th, 0, fx.cm, 0, true, func(w []uint32) {
 			w[3] = 12345
 		}); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		// ...then read through the ATC-hit path.
 		var got uint32
 		if _, err := fx.s.Resolve(th, 0, fx.cm, 0, false, func(w []uint32) {
 			got = w[3]
 		}); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		if got != 12345 {
-			t.Fatalf("read back %d", got)
+			panic(fmt.Sprintf("read back %d", got))
 		}
 		// And the Pmap-reload path (fresh ATC via a second processor
 		// after replication).
@@ -206,10 +207,10 @@ func TestResolveAppliesAtomically(t *testing.T) {
 		if _, err := fx.s.Resolve(th, 1, fx.cm, 0, false, func(w []uint32) {
 			got = w[3]
 		}); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		if got != 12345 {
-			t.Fatalf("replica read back %d", got)
+			panic(fmt.Sprintf("replica read back %d", got))
 		}
 	})
 }

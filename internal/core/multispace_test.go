@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"platinum/internal/sim"
@@ -39,10 +40,10 @@ func TestShootdownCrossesAddressSpaces(t *testing.T) {
 		fx.touch(th, 0, 0, false)
 		th.Advance(quiet)
 		if _, err := fx.s.Touch(th, 1, fx.cm2, 7, false); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		if len(fx.cp.Copies()) != 2 {
-			t.Fatalf("copies = %d, want 2", len(fx.cp.Copies()))
+			panic(fmt.Sprintf("copies = %d, want 2", len(fx.cp.Copies())))
 		}
 		// A write through space 1 must invalidate space 2's translation.
 		fx.touch(th, 0, 0, true)
@@ -60,13 +61,13 @@ func TestCrossSpaceDataVisibility(t *testing.T) {
 	fx.run(func(th *sim.Thread) {
 		c, err := fx.s.Resolve(th, 2, fx.cm2, 7, true, func(w []uint32) { w[0] = 31337 })
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		_ = c
 		th.Advance(quiet)
 		var got uint32
 		if _, err := fx.s.Resolve(th, 5, fx.cm, 0, false, func(w []uint32) { got = w[0] }); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		if got != 31337 {
 			t.Errorf("space 1 read %d through shared page, want 31337", got)
@@ -80,13 +81,13 @@ func TestInactiveSecondSpaceGetsQueuedMessage(t *testing.T) {
 		fx.touch(th, 0, 0, false)
 		th.Advance(quiet)
 		if _, err := fx.s.Touch(th, 1, fx.cm2, 7, false); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		// Space 2's only user goes inactive.
 		fx.cm2.Deactivate(1)
 		fx.touch(th, 0, 0, true) // reclaim space 2's copy
 		if fx.cm2.PendingMessages() == 0 {
-			t.Fatal("no message queued for inactive space-2 processor")
+			panic("no message queued for inactive space-2 processor")
 		}
 		fx.cm2.Activate(th, 1)
 		if _, ok := fx.cm2.translation(1, 7); ok {
@@ -142,13 +143,13 @@ func TestCmapRemoveInvalidatesEverywhere(t *testing.T) {
 		th.Advance(quiet)
 		fx.touch(th, 1, 0, false)
 		if err := fx.cm.Remove(th, 0, 0); err != nil {
-			t.Fatalf("Remove: %v", err)
+			panic(fmt.Sprintf("Remove: %v", err))
 		}
 		// All translations gone; further access is an unmapped fault.
 		_, err := fx.s.Touch(th, 1, fx.cm, 0, false)
 		var um *ErrUnmapped
 		if !errors.As(err, &um) {
-			t.Fatalf("post-remove access: %v, want ErrUnmapped", err)
+			panic(fmt.Sprintf("post-remove access: %v, want ErrUnmapped", err))
 		}
 		// The page's copies survive (the object still exists), but no
 		// mapper remains.
@@ -177,10 +178,10 @@ func TestDiscardUnused(t *testing.T) {
 		// Untouched mapping: discard works.
 		cp2 := fx.s.NewCpage()
 		if _, err := fx.cm.Enter(1, cp2, Read); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		if err := fx.cm.DiscardUnused(1); err != nil {
-			t.Fatalf("DiscardUnused: %v", err)
+			panic(fmt.Sprintf("DiscardUnused: %v", err))
 		}
 		if fx.cm.Lookup(1) != nil {
 			t.Error("entry survived discard")
@@ -203,7 +204,7 @@ func TestValidateToleratesInactiveStaleTranslations(t *testing.T) {
 		fx.touch(th, 0, 0, false)
 		th.Advance(quiet)
 		if _, err := fx.s.Touch(th, 1, fx.cm2, 7, false); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		fx.cm2.Deactivate(1)
 		fx.touch(th, 0, 0, true) // space-2 translation now stale but queued

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"platinum/internal/mach"
@@ -118,7 +119,7 @@ func batchReclaimScenario(t *testing.T, fx *fixture) sim.Account {
 		// Proc 1 maps the same Cpage through the second space; the local
 		// copy already exists, so this just installs a translation.
 		if _, err := fx.s.Touch(th, 1, cm2, 5, false); err != nil {
-			t.Fatalf("Touch cm2: %v", err)
+			panic(fmt.Sprintf("Touch cm2: %v", err))
 		}
 		th.Advance(quiet)
 		// Proc 0 writes: reclaims module 1's copy. TWO entries (one per
@@ -222,10 +223,10 @@ func TestBatchDeferredAppliedOnActivation(t *testing.T) {
 		// deferred, not flushed.
 		fx.touch(th, 1, 0, false)
 		if pe, ok := fx.cm.translation(0, 0); !ok || pe.rights.Allows(Write) {
-			t.Fatalf("restriction not applied at defer time: %+v ok=%v", pe, ok)
+			panic(fmt.Sprintf("restriction not applied at defer time: %+v ok=%v", pe, ok))
 		}
 		if st := fx.s.PTStats(); st.Deferred != 1 || st.FlushIPIs != 0 {
-			t.Fatalf("PTStats = %+v, want 1 deferred, 0 IPIs", st)
+			panic(fmt.Sprintf("PTStats = %+v, want 1 deferred, 0 IPIs", st))
 		}
 		// Proc 0's next activation drains the coalesced invalidation.
 		fx.cm.Deactivate(0)

@@ -290,7 +290,8 @@ func (e *Engine) wait(c *worker) {
 // shutdown unwinds every unfinished thread, in id order. Resumed on a
 // stopping engine, a thread panics with errStopped at its suspension
 // point (or, never dispatched, skips its body), so it finishes; a
-// deferred call that suspends it again while unwinding is resumed again.
+// deferred call that suspends it again while unwinding is resumed again,
+// and a thread one spawns while unwinding finishes in its turn.
 // Then every worker is idle, and shutdown walks each back to its own
 // coroutine and returns it to the idle pool. Resuming a worker that
 // waits elsewhere sends it home, which resumes the worker waiting at
@@ -299,7 +300,8 @@ func (e *Engine) wait(c *worker) {
 // of the permutation home.
 func (e *Engine) shutdown() {
 	e.stopping = true
-	for _, t := range e.threads {
+	for i := 0; i < len(e.threads); i++ { // unwinding may spawn threads
+		t := e.threads[i]
 		if t.state == stateDone {
 			continue
 		}

@@ -99,6 +99,44 @@ func TestWorkersDoNotLeak(t *testing.T) {
 	}
 }
 
+// TestShutdownFinishesLateSpawn checks that a thread spawned while
+// shutdown unwinds another (a deferred Spawn in a body cut short by a
+// deadlock or by another body's panic) finishes without running its
+// body, so Reset finds every thread done and every worker goes home.
+func TestShutdownFinishesLateSpawn(t *testing.T) {
+	for _, ending := range []string{"deadlock", "panic"} {
+		e := NewEngine()
+		late := false
+		e.Spawn("stuck", func(th *Thread) {
+			defer e.Spawn("late", func(*Thread) { late = true })
+			th.Block()
+		})
+		want := error(ErrDeadlock)
+		if ending == "panic" {
+			e.Spawn("bad", func(th *Thread) {
+				th.Advance(1)
+				panic("fatal trap")
+			})
+			want = &ThreadPanicError{Thread: "bad", Value: "fatal trap"}
+		}
+		if err := e.Run(); fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("%s: Run = %v, want %v", ending, err, want)
+		}
+		if late {
+			t.Errorf("%s: the thread spawned during shutdown ran its body", ending)
+		}
+		checkPool(t, ending)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Reset after the run: %v", ending, r)
+				}
+			}()
+			e.Reset()
+		}()
+	}
+}
+
 // TestWorkerReusedAfterPanic checks that the worker whose thread body
 // panicked goes back to the idle pool and runs the next engine's
 // thread.

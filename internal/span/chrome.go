@@ -104,7 +104,11 @@ func WriteChrome(w io.Writer, spans []Span) error {
 // indent, and is byte for byte what encoding/json writes for the
 // format: every event's fields in the order name, cat, ph, ts, dur,
 // pid, tid, id, args, leaving out the cat, dur, id or args an event
-// does not have, and its args keys in sorted order. Timestamps are
+// does not have, and its args keys in sorted order. Each event is
+// appended whole to the writer's buffer: keys and indentation as
+// literal runs, kind, cause and phase names as they are, since none
+// needs an escape (TestEventNamesArePlain keeps it so), and only
+// notes, states, labels and counter names escaped. Timestamps are
 // printed from the integer nanoseconds and lazy notes rendered into
 // one reused buffer, so the export allocates per track and page, not
 // per span. A non-finite counter value returns encoding/json's error
@@ -178,12 +182,13 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 	j.OpenObject()
 	j.Key("traceEvents").OpenArray()
 	for _, m := range metas {
-		j.event(m.name, "", "M", 0)
-		j.track(m.pid, m.tid)
-		j.Key("args").OpenObject()
-		j.Key("name").String(m.label)
-		j.CloseObject()
-		j.CloseObject()
+		j.elem()
+		b := appendHead(j.b, m.name, "", "M", 0)
+		b = appendTrack(b, m.pid, m.tid)
+		b = append(b, argsOpen+`"name": `...)
+		b = appendString(b, m.label)
+		j.b = append(b, argsClose...)
+		j.spill()
 	}
 
 	var note []byte
@@ -191,57 +196,73 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 		sp := &ordered[i]
 		note = sp.appendNote(note[:0])
 		kind, cause := sp.Kind.String(), sp.Cause.String()
-		j.event(kind, cause, "X", int64(sp.Start))
-		j.Key("dur").usec(int64(sp.End - sp.Start))
-		j.track(procPid(sp.Proc), int64(sp.Track))
-		j.Key("args").OpenObject()
-		j.Key("cause").String(cause)
+		j.elem()
+		b := appendHead(j.b, kind, cause, "X", int64(sp.Start))
+		b = append(b, field+`"dur": `...)
+		b = appendUsec(b, int64(sp.End-sp.Start))
+		b = appendTrack(b, procPid(sp.Proc), int64(sp.Track))
+		b = append(b, argsOpen+`"cause": "`...)
+		b = append(b, cause...)
+		b = append(b, '"')
 		if sp.State != "" {
-			j.Key("dir_mask").uint(sp.DirMask)
+			b = append(b, arg+`"dir_mask": `...)
+			b = strconv.AppendUint(b, sp.DirMask, 10)
 		}
 		if len(note) > 0 {
-			j.Key("note").text(note)
+			b = append(b, arg+`"note": `...)
+			b = appendString(b, note)
 		}
 		if sp.Page >= 0 {
-			j.Key("page").Int(sp.Page)
+			b = append(b, arg+`"page": `...)
+			b = strconv.AppendInt(b, sp.Page, 10)
 		}
 		if sp.Parent != None {
-			j.Key("parent").Int(int64(sp.Parent))
+			b = append(b, arg+`"parent": `...)
+			b = strconv.AppendInt(b, int64(sp.Parent), 10)
 		}
-		j.Key("self_ns").Int(int64(sp.Self))
-		j.Key("span_id").Int(int64(sp.ID))
+		b = append(b, arg+`"self_ns": `...)
+		b = strconv.AppendInt(b, int64(sp.Self), 10)
+		b = append(b, arg+`"span_id": `...)
+		b = strconv.AppendInt(b, int64(sp.ID), 10)
 		if sp.State != "" {
-			j.Key("state").String(sp.State)
+			b = append(b, arg+`"state": `...)
+			b = appendString(b, sp.State)
 		}
-		j.CloseObject()
-		j.CloseObject()
+		j.b = append(b, argsClose...)
 		if sp.pageMirrored() {
 			// Async mirror on the page's own track. Async events tolerate
 			// the overlap that queued concurrent faults produce on a page
 			// timeline, which complete events would render as nonsense.
-			j.event(kind, "page", "b", int64(sp.Start))
-			j.track(chromePagePid, sp.Page)
-			j.Key("id").spanID(sp.ID)
-			j.Key("args").OpenObject()
-			j.Key("note").text(note)
-			j.Key("proc").Int(int64(sp.Proc))
-			j.CloseObject()
-			j.CloseObject()
-			j.event(kind, "page", "e", int64(sp.End))
-			j.track(chromePagePid, sp.Page)
-			j.Key("id").spanID(sp.ID)
-			j.CloseObject()
+			j.elem()
+			b = appendHead(j.b, kind, "page", "b", int64(sp.Start))
+			b = appendTrack(b, chromePagePid, sp.Page)
+			b = appendSpanID(b, sp.ID)
+			b = append(b, argsOpen+`"note": `...)
+			b = appendString(b, note)
+			b = append(b, arg+`"proc": `...)
+			b = strconv.AppendInt(b, int64(sp.Proc), 10)
+			j.b = append(b, argsClose...)
+			j.elem()
+			b = appendHead(j.b, kind, "page", "e", int64(sp.End))
+			b = appendTrack(b, chromePagePid, sp.Page)
+			b = appendSpanID(b, sp.ID)
+			j.b = append(b, eventClose...)
 		}
+		j.spill()
 	}
 
 	for _, tr := range counters {
 		for _, p := range tr.Points {
-			j.event(tr.Name, "", "C", p.Ts)
-			j.track(chromeCounterPid, 0)
-			j.Key("args").OpenObject()
-			j.Key("value").float(p.Value)
-			j.CloseObject()
-			j.CloseObject()
+			j.elem()
+			b := append(j.b, eventOpen+`"name": `...)
+			b = appendString(b, tr.Name)
+			b = append(b, field+`"ph": "C"`+field+`"ts": `...)
+			b = appendUsec(b, p.Ts)
+			b = appendTrack(b, chromeCounterPid, 0)
+			b = append(b, argsOpen+`"value": `...)
+			b = appendFloat(b, p.Value)
+			j.b = append(b, argsClose...)
+			j.spill()
 		}
 	}
 
@@ -250,40 +271,45 @@ func WriteChromeWith(w io.Writer, spans []Span, counters []CounterTrack) error {
 	return j.Close()
 }
 
-// event opens a trace event and writes its name, cat (left out when
-// empty), ph and ts fields.
-func (j *JSONWriter) event(name, cat, ph string, tsNs int64) {
-	j.OpenObject()
-	j.Key("name").String(name)
+// The literal runs of a trace event in the export's one-space layout:
+// an event is an element of traceEvents, two levels deep, its fields
+// one level deeper and its args' fields one more.
+const (
+	eventOpen  = "{\n   "                  // an event's brace, up to its first key
+	field      = ",\n   "                  // before an event's next field
+	arg        = ",\n    "                 // before an arg's next field
+	argsOpen   = ",\n   \"args\": {\n    " // the args object, up to its first key
+	eventClose = "\n  }"
+	argsClose  = "\n   }\n  }" // the args object's end and the event's
+)
+
+// appendHead appends the opening of an event and its name, cat (left
+// out when empty), ph and ts fields. name, cat and ph are written as
+// they are: the export only passes names that need no escape.
+func appendHead(b []byte, name, cat, ph string, tsNs int64) []byte {
+	b = append(b, eventOpen+`"name": "`...)
+	b = append(b, name...)
 	if cat != "" {
-		j.Key("cat").String(cat)
+		b = append(b, `"`+field+`"cat": "`...)
+		b = append(b, cat...)
 	}
-	j.Key("ph").String(ph)
-	j.Key("ts").usec(tsNs)
+	b = append(b, `"`+field+`"ph": "`...)
+	b = append(b, ph...)
+	b = append(b, `"`+field+`"ts": `...)
+	return appendUsec(b, tsNs)
 }
 
-// track writes an event's pid and tid fields.
-func (j *JSONWriter) track(pid, tid int64) {
-	j.Key("pid").Int(pid)
-	j.Key("tid").Int(tid)
+// appendTrack appends an event's pid and tid fields.
+func appendTrack(b []byte, pid, tid int64) []byte {
+	b = append(b, field+`"pid": `...)
+	b = strconv.AppendInt(b, pid, 10)
+	b = append(b, field+`"tid": `...)
+	return strconv.AppendInt(b, tid, 10)
 }
 
-// usec writes virtual nanoseconds as the format's microseconds.
-func (j *JSONWriter) usec(ns int64) {
-	j.value()
-	j.b = appendUsec(j.b, ns)
-}
-
-// spanID writes the id that pairs a span's async events.
-func (j *JSONWriter) spanID(id ID) {
-	j.value()
-	j.b = append(j.b, `"span-`...)
-	j.b = strconv.AppendInt(j.b, int64(id), 10)
-	j.b = append(j.b, '"')
-}
-
-// text writes a rendered note as a JSON string.
-func (j *JSONWriter) text(s []byte) {
-	j.value()
-	j.b = appendString(j.b, s)
+// appendSpanID appends the id field that pairs a span's async events.
+func appendSpanID(b []byte, id ID) []byte {
+	b = append(b, field+`"id": "span-`...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	return append(b, '"')
 }

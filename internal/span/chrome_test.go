@@ -120,6 +120,25 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
+// TestEventNamesArePlain checks that every name the export appends
+// without escaping needs none: each span kind's and cause's name
+// (out-of-range ones included), the async events' "page" category, the
+// metadata event names and the phase letters.
+func TestEventNamesArePlain(t *testing.T) {
+	names := []string{"page", "process_name", "thread_name", "X", "b", "e", "M", "C"}
+	for k := range 256 {
+		names = append(names, Kind(k).String())
+	}
+	for c := range 256 {
+		names = append(names, sim.Cause(c).String())
+	}
+	for _, s := range names {
+		if got := string(appendString(nil, s)); got != `"`+s+`"` {
+			t.Errorf("name %q is written unescaped, but JSON writes it as %s", s, got)
+		}
+	}
+}
+
 // TestWriteChromeNonFiniteCounter checks that a NaN or infinite
 // counter value returns encoding/json's error and writes nothing, even
 // when the spans before it would fill several chunks.

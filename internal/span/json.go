@@ -21,6 +21,8 @@ const jsonChunk = 32 << 10
 // its formatting. It is the writer behind the Chrome export and
 // metrics.WriteJSON, which keep no intermediate values: each value is
 // appended to one reused buffer that goes to the io.Writer in chunks.
+// The Chrome export appends whole events to that buffer itself,
+// starting each with elem and ending it with spill.
 //
 // The caller writes a value after each Key and closes what it opens;
 // the writer does not check that. The first write error sticks:
@@ -99,19 +101,9 @@ func (j *JSONWriter) Close() error {
 	return j.err
 }
 
-func (j *JSONWriter) uint(v uint64) {
-	j.value()
-	j.b = strconv.AppendUint(j.b, v, 10)
-}
-
-// float writes f as encoding/json does: zero and magnitudes in
-// [1e-6, 1e21) in plain decimal, any other in exponent form without a
-// leading zero in the exponent. f must be finite.
-func (j *JSONWriter) float(f float64) {
-	j.value()
-	j.b = appendFloat(j.b, f)
-}
-
+// appendFloat appends f as encoding/json writes it: zero and
+// magnitudes in [1e-6, 1e21) in plain decimal, any other in exponent
+// form without a leading zero in the exponent. f must be finite.
 func appendFloat(b []byte, f float64) []byte {
 	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
 		return strconv.AppendFloat(b, f, 'f', -1, 64)
@@ -138,9 +130,7 @@ func (j *JSONWriter) close(c byte) {
 	}
 	j.b = append(j.b, c)
 	j.empty = false
-	if len(j.b) >= jsonChunk {
-		j.flush()
-	}
+	j.spill()
 }
 
 // value starts the next value: on its key's line after a key, as the
@@ -173,6 +163,13 @@ func (j *JSONWriter) setDepth(d int) {
 		j.indents += j.indents[2:] // deeper than ever before: double the indent
 	}
 	j.depth, j.sep = d, j.indents[:n]
+}
+
+// spill hands the buffer to w once it holds a chunk.
+func (j *JSONWriter) spill() {
+	if len(j.b) >= jsonChunk {
+		j.flush()
+	}
 }
 
 // flush hands the buffered bytes to w unless an error came first.

@@ -454,13 +454,14 @@ func (r *Recorder) Reset() {
 	r.resetTelemetry()
 }
 
-// Spans returns a copy of the retained spans sorted by start time
-// (ties by ID, which is completion order). It allocates only the slice
-// it returns.
+// Spans returns the retained spans sorted by start time (ties by ID,
+// which is completion order). It orders the recorder's own buffer in
+// place and returns it, so it allocates nothing once its sort keys
+// have grown. The slice is valid until the next Record, EnableRetain
+// or Reset, and the caller must not modify it.
 func (r *Recorder) Spans() []Span {
-	var out []Span
-	out, r.order = byStart(r.retain, r.order)
-	return out
+	r.order = byStart(r.retain, r.order)
+	return r.retain[:len(r.retain):len(r.retain)]
 }
 
 // Flight returns the flight ring's contents, oldest first.
@@ -482,21 +483,22 @@ func (r *Recorder) Total() int64 { return r.total }
 // over it would be meaningless.
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
-// byStart returns a copy of spans in start order (ties by ID), and the
-// sort keys it used, in keys' array when that is large enough. Each
-// key packs a span's start and ID, as offsets from their minimums, above
-// its index, so plain integer order is start order; a recording whose
-// ranges do not fit in 64 bits sorts bare indexes by comparing the
-// spans. Either way each span is copied once, which is several times
-// faster than swapping the 168-byte spans themselves, and the keys are
-// all a caller need keep.
-func byStart(spans []Span, keys []uint64) ([]Span, []uint64) {
+// byStart puts spans into start order (ties by ID) in place, and
+// returns the sort keys it used, in keys' array when that is large
+// enough. Each key packs a span's start and ID, as offsets from their
+// minimums, above its index, so plain integer order is start order; a
+// recording whose ranges do not fit in 64 bits sorts bare indexes by
+// comparing the spans. Either way the sorted keys are reduced to the
+// indexes they name, and each span then moves once, along the cycles of
+// that permutation: several times faster than swapping the 168-byte
+// spans themselves, and the keys are all a caller need keep.
+func byStart(spans []Span, keys []uint64) []uint64 {
 	if cap(keys) < len(spans) {
 		keys = make([]uint64, 0, len(spans))
 	}
 	keys = keys[:0]
 	if len(spans) == 0 {
-		return nil, keys
+		return keys
 	}
 	lo, hi := spans[0], spans[0]
 	for i := range spans {
@@ -506,7 +508,6 @@ func byStart(spans []Span, keys []uint64) ([]Span, []uint64) {
 	}
 	idxBits := bits.Len(uint(len(spans) - 1))
 	idBits := bits.Len64(uint64(hi.ID) - uint64(lo.ID))
-	index := uint64(1)<<idxBits - 1 // the key bits that hold the index
 	if bits.Len64(uint64(hi.Start)-uint64(lo.Start))+idBits+idxBits <= 64 {
 		for i := range spans {
 			sp := &spans[i]
@@ -514,6 +515,10 @@ func byStart(spans []Span, keys []uint64) ([]Span, []uint64) {
 				(uint64(sp.ID)-uint64(lo.ID))<<idxBits|uint64(i))
 		}
 		slices.Sort(keys)
+		index := uint64(1)<<idxBits - 1 // the key bits that hold the index
+		for n := range keys {
+			keys[n] &= index
+		}
 	} else {
 		for i := range spans {
 			keys = append(keys, uint64(i))
@@ -525,13 +530,23 @@ func byStart(spans []Span, keys []uint64) ([]Span, []uint64) {
 			}
 			return cmp.Compare(a.ID, b.ID)
 		})
-		index = math.MaxUint64
 	}
-	out := make([]Span, len(keys))
-	for n, k := range keys {
-		out[n] = spans[k&index]
+	// keys[n] is now the index of the span that belongs at n. Follow
+	// each cycle from its lowest position, marking positions filled
+	// with moved, which no index equals.
+	const moved = math.MaxUint64
+	for n, src := range keys {
+		if src == moved || src == uint64(n) {
+			continue
+		}
+		first, at := spans[n], n
+		for src != uint64(n) {
+			spans[at], keys[at] = spans[src], moved
+			at, src = int(src), keys[src]
+		}
+		spans[at], keys[at] = first, moved
 	}
-	return out, keys
+	return keys
 }
 
 // inOrder returns spans in start order: spans itself when it already
@@ -541,7 +556,8 @@ func inOrder(spans []Span) []Span {
 	for i := 1; i < len(spans); i++ {
 		a, b := &spans[i-1], &spans[i]
 		if b.Start < a.Start || b.Start == a.Start && b.ID < a.ID {
-			out, _ := byStart(spans, nil)
+			out := slices.Clone(spans)
+			byStart(out, nil)
 			return out
 		}
 	}

@@ -175,31 +175,86 @@ func TestValidateNesting(t *testing.T) {
 	}
 }
 
-// TestByStartOrders checks both of byStart's sorts against a plain
-// comparison sort: packed keys when the start and ID ranges fit beside
-// the index in 64 bits, and the comparison fallback when they do not.
+// byStartCases are start and ID patterns for both of byStart's sorts:
+// packed keys when the start and ID ranges fit beside the index in 64
+// bits, and the comparison fallback when they do not.
+var byStartCases = map[string]func(i int) (sim.Time, ID){
+	"packed":        func(i int) (sim.Time, ID) { return sim.Time(i * 7919 % 1000), ID(3000 - i) },
+	"wide starts":   func(i int) (sim.Time, ID) { return sim.Time(i*7919%1000) << 52 * sim.Time(1-i%2*2), ID(i) },
+	"wide ids":      func(i int) (sim.Time, ID) { return sim.Time(i % 5), ID(i) << 50 },
+	"extreme start": func(i int) (sim.Time, ID) { return []sim.Time{math.MinInt64, math.MaxInt64, 0}[i%3], ID(i) },
+}
+
+// sortedByStart returns a copy of spans in start order by a plain
+// comparison sort.
+func sortedByStart(spans []Span) []Span {
+	want := slices.Clone(spans)
+	slices.SortFunc(want, func(a, b Span) int { return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID)) })
+	return want
+}
+
+// TestByStartOrders checks both of byStart's sorts in place against a
+// plain comparison sort, and that sorting the result again moves
+// nothing.
 func TestByStartOrders(t *testing.T) {
-	cases := map[string]func(i int) (sim.Time, ID){
-		"packed":        func(i int) (sim.Time, ID) { return sim.Time(i * 7919 % 1000), ID(3000 - i) },
-		"wide starts":   func(i int) (sim.Time, ID) { return sim.Time(i*7919%1000) << 52 * sim.Time(1-i%2*2), ID(i) },
-		"wide ids":      func(i int) (sim.Time, ID) { return sim.Time(i % 5), ID(i) << 50 },
-		"extreme start": func(i int) (sim.Time, ID) { return []sim.Time{math.MinInt64, math.MaxInt64, 0}[i%3], ID(i) },
-	}
-	for name, gen := range cases {
+	for name, gen := range byStartCases {
 		spans := make([]Span, 2000)
 		for i := range spans {
 			spans[i].Start, spans[i].ID = gen(i)
 			spans[i].Page = int64(i)
 		}
-		want := slices.Clone(spans)
-		slices.SortFunc(want, func(a, b Span) int { return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID)) })
-		got, _ := byStart(spans, nil)
-		if !slices.Equal(got, want) {
+		want := sortedByStart(spans)
+		keys := byStart(spans, nil)
+		if !slices.Equal(spans, want) {
 			t.Errorf("%s: byStart order differs from a comparison sort", name)
 		}
+		byStart(spans, keys)
+		if !slices.Equal(spans, want) {
+			t.Errorf("%s: a second byStart moved sorted spans", name)
+		}
 	}
-	if got, _ := byStart(nil, nil); got != nil {
-		t.Errorf("byStart of no spans = %v, want nil", got)
+	if keys := byStart(nil, nil); len(keys) != 0 {
+		t.Errorf("byStart of no spans returned %d keys", len(keys))
+	}
+}
+
+// TestRecorderSpansInPlace checks that Spans orders the recorder's own
+// buffer on both key paths and returns it, that a second call changes
+// nothing, and that spans recorded after a call are ordered in with
+// the rest by the next one.
+func TestRecorderSpansInPlace(t *testing.T) {
+	for name, gen := range byStartCases {
+		r := NewRecorder(0)
+		r.EnableRetain(0)
+		for i := range 2000 {
+			start, id := gen(i)
+			r.Record(Span{ID: id + 1, Start: start, Page: int64(i)}) // ID 0 would be reassigned
+		}
+		want := sortedByStart(r.retain)
+		got := r.Spans()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Spans order differs from a comparison sort", name)
+		}
+		if &got[0] != &r.retain[0] {
+			t.Errorf("%s: Spans returned a copy, want the recorder's buffer", name)
+		}
+		if again := r.Spans(); !slices.Equal(again, want) {
+			t.Errorf("%s: a second Spans changed the order", name)
+		}
+	}
+
+	r := NewRecorder(0)
+	r.EnableRetain(0)
+	for i := range 300 {
+		r.Record(Span{Start: sim.Time(1000 - i*3)})
+	}
+	r.Spans()
+	for i := range 300 {
+		r.Record(Span{Start: sim.Time(i * 5)}) // interleaves with the sorted ones
+	}
+	want := sortedByStart(r.retain)
+	if got := r.Spans(); len(got) != 600 || !slices.Equal(got, want) {
+		t.Errorf("Spans after more Records returned %d spans, want all 600 in start order", len(got))
 	}
 }
 
