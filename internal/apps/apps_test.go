@@ -164,6 +164,40 @@ func TestMergeSortSortsOnUMA(t *testing.T) {
 	}
 }
 
+// dupPlatform runs every thread on an Env whose WriteRange stores a
+// copy of its source with the second word replaced by the first: a
+// protocol bug that duplicates one word and loses another.
+type dupPlatform struct{ Platform }
+
+func (p dupPlatform) Spawn(name string, proc int, body func(Env)) {
+	p.Platform.Spawn(name, proc, func(e Env) { body(dupEnv{e}) })
+}
+
+type dupEnv struct{ Env }
+
+func (e dupEnv) WriteRange(va int64, src []uint32) {
+	c := append([]uint32(nil), src...)
+	if len(c) > 1 {
+		c[1] = c[0]
+	}
+	e.Env.WriteRange(va, c)
+}
+
+// TestMergeSortCatchesDuplicatedWord checks that merge sort's answer
+// check compares the output with the input, not only its order: a
+// duplicated neighbour keeps a sorted run sorted and its length equal.
+func TestMergeSortCatchesDuplicatedWord(t *testing.T) {
+	cfg := DefaultMergeSortConfig(4)
+	cfg.Words = 4096
+	res, err := RunMergeSort(dupPlatform{NewUMAPlatform()}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sorted {
+		t.Fatal("merge sort reported a sorted permutation of its input after a duplicated word")
+	}
+}
+
 func TestMergeSortSpeedup(t *testing.T) {
 	cfg1 := DefaultMergeSortConfig(1)
 	cfg1.Words = 16384

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"platinum/internal/sim"
@@ -39,10 +40,11 @@ func DefaultMergeSortConfig(threads int) MergeSortConfig {
 // MergeSortResult reports a finished run.
 type MergeSortResult struct {
 	Elapsed sim.Time
-	Sorted  bool
+	Sorted  bool // the output is exactly the input, sorted
 }
 
-// RunMergeSort executes the merge sort on pl and verifies the output.
+// RunMergeSort executes the merge sort on pl and verifies the output
+// against the input sorted on the host.
 func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 	if err := checkProcs(pl, cfg.Threads); err != nil {
 		return MergeSortResult{}, err
@@ -137,11 +139,10 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 	if err := pl.Run(); err != nil {
 		return MergeSortResult{}, err
 	}
-	res := MergeSortResult{Elapsed: pl.Elapsed(), Sorted: sort.SliceIsSorted(out, func(a, b int) bool { return out[a] < out[b] })}
-	if len(out) != n {
-		res.Sorted = false
-	}
-	return res, nil
+	// A word lost or duplicated keeps the output sorted, so compare
+	// with the input itself, sorted in place now that no thread reads it.
+	slices.Sort(input)
+	return MergeSortResult{Elapsed: pl.Elapsed(), Sorted: slices.Equal(input, out)}, nil
 }
 
 // mergeRuns merges src[lo:mid) and src[mid:hi) into dst[lo:hi),

@@ -55,8 +55,9 @@ type Platform interface {
 // PlatinumPlatform runs programs on a booted PLATINUM kernel, all
 // threads sharing one address space.
 type PlatinumPlatform struct {
-	K  *kernel.Kernel
-	Sp *kernel.Space
+	K   *kernel.Kernel
+	Sp  *kernel.Space
+	cfg kernel.Config // what K booted with, which the pool files it under
 }
 
 // NewPlatinumPlatform boots a kernel with cfg and wraps it.
@@ -65,7 +66,7 @@ func NewPlatinumPlatform(cfg kernel.Config) (*PlatinumPlatform, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlatinumPlatform{K: k, Sp: k.NewSpace()}, nil
+	return &PlatinumPlatform{K: k, Sp: k.NewSpace(), cfg: cfg}, nil
 }
 
 // Procs implements Platform.

@@ -41,12 +41,13 @@ func SetPooling(on bool) bool {
 	return prev
 }
 
-// platformPool holds reset PLATINUM platforms keyed by configuration
-// key. The mutex only guards the pool itself — acquired platforms are
-// exclusively owned until released, so runs proceed without locking.
+// platformPool holds reset PLATINUM platforms by the config they booted
+// with, then by the caller's key. The mutex only guards the pool itself
+// — acquired platforms are exclusively owned until released, so runs
+// proceed without locking.
 var platformPool struct {
 	mu   sync.Mutex
-	free map[string][]*PlatinumPlatform
+	free map[kernel.Config]map[string][]*PlatinumPlatform
 }
 
 // maxPooledPerKey bounds how many idle platforms one configuration
@@ -54,22 +55,25 @@ var platformPool struct {
 // hoarding memory after a wide sweep narrows.
 const maxPooledPerKey = 32
 
-// AcquirePlatform returns a PLATINUM platform for the given
-// configuration: a pooled one, reset and re-wrapped, when pooling is on
-// and one is free, otherwise a freshly booted kernel. The key must
-// uniquely identify cfg — two callers using the same key with different
-// configs would share pools and corrupt each other's timings — so
-// callers encode every varying parameter (page words, source selection,
-// policy, ...) into it. Release the platform with ReleasePlatform after
-// a successful run so the next acquisition can reuse it.
+// AcquirePlatform returns a PLATINUM platform booted with cfg: a pooled
+// one, reset and re-wrapped, when pooling is on and one is free under
+// cfg and key, otherwise a freshly booted kernel. The pool files each
+// platform under the config itself, which compares its Topology and
+// Policy pointers by identity, so platforms of two configs never mix
+// whatever their keys. The key only separates callers that must not
+// share the platforms of one config: different programs (a platform
+// keeps the buffers its last run grew) or different instrumentation.
+// Release the platform with ReleasePlatform after a successful run so
+// the next acquisition can reuse it.
 func AcquirePlatform(key string, cfg kernel.Config) (*PlatinumPlatform, error) {
 	platformPool.mu.Lock()
 	var pl *PlatinumPlatform
 	if poolingEnabled {
-		if free := platformPool.free[key]; len(free) > 0 {
+		byKey := platformPool.free[cfg]
+		if free := byKey[key]; len(free) > 0 {
 			pl = free[len(free)-1]
 			free[len(free)-1] = nil
-			platformPool.free[key] = free[:len(free)-1]
+			byKey[key] = free[:len(free)-1]
 		}
 	}
 	platformPool.mu.Unlock()
@@ -81,11 +85,11 @@ func AcquirePlatform(key string, cfg kernel.Config) (*PlatinumPlatform, error) {
 }
 
 // ReleasePlatform returns a platform acquired with AcquirePlatform to
-// the pool under the same key. Call it only after a successful run: a
-// platform whose run failed mid-way may hold threads the engine cannot
-// Reset past, so error paths simply drop the platform. A release while
-// pooling is off (or the per-key bound is reached) discards the
-// platform.
+// the pool, under the config it booted with and the same key. Call it
+// only after a successful run: a platform whose run failed mid-way may
+// hold threads the engine cannot Reset past, so error paths simply drop
+// the platform. A release while pooling is off (or the per-key bound is
+// reached) discards the platform.
 func ReleasePlatform(key string, pl *PlatinumPlatform) {
 	if pl == nil {
 		return
@@ -95,13 +99,18 @@ func ReleasePlatform(key string, pl *PlatinumPlatform) {
 	if !poolingEnabled {
 		return
 	}
-	if platformPool.free == nil {
-		platformPool.free = make(map[string][]*PlatinumPlatform)
+	byKey := platformPool.free[pl.cfg]
+	if byKey == nil {
+		if platformPool.free == nil {
+			platformPool.free = make(map[kernel.Config]map[string][]*PlatinumPlatform)
+		}
+		byKey = make(map[string][]*PlatinumPlatform)
+		platformPool.free[pl.cfg] = byKey
 	}
-	if len(platformPool.free[key]) >= maxPooledPerKey {
+	if len(byKey[key]) >= maxPooledPerKey {
 		return
 	}
-	platformPool.free[key] = append(platformPool.free[key], pl)
+	byKey[key] = append(byKey[key], pl)
 }
 
 // Reset returns the platform to its just-booted state — the kernel

@@ -24,7 +24,12 @@ type Decision struct {
 // Policy decides, on each coherent fault with no usable local copy,
 // whether to move data to the faulting processor or to map it remotely
 // (§4.2). Implementations may consult the Cpage's invalidation history
-// and statistics.
+// and statistics, which is where a page's history lives: a policy holds
+// no mutable state, and it is comparable. So one policy value serves
+// any number of machines, also concurrently; a platform reused from
+// apps' pool keeps the policy it booted with; and the pool compares
+// kernel configs, policy included, with == (a pointer policy by
+// identity).
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

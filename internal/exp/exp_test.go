@@ -12,22 +12,43 @@ import (
 	"platinum/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
+var (
+	update = flag.Bool("update", false, "rewrite golden files")
+	full   = flag.Bool("full", false, "run TestAllExperimentsRunFull: every experiment at full size")
+)
 
 // TestAllExperimentsRunQuick executes every registered experiment in
-// quick mode, sanity-checks the output tables, and compares each
-// rendered table byte-for-byte against testdata/quick/<id>.txt. The
-// goldens are the gate that every simulated result is unchanged; a
-// deliberate fidelity change regenerates them with
+// quick mode and compares each rendered table byte for byte against
+// testdata/quick/<id>.txt. The goldens are the gate that every
+// simulated result is unchanged; a deliberate fidelity change
+// regenerates them with
 // go test ./internal/exp -run TestAllExperimentsRunQuick -update.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a while even in quick mode")
 	}
+	checkGoldens(t, Options{Quick: true}, "quick")
+}
+
+// TestAllExperimentsRunFull is TestAllExperimentsRunQuick at the
+// paper's sizes, against testdata/full/<id>.txt. It takes about 30 s
+// on two cores, so it runs only with -full:
+// go test ./internal/exp -run TestAllExperimentsRunFull -full -timeout 15m.
+func TestAllExperimentsRunFull(t *testing.T) {
+	if !*full {
+		t.Skip("full-size experiments run only with -full")
+	}
+	checkGoldens(t, Options{}, "full")
+}
+
+// checkGoldens runs every registered experiment with o, sanity-checks
+// each table and compares its rendering with testdata/<dir>/<id>.txt,
+// rewriting the golden first under -update.
+func checkGoldens(t *testing.T, o Options, dir string) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(Options{Quick: true})
+			tab, err := e.Run(o)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -49,7 +70,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(sb.String(), e.ID) {
 				t.Error("rendered table missing id")
 			}
-			golden := filepath.Join("testdata", "quick", e.ID+".txt")
+			golden := filepath.Join("testdata", dir, e.ID+".txt")
 			if *update {
 				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"platinum/internal/apps"
 	"platinum/internal/kernel"
@@ -45,57 +46,33 @@ func runPageSizeSweep(o Options) (*Table, error) {
 			"past that, extra words are copied for nothing",
 		},
 	}
+	// Both sweeps include the reference size, 1024 words.
 	sizes := []int{128, 256, 512, 1024, 2048}
 	if o.Quick {
 		sizes = []int{256, 1024, 2048}
 	}
-	// One job per distinct page size; 1024 is the reference and is part
-	// of every sweep.
-	uniq := make([]int, 0, len(sizes)+1)
-	for _, pw := range append([]int{1024}, sizes...) {
-		dup := false
-		for _, u := range uniq {
-			dup = dup || u == pw
-		}
-		if !dup {
-			uniq = append(uniq, pw)
-		}
-	}
-	elapsed := make(map[int]sim.Time, len(uniq))
-	results := make([]sim.Time, len(uniq))
-	err := forEach(o, len(uniq), func(i int) error {
-		pw := uniq[i]
+	specs := make([]runSpec, len(sizes))
+	for i, pw := range sizes {
 		kcfg := kernel.DefaultConfig()
 		kcfg.Machine.PageWords = pw
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
-		}
-		r, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(n, procs))
-		if err != nil {
-			return fmt.Errorf("page size %d: %w", pw, err)
-		}
-		results[i] = r.Elapsed
-		return nil
-	})
+		specs[i] = runSpec{prog: gaussPlatinum, app: apps.DefaultGaussConfig(n, procs), kcfg: kcfg, fresh: true}
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i, pw := range uniq {
-		elapsed[pw] = results[i]
-	}
-	base := elapsed[1024]
-	for _, pw := range sizes {
+	base := res[slices.Index(sizes, 1024)].elapsed
+	for i, pw := range sizes {
 		t.Rows = append(t.Rows, []string{
-			itoa(pw), elapsed[pw].String(),
-			f2(float64(elapsed[pw]) / float64(base)),
+			itoa(pw), res[i].elapsed.String(),
+			f2(float64(res[i].elapsed) / float64(base)),
 		})
 	}
 	return t, nil
 }
 
 func runBlockXferConcurrency(o Options) (*Table, error) {
-	n, pw := gaussSize(o)
+	n, _ := gaussSize(o)
 	t := &Table{
 		ID:     "blockxfer-concurrency",
 		Title:  fmt.Sprintf("Gaussian elimination %dx%d, 16 procs, vs block-transfer module occupancy", n, n),
@@ -107,26 +84,21 @@ func runBlockXferConcurrency(o Options) (*Table, error) {
 		},
 	}
 	occs := []int{1000, 750, 500, 250}
-	elapsed := make([]sim.Time, len(occs))
-	err := forEach(o, len(occs), func(i int) error {
-		kcfg := gaussKernelConfig(pw)
-		kcfg.Machine.BlockXferOccupancy = occs[i]
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
-		}
-		r, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(n, 16))
-		elapsed[i] = r.Elapsed
-		return err
-	})
+	specs := make([]runSpec, len(occs))
+	for i, occ := range occs {
+		specs[i] = gaussSpec(o, gaussPlatinum, 16)
+		specs[i].kcfg.Machine.BlockXferOccupancy = occ
+		specs[i].fresh = true
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	base := elapsed[0] // occupancy 100% is the reference
+	base := res[0].elapsed // occupancy 100% is the reference
 	for i, occ := range occs {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d%%", occ/10), elapsed[i].String(),
-			f2(float64(base) / float64(elapsed[i])),
+			fmt.Sprintf("%d%%", occ/10), res[i].elapsed.String(),
+			f2(float64(base) / float64(res[i].elapsed)),
 		})
 	}
 	return t, nil
@@ -160,47 +132,30 @@ func runAppSuite(o Options) (*Table, error) {
 		},
 	}
 	procs := []int{1, 2, 4, 8, 16}
-	// Neither answer depends on the thread count, so one sequential
-	// reference per application checks every run.
-	wantM := apps.MatMulReferenceChecksum(apps.DefaultMatMulConfig(n, 1))
-	wantS := apps.SORReferenceChecksum(apps.DefaultSORConfig(grid, 256, 1))
-	// One job per (processor count, application) pair.
-	elapsed := make([]sim.Time, 2*len(procs))
-	err := forEach(o, len(elapsed), func(i int) error {
-		p := procs[i/2]
-		kcfg := kernel.DefaultConfig()
-		kcfg.Machine.PageWords = 256
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
-		}
-		if i%2 == 0 {
-			mm, err := apps.RunMatMul(pl, apps.DefaultMatMulConfig(n, p))
-			if err != nil {
-				return err
-			}
-			if mm.Checksum != wantM {
-				return fmt.Errorf("exp: matmul checksum mismatch at %d procs", p)
-			}
-			elapsed[i] = mm.Elapsed
-			return nil
-		}
-		sr, err := apps.RunSOR(pl, apps.DefaultSORConfig(grid, 256, p))
-		if err != nil {
-			return err
-		}
-		if sr.Checksum != wantS {
-			return fmt.Errorf("exp: SOR checksum mismatch at %d procs", p)
-		}
-		elapsed[i] = sr.Elapsed
-		return nil
-	})
+	kcfg := kernel.DefaultConfig()
+	kcfg.Machine.PageWords = 256
+	// One run per (processor count, application) pair.
+	var specs []runSpec
+	for _, p := range procs {
+		specs = append(specs,
+			runSpec{prog: matMul, app: apps.DefaultMatMulConfig(n, p), kcfg: kcfg, fresh: true},
+			runSpec{prog: sorGrid, app: apps.DefaultSORConfig(grid, 256, p), kcfg: kcfg, fresh: true})
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	baseM, baseS := elapsed[0], elapsed[1]
+	// runAll found every run's answer equal to the 1-processor run's of
+	// the same application; one sequential reference each checks those.
+	if err := checkReference(specs[0], res[0], apps.MatMulReferenceChecksum(apps.DefaultMatMulConfig(n, 1))); err != nil {
+		return nil, err
+	}
+	if err := checkReference(specs[1], res[1], apps.SORReferenceChecksum(apps.DefaultSORConfig(grid, 256, 1))); err != nil {
+		return nil, err
+	}
+	baseM, baseS := res[0].elapsed, res[1].elapsed
 	for i, p := range procs {
-		em, es := elapsed[2*i], elapsed[2*i+1]
+		em, es := res[2*i].elapsed, res[2*i+1].elapsed
 		t.Rows = append(t.Rows, []string{
 			itoa(p),
 			fmt.Sprintf("%v (%sx)", em, f2(float64(baseM)/float64(em))),

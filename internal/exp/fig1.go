@@ -45,64 +45,16 @@ func gaussSize(o Options) (n, pageWords int) {
 	return 800, 1024
 }
 
-func gaussKernelConfig(pageWords int) kernel.Config {
-	cfg := kernel.DefaultConfig()
-	cfg.Machine.PageWords = pageWords
-	return cfg
-}
-
-// runGaussAt runs one Gaussian elimination and returns the elapsed
-// time plus the machine-wide cost breakdown, after verifying the
-// attribution conservation invariant.
-func runGaussAt(o Options, procs int, variant string, srcSel core.SourceSelection) (sim.Time, sim.Account, error) {
+// gaussSpec is one Gaussian elimination of gaussSize's shape by prog
+// on procs processors of the paper's machine, pooled.
+func gaussSpec(o Options, prog program, procs int) runSpec {
 	n, pw := gaussSize(o)
-	cfg := apps.DefaultGaussConfig(n, procs)
-	var kcfg kernel.Config
-	switch variant {
-	case "platinum", "smp":
-		kcfg = gaussKernelConfig(pw)
-		kcfg.Core.SourceSelection = srcSel
-	case "uniform":
+	kcfg := kernel.DefaultConfig()
+	if prog == gaussUniform {
 		kcfg = baseline.UniformSystemConfig()
-		kcfg.Machine.PageWords = pw
-	default:
-		return 0, sim.Account{}, fmt.Errorf("exp: unknown gauss variant %q", variant)
 	}
-	// The pool key encodes every kernel-config parameter this function
-	// varies; procs and problem size select work on the machine, not the
-	// machine's shape.
-	key := "gauss:" + variant + ":pw=" + itoa(pw) + ":src=" + itoa(int(srcSel))
-	pl, err := apps.AcquirePlatform(key, kcfg)
-	if err != nil {
-		return 0, sim.Account{}, err
-	}
-	var r apps.GaussResult
-	switch variant {
-	case "platinum":
-		r, err = apps.RunGaussPlatinum(pl, cfg)
-	case "uniform":
-		r, err = apps.RunGaussUniform(pl, cfg)
-	case "smp":
-		r, err = apps.RunGaussSMP(pl, cfg)
-	}
-	if err != nil {
-		return 0, sim.Account{}, err // failed runs are not pooled
-	}
-	accts := pl.Accounts()
-	if err := metrics.CheckConservation(accts); err != nil {
-		return 0, sim.Account{}, err
-	}
-	apps.ReleasePlatform(key, pl)
-	return r.Elapsed, total(accts), nil
-}
-
-// total sums per-node accounts into the machine-wide breakdown.
-func total(accts []sim.Account) sim.Account {
-	var a sim.Account
-	for i := range accts {
-		a.Add(&accts[i])
-	}
-	return a
+	kcfg.Machine.PageWords = pw
+	return runSpec{prog: prog, app: apps.DefaultGaussConfig(n, procs), kcfg: kcfg}
 }
 
 // fracs formats an account's remote-access and fault-overhead (fault +
@@ -126,21 +78,19 @@ func runFig1(o Options) (*Table, error) {
 		},
 	}
 	procs := procSweep(o)
-	elapsed := make([]sim.Time, len(procs))
-	accts := make([]sim.Account, len(procs))
-	err := forEach(o, len(procs), func(i int) error {
-		el, a, err := runGaussAt(o, procs[i], "platinum", core.SourceFirstCopy)
-		elapsed[i], accts[i] = el, a
-		return err
-	})
+	specs := make([]runSpec, len(procs))
+	for i, p := range procs {
+		specs[i] = gaussSpec(o, gaussPlatinum, p)
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	base := elapsed[0] // procSweep always starts at 1 processor
+	base := res[0].elapsed // procSweep always starts at 1 processor
 	for i, p := range procs {
-		remote, fault := fracs(accts[i])
+		remote, fault := fracs(res[i].acct)
 		t.Rows = append(t.Rows, []string{
-			itoa(p), elapsed[i].String(), f2(float64(base) / float64(elapsed[i])),
+			itoa(p), res[i].elapsed.String(), f2(float64(base) / float64(res[i].elapsed)),
 			remote, fault,
 		})
 	}
@@ -159,29 +109,26 @@ func runGaussCompare(o Options) (*Table, error) {
 			"the last column compares absolute 16-processor times",
 		},
 	}
-	variants := []struct{ id, label string }{
-		{"platinum", "PLATINUM coherent memory"},
-		{"uniform", "Uniform System (static scatter)"},
-		{"smp", "SMP message passing"},
+	variants := []struct {
+		prog  program
+		label string
+	}{
+		{gaussPlatinum, "PLATINUM coherent memory"},
+		{gaussUniform, "Uniform System (static scatter)"},
+		{gaussSMP, "SMP message passing"},
 	}
-	procs := []int{1, 16}
-	// One job per (variant, processor count) pair.
-	elapsed := make([]sim.Time, len(variants)*len(procs))
-	err := forEach(o, len(elapsed), func(i int) error {
-		v, p := variants[i/len(procs)], procs[i%len(procs)]
-		el, _, err := runGaussAt(o, p, v.id, core.SourceFirstCopy)
-		if err != nil {
-			return fmt.Errorf("%s p=%d: %w", v.id, p, err)
-		}
-		elapsed[i] = el
-		return nil
-	})
+	// One run per (variant, processor count) pair.
+	var specs []runSpec
+	for _, v := range variants {
+		specs = append(specs, gaussSpec(o, v.prog, 1), gaussSpec(o, v.prog, 16))
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	platinum16 := elapsed[1]
+	platinum16 := res[1].elapsed
 	for i, v := range variants {
-		t1, t16 := elapsed[i*len(procs)], elapsed[i*len(procs)+1]
+		t1, t16 := res[2*i].elapsed, res[2*i+1].elapsed
 		t.Rows = append(t.Rows, []string{
 			v.label, t1.String(), t16.String(), f2(float64(t1) / float64(t16)),
 			f2(float64(t16) / float64(platinum16)),
@@ -201,17 +148,13 @@ func runReplSource(o Options) (*Table, error) {
 			"§7-style what-if",
 		},
 	}
-	sels := []core.SourceSelection{core.SourceFirstCopy, core.SourceLeastLoaded}
-	elapsed := make([]sim.Time, len(sels))
-	err := forEach(o, len(sels), func(i int) error {
-		el, _, err := runGaussAt(o, 16, "platinum", sels[i])
-		elapsed[i] = el
-		return err
-	})
+	specs := []runSpec{gaussSpec(o, gaussPlatinum, 16), gaussSpec(o, gaussPlatinum, 16)}
+	specs[1].kcfg.Core.SourceSelection = core.SourceLeastLoaded
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	first, least := elapsed[0], elapsed[1]
+	first, least := res[0].elapsed, res[1].elapsed
 	t.Rows = append(t.Rows, []string{"first copy (default)", first.String(), "1.00"})
 	t.Rows = append(t.Rows, []string{"least loaded", least.String(), f2(float64(first) / float64(least))})
 	return t, nil

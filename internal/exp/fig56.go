@@ -5,8 +5,6 @@ import (
 
 	"platinum/internal/apps"
 	"platinum/internal/kernel"
-	"platinum/internal/metrics"
-	"platinum/internal/sim"
 )
 
 // fig5 regenerates the merge-sort comparison (PLATINUM on the NUMA
@@ -33,45 +31,6 @@ func mergeSortWords(o Options) int {
 	return 1 << 18 // 256K words = 1 MB, far beyond the Symmetry's 8 KB cache
 }
 
-// kernelDefaultPool is the pool key shared by every experiment running
-// on an unmodified kernel.DefaultConfig() machine.
-const kernelDefaultPool = "exp:kernel-default"
-
-func runMergeSortOn(platform string, words, procs int) (sim.Time, sim.Account, error) {
-	cfg := apps.DefaultMergeSortConfig(procs)
-	cfg.Words = words
-	var pl apps.Platform
-	var ppl *apps.PlatinumPlatform // non-nil iff reusable via the pool
-	var err error
-	switch platform {
-	case "platinum":
-		ppl, err = apps.AcquirePlatform(kernelDefaultPool, kernel.DefaultConfig())
-		pl = ppl
-	case "uma":
-		pl = apps.NewUMAPlatform()
-	default:
-		return 0, sim.Account{}, fmt.Errorf("exp: unknown platform %q", platform)
-	}
-	if err != nil {
-		return 0, sim.Account{}, err
-	}
-	r, err := apps.RunMergeSort(pl, cfg)
-	if err != nil {
-		return 0, sim.Account{}, err
-	}
-	if !r.Sorted {
-		return 0, sim.Account{}, fmt.Errorf("exp: merge sort output unsorted on %s p=%d", platform, procs)
-	}
-	accts := pl.Accounts()
-	if err := metrics.CheckConservation(accts); err != nil {
-		return 0, sim.Account{}, err
-	}
-	if ppl != nil {
-		apps.ReleasePlatform(kernelDefaultPool, ppl)
-	}
-	return r.Elapsed, total(accts), nil
-}
-
 func runFig5(o Options) (*Table, error) {
 	words := mergeSortWords(o)
 	t := &Table{
@@ -89,27 +48,24 @@ func runFig5(o Options) (*Table, error) {
 	}
 	// Powers of two keep the merge tree balanced, matching the study.
 	procs := []int{1, 2, 4, 8, 16}
-	// One job per (processor count, platform) pair; the p=1 runs double
+	// One run per (processor count, machine) pair; the p=1 runs double
 	// as the speedup baselines.
-	elapsed := make([]sim.Time, 2*len(procs))
-	accts := make([]sim.Account, 2*len(procs))
-	err := forEach(o, len(elapsed), func(i int) error {
-		p := procs[i/2]
-		platform := "platinum"
-		if i%2 == 1 {
-			platform = "uma"
-		}
-		el, a, err := runMergeSortOn(platform, words, p)
-		elapsed[i], accts[i] = el, a
-		return err
-	})
+	var specs []runSpec
+	for _, p := range procs {
+		cfg := apps.DefaultMergeSortConfig(p)
+		cfg.Words = words
+		specs = append(specs,
+			runSpec{prog: mergeSortPlatinum, app: cfg, kcfg: kernel.DefaultConfig()},
+			runSpec{prog: mergeSortUMA, app: cfg})
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	baseP, baseU := elapsed[0], elapsed[1]
+	baseP, baseU := res[0].elapsed, res[1].elapsed
 	for i, p := range procs {
-		ep, eu := elapsed[2*i], elapsed[2*i+1]
-		remote, fault := fracs(accts[2*i])
+		ep, eu := res[2*i].elapsed, res[2*i+1].elapsed
+		remote, fault := fracs(res[2*i].acct)
 		t.Rows = append(t.Rows, []string{
 			itoa(p),
 			ep.String(), f2(float64(baseP) / float64(ep)),
@@ -136,48 +92,26 @@ func runFig6(o Options) (*Table, error) {
 			"the fine-grain shared pages end up frozen",
 		},
 	}
-	run := func(p int) (sim.Time, sim.Account, error) {
-		pl, err := apps.AcquirePlatform(kernelDefaultPool, kernel.DefaultConfig())
-		if err != nil {
-			return 0, sim.Account{}, err
-		}
-		cfg := apps.DefaultBackpropConfig(p)
-		cfg.Epochs = epochs
-		r, err := apps.RunBackprop(pl, cfg)
-		if err != nil {
-			return 0, sim.Account{}, err
-		}
-		if !(r.FinalSSE < r.InitialSSE) {
-			return 0, sim.Account{}, fmt.Errorf("exp: backprop did not learn at p=%d (SSE %f -> %f)",
-				p, r.InitialSSE, r.FinalSSE)
-		}
-		accts := pl.Accounts()
-		if err := metrics.CheckConservation(accts); err != nil {
-			return 0, sim.Account{}, err
-		}
-		apps.ReleasePlatform(kernelDefaultPool, pl)
-		return r.Elapsed, total(accts), nil
-	}
 	procs := []int{1, 2, 4, 6, 8}
 	if o.Quick {
 		procs = []int{1, 2, 4, 8}
 	}
-	elapsed := make([]sim.Time, len(procs))
-	accts := make([]sim.Account, len(procs))
-	err := forEach(o, len(procs), func(i int) error {
-		el, a, err := run(procs[i])
-		elapsed[i], accts[i] = el, a
-		return err
-	})
+	specs := make([]runSpec, len(procs))
+	for i, p := range procs {
+		cfg := apps.DefaultBackpropConfig(p)
+		cfg.Epochs = epochs
+		specs[i] = runSpec{prog: backprop, app: cfg, kcfg: kernel.DefaultConfig()}
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	base := elapsed[0] // procs always starts at 1
+	base := res[0].elapsed // procs always starts at 1
 	for i, p := range procs {
-		sp := float64(base) / float64(elapsed[i])
-		remote, fault := fracs(accts[i])
+		sp := float64(base) / float64(res[i].elapsed)
+		remote, fault := fracs(res[i].acct)
 		t.Rows = append(t.Rows, []string{
-			itoa(p), elapsed[i].String(), f2(sp), f2(sp / float64(p)),
+			itoa(p), res[i].elapsed.String(), f2(sp), f2(sp / float64(p)),
 			remote, fault,
 		})
 	}

@@ -68,23 +68,13 @@ func runGenerations(o Options) (*Table, error) {
 		{"Butterfly 1", mach.Butterfly1Config(), butterfly1Scale},
 		{"Butterfly Plus", mach.DefaultConfig(), 1.0},
 	}
-	// One job per (generation, processor count) pair.
-	procs := []int{1, 16}
-	elapsed := make([]sim.Time, len(gens)*len(procs))
-	err := forEach(o, len(elapsed), func(i int) error {
-		p := procs[i%len(procs)]
-		var err error
-		if i < len(procs) { // gens[0], the Butterfly 1
-			elapsed[i], err = runGaussButterfly1(n, pw, p)
-		} else {
-			// The Butterfly Plus is the paper's machine: fig1's run.
-			elapsed[i], _, err = runGaussAt(o, p, "platinum", core.SourceFirstCopy)
-		}
-		if err != nil {
-			return fmt.Errorf("%s p=%d: %w", gens[i/len(procs)].label, p, err)
-		}
-		return nil
-	})
+	// One run per (generation, processor count) pair. The Butterfly
+	// Plus is the paper's machine: its runs are fig1's.
+	specs := []runSpec{
+		butterfly1Gauss(n, pw, 1), butterfly1Gauss(n, pw, 16),
+		gaussSpec(o, gaussPlatinum, 1), gaussSpec(o, gaussPlatinum, 16),
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +85,7 @@ func runGenerations(o Options) (*Table, error) {
 		if !math.IsInf(smin1, 1) {
 			sminStr = fmt.Sprintf("%.0f", smin1)
 		}
-		t1, t16 := elapsed[i*len(procs)], elapsed[i*len(procs)+1]
+		t1, t16 := res[2*i].elapsed, res[2*i+1].elapsed
 		t.Rows = append(t.Rows, []string{
 			g.label,
 			fmt.Sprintf("%.3f", params.Coefficient()),
@@ -112,25 +102,17 @@ func runGenerations(o Options) (*Table, error) {
 // arithmetic scale by it.
 const butterfly1Scale = 2.0
 
-// runGaussButterfly1 runs an n×n Gaussian elimination on procs
-// processors of the first-generation Butterfly with pw-word pages.
-func runGaussButterfly1(n, pw, procs int) (sim.Time, error) {
+// butterfly1Gauss is an n×n Gaussian elimination on procs processors
+// of the first-generation Butterfly with pw-word pages, booted fresh.
+func butterfly1Gauss(n, pw, procs int) runSpec {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Machine = mach.Butterfly1Config()
 	kcfg.Machine.PageWords = pw
 	scaleOverheads(&kcfg.Core, butterfly1Scale)
-	pl, err := apps.NewPlatinumPlatform(kcfg)
-	if err != nil {
-		return 0, err
-	}
 	cfg := apps.DefaultGaussConfig(n, procs)
 	// Slower processors: scale the arithmetic too.
 	cfg.OpCost = sim1(float64(cfg.OpCost) * butterfly1Scale)
-	r, err := apps.RunGaussPlatinum(pl, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return r.Elapsed, nil
+	return runSpec{prog: gaussPlatinum, app: cfg, kcfg: kcfg, fresh: true}
 }
 
 // scaleOverheads multiplies the kernel's fixed fault-handling costs.

@@ -7,7 +7,6 @@ import (
 	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/mach"
-	"platinum/internal/metrics"
 	"platinum/internal/sim"
 )
 
@@ -45,37 +44,26 @@ var ptVariants = []struct {
 // ptGaussN is the Gauss workload's matrix dimension.
 const ptGaussN = 240
 
-// ptWorkloads are the measured programs: the Fig. 1 Gaussian
-// elimination and the Fig. 5 merge sort, scaled to the quick sizes so
-// the 256-node runs stay affordable. Both verify their output; gaussRef
-// is the Gauss reference checksum, which depends only on the matrix
-// size and seed, so the table computes it once.
-var ptWorkloads = []struct {
-	name string
-	run  func(pl *apps.PlatinumPlatform, procs int, gaussRef uint32) (sim.Time, error)
-}{
-	{"gauss", func(pl *apps.PlatinumPlatform, procs int, gaussRef uint32) (sim.Time, error) {
-		r, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(ptGaussN, procs))
-		if err != nil {
-			return 0, err
-		}
-		if r.Checksum != gaussRef {
-			return 0, fmt.Errorf("exp: gauss checksum mismatch at %d procs", procs)
-		}
-		return r.Elapsed, nil
-	}},
-	{"mergesort", func(pl *apps.PlatinumPlatform, procs int, _ uint32) (sim.Time, error) {
-		cfg := apps.DefaultMergeSortConfig(procs)
+// ptWorkloads are the measured programs, the Fig. 1 Gaussian
+// elimination and the Fig. 5 merge sort, at the quick sizes so the
+// 256-node runs stay affordable.
+var ptWorkloads = []program{gaussPlatinum, mergeSortPlatinum}
+
+// ptSpec is workload wl under page-table variant v on the nodes-node
+// sweep machine.
+func ptSpec(nodes, wl, v int) runSpec {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Topology = ptTopology(nodes)
+	kcfg.Core.PageTables = ptVariants[v].cfg
+	s := runSpec{prog: ptWorkloads[wl], kcfg: kcfg}
+	if s.prog == gaussPlatinum {
+		s.app = apps.DefaultGaussConfig(ptGaussN, nodes)
+	} else {
+		cfg := apps.DefaultMergeSortConfig(nodes)
 		cfg.Words = 1 << 15
-		r, err := apps.RunMergeSort(pl, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if !r.Sorted {
-			return 0, fmt.Errorf("exp: merge sort output unsorted at %d procs", procs)
-		}
-		return r.Elapsed, nil
-	}},
+		s.app = cfg
+	}
+	return s
 }
 
 // ptTopology returns the machine for one sweep point: the paper-sized
@@ -84,49 +72,11 @@ var ptWorkloads = []struct {
 // topo-nodes sweep's shape, so results line up across experiments).
 func ptTopology(nodes int) *mach.Topology {
 	if nodes <= 16 {
-		return &mach.Topology{Name: fmt.Sprintf("uniform-%d", nodes), Base: sweepBase(nodes)}
+		return builtinTopology("uniform-"+itoa(nodes), func(name string) *mach.Topology {
+			return &mach.Topology{Name: name, Base: sweepBase(nodes)}
+		})
 	}
 	return clusterTopology(nodes, 16, 2000)
-}
-
-// ptResult is one sweep data point.
-type ptResult struct {
-	elapsed sim.Time
-	acct    sim.Account
-	stats   core.PTStats
-	shoots  int64
-}
-
-// runPTVariantAt runs one workload under one page-table variant on one
-// topology, verifying the per-cause conservation invariant — which now
-// covers the pmap_walk, pt_replicate and batch_flush causes the
-// variants introduce.
-func runPTVariantAt(nodes, wl, v int, gaussRef uint32) (ptResult, error) {
-	topo := ptTopology(nodes)
-	kcfg := kernel.DefaultConfig()
-	kcfg.Topology = topo
-	kcfg.Core.PageTables = ptVariants[v].cfg
-	key := fmt.Sprintf("ptvar:%s:%s:%s", topo.Name, ptWorkloads[wl].name, ptVariants[v].name)
-	pl, err := apps.AcquirePlatform(key, kcfg)
-	if err != nil {
-		return ptResult{}, err
-	}
-	elapsed, err := ptWorkloads[wl].run(pl, nodes, gaussRef)
-	if err != nil {
-		return ptResult{}, err // failed runs are not pooled
-	}
-	accts := pl.Accounts()
-	if err := metrics.CheckConservation(accts); err != nil {
-		return ptResult{}, fmt.Errorf("%s under %s: %w", key, ptVariants[v].name, err)
-	}
-	res := ptResult{
-		elapsed: elapsed,
-		acct:    total(accts),
-		stats:   pl.K.System().PTStats(),
-		shoots:  pl.K.System().Shootdowns(),
-	}
-	apps.ReleasePlatform(key, pl)
-	return res, nil
 }
 
 // ptFrac formats d as a fraction of the account total.
@@ -160,33 +110,34 @@ func runPTVariants(o Options) (*Table, error) {
 	}
 	type idx struct{ n, wl, v int }
 	var pts []idx
+	var specs []runSpec
 	for _, n := range nodeCounts {
 		for wl := range ptWorkloads {
 			for v := range ptVariants {
 				pts = append(pts, idx{n, wl, v})
+				specs = append(specs, ptSpec(n, wl, v))
 			}
 		}
 	}
-	gaussRef := apps.GaussReferenceChecksum(apps.DefaultGaussConfig(ptGaussN, 1))
-	results := make([]ptResult, len(pts))
-	err := forEach(o, len(results), func(i int) error {
-		r, err := runPTVariantAt(pts[i].n, pts[i].wl, pts[i].v, gaussRef)
-		results[i] = r
-		return err
-	})
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range results {
+	// runAll found every Gauss run's answer equal to the first one's
+	// (specs[0]); the sequential reference checks that one.
+	if err := checkReference(specs[0], res[0], apps.GaussReferenceChecksum(apps.DefaultGaussConfig(ptGaussN, 1))); err != nil {
+		return nil, err
+	}
+	for i, r := range res {
 		p := pts[i]
 		t.Rows = append(t.Rows, []string{
-			itoa(p.n), ptWorkloads[p.wl].name, ptVariants[p.v].name, r.elapsed.String(),
+			itoa(p.n), ptWorkloads[p.wl].String(), ptVariants[p.v].name, r.elapsed.String(),
 			ptFrac(r.acct, sim.CausePmapWalk),
 			ptFrac(r.acct, sim.CausePTReplicate),
 			ptFrac(r.acct, sim.CauseBatchFlush),
-			fmt.Sprintf("%d", r.shoots),
-			fmt.Sprintf("%d", r.stats.Walks),
-			fmt.Sprintf("%d", r.stats.Deferred),
+			fmt.Sprintf("%d", r.shootdowns),
+			fmt.Sprintf("%d", r.pt.Walks),
+			fmt.Sprintf("%d", r.pt.Deferred),
 		})
 	}
 	return t, nil

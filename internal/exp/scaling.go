@@ -5,7 +5,6 @@ import (
 
 	"platinum/internal/apps"
 	"platinum/internal/kernel"
-	"platinum/internal/sim"
 )
 
 // scaling probes §9's claim that the kernel's decentralized design
@@ -43,9 +42,8 @@ func runScaling(o Options) (*Table, error) {
 			"is not the scaling limit",
 		},
 	}
-	elapsed := make([]sim.Time, len(nodesList))
-	err := forEach(o, len(nodesList), func(i int) error {
-		nodes := nodesList[i]
+	specs := make([]runSpec, len(nodesList))
+	for i, nodes := range nodesList {
 		n := rowsPerProc * nodes
 		kcfg := kernel.DefaultConfig()
 		kcfg.Machine.Nodes = nodes
@@ -53,17 +51,9 @@ func runScaling(o Options) (*Table, error) {
 		// Pivot replicas accumulate one per processor per pivot row;
 		// size the frame pools for the larger runs.
 		kcfg.Core.FramesPerModule = 2*n + 64
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
-		}
-		r, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(n, nodes))
-		if err != nil {
-			return fmt.Errorf("nodes=%d: %w", nodes, err)
-		}
-		elapsed[i] = r.Elapsed
-		return nil
-	})
+		specs[i] = runSpec{prog: gaussPlatinum, app: apps.DefaultGaussConfig(n, nodes), kcfg: kcfg, fresh: true}
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -73,12 +63,12 @@ func runScaling(o Options) (*Table, error) {
 		// Work per processor: sum over rounds of (owned rows x width)
 		// ~ n^3 / (3 * procs) row-words.
 		work := float64(n) * float64(n) * float64(n) / (3 * float64(nodes))
-		perWord := float64(elapsed[i]) / work
+		perWord := float64(res[i].elapsed) / work
 		if i == 0 {
 			base = perWord
 		}
 		t.Rows = append(t.Rows, []string{
-			itoa(nodes), fmt.Sprintf("%dx%d", n, n), elapsed[i].String(),
+			itoa(nodes), fmt.Sprintf("%dx%d", n, n), res[i].elapsed.String(),
 			fmt.Sprintf("%.0f", work), fmt.Sprintf("%.0f", perWord),
 			f2(base / perWord),
 		})

@@ -101,39 +101,22 @@ func runT1Sweep(o Options) (*Table, error) {
 	if o.Quick {
 		t1s = []sim.Time{10 * sim.Millisecond, 100 * sim.Millisecond}
 	}
-	// Two jobs per t1 value: gauss and backprop.
-	elapsed := make([]sim.Time, 2*len(t1s))
-	err := forEach(o, len(elapsed), func(i int) error {
-		t1 := t1s[i/2]
-		if i%2 == 0 {
-			kcfg := kernel.DefaultConfig()
-			kcfg.Machine.PageWords = pw
-			kcfg.Core.Policy = core.NewPlatinumPolicy(t1, false)
-			pl, err := apps.NewPlatinumPlatform(kcfg)
-			if err != nil {
-				return err
-			}
-			g, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(n, 8))
-			elapsed[i] = g.Elapsed
-			return err
-		}
-		kcfg := kernel.DefaultConfig()
-		kcfg.Core.Policy = core.NewPlatinumPolicy(t1, false)
-		pl, err := apps.NewPlatinumPlatform(kcfg)
-		if err != nil {
-			return err
-		}
-		bcfg := apps.DefaultBackpropConfig(8)
-		bcfg.Epochs = epochs
-		b, err := apps.RunBackprop(pl, bcfg)
-		elapsed[i] = b.Elapsed
-		return err
-	})
+	// Two runs per t1 value: gauss and backprop.
+	bcfg := apps.DefaultBackpropConfig(8)
+	bcfg.Epochs = epochs
+	var specs []runSpec
+	for _, t1 := range t1s {
+		pol := core.NewPlatinumPolicy(t1, false)
+		specs = append(specs,
+			policySpec(gaussPlatinum, apps.DefaultGaussConfig(n, 8), pw, pol),
+			policySpec(backprop, bcfg, 1024, pol))
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, t1 := range t1s {
-		t.Rows = append(t.Rows, []string{t1.String(), elapsed[2*i].String(), elapsed[2*i+1].String()})
+		t.Rows = append(t.Rows, []string{t1.String(), res[2*i].elapsed.String(), res[2*i+1].elapsed.String()})
 	}
 	return t, nil
 }
@@ -156,74 +139,41 @@ func runPolicyAblation(o Options) (*Table, error) {
 	if !o.Quick {
 		sortWords = 1 << 16
 	}
-	policies := []func() core.Policy{
-		func() core.Policy { return core.NewPlatinumPolicy(core.DefaultT1, false) },
-		func() core.Policy { return core.AlwaysCache{} },
-		func() core.Policy { return core.NeverCache{} },
-		func() core.Policy { return core.MigrateOnce{Limit: 4} },
+	policies := []core.Policy{
+		core.NewPlatinumPolicy(core.DefaultT1, false),
+		core.AlwaysCache{},
+		core.NeverCache{},
+		core.MigrateOnce{Limit: 4},
 	}
-	const napps = 3 // gauss, merge sort, backprop
-	// One job per (policy, application) pair, each with a fresh policy
-	// instance so concurrent runs never share policy state.
-	elapsed := make([]sim.Time, len(policies)*napps)
-	names := make([]string, len(policies))
-	err := forEach(o, len(elapsed), func(i int) error {
-		mk, app := policies[i/napps], i%napps
-		mkKernel := func(pageWords int) (kernel.Config, core.Policy) {
-			kcfg := kernel.DefaultConfig()
-			kcfg.Machine.PageWords = pageWords
-			pol := mk()
-			kcfg.Core.Policy = pol
-			return kcfg, pol
-		}
-		switch app {
-		case 0:
-			kcfg, pol := mkKernel(pw)
-			names[i/napps] = pol.Name()
-			pl, err := apps.NewPlatinumPlatform(kcfg)
-			if err != nil {
-				return err
-			}
-			g, err := apps.RunGaussPlatinum(pl, apps.DefaultGaussConfig(n, 8))
-			elapsed[i] = g.Elapsed
-			return err
-		case 1:
-			kcfg, pol := mkKernel(1024)
-			pl, err := apps.NewPlatinumPlatform(kcfg)
-			if err != nil {
-				return err
-			}
-			mcfg := apps.DefaultMergeSortConfig(8)
-			mcfg.Words = sortWords
-			ms, err := apps.RunMergeSort(pl, mcfg)
-			if err != nil {
-				return err
-			}
-			if !ms.Sorted {
-				return fmt.Errorf("exp: unsorted output under %s", pol.Name())
-			}
-			elapsed[i] = ms.Elapsed
-			return nil
-		default:
-			kcfg, _ := mkKernel(1024)
-			pl, err := apps.NewPlatinumPlatform(kcfg)
-			if err != nil {
-				return err
-			}
-			bcfg := apps.DefaultBackpropConfig(8)
-			bcfg.Epochs = 6
-			b, err := apps.RunBackprop(pl, bcfg)
-			elapsed[i] = b.Elapsed
-			return err
-		}
-	})
+	mcfg := apps.DefaultMergeSortConfig(8)
+	mcfg.Words = sortWords
+	bcfg := apps.DefaultBackpropConfig(8)
+	bcfg.Epochs = 6
+	// One run per (policy, application) pair.
+	var specs []runSpec
+	for _, pol := range policies {
+		specs = append(specs,
+			policySpec(gaussPlatinum, apps.DefaultGaussConfig(n, 8), pw, pol),
+			policySpec(mergeSortPlatinum, mcfg, 1024, pol),
+			policySpec(backprop, bcfg, 1024, pol))
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
-	for i := range policies {
+	for i, pol := range policies {
 		t.Rows = append(t.Rows, []string{
-			names[i], elapsed[i*napps].String(), elapsed[i*napps+1].String(), elapsed[i*napps+2].String(),
+			pol.Name(), res[3*i].elapsed.String(), res[3*i+1].elapsed.String(), res[3*i+2].elapsed.String(),
 		})
 	}
 	return t, nil
+}
+
+// policySpec is prog with config app under policy pol on the paper's
+// machine with pageWords-word pages, booted fresh.
+func policySpec(prog program, app any, pageWords int, pol core.Policy) runSpec {
+	kcfg := kernel.DefaultConfig()
+	kcfg.Machine.PageWords = pageWords
+	kcfg.Core.Policy = pol
+	return runSpec{prog: prog, app: app, kcfg: kcfg, fresh: true}
 }

@@ -2,12 +2,12 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"platinum/internal/apps"
 	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/mach"
-	"platinum/internal/metrics"
 	"platinum/internal/sim"
 )
 
@@ -53,100 +53,78 @@ func sweepBase(nodes int) mach.Config {
 	return base
 }
 
-// clusterTopology builds an n-node machine of clusterSize-node clusters:
-// intra-cluster distance DistScale, inter-cluster distance far
-// (per-mille), and one contended switch level per cluster (50 ns/word).
-// With far == DistScale the distance matrix is omitted entirely and only
-// the switch contention generalizes the machine.
-func clusterTopology(nodes, clusterSize, far int) *mach.Topology {
-	t := &mach.Topology{
-		Name: fmt.Sprintf("cluster-%dx%d-far%d", nodes, clusterSize, far),
-		Base: sweepBase(nodes),
+// builtinTopos memoizes the built-in sweep machines by name (each name
+// encodes every parameter of its machine), so each is built once per
+// process and the Topology pointer a pool key compares names one
+// machine.
+var (
+	builtinMu    sync.Mutex
+	builtinTopos = map[string]*mach.Topology{}
+)
+
+// builtinTopology returns the built-in machine called name, building it
+// with build on first use.
+func builtinTopology(name string, build func(name string) *mach.Topology) *mach.Topology {
+	builtinMu.Lock()
+	defer builtinMu.Unlock()
+	t, ok := builtinTopos[name]
+	if !ok {
+		t = build(name)
+		builtinTopos[name] = t
 	}
-	if far != mach.DistScale {
-		dist := make([]int, nodes*nodes)
-		for i := 0; i < nodes; i++ {
-			for j := 0; j < nodes; j++ {
-				if i/clusterSize == j/clusterSize {
-					dist[i*nodes+j] = mach.DistScale
-				} else {
-					dist[i*nodes+j] = far
-				}
-			}
-		}
-		t.Distance = dist
-	}
-	domain := make([]int, nodes)
-	for i := range domain {
-		domain[i] = i / clusterSize
-	}
-	t.Levels = []mach.SwitchLevel{{Domain: domain, PerWord: 50 * sim.Nanosecond}}
 	return t
 }
 
-// topoPolicies are the replication policies the sweeps compare. Each
-// run builds a fresh policy instance so concurrent simulations never
-// share policy state.
+// clusterTopology returns the n-node machine of clusterSize-node
+// clusters: intra-cluster distance DistScale, inter-cluster distance
+// far (per-mille), and one contended switch level per cluster
+// (50 ns/word). With far == DistScale the distance matrix is omitted
+// entirely and only the switch contention generalizes the machine.
+func clusterTopology(nodes, clusterSize, far int) *mach.Topology {
+	name := fmt.Sprintf("cluster-%dx%d-far%d", nodes, clusterSize, far)
+	return builtinTopology(name, func(name string) *mach.Topology {
+		t := &mach.Topology{Name: name, Base: sweepBase(nodes)}
+		if far != mach.DistScale {
+			dist := make([]int, nodes*nodes)
+			for i := 0; i < nodes; i++ {
+				for j := 0; j < nodes; j++ {
+					if i/clusterSize == j/clusterSize {
+						dist[i*nodes+j] = mach.DistScale
+					} else {
+						dist[i*nodes+j] = far
+					}
+				}
+			}
+			t.Distance = dist
+		}
+		domain := make([]int, nodes)
+		for i := range domain {
+			domain[i] = i / clusterSize
+		}
+		t.Levels = []mach.SwitchLevel{{Domain: domain, PerWord: 50 * sim.Nanosecond}}
+		return t
+	})
+}
+
+// topoPolicies are the replication policies the sweeps compare.
 var topoPolicies = []struct {
 	name string
-	mk   func() core.Policy
+	pol  core.Policy
 }{
-	{"platinum", func() core.Policy { return core.NewPlatinumPolicy(core.DefaultT1, false) }},
-	{"always-cache", func() core.Policy { return core.AlwaysCache{} }},
-	{"never-cache", func() core.Policy { return core.NeverCache{} }},
+	{"platinum", core.NewPlatinumPolicy(core.DefaultT1, false)},
+	{"always-cache", core.AlwaysCache{}},
+	{"never-cache", core.NeverCache{}},
 }
 
-// topoResult is one sweep data point.
-type topoResult struct {
-	elapsed sim.Time
-	acct    sim.Account
-	freezes int64
-	thaws   int64
-}
-
-// Platform-pool key namespaces for runTopoMixAt. A user-supplied
-// topology's keys start with customKeys, which no built-in sweep
-// point's key can produce (no built-in topology's Name starts with
-// "custom:"), so a user topology named like a built-in one never
-// shares its platforms.
-const (
-	builtinKeys = "topomix:"
-	customKeys  = "topomix:custom:"
-)
-
-// runTopoMixAt runs TopoMix on the given topology under the given
-// policy and returns the data point, after verifying the per-cause
-// attribution conservation invariant. The platform pool is keyed by
-// ns, the topology's Name and the policy, so within ns the Name must
-// encode every parameter that distinguishes a topology
-// (clusterTopology's does).
-func runTopoMixAt(ns string, topo *mach.Topology, poli int, mix apps.TopoMixConfig) (topoResult, error) {
+// topoMixSpec is TopoMix on topo under topoPolicies[poli], pooled.
+func topoMixSpec(topo *mach.Topology, poli int, mix apps.TopoMixConfig) runSpec {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Topology = topo
 	// TopoMix touches ~15 pages per module at peak; 32 frames per module
 	// keeps a 1024-node machine's physical-memory metadata small.
 	kcfg.Core.FramesPerModule = 32
-	kcfg.Core.Policy = topoPolicies[poli].mk()
-	key := fmt.Sprintf("%s%s:pol=%s", ns, topo.Name, topoPolicies[poli].name)
-	pl, err := apps.AcquirePlatform(key, kcfg)
-	if err != nil {
-		return topoResult{}, err
-	}
-	r, err := apps.RunTopoMix(pl, mix)
-	if err != nil {
-		return topoResult{}, err // failed runs are not pooled
-	}
-	accts := pl.Accounts()
-	if err := metrics.CheckConservation(accts); err != nil {
-		return topoResult{}, fmt.Errorf("%s under %s: %w", topo.Name, topoPolicies[poli].name, err)
-	}
-	res := topoResult{elapsed: r.Elapsed, acct: total(accts)}
-	for _, pg := range pl.K.Report().Pages {
-		res.freezes += pg.Freezes
-		res.thaws += pg.Thaws
-	}
-	apps.ReleasePlatform(key, pl)
-	return res, nil
+	kcfg.Core.Policy = topoPolicies[poli].pol
+	return runSpec{prog: topoMix, app: mix, kcfg: kcfg}
 }
 
 func runTopoNodes(o Options) (*Table, error) {
@@ -165,14 +143,13 @@ func runTopoNodes(o Options) (*Table, error) {
 			"scaled-eff: T(smallest machine)/T(n) for the same policy",
 		},
 	}
-	results := make([]topoResult, len(nodeCounts)*len(topoPolicies))
-	err := forEach(o, len(results), func(i int) error {
-		nodes := nodeCounts[i/len(topoPolicies)]
-		topo := clusterTopology(nodes, 16, 2000)
-		r, err := runTopoMixAt(builtinKeys, topo, i%len(topoPolicies), apps.DefaultTopoMixConfig(nodes, 256))
-		results[i] = r
-		return err
-	})
+	var specs []runSpec
+	for _, nodes := range nodeCounts {
+		for poli := range topoPolicies {
+			specs = append(specs, topoMixSpec(clusterTopology(nodes, 16, 2000), poli, apps.DefaultTopoMixConfig(nodes, 256)))
+		}
+	}
+	results, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -204,13 +181,11 @@ func runTopoSkew(o Options) (*Table, error) {
 			"freeze/thaw counts show the policy reacting to costlier sharing",
 		},
 	}
-	results := make([]topoResult, len(fars))
-	err := forEach(o, len(results), func(i int) error {
-		topo := clusterTopology(64, 8, fars[i])
-		r, err := runTopoMixAt(builtinKeys, topo, 0, apps.DefaultTopoMixConfig(64, 256))
-		results[i] = r
-		return err
-	})
+	specs := make([]runSpec, len(fars))
+	for i, far := range fars {
+		specs[i] = topoMixSpec(clusterTopology(64, 8, far), 0, apps.DefaultTopoMixConfig(64, 256))
+	}
+	results, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -224,19 +199,28 @@ func runTopoSkew(o Options) (*Table, error) {
 	return t, nil
 }
 
+// dramTopology is the 16-node sweep machine with DRAM on every node.
+func dramTopology() *mach.Topology {
+	return builtinTopology("all-dram-16", func(name string) *mach.Topology {
+		return &mach.Topology{Name: name, Base: sweepBase(16)}
+	})
+}
+
 // nvmTopology is a 16-node machine where every odd node's memory is an
 // NVM-style tier: reads 3x, writes 8x the DRAM rate.
 func nvmTopology() *mach.Topology {
-	const nodes = 16
-	tiers := make([]mach.MemTier, nodes)
-	for i := range tiers {
-		if i%2 == 1 {
-			tiers[i] = mach.MemTier{Name: "nvm", ReadMul: 3000, WriteMul: 8000}
-		} else {
-			tiers[i] = mach.MemTier{Name: "dram"}
+	return builtinTopology("hybrid-nvm-16", func(name string) *mach.Topology {
+		const nodes = 16
+		tiers := make([]mach.MemTier, nodes)
+		for i := range tiers {
+			if i%2 == 1 {
+				tiers[i] = mach.MemTier{Name: "nvm", ReadMul: 3000, WriteMul: 8000}
+			} else {
+				tiers[i] = mach.MemTier{Name: "dram"}
+			}
 		}
-	}
-	return &mach.Topology{Name: "hybrid-nvm-16", Base: sweepBase(nodes), Tiers: tiers}
+		return &mach.Topology{Name: name, Base: sweepBase(nodes), Tiers: tiers}
+	})
 }
 
 func runTopoTiers(o Options) (*Table, error) {
@@ -252,21 +236,16 @@ func runTopoTiers(o Options) (*Table, error) {
 			"write penalty; initial placement prefers DRAM at equal distance",
 		},
 	}
-	topos := []func() *mach.Topology{
-		func() *mach.Topology {
-			return &mach.Topology{Name: "all-dram-16", Base: sweepBase(16)}
-		},
-		nvmTopology,
-	}
+	topos := []*mach.Topology{dramTopology(), nvmTopology()}
 	labels := []string{"all DRAM", "DRAM+NVM"}
 	polis := []int{0, 2} // platinum, never-cache
-	results := make([]topoResult, len(topos)*len(polis))
-	err := forEach(o, len(results), func(i int) error {
-		topo := topos[i/len(polis)]()
-		r, err := runTopoMixAt(builtinKeys, topo, polis[i%len(polis)], apps.DefaultTopoMixConfig(16, 256))
-		results[i] = r
-		return err
-	})
+	var specs []runSpec
+	for _, topo := range topos {
+		for _, poli := range polis {
+			specs = append(specs, topoMixSpec(topo, poli, apps.DefaultTopoMixConfig(16, 256)))
+		}
+	}
+	results, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -301,12 +280,11 @@ func runTopoCustom(o Options) (*Table, error) {
 	topo := o.Topology
 	nodes := topo.Nodes()
 	mix := apps.DefaultTopoMixConfig(nodes, topo.Base.PageWords)
-	results := make([]topoResult, len(topoPolicies))
-	err := forEach(o, len(results), func(i int) error {
-		r, err := runTopoMixAt(customKeys, topo, i, mix)
-		results[i] = r
-		return err
-	})
+	specs := make([]runSpec, len(topoPolicies))
+	for poli := range topoPolicies {
+		specs[poli] = topoMixSpec(topo, poli, mix)
+	}
+	results, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -81,17 +81,18 @@ func TestTopologyArtifactsIdentical(t *testing.T) {
 
 // TestTopoConservation256 is the scaling acceptance gate: on a 256-node
 // clustered machine, the per-cause attribution conservation invariant
-// must hold exactly (runTopoMixAt checks it and fails the run
-// otherwise), and the verified workload must complete.
+// must hold exactly (runAll checks it and fails the run otherwise), and
+// the verified workload must complete.
 func TestTopoConservation256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node sweep point")
 	}
-	topo := clusterTopology(256, 16, 2000)
-	r, err := runTopoMixAt(builtinKeys, topo, 0, apps.DefaultTopoMixConfig(256, 256))
+	spec := topoMixSpec(clusterTopology(256, 16, 2000), 0, apps.DefaultTopoMixConfig(256, 256))
+	res, err := runAll(Options{Parallelism: 1}, []runSpec{spec})
 	if err != nil {
 		t.Fatalf("256-node run: %v", err)
 	}
+	r := res[0]
 	if r.elapsed <= 0 {
 		t.Fatalf("elapsed = %v, want positive", r.elapsed)
 	}

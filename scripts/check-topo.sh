@@ -7,8 +7,8 @@
 #      platinum-bench -topology: the topo-custom experiment boots the
 #      machine from examples/topologies/cluster-64.json, runs the
 #      verified TopoMix workload under every policy, and checks the
-#      per-cause conservation invariant on each run (runTopoMixAt
-#      fails the experiment otherwise).
+#      per-cause conservation invariant on each run (internal/exp's
+#      runAll fails the experiment otherwise).
 #   2. FuzzParseTopology runs for a fixed 15 s: the loader must never
 #      panic, and every topology it accepts must re-validate and boot.
 #      Tier-1 `go test` runs only its seed corpus.
