@@ -107,9 +107,10 @@ func RunBackprop(pl Platform, cfg BackpropConfig) (BackpropResult, error) {
 	return apps.RunBackprop(pl, cfg)
 }
 
-// RunAnecdote runs the §4.2 frozen-page workload.
-func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
-	return apps.RunAnecdote(cfg)
+// RunAnecdote runs the §4.2 frozen-page workload on pl, whose config
+// sets the defrost period (Core.DefrostPeriod; 0 runs no daemon).
+func RunAnecdote(pl *PlatinumPlatform, cfg AnecdoteConfig) (AnecdoteResult, error) {
+	return apps.RunAnecdote(pl, cfg)
 }
 
 // Experiment access: RunExperiment regenerates one of the paper's

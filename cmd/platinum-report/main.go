@@ -3,8 +3,12 @@
 // management report (§4.2): per-Cpage fault counts, fault-handler
 // contention, replication/migration/freeze activity, and ATC hit rates.
 // This is the instrumentation that let the paper's authors diagnose the
-// frozen-pivot-page anomaly. A run whose result is wrong (a gauss
-// checksum off the reference, an unsorted mergesort) exits 1.
+// frozen-pivot-page anomaly, and -app anecdote replays the §4.2 program
+// it diagnosed (a spin lock on the page of a read-mostly variable), on
+// a kernel without the defrost daemon. Every app runs on a pooled
+// platform, so every recording flag below applies to each. A run whose
+// result is wrong (a gauss checksum off the reference, an unsorted
+// mergesort) exits 1.
 //
 // With -json the same data is emitted as one structured document
 // (metrics.Report, schema_version 1): the machine-wide and per-node
@@ -42,7 +46,6 @@ import (
 	"time"
 
 	"platinum/internal/apps"
-	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
@@ -93,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = "-timeline needs -trace to record the events it buckets"
 	case *text && *spans == "":
 		bad = "-text needs -spans to name the file it writes"
-	case *app == "anecdote" && (*trace > 0 || *spans != "" || *histOn || *series > 0):
-		bad = "-app anecdote boots its own kernel, which -trace, -spans, -hist and -series cannot record"
 	}
 	if bad != "" {
 		fmt.Fprintln(stderr, "platinum-report:", bad)
@@ -109,33 +110,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (the determinism A/B tests, future batch drivers) reuse one reset
 	// kernel instead of booting a fresh one. The key carries every
 	// setting that changes the kernel's instrumentation state. The
-	// anecdote boots its own kernel and takes none, so pl stays nil.
+	// anecdote runs as §4.2 first found it, with no defrost daemon to
+	// thaw its frozen page.
 	poolKey := fmt.Sprintf("platinum-report:trace=%d spans=%t hist=%t series=%v",
 		*trace, *spans != "", *histOn, *series)
-	var pl *apps.PlatinumPlatform
-	if *app != "anecdote" {
-		var err error
-		if pl, err = apps.AcquirePlatform(poolKey, kernel.DefaultConfig()); err != nil {
-			return fail(err)
-		}
-		if *trace > 0 {
-			pl.K.EnableTrace(*trace)
-		}
-		if *spans != "" {
-			pl.K.EnableSpans(0)
-		}
-		if *histOn {
-			pl.K.EnableHistograms()
-		}
-		if *series > 0 {
-			pl.K.EnableSeries(sim.Time(*series), 0)
-		}
+	kcfg := kernel.DefaultConfig()
+	if *app == "anecdote" {
+		kcfg.Core.DefrostPeriod = 0
+	}
+	pl, err := apps.AcquirePlatform(poolKey, kcfg)
+	if err != nil {
+		return fail(err)
+	}
+	if *trace > 0 {
+		pl.K.EnableTrace(*trace)
+	}
+	if *spans != "" {
+		pl.K.EnableSpans(0)
+	}
+	if *histOn {
+		pl.K.EnableHistograms()
+	}
+	if *series > 0 {
+		pl.K.EnableSeries(sim.Time(*series), 0)
 	}
 
 	var elapsed sim.Time
 	var header string
-	var accounts []sim.Account
-	var report core.Report
 	switch *app {
 	case "gauss":
 		cfg := apps.DefaultGaussConfig(*size, *procs)
@@ -174,19 +175,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		header = fmt.Sprintf("backprop %d epochs on %d procs: %v (SSE %.3f -> %.3f)",
 			cfg.Epochs, *procs, r.Elapsed, r.InitialSSE, r.FinalSSE)
 	case "anecdote":
-		r, err := apps.RunAnecdote(apps.DefaultAnecdoteConfig(*procs))
+		r, err := apps.RunAnecdote(pl, apps.DefaultAnecdoteConfig(*procs))
 		if err != nil {
 			return fail(err)
 		}
-		elapsed, accounts, report = r.Elapsed, r.Accounts, r.Report
+		elapsed = r.Elapsed
 		header = fmt.Sprintf("anecdote on %d procs: %v (size page frozen: %v)",
 			*procs, r.Elapsed, r.SizeFrozen)
 	default:
 		return fail(fmt.Errorf("unknown app %q", *app))
 	}
-	if pl != nil {
-		accounts, report = pl.K.NodeAccounts(), pl.K.Report()
-	}
+	accounts, report := pl.K.NodeAccounts(), pl.K.Report()
 	var total sim.Account
 	for i := range accounts {
 		total.Add(&accounts[i])

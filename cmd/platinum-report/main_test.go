@@ -366,20 +366,25 @@ func TestAnecdoteReportGolden(t *testing.T) {
 	checkGolden(t, "anecdote_report.golden.txt", []byte(out))
 }
 
-// The anecdote boots its own kernel, so the recording flags, which
-// instrument the pooled platform, are rejected before anything boots.
-
-func TestSpansRejectsAnecdote(t *testing.T) {
-	_, code := runCmd(t, "-app", "anecdote", "-spans", filepath.Join(t.TempDir(), "x.json"))
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+// TestAnecdoteRecords runs the anecdote with every recording flag on:
+// its spans nest and reconcile, and recording moves no simulated
+// number, so the report still begins with the bytes of its golden.
+func TestAnecdoteRecords(t *testing.T) {
+	f := filepath.Join(t.TempDir(), "spans.json")
+	out, code := runCmd(t, "-app", "anecdote", "-procs", "6", "-top", "3",
+		"-trace", "4096", "-spans", f, "-hist", "-series", "1ms")
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
 	}
-}
-
-func TestHistRejectsAnecdote(t *testing.T) {
-	_, code := runCmd(t, "-app", "anecdote", "-hist")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+	if !strings.Contains(out, "nest and reconcile exactly") {
+		t.Errorf("report does not confirm the span validation:\n%s", out)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "anecdote_report.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, string(want)) {
+		t.Errorf("recorded report does not begin with anecdote_report.golden.txt:\n%s", out)
 	}
 }
 
@@ -429,7 +434,6 @@ func TestSpansBadFlagsExitTwo(t *testing.T) {
 // TestBadFlagsExitTwo checks every flag value that cannot describe a
 // report: exit 2 with one "platinum-report:" line on stderr, before
 // anything runs, so nothing reaches stdout and no file is written.
-// The timeline path doubles as the -spans target of the anecdote row.
 func TestBadFlagsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "timeline.jsonl")
@@ -445,10 +449,6 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-app", "mergesort", "-n", "0"},
 		{"-app", "backprop", "-n", "-1"},
 		{"-text"},
-		{"-app", "anecdote", "-trace", "100"},
-		{"-app", "anecdote", "-spans", tl},
-		{"-app", "anecdote", "-hist"},
-		{"-app", "anecdote", "-series", "1ms"},
 		{"-n", "16", "-procs", "2", "mergesort"},
 		{"-n", "16", "-procs", "2", "-trace", "100", "-timeline", tl, "extra"},
 	} {

@@ -57,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "platinum-stress: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
+	if *duration < 0 {
+		fmt.Fprintf(stderr, "platinum-stress: -duration %v: must not be negative\n", *duration)
+		return 2
+	}
 
 	cfg := stress.DefaultConfig()
 	cfg.Seed = *seed
@@ -87,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	code := 0
-	if *duration <= 0 {
+	if *duration == 0 {
 		code = runOne(cfg, *shrink, true, stdout, stderr)
 	} else {
 		// Soak: consecutive seeds until the wall-clock budget runs out.

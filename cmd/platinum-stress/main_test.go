@@ -20,6 +20,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-procs", "5000"},
 		{"-bug", "nope"},
 		{"-ops", "200", "bogus"},
+		{"-ops", "200", "-duration", "-1s"},
 	} {
 		var out, errb bytes.Buffer
 		code := run(args, &out, &errb)

@@ -21,55 +21,48 @@ import (
 	"platinum"
 )
 
-// breakdown sums a run's per-processor accounts into the machine-wide
-// cost breakdown.
-func breakdown(accts []platinum.Account) platinum.CostBreakdown {
-	var total platinum.Account
-	for i := range accts {
-		total.Add(&accts[i])
+// run boots the paper's machine with the defrost daemon waking every
+// defrost (0: no daemon), runs the anecdote on it and prints the cost
+// signature a tuner looks at: elapsed time, the remote-access share,
+// and the coherency-overhead share.
+func run(cfg platinum.AnecdoteConfig, defrost platinum.Time) platinum.AnecdoteResult {
+	kcfg := platinum.DefaultConfig()
+	kcfg.Core.DefrostPeriod = defrost
+	pl, err := platinum.NewPlatinumPlatform(kcfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return platinum.BreakdownOf(total)
-}
-
-// describe prints the cost signature a tuner looks at: elapsed time,
-// the remote-access share, and the coherency-overhead share.
-func describe(res platinum.AnecdoteResult) {
-	b := breakdown(res.Accounts)
+	res, err := platinum.RunAnecdote(pl, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var total platinum.Account
+	for _, a := range pl.Accounts() {
+		total.Add(&a)
+	}
+	b := platinum.BreakdownOf(total)
 	fmt.Printf("elapsed %v; remote-access share %.1f%%; fault+shootdown share %.1f%%; frozen at end: %v\n",
 		res.Elapsed, 100*b.RemoteFraction(), 100*b.FaultFraction(), res.SizeFrozen)
+	return res
 }
 
 func main() {
 	fmt.Println("=== step 1: the slow program (lock and data share a page) ===")
 	bad := platinum.DefaultAnecdoteConfig(6)
-	badRes, err := platinum.RunAnecdote(bad)
-	if err != nil {
-		log.Fatal(err)
-	}
-	describe(badRes)
+	badRes := run(bad, 0)
 	fmt.Println("diagnosis: the remote-access share dominates, and the kernel")
 	fmt.Println("report shows the page holding the inner-loop variable is FROZEN —")
 	fmt.Println("every read of the matrix size is a remote reference.")
 
 	fmt.Println("\n=== step 2: fix A — let the defrost daemon thaw it ===")
-	daemon := bad
-	daemon.Defrost = 10 * platinum.Millisecond
-	daemonRes, err := platinum.RunAnecdote(daemon)
-	if err != nil {
-		log.Fatal(err)
-	}
-	describe(daemonRes)
+	daemonRes := run(bad, 10*platinum.Millisecond)
 	fmt.Printf("(%.1fx faster than step 1)\n",
 		float64(badRes.Elapsed)/float64(daemonRes.Elapsed))
 
 	fmt.Println("\n=== step 3: fix B — allocation discipline (separate pages) ===")
 	good := bad
 	good.Colocate = false
-	goodRes, err := platinum.RunAnecdote(good)
-	if err != nil {
-		log.Fatal(err)
-	}
-	describe(goodRes)
+	goodRes := run(good, 0)
 	fmt.Printf("(%.1fx faster than step 1; the remote-access share collapses\n",
 		float64(badRes.Elapsed)/float64(goodRes.Elapsed))
 	fmt.Println("because the size page is free to replicate)")

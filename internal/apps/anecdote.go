@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 
-	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/sim"
 )
@@ -18,15 +17,15 @@ import (
 // onto distinct pages (programmer), or thaw the page later (the defrost
 // daemon, which "salvages reasonable performance").
 //
-// AnecdoteConfig selects the variant; comparing elapsed times across
-// the three variants reproduces the story.
+// AnecdoteConfig selects the layout and the platform's kernel.Config
+// the defrost period; comparing elapsed times across the three
+// variants reproduces the story.
 
 // AnecdoteConfig parameterizes one run.
 type AnecdoteConfig struct {
-	Threads  int      // worker threads (paper: problem visible at >= 5)
-	Iters    int      // inner-loop iterations per thread
-	Colocate bool     // matrix-size variable shares the lock's page
-	Defrost  sim.Time // defrost period (0 = daemon disabled)
+	Threads  int  // worker threads (paper: problem visible at >= 5)
+	Iters    int  // inner-loop iterations per thread
+	Colocate bool // matrix-size variable shares the lock's page
 }
 
 // anecdoteWork is the non-memory work per inner-loop iteration.
@@ -38,54 +37,41 @@ func DefaultAnecdoteConfig(threads int) AnecdoteConfig {
 		Threads:  threads,
 		Iters:    20000,
 		Colocate: true,
-		Defrost:  0,
 	}
 }
 
 // AnecdoteResult reports a run.
 type AnecdoteResult struct {
 	Elapsed    sim.Time
-	SizeFrozen bool          // was the matrix-size page frozen at the end?
-	Accounts   []sim.Account // per-processor cost breakdown
-	Report     core.Report   // the §4.2 kernel report for the run
+	SizeFrozen bool // was the matrix-size page frozen at the end?
 }
 
-// RunAnecdote executes the workload and reports elapsed time plus the
-// final freeze state of the matrix-size page.
-func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
+// RunAnecdote executes the workload on pl and reports elapsed time plus
+// the final freeze state of the matrix-size page.
+func RunAnecdote(pl *PlatinumPlatform, cfg AnecdoteConfig) (AnecdoteResult, error) {
 	if cfg.Threads < 2 {
 		return AnecdoteResult{}, fmt.Errorf("apps: anecdote needs >= 2 threads")
 	}
-	kcfg := kernel.DefaultConfig()
-	kcfg.Core.DefrostPeriod = cfg.Defrost
-	k, err := kernel.Boot(kcfg)
-	if err != nil {
+	if err := checkProcs(pl, cfg.Threads); err != nil {
 		return AnecdoteResult{}, err
 	}
-	if cfg.Threads > k.Nodes() {
-		return AnecdoteResult{}, fmt.Errorf("apps: %d processors requested, machine has %d", cfg.Threads, k.Nodes())
-	}
-	sp := k.NewSpace()
-
+	obj := "size"
 	var sizeVA, lockVA int64
+	var err error
 	if cfg.Colocate {
-		base, err := sp.AllocWords("size+lock", 2, core.Read|core.Write)
-		if err != nil {
-			return AnecdoteResult{}, err
-		}
-		sizeVA, lockVA = base, base+1
-	} else {
-		if sizeVA, err = sp.AllocWords("size", 1, core.Read|core.Write); err != nil {
-			return AnecdoteResult{}, err
-		}
-		if lockVA, err = sp.AllocWords("lock", 1, core.Read|core.Write); err != nil {
-			return AnecdoteResult{}, err
-		}
+		obj = "size+lock"
+		sizeVA, err = pl.Alloc(obj, 2)
+		lockVA = sizeVA + 1
+	} else if sizeVA, err = pl.Alloc(obj, 1); err == nil {
+		lockVA, err = pl.Alloc("lock", 1)
+	}
+	if err != nil {
+		return AnecdoteResult{}, err
 	}
 
 	for i := 0; i < cfg.Threads; i++ {
 		i := i
-		k.Spawn(fmt.Sprintf("anec-%d", i), i, sp, func(t *kernel.Thread) {
+		pl.K.Spawn(fmt.Sprintf("anec-%d", i), i, pl.Sp, func(t *kernel.Thread) {
 			if i == 0 {
 				// Startup phase: write the matrix size.
 				t.Write(sizeVA, uint32(cfg.Iters))
@@ -107,21 +93,12 @@ func RunAnecdote(cfg AnecdoteConfig) (AnecdoteResult, error) {
 			}
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := pl.Run(); err != nil {
 		return AnecdoteResult{}, err
 	}
-	obj := "size"
-	if cfg.Colocate {
-		obj = "size+lock"
-	}
-	o, ok := k.Manager().LookupObject(obj)
+	o, ok := pl.K.Manager().LookupObject(obj)
 	if !ok {
 		return AnecdoteResult{}, fmt.Errorf("apps: object %q missing", obj)
 	}
-	return AnecdoteResult{
-		Elapsed:    k.Now(),
-		SizeFrozen: o.Cpage(0).Frozen(),
-		Accounts:   k.NodeAccounts(),
-		Report:     k.Report(),
-	}, nil
+	return AnecdoteResult{Elapsed: pl.Elapsed(), SizeFrozen: o.Cpage(0).Frozen()}, nil
 }

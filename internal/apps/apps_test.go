@@ -1,14 +1,11 @@
 package apps
 
 import (
-	"math"
 	"testing"
 
 	"platinum/internal/baseline"
 	"platinum/internal/core"
 	"platinum/internal/kernel"
-	"platinum/internal/mach"
-	"platinum/internal/model"
 	"platinum/internal/sim"
 )
 
@@ -251,90 +248,31 @@ func TestBackpropFreezesActivations(t *testing.T) {
 	}
 }
 
-// --- Sharing microworkload / Table 1 ---
-
-func TestSharingMigrationWinsWhenModelSaysSo(t *testing.T) {
-	// rho=2.0, g(2)=2: model S_min ~141 words. Well above: migration
-	// should win; well below: remote should win.
-	big := SharingConfig{PageWords: 1024, Rho: 2.0, Procs: 2, Ops: 60}
-	bigMig, err := RunSharing(withPolicy(big, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigRem, err := RunSharing(withPolicy(big, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigMig >= bigRem {
-		t.Errorf("s=1024 rho=2: migrate (%v) should beat remote (%v)", bigMig, bigRem)
-	}
-
-	small := SharingConfig{PageWords: 16, Rho: 2.0, Procs: 2, Ops: 60}
-	smallMig, err := RunSharing(withPolicy(small, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallRem, err := RunSharing(withPolicy(small, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if smallMig <= smallRem {
-		t.Errorf("s=16 rho=2: remote (%v) should beat migrate (%v)", smallRem, smallMig)
-	}
-}
-
-func withPolicy(cfg SharingConfig, migrate bool) SharingConfig {
-	if migrate {
-		cfg.Policy = alwaysCache
-	} else {
-		cfg.Policy = neverCache
-	}
-	return cfg
-}
-
-func TestEmpiricalSMinNearModel(t *testing.T) {
-	// The simulator's own constants differ slightly from the paper's
-	// rounded ones; build model params from the simulator's defaults.
-	params := simulatorModelParams()
-	for _, tc := range []struct {
-		rho   float64
-		procs int
-	}{
-		{2.0, 2},  // g = 2
-		{1.0, 16}, // g = 16/15 ~ 1.07
-	} {
-		g := model.GRoundRobin(tc.procs)
-		want := params.SMin(tc.rho, g)
-		got, err := EmpiricalSMin(tc.rho, tc.procs, 8, 8192, 4*tc.procs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsInf(want, 1) {
-			if !math.IsInf(got, 1) {
-				t.Errorf("rho=%.2f p=%d: model says never, empirical %v", tc.rho, tc.procs, got)
-			}
-			continue
-		}
-		ratio := got / want
-		if ratio < 0.4 || ratio > 2.5 {
-			t.Errorf("rho=%.2f p=%d: empirical S_min %.0f vs model %.0f (ratio %.2f)",
-				tc.rho, tc.procs, got, want, ratio)
-		}
-	}
-}
-
 // --- Anecdote ---
+
+// anecdotePl boots the paper's machine with the defrost daemon waking
+// every defrost (0: no daemon).
+func anecdotePl(t *testing.T, defrost sim.Time) *PlatinumPlatform {
+	t.Helper()
+	kcfg := kernel.DefaultConfig()
+	kcfg.Core.DefrostPeriod = defrost
+	pl, err := NewPlatinumPlatform(kcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
 
 func TestAnecdoteColocationHurts(t *testing.T) {
 	colocated := DefaultAnecdoteConfig(6)
 	separate := colocated
 	separate.Colocate = false
 
-	rc, err := RunAnecdote(colocated)
+	rc, err := RunAnecdote(anecdotePl(t, 0), colocated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RunAnecdote(separate)
+	rs, err := RunAnecdote(anecdotePl(t, 0), separate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,15 +289,12 @@ func TestAnecdoteColocationHurts(t *testing.T) {
 }
 
 func TestAnecdoteDefrostRescues(t *testing.T) {
-	frozen := DefaultAnecdoteConfig(6)
-	rescued := frozen
-	rescued.Defrost = 10 * sim.Millisecond
-
-	rf, err := RunAnecdote(frozen)
+	cfg := DefaultAnecdoteConfig(6)
+	rf, err := RunAnecdote(anecdotePl(t, 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RunAnecdote(rescued)
+	rr, err := RunAnecdote(anecdotePl(t, 10*sim.Millisecond), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,59 +306,8 @@ func TestAnecdoteDefrostRescues(t *testing.T) {
 	}
 }
 
-// --- helpers ---
-
-var (
-	alwaysCache core.Policy = core.AlwaysCache{}
-	neverCache  core.Policy = core.NeverCache{}
-)
-
-// simulatorModelParams builds §4.1 model parameters from the
-// simulator's own default constants, so the empirical crossover can be
-// compared against the model evaluated with matching costs.
-func simulatorModelParams() model.Params {
-	mc := mach.DefaultConfig()
-	cc := core.DefaultConfig()
-	// Fixed overhead of one migration in the simulator: fault entry,
-	// frame allocation, shootdown post+sync, old frame free, mapping.
-	f := cc.FaultBase + cc.FrameAlloc + cc.ShootdownPost + cc.ShootdownSync +
-		cc.FrameFree + cc.MapInstall
-	return model.Params{
-		Tl: mc.LocalRead,
-		Tr: mc.RemoteRead,
-		Tb: mc.BlockCopyPerWord,
-		F:  f,
-	}
-}
-
-func TestSharingConfigValidation(t *testing.T) {
-	bad := []SharingConfig{
-		{PageWords: 0, Rho: 1, Procs: 2, Ops: 1, Policy: alwaysCache},
-		{PageWords: 8, Rho: 1, Procs: 1, Ops: 1, Policy: alwaysCache},
-		{PageWords: 8, Rho: 1, Procs: 2, Ops: 0, Policy: alwaysCache},
-	}
-	for i, cfg := range bad {
-		if _, err := RunSharing(cfg); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestEmpiricalSMinNeverBelowBreakEven(t *testing.T) {
-	// Density far below the break-even: migration loses at any page
-	// size, so the bisection reports "never" (+Inf).
-	got, err := EmpiricalSMin(0.05, 2, 8, 512, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(got, 1) {
-		t.Fatalf("S_min = %v, want +Inf", got)
-	}
-}
-
 func TestAnecdoteRequiresTwoThreads(t *testing.T) {
-	cfg := DefaultAnecdoteConfig(1)
-	if _, err := RunAnecdote(cfg); err == nil {
+	if _, err := RunAnecdote(anecdotePl(t, 0), DefaultAnecdoteConfig(1)); err == nil {
 		t.Fatal("single-thread anecdote accepted")
 	}
 }
@@ -431,7 +315,7 @@ func TestAnecdoteRequiresTwoThreads(t *testing.T) {
 // TestAnecdoteRejectsTooManyThreads: one thread per processor, so a
 // count past the machine fails cleanly instead of panicking in Spawn.
 func TestAnecdoteRejectsTooManyThreads(t *testing.T) {
-	if _, err := RunAnecdote(DefaultAnecdoteConfig(17)); err == nil {
+	if _, err := RunAnecdote(anecdotePl(t, 0), DefaultAnecdoteConfig(17)); err == nil {
 		t.Fatal("17-thread anecdote accepted on a 16-processor machine")
 	}
 }
@@ -460,38 +344,39 @@ func TestBackpropRejectsTooManyThreads(t *testing.T) {
 func TestColocateStrategiesOrdering(t *testing.T) {
 	// Large X: migrating the thread must beat migrating 16 pages of
 	// data, and both must beat all-remote access at rho=1.
-	run := func(s ColocateStrategy) sim.Time {
-		d, err := RunColocate(ColocateConfig{Pages: 16, Rho: 1, Ops: 12, Strategy: s})
+	run := func(pol core.Policy, cfg ColocateConfig) sim.Time {
+		kcfg := kernel.DefaultConfig()
+		kcfg.Core.Policy = pol
+		kcfg.Core.DefrostPeriod = 0
+		pl, err := NewPlatinumPlatform(kcfg)
 		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+			t.Fatal(err)
 		}
-		return d
+		r, err := RunColocate(pl, cfg)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", pol.Name(), cfg, err)
+		}
+		return r.MeanOp
 	}
-	remote, data, thread := run(Remote), run(MigrateData), run(MigrateThread)
+	big := ColocateConfig{Pages: 16, Rho: 1, Ops: 12}
+	remote, data := run(core.NeverCache{}, big), run(core.AlwaysCache{}, big)
+	big.MigrateThread = true
+	thread := run(core.NeverCache{}, big)
 	if !(thread < data && data < remote) {
 		t.Fatalf("expected thread < data < remote, got %v / %v / %v", thread, data, remote)
 	}
 	// Tiny sparse X: remote access must beat data migration.
-	small := func(s ColocateStrategy) sim.Time {
-		d, err := RunColocate(ColocateConfig{Pages: 1, Rho: 0.02, Ops: 12, Strategy: s})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		return d
-	}
-	if r, d := small(Remote), small(MigrateData); r >= d {
+	small := ColocateConfig{Pages: 1, Rho: 0.02, Ops: 12}
+	if r, d := run(core.NeverCache{}, small), run(core.AlwaysCache{}, small); r >= d {
 		t.Fatalf("sparse: remote (%v) should beat data migration (%v)", r, d)
 	}
 }
 
 func TestColocateValidation(t *testing.T) {
-	if _, err := RunColocate(ColocateConfig{Pages: 0, Ops: 10}); err == nil {
+	if _, err := RunColocate(platinumPl(t), ColocateConfig{Pages: 0, Ops: 10}); err == nil {
 		t.Error("zero pages accepted")
 	}
-	if _, err := RunColocate(ColocateConfig{Pages: 1, Ops: 1}); err == nil {
+	if _, err := RunColocate(platinumPl(t), ColocateConfig{Pages: 1, Ops: 1}); err == nil {
 		t.Error("single op accepted")
-	}
-	if ColocateStrategy(9).String() == "" {
-		t.Error("unknown strategy string")
 	}
 }

@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 
-	"platinum/internal/core"
 	"platinum/internal/kernel"
 	"platinum/internal/sim"
 )
@@ -13,80 +12,52 @@ import (
 // processors; each operation makes ρ·s·k references. The paper lists
 // three ways to co-locate operation and data:
 //
-//  1. don't — execute in place with remote references (Strategy Remote);
-//  2. move the data to the processor (Strategy MigrateData);
+//  1. don't — execute in place with remote references (a platform
+//     whose policy never moves data, core.NeverCache);
+//  2. move the data to the processor (core.AlwaysCache);
 //  3. move the computation to the data — the Emerald-style option the
-//     paper notes but does not pursue (Strategy MigrateThread, modeled
-//     as a round trip: migrate to the data's home, operate locally,
-//     migrate back).
+//     paper notes but does not pursue (MigrateThread under NeverCache,
+//     modeled as a round trip: migrate to the data's home, operate
+//     locally, migrate back).
 //
-// Comparing per-operation costs across X sizes shows each strategy's
+// Comparing per-operation costs across X sizes shows each option's
 // regime: remote wins for tiny sparse operations, data migration for
 // page-scale operations, and computation migration once X spans many
 // pages (one thread move costs one stack page regardless of k).
 
-// ColocateStrategy selects how operation and data are co-located.
-type ColocateStrategy int
-
-// The §4.1 options.
-const (
-	Remote ColocateStrategy = iota
-	MigrateData
-	MigrateThread
-)
-
-func (s ColocateStrategy) String() string {
-	switch s {
-	case Remote:
-		return "remote access"
-	case MigrateData:
-		return "migrate data"
-	case MigrateThread:
-		return "migrate thread"
-	}
-	return fmt.Sprintf("ColocateStrategy(%d)", int(s))
-}
-
 // ColocateConfig parameterizes a run.
 type ColocateConfig struct {
-	Pages    int     // size of X in pages
-	Rho      float64 // reference density per operation
-	Ops      int     // total operations (alternating between two procs)
-	Strategy ColocateStrategy
+	Pages         int     // size of X in pages
+	Rho           float64 // reference density per operation
+	Ops           int     // total operations (alternating between two procs)
+	MigrateThread bool    // each operation moves its thread to X's home and back
 }
 
-// RunColocate measures the mean per-operation time of the strategy.
-func RunColocate(cfg ColocateConfig) (sim.Time, error) {
+// ColocateResult reports a run.
+type ColocateResult struct {
+	MeanOp sim.Time // the mean time of one operation
+}
+
+// RunColocate measures the mean per-operation time on pl, whose
+// policy decides whether X's pages move.
+func RunColocate(pl *PlatinumPlatform, cfg ColocateConfig) (ColocateResult, error) {
 	if cfg.Pages < 1 || cfg.Ops < 2 {
-		return 0, fmt.Errorf("apps: bad colocate config %+v", cfg)
+		return ColocateResult{}, fmt.Errorf("apps: bad colocate config %+v", cfg)
 	}
-	kcfg := kernel.DefaultConfig()
-	switch cfg.Strategy {
-	case MigrateData:
-		kcfg.Core.Policy = core.AlwaysCache{}
-	default:
-		kcfg.Core.Policy = core.NeverCache{}
-	}
-	kcfg.Core.DefrostPeriod = 0
-	k, err := kernel.Boot(kcfg)
+	pw := pl.K.PageWords()
+	xVA, err := pl.Alloc("X", cfg.Pages*pw)
 	if err != nil {
-		return 0, err
-	}
-	sp := k.NewSpace()
-	pw := k.PageWords()
-	xVA, err := sp.AllocPages("X", cfg.Pages, core.Read|core.Write)
-	if err != nil {
-		return 0, err
+		return ColocateResult{}, err
 	}
 	const home = 0
 	for pg := 0; pg < cfg.Pages; pg++ {
-		if err := sp.PlaceAt(xVA+int64(pg*pw), home); err != nil {
-			return 0, err
+		if err := pl.PlaceAt(xVA+int64(pg*pw), home); err != nil {
+			return ColocateResult{}, err
 		}
 	}
-	turn, err := sp.AllocWords("turn", 1, core.Read|core.Write)
+	turn, err := pl.Alloc("turn", 1)
 	if err != nil {
-		return 0, err
+		return ColocateResult{}, err
 	}
 
 	refs := int(cfg.Rho * float64(pw))
@@ -103,7 +74,7 @@ func RunColocate(cfg ColocateConfig) (sim.Time, error) {
 			for op := me; op < cfg.Ops; op += 2 {
 				t.WaitAtLeast(turn, uint32(op))
 				start := t.Now()
-				if cfg.Strategy == MigrateThread && t.Proc() != home {
+				if cfg.MigrateThread && t.Proc() != home {
 					t.Migrate(home)
 				}
 				// One write establishes ownership, then the operation's
@@ -115,7 +86,7 @@ func RunColocate(cfg ColocateConfig) (sim.Time, error) {
 						t.ReadRange(base+1, buf[:refs-1])
 					}
 				}
-				if cfg.Strategy == MigrateThread && t.Proc() != myProc {
+				if cfg.MigrateThread && t.Proc() != myProc {
 					t.Migrate(myProc)
 				}
 				opTime += t.Now() - start
@@ -123,10 +94,10 @@ func RunColocate(cfg ColocateConfig) (sim.Time, error) {
 			}
 		}
 	}
-	k.Spawn("a", 0, sp, worker(0, 0))
-	k.Spawn("b", 1, sp, worker(1, 1))
-	if err := k.Run(); err != nil {
-		return 0, err
+	pl.K.Spawn("a", 0, pl.Sp, worker(0, 0))
+	pl.K.Spawn("b", 1, pl.Sp, worker(1, 1))
+	if err := pl.Run(); err != nil {
+		return ColocateResult{}, err
 	}
-	return opTime / sim.Time(cfg.Ops), nil
+	return ColocateResult{MeanOp: opTime / sim.Time(cfg.Ops)}, nil
 }

@@ -89,10 +89,13 @@ func gaussReference(cfg GaussConfig) []uint32 {
 	return m
 }
 
-// gaussChecksum digests a matrix.
-func gaussChecksum(m []uint32) uint32 {
-	h := uint32(2166136261)
-	for _, v := range m {
+// digestBasis starts a checksum that digest extends.
+const digestBasis = 2166136261
+
+// digest extends checksum h over words, FNV-1a style, a whole word at a
+// time. Every program's checksum is digest(digestBasis, its answer).
+func digest(h uint32, words []uint32) uint32 {
+	for _, v := range words {
 		h = (h ^ v) * 16777619
 	}
 	return h
@@ -101,7 +104,7 @@ func gaussChecksum(m []uint32) uint32 {
 // GaussReferenceChecksum returns the checksum of the sequentially
 // reduced matrix, for cross-validating the simulated runs.
 func GaussReferenceChecksum(cfg GaussConfig) uint32 {
-	return gaussChecksum(gaussReference(cfg))
+	return digest(digestBasis, gaussReference(cfg))
 }
 
 // rowOwner returns the thread owning row j (round-robin assignment, so
@@ -226,7 +229,7 @@ func runGaussShared(pl *PlatinumPlatform, cfg GaussConfig, scatter bool) (GaussR
 	if err := pl.Run(); err != nil {
 		return GaussResult{}, err
 	}
-	return GaussResult{Elapsed: pl.Elapsed(), Checksum: gaussChecksum(out), Matrix: out}, nil
+	return GaussResult{Elapsed: pl.Elapsed(), Checksum: digest(digestBasis, out), Matrix: out}, nil
 }
 
 // RunGaussSMP runs the message-passing variant: each thread keeps its
@@ -305,5 +308,5 @@ func RunGaussSMP(pl *PlatinumPlatform, cfg GaussConfig) (GaussResult, error) {
 	if err := pl.Run(); err != nil {
 		return GaussResult{}, err
 	}
-	return GaussResult{Elapsed: pl.Elapsed(), Checksum: gaussChecksum(out), Matrix: out}, nil
+	return GaussResult{Elapsed: pl.Elapsed(), Checksum: digest(digestBasis, out), Matrix: out}, nil
 }

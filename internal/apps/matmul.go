@@ -58,7 +58,7 @@ func matmulInput(cfg MatMulConfig) (a, b []uint32) {
 func MatMulReferenceChecksum(cfg MatMulConfig) uint32 {
 	n := cfg.N
 	a, b := matmulInput(cfg)
-	h := uint32(2166136261)
+	h := uint32(digestBasis)
 	row := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -68,9 +68,7 @@ func MatMulReferenceChecksum(cfg MatMulConfig) uint32 {
 			}
 			row[j] = sum
 		}
-		for _, v := range row {
-			h = (h ^ v) * 16777619
-		}
+		h = digest(h, row)
 	}
 	return h
 }
@@ -142,9 +140,5 @@ func RunMatMul(pl Platform, cfg MatMulConfig) (MatMulResult, error) {
 	if err := pl.Run(); err != nil {
 		return MatMulResult{}, err
 	}
-	h := uint32(2166136261)
-	for _, v := range out {
-		h = (h ^ v) * 16777619
-	}
-	return MatMulResult{Elapsed: pl.Elapsed(), Checksum: h}, nil
+	return MatMulResult{Elapsed: pl.Elapsed(), Checksum: digest(digestBasis, out)}, nil
 }

@@ -189,10 +189,3 @@ func bits(n int) int {
 	}
 	return b
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,9 +1,14 @@
 // Package apps implements the paper's application programs — Gaussian
 // elimination (§5.1), tree merge sort (§5.2), and a recurrent
-// backpropagation network simulator (§5.3) — plus the synthetic
-// workloads behind Table 1 and the §4.2 frozen-page anecdote.
+// backpropagation network simulator (§5.3) — plus the §4.2 frozen-page
+// anecdote, the §4.1 co-location benchmark and the TopoMix, matmul and
+// SOR workloads.
 //
-// The applications perform real computation on simulated memory: tests
+// Every program runs on the platform its caller passes in, booted here
+// (NewPlatinumPlatform, NewUMAPlatform) or taken from the pool
+// (AcquirePlatform); kernel settings such as the policy or the defrost
+// period are the caller's kernel.Config, not the program's. The
+// applications perform real computation on simulated memory: tests
 // verify their answers, so coherency bugs in the memory system surface
 // as wrong results, not just wrong timings. Where the paper runs the
 // same program on two machines (merge sort on the Butterfly and on a

@@ -74,11 +74,7 @@ func SORReferenceChecksum(cfg SORConfig) uint32 {
 		}
 		g, next = next, g
 	}
-	h := uint32(2166136261)
-	for _, v := range g {
-		h = (h ^ v) * 16777619
-	}
-	return h
+	return digest(digestBasis, g)
 }
 
 // RunSOR runs the banded Jacobi-style sweeps on pl. The two grids are
@@ -158,9 +154,5 @@ func RunSOR(pl Platform, cfg SORConfig) (SORResult, error) {
 	if err := pl.Run(); err != nil {
 		return SORResult{}, err
 	}
-	h := uint32(2166136261)
-	for _, v := range out {
-		h = (h ^ v) * 16777619
-	}
-	return SORResult{Elapsed: pl.Elapsed(), Checksum: h}, nil
+	return SORResult{Elapsed: pl.Elapsed(), Checksum: digest(digestBasis, out)}, nil
 }

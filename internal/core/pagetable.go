@@ -49,19 +49,6 @@ const (
 	PTReplicate
 )
 
-// String names the mode for experiment tables and pool keys.
-func (m PTMode) String() string {
-	switch m {
-	case PTBaseline:
-		return "baseline"
-	case PTHome:
-		return "home"
-	case PTReplicate:
-		return "replicate"
-	}
-	return "ptmode(?)"
-}
-
 // PTConfig configures page-table placement and invalidation modeling.
 // The zero value reproduces the paper exactly.
 type PTConfig struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"platinum/internal/core"
-	"platinum/internal/kernel"
 	"platinum/internal/mach"
 	"platinum/internal/sim"
 )
@@ -21,59 +20,51 @@ func init() {
 	})
 }
 
-// opsFixture boots a machine and maps a fresh page per scenario.
-type opsFixture struct {
-	k  *kernel.Kernel
-	cm *core.Cmap
-	s  *core.System
+// ref is one reference by processor proc to page vpn.
+type ref struct {
+	proc  int
+	vpn   int64
+	write bool
 }
 
-func newOpsFixture() (*opsFixture, error) {
-	k, err := kernel.Boot(kernel.DefaultConfig())
+// opScenario times one reference on a bareCore of pages pages: the
+// driver makes the references of each setup phase in turn, waiting
+// 3·t1 after each so that no page was invalidated within the policy's
+// window, and then makes op.
+type opScenario struct {
+	pages int
+	setup [][]ref
+	op    ref
+}
+
+// measure runs s on a fresh bareCore and returns op's cost, or the
+// first error a reference returns: a failed fault fails the scenario
+// rather than timing it.
+func (s opScenario) measure() (sim.Time, error) {
+	b, err := newBareCore(mach.DefaultConfig().PageWords, nil, s.pages)
 	if err != nil {
-		return nil, err
-	}
-	s := k.System()
-	cm := s.NewCmap()
-	for p := 0; p < k.Nodes(); p++ {
-		cm.Activate(nil, p)
-	}
-	return &opsFixture{k: k, cm: cm, s: s}, nil
-}
-
-// measureOp runs setup and op on a driver thread and returns op's
-// cost, or the first error setup or op returns: a failed fault fails
-// the scenario rather than timing it.
-func (fx *opsFixture) measureOp(setup, op func(th *sim.Thread) error) (sim.Time, error) {
-	var cost sim.Time
-	var opErr error
-	fx.k.Engine().Spawn("measure", func(th *sim.Thread) {
-		if opErr = setup(th); opErr != nil {
-			return
-		}
-		th.Charge(sim.CauseSync, 3*core.DefaultT1) // quiet period
-		start := th.Now()
-		opErr = op(th)
-		cost = th.Now() - start
-	})
-	if err := fx.k.Engine().Run(); err != nil {
 		return 0, err
 	}
-	if opErr != nil {
-		return 0, opErr
+	touch := func(th *sim.Thread, r ref) error {
+		_, err := b.s.Touch(th, r.proc, b.cm, r.vpn, r.write)
+		return err
 	}
-	return cost, nil
-}
-
-func (fx *opsFixture) page(vpn int64) (*core.Cpage, error) {
-	cp := fx.s.NewCpage()
-	_, err := fx.cm.Enter(vpn, cp, core.Read|core.Write)
-	return cp, err
-}
-
-func (fx *opsFixture) touch(th *sim.Thread, proc int, vpn int64, write bool) error {
-	_, err := fx.s.Touch(th, proc, fx.cm, vpn, write)
-	return err
+	var cost sim.Time
+	err = b.drive(func(th *sim.Thread) error {
+		for _, phase := range s.setup {
+			for _, r := range phase {
+				if err := touch(th, r); err != nil {
+					return err
+				}
+			}
+			th.Charge(sim.CauseSync, 3*core.DefaultT1) // quiet period
+		}
+		start := th.Now()
+		err := touch(th, s.op)
+		cost = th.Now() - start
+		return err
+	})
+	return cost, err
 }
 
 func runBasicOps(o Options) (*Table, error) {
@@ -84,115 +75,41 @@ func runBasicOps(o Options) (*Table, error) {
 	}
 	mc := mach.DefaultConfig()
 
-	// Each scenario boots its own machine, so they are independent jobs.
 	pageCopy := func() (sim.Time, error) {
-		fx, err := newOpsFixture()
+		b, err := newBareCore(mc.PageWords, nil, 0)
 		if err != nil {
 			return 0, err
 		}
 		var d sim.Time
-		fx.k.Engine().Spawn("copy", func(th *sim.Thread) {
-			d = fx.k.Machine().BlockTransfer(th, 1, 0, mc.PageWords)
+		err = b.drive(func(th *sim.Thread) error {
+			d = b.m.BlockTransfer(th, 1, 0, mc.PageWords)
+			return nil
 		})
-		if err := fx.k.Engine().Run(); err != nil {
-			return 0, err
-		}
-		return d, nil
+		return d, err
 	}
-	// Cpage homes are assigned round-robin from 0: vpn 0 -> home 0,
-	// vpn 1 -> home 1. Faulting from proc 1 makes home 0 remote and
-	// home 1 local.
-	readMiss := func(remoteKernel bool) func() (sim.Time, error) {
-		return func() (sim.Time, error) {
-			fx, err := newOpsFixture()
-			if err != nil {
-				return 0, err
-			}
-			var vpn int64
-			if remoteKernel {
-				vpn = 0
-			} else {
-				vpn = 1
-			}
-			if _, err := fx.page(0); err != nil {
-				return 0, err
-			}
-			if _, err := fx.page(1); err != nil {
-				return 0, err
-			}
-			return fx.measureOp(
-				func(th *sim.Thread) error { return fx.touch(th, 0, vpn, false) },
-				func(th *sim.Thread) error { return fx.touch(th, 1, vpn, false) },
-			)
-		}
+	readers := make([]ref, 15) // processors 1 to 15 read page 0
+	for i := range readers {
+		readers[i].proc = i + 1
 	}
-	replicateModified := func() (sim.Time, error) {
-		fx, err := newOpsFixture()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := fx.page(0); err != nil {
-			return 0, err
-		}
-		return fx.measureOp(
-			func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
-			func(th *sim.Thread) error { return fx.touch(th, 1, 0, false) },
-		)
-	}
-	writeMiss := func() (sim.Time, error) {
-		fx, err := newOpsFixture()
-		if err != nil {
-			return 0, err
-		}
-		if _, err := fx.page(0); err != nil {
-			return 0, err
-		}
-		return fx.measureOp(
-			func(th *sim.Thread) error {
-				if err := fx.touch(th, 0, 0, false); err != nil {
-					return err
-				}
-				th.Charge(sim.CauseSync, 3*core.DefaultT1)
-				return fx.touch(th, 1, 0, false)
-			},
-			func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
-		)
-	}
-	shootdownCost := func(readers int) func() (sim.Time, error) {
-		return func() (sim.Time, error) {
-			fx, err := newOpsFixture()
-			if err != nil {
-				return 0, err
-			}
-			if _, err := fx.page(0); err != nil {
-				return 0, err
-			}
-			return fx.measureOp(
-				func(th *sim.Thread) error {
-					if err := fx.touch(th, 0, 0, false); err != nil {
-						return err
-					}
-					th.Charge(sim.CauseSync, 3*core.DefaultT1)
-					for r := 1; r <= readers; r++ {
-						if err := fx.touch(th, r, 0, false); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-				func(th *sim.Thread) error { return fx.touch(th, 0, 0, true) },
-			)
-		}
-	}
-
-	jobs := []func() (sim.Time, error){
-		pageCopy, readMiss(false), readMiss(true), replicateModified,
-		writeMiss, shootdownCost(1), shootdownCost(15),
+	jobs := []func() (sim.Time, error){pageCopy}
+	for _, s := range []opScenario{
+		// Processor 1 read-faults a page processor 0 read, whose
+		// kernel data (its Cpage) is homed local to processor 1, then
+		// remote; then a page processor 0 wrote.
+		{pages: 2, setup: [][]ref{{{vpn: 1}}}, op: ref{proc: 1, vpn: 1}},
+		{pages: 2, setup: [][]ref{{{}}}, op: ref{proc: 1}},
+		{pages: 1, setup: [][]ref{{{write: true}}}, op: ref{proc: 1}},
+		// Processor 0 write-faults a page one reader also maps (the
+		// write miss), then one that 15 do: the difference is 14
+		// extra shootdown targets.
+		{pages: 1, setup: [][]ref{{{}}, readers[:1]}, op: ref{write: true}},
+		{pages: 1, setup: [][]ref{{{}}, readers}, op: ref{write: true}},
+	} {
+		jobs = append(jobs, s.measure)
 	}
 	measured := make([]sim.Time, len(jobs))
-	err := forEach(o, len(jobs), func(i int) error {
-		d, err := jobs[i]()
-		measured[i] = d
+	err := forEach(o, len(jobs), func(i int) (err error) {
+		measured[i], err = jobs[i]()
 		return err
 	})
 	if err != nil {
@@ -207,7 +124,7 @@ func runBasicOps(o Options) (*Table, error) {
 	add("read miss, replicate non-modified (kernel data remote)", measured[2], "1.38 ms")
 	add("read miss, replicate modified (1 writer restricted)", measured[3], "1.38-1.59 ms")
 	add("write miss on present+ (1 invalidation, 1 free)", measured[4], "0.25-0.45 ms")
-	add("incremental cost per extra shootdown target", (measured[6]-measured[5])/14,
+	add("incremental cost per extra shootdown target", (measured[5]-measured[4])/14,
 		"<= 17 µs (vs 55 µs in Mach on the Multimax)")
 
 	t.Notes = append(t.Notes,

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"platinum/internal/core"
-	"platinum/internal/sim"
 )
 
 var (
@@ -120,19 +119,10 @@ func TestRegistry(t *testing.T) {
 // harness fails a scenario whose op faults on an unmapped page, instead
 // of printing a timing.
 func TestMeasureOpFailsOnFaultError(t *testing.T) {
-	fx, err := newOpsFixture()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fx.page(0); err != nil {
-		t.Fatal(err)
-	}
-	_, err = fx.measureOp(
-		func(th *sim.Thread) error { return fx.touch(th, 0, 0, false) },
-		func(th *sim.Thread) error { return fx.touch(th, 1, 7, false) }, // vpn 7 is unmapped
-	)
+	s := opScenario{pages: 1, setup: [][]ref{{{}}}, op: ref{proc: 1, vpn: 7}} // vpn 7 is unmapped
+	_, err := s.measure()
 	var um *core.ErrUnmapped
 	if !errors.As(err, &um) {
-		t.Fatalf("measureOp = %v, want ErrUnmapped", err)
+		t.Fatalf("measure = %v, want ErrUnmapped", err)
 	}
 }

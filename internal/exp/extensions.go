@@ -5,8 +5,8 @@ import (
 	"slices"
 
 	"platinum/internal/apps"
+	"platinum/internal/core"
 	"platinum/internal/kernel"
-	"platinum/internal/sim"
 )
 
 // Extension experiments for the paper's own what-ifs:
@@ -195,22 +195,34 @@ func runColocateOptions(o Options) (*Table, error) {
 	if o.Quick {
 		sizes = []int{1, 8}
 	}
-	strats := []apps.ColocateStrategy{apps.Remote, apps.MigrateData, apps.MigrateThread}
-	elapsed := make([]sim.Time, len(sizes)*len(strats))
-	err := forEach(o, len(elapsed), func(i int) error {
-		d, err := apps.RunColocate(apps.ColocateConfig{
-			Pages: sizes[i/len(strats)], Rho: 1.0, Ops: ops, Strategy: strats[i%len(strats)],
-		})
-		elapsed[i] = d
-		return err
-	})
+	// The three options: a policy that never moves data, with and
+	// without moving the thread, and one that always moves it.
+	options := []struct {
+		pol     core.Policy
+		migrate bool
+	}{
+		{core.NeverCache{}, false},
+		{core.AlwaysCache{}, false},
+		{core.NeverCache{}, true},
+	}
+	var specs []runSpec
+	for _, pages := range sizes {
+		for _, opt := range options {
+			kcfg := kernel.DefaultConfig()
+			kcfg.Core.Policy = opt.pol
+			kcfg.Core.DefrostPeriod = 0
+			specs = append(specs, runSpec{prog: colocate, kcfg: kcfg, fresh: true,
+				app: apps.ColocateConfig{Pages: pages, Rho: 1.0, Ops: ops, MigrateThread: opt.migrate}})
+		}
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
 	for i, pages := range sizes {
 		row := []string{itoa(pages)}
-		for j := range strats {
-			row = append(row, elapsed[i*len(strats)+j].String())
+		for j := range options {
+			row = append(row, res[i*len(options)+j].out.(apps.ColocateResult).MeanOp.String())
 		}
 		t.Rows = append(t.Rows, row)
 	}

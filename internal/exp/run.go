@@ -29,11 +29,13 @@ const (
 	matMul                           // the app-suite's matrix multiply
 	sorGrid                          // the app-suite's red-black SOR
 	topoMix                          // the topology sweeps' microworkload
+	anecdote                         // §4.2's spin lock beside read-mostly data
+	colocate                         // §4.1's operations on data homed elsewhere
 )
 
 var programNames = [...]string{
 	"gauss", "gauss-uniform", "gauss-smp", "mergesort", "mergesort-uma",
-	"backprop", "matmul", "sor", "topomix",
+	"backprop", "matmul", "sor", "topomix", "anecdote", "colocate",
 }
 
 func (p program) String() string { return programNames[p] }
@@ -65,6 +67,9 @@ func (s runSpec) String() string {
 	if p := s.kcfg.Core.Policy; p != nil {
 		machine += ", " + p.Name()
 	}
+	if d := s.kcfg.Core.DefrostPeriod; d != core.DefaultConfig().DefrostPeriod {
+		machine += fmt.Sprintf(", defrost period %v", d)
+	}
 	return fmt.Sprintf("%s %+v on %s", s.prog, s.app, machine)
 }
 
@@ -78,6 +83,9 @@ type runResult struct {
 	pt         core.PTStats
 	freezes    int64 // summed over every Cpage
 	thaws      int64
+	// out is the program's own result where a table reads more of it
+	// than the above: apps.AnecdoteResult and apps.ColocateResult.
+	out any
 }
 
 // runAll runs each spec as one forEach job and returns the results in
@@ -173,6 +181,16 @@ func (s runSpec) runOn(pl apps.Platform) (runResult, error) {
 	case sorGrid:
 		g, err := apps.RunSOR(pl, s.app.(apps.SORConfig))
 		return conserved(pl, g.Elapsed, g.Checksum, err)
+	case anecdote:
+		a, err := apps.RunAnecdote(pl.(*apps.PlatinumPlatform), s.app.(apps.AnecdoteConfig))
+		r, err := conserved(pl, a.Elapsed, 0, err)
+		r.out = a
+		return r, err
+	case colocate:
+		c, err := apps.RunColocate(pl.(*apps.PlatinumPlatform), s.app.(apps.ColocateConfig))
+		r, err := conserved(pl, pl.Elapsed(), 0, err)
+		r.out = c
+		return r, err
 	default: // topoMix, which checks its own answer
 		m, err := apps.RunTopoMix(pl, s.app.(apps.TopoMixConfig))
 		return conserved(pl, m.Elapsed, 0, err)

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,43 +14,53 @@ import (
 // TestOnlyExecutorBootsPlatforms fails on any use, outside run.go, of
 // the calls that boot, pool or check an app run's platform: every app
 // run of every experiment goes through runAll, so every one is
-// conservation- and answer-checked and its pool key is derived.
+// conservation- and answer-checked and its pool key is derived. It
+// also fails on a machine built anywhere else: in this package outside
+// bare.go, the §4 microbenchmarks' fixture, and in internal/apps
+// outside platform.go, so every program runs on the platform it is
+// given.
 func TestOnlyExecutorBootsPlatforms(t *testing.T) {
-	banned := map[string]bool{
-		"apps.NewPlatinumPlatform":  true,
-		"apps.NewUMAPlatform":       true,
-		"apps.AcquirePlatform":      true,
-		"apps.ReleasePlatform":      true,
-		"metrics.CheckConservation": true,
-	}
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") || name == "run.go" {
-			continue
+	platforms := []string{"apps.NewPlatinumPlatform", "apps.NewUMAPlatform",
+		"apps.AcquirePlatform", "apps.ReleasePlatform", "metrics.CheckConservation"}
+	boots := []string{"kernel.Boot", "mach.New", "mach.FromTopology", "core.NewSystem", "sim.NewEngine"}
+	for _, c := range []struct {
+		dir, home string // home is the one file in dir that may make the calls
+		calls     []string
+		instead   string
+	}{
+		{".", "run.go", platforms, "list a runSpec and call runAll"},
+		{".", "bare.go", boots, "list a runSpec, or time the operation on a bareCore"},
+		{"../apps", "platform.go", boots, "take the *PlatinumPlatform the program runs on"},
+	} {
+		banned := make(map[string]bool)
+		for _, call := range c.calls {
+			banned[call] = true
 		}
-		src, err := os.ReadFile(name)
+		files, err := filepath.Glob(filepath.Join(c.dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := parser.ParseFile(fset, name, src, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+		fset := token.NewFileSet()
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") || filepath.Base(name) == c.home {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && banned[pkg.Name+"."+sel.Sel.Name] {
+					t.Errorf("%s: %s.%s outside %s: %s",
+						fset.Position(sel.Pos()), pkg.Name, sel.Sel.Name, c.home, c.instead)
+				}
 				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && banned[pkg.Name+"."+sel.Sel.Name] {
-				t.Errorf("%s: %s.%s outside the executor: list a runSpec and call runAll",
-					fset.Position(sel.Pos()), pkg.Name, sel.Sel.Name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 

@@ -53,18 +53,18 @@ func runFreezeAnecdote(o Options) (*Table, error) {
 		{"co-located", true, 10 * sim.Millisecond},
 		{"separate pages", false, 0},
 	}
-	results := make([]apps.AnecdoteResult, len(cases))
-	err := forEach(o, len(cases), func(i int) error {
-		cfg := apps.DefaultAnecdoteConfig(threads)
-		cfg.Colocate = cases[i].colocate
-		cfg.Defrost = cases[i].defrost
-		if o.Quick {
-			cfg.Iters /= 4
-		}
-		r, err := apps.RunAnecdote(cfg)
-		results[i] = r
-		return err
-	})
+	cfg := apps.DefaultAnecdoteConfig(threads)
+	if o.Quick {
+		cfg.Iters /= 4
+	}
+	specs := make([]runSpec, len(cases))
+	for i, c := range cases {
+		cfg.Colocate = c.colocate
+		kcfg := kernel.DefaultConfig()
+		kcfg.Core.DefrostPeriod = c.defrost
+		specs[i] = runSpec{prog: anecdote, app: cfg, kcfg: kcfg, fresh: true}
+	}
+	res, err := runAll(o, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,8 @@ func runFreezeAnecdote(o Options) (*Table, error) {
 			defrost = c.defrost.String()
 		}
 		t.Rows = append(t.Rows, []string{
-			c.label, defrost, results[i].Elapsed.String(), fmt.Sprintf("%v", results[i].SizeFrozen),
+			c.label, defrost, res[i].elapsed.String(),
+			fmt.Sprint(res[i].out.(apps.AnecdoteResult).SizeFrozen),
 		})
 	}
 	return t, nil

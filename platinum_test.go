@@ -181,12 +181,16 @@ func TestFacadeUniformAndSMPGauss(t *testing.T) {
 func TestFacadeAnecdoteAndBackprop(t *testing.T) {
 	cfg := DefaultAnecdoteConfig(4)
 	cfg.Iters = 500
-	if _, err := RunAnecdote(cfg); err != nil {
+	pl, err := NewPlatinumPlatform(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunAnecdote(pl, cfg); err != nil {
 		t.Fatal(err)
 	}
 	bp := DefaultBackpropConfig(2)
 	bp.Epochs = 3
-	pl, err := NewPlatinumPlatform(DefaultConfig())
+	pl, err = NewPlatinumPlatform(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

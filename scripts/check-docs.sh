@@ -46,8 +46,10 @@ done
 # 4. EXPERIMENTS.md documents every registered experiment by id
 #    (cmd/platinum-bench -list is the registry), so new sweeps — like
 #    pt-variants — cannot land without a paper-vs-measured section.
+#    The id must appear backticked: a bare substring would let `table1`
+#    pass on `table1-empirical`'s text, or `scaling` on prose.
 for id in $(go run ./cmd/platinum-bench -list | awk '{print $1}'); do
-	if ! grep -q "$id" EXPERIMENTS.md; then
+	if ! grep -qF "\`$id\`" EXPERIMENTS.md; then
 		echo "EXPERIMENTS.md: does not document experiment '$id' (platinum-bench -list)"
 		fail=1
 	fi
