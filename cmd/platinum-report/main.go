@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"platinum/internal/apps"
@@ -58,14 +60,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// appNames lists the applications -app accepts.
+var appNames = []string{"gauss", "mergesort", "backprop", "anecdote"}
+
 // run executes the command against explicit streams so tests can drive
 // every CLI path; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("platinum-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	app := fs.String("app", "gauss", "application: gauss, mergesort, backprop, anecdote")
+	app := fs.String("app", "gauss", "application: "+strings.Join(appNames, ", "))
 	procs := fs.Int("procs", 8, "processors to use")
-	size := fs.Int("n", 240, "problem size (gauss matrix dim / mergesort words / backprop epochs)")
+	size := fs.Int("n", 240, "problem size (gauss matrix dim / mergesort words / backprop epochs; the anecdote has none)")
 	top := fs.Int("top", 20, "show the k busiest pages")
 	jsonOut := fs.Bool("json", false, "emit the structured metrics report as JSON")
 	trace := fs.Int("trace", 0, "record up to this many protocol events and print a summary")
@@ -78,10 +83,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	kcfg := kernel.DefaultConfig()
+	sizeSet := false
+	fs.Visit(func(f *flag.Flag) { sizeSet = sizeSet || f.Name == "n" })
 	var bad string
 	switch {
 	case fs.NArg() > 0:
 		bad = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
+	case !slices.Contains(appNames, *app):
+		bad = fmt.Sprintf("-app %q: unknown application (%s)", *app, strings.Join(appNames, ", "))
+	case *procs < 1 || *procs > kcfg.Machine.Nodes:
+		bad = fmt.Sprintf("-procs %d: must lie in 1 to %d, the machine's processors", *procs, kcfg.Machine.Nodes)
+	case *app == "anecdote" && sizeSet:
+		bad = fmt.Sprintf("-n %d: the anecdote has no size; it runs §4.2's fixed %d iterations",
+			*size, apps.DefaultAnecdoteConfig(*procs).Iters)
 	case *size <= 0:
 		bad = fmt.Sprintf("-n %d: must be positive", *size)
 	case *top < 0:
@@ -114,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// thaw its frozen page.
 	poolKey := fmt.Sprintf("platinum-report:trace=%d spans=%t hist=%t series=%v",
 		*trace, *spans != "", *histOn, *series)
-	kcfg := kernel.DefaultConfig()
 	if *app == "anecdote" {
 		kcfg.Core.DefrostPeriod = 0
 	}
@@ -182,8 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		elapsed = r.Elapsed
 		header = fmt.Sprintf("anecdote on %d procs: %v (size page frozen: %v)",
 			*procs, r.Elapsed, r.SizeFrozen)
-	default:
-		return fail(fmt.Errorf("unknown app %q", *app))
 	}
 	accounts, report := pl.K.NodeAccounts(), pl.K.Report()
 	var total sim.Account

@@ -388,10 +388,11 @@ func TestAnecdoteRecords(t *testing.T) {
 	}
 }
 
+// TestUnknownAppFails checks that an unknown app is a flag error.
 func TestUnknownAppFails(t *testing.T) {
 	_, code := runCmd(t, "-app", "nosuch")
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 }
 
@@ -400,8 +401,8 @@ func TestUnknownAppFails(t *testing.T) {
 func TestSpansUnknownAppFails(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "spans.json")
 	_, code := runCmd(t, "-app", "nosuch", "-spans", f)
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2", code)
 	}
 	if _, err := os.Stat(f); !os.IsNotExist(err) {
 		t.Fatalf("spans file exists after a failed run (stat: %v)", err)
@@ -433,7 +434,9 @@ func TestSpansBadFlagsExitTwo(t *testing.T) {
 
 // TestBadFlagsExitTwo checks every flag value that cannot describe a
 // report: exit 2 with one "platinum-report:" line on stderr, before
-// anything runs, so nothing reaches stdout and no file is written.
+// anything runs, so nothing reaches stdout and no file is written. An
+// unknown app, a processor count the machine does not have and a size
+// for the anecdote, which has none, are rejected before a kernel boots.
 func TestBadFlagsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "timeline.jsonl")
@@ -449,6 +452,11 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-app", "mergesort", "-n", "0"},
 		{"-app", "backprop", "-n", "-1"},
 		{"-text"},
+		{"-app", "foo"},
+		{"-procs", "0"},
+		{"-procs", "-3"},
+		{"-procs", "17"},
+		{"-app", "anecdote", "-n", "5", "-procs", "6"},
 		{"-n", "16", "-procs", "2", "mergesort"},
 		{"-n", "16", "-procs", "2", "-trace", "100", "-timeline", tl, "extra"},
 	} {

@@ -40,9 +40,8 @@ func run(cfg platinum.AnecdoteConfig, defrost platinum.Time) platinum.AnecdoteRe
 	for _, a := range pl.Accounts() {
 		total.Add(&a)
 	}
-	b := platinum.BreakdownOf(total)
 	fmt.Printf("elapsed %v; remote-access share %.1f%%; fault+shootdown share %.1f%%; frozen at end: %v\n",
-		res.Elapsed, 100*b.RemoteFraction(), 100*b.FaultFraction(), res.SizeFrozen)
+		res.Elapsed, 100*total.RemoteFraction(), 100*total.FaultFraction(), res.SizeFrozen)
 	return res
 }
 

@@ -120,6 +120,27 @@ func TestReportAndWriteTo(t *testing.T) {
 	}
 }
 
+// A label longer than the label column's 18-character minimum widens
+// the column for every row, so each row's later columns stay at the
+// header's offsets.
+func TestReportWriteToFitsLongLabels(t *testing.T) {
+	r := Report{Policy: "p", Pages: []PageReport{
+		{ID: 1, Label: "bp-output-deltas[0]", State: Modified},
+		{ID: 2, Label: "short", State: Modified},
+	}}
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	header := lines[1]
+	for _, row := range lines[2:] {
+		if got, want := strings.Index(row, "modified"), strings.Index(header, "state"); got != want || len(row) != len(header) {
+			t.Errorf("row %q: state at %d and %d wide, want %d and %d like the header %q", row, got, len(row), want, len(header), header)
+		}
+	}
+}
+
 func TestATCEvictionFIFO(t *testing.T) {
 	fx := newFixture(t, func(_ *mach.Config, cc *Config) { cc.ATCEntries = 2 })
 	for vpn := int64(0); vpn < 3; vpn++ {

@@ -76,8 +76,13 @@ func (r Report) WriteTo(w io.Writer) (int64, error) {
 		r.Policy, r.Shootdowns); err != nil {
 		return n, err
 	}
-	if err := p("%6s %-18s %-9s %3s %6s %6s %6s %6s %6s %6s %4s %4s %12s %12s\n",
-		"cpage", "label", "state", "cp", "rdflt", "wrflt", "repl",
+	// The label column fits the longest label, and is 18 wide at least.
+	lw := 18
+	for _, pg := range r.Pages {
+		lw = max(lw, len(pg.Label))
+	}
+	if err := p("%6s %-*s %-9s %3s %6s %6s %6s %6s %6s %6s %4s %4s %12s %12s\n",
+		"cpage", lw, "label", "state", "cp", "rdflt", "wrflt", "repl",
 		"migr", "inval", "remote", "frz", "thaw", "handler-wait", "fault-time"); err != nil {
 		return n, err
 	}
@@ -86,8 +91,8 @@ func (r Report) WriteTo(w io.Writer) (int64, error) {
 		if pg.Frozen {
 			frozen = " FROZEN"
 		}
-		if err := p("%6d %-18s %-9s %3d %6d %6d %6d %6d %6d %6d %4d %4d %12v %12v%s\n",
-			pg.ID, pg.Label, pg.State, pg.Copies, pg.ReadFaults,
+		if err := p("%6d %-*s %-9s %3d %6d %6d %6d %6d %6d %6d %4d %4d %12v %12v%s\n",
+			pg.ID, lw, pg.Label, pg.State, pg.Copies, pg.ReadFaults,
 			pg.WriteFaults, pg.Replications, pg.Migrations, pg.Invalidations,
 			pg.RemoteMaps, pg.Freezes, pg.Thaws, pg.HandlerWait, pg.FaultTime, frozen); err != nil {
 			return n, err

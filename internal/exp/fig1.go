@@ -7,7 +7,6 @@ import (
 	"platinum/internal/baseline"
 	"platinum/internal/core"
 	"platinum/internal/kernel"
-	"platinum/internal/metrics"
 	"platinum/internal/sim"
 )
 
@@ -61,8 +60,7 @@ func gaussSpec(o Options, prog program, procs int) runSpec {
 // shootdown) fractions of total time — the two cost columns every
 // speedup table carries.
 func fracs(a sim.Account) (remote, fault string) {
-	b := metrics.FromAccount(a)
-	return f3(b.RemoteFraction()), f3(b.FaultFraction())
+	return f3(a.RemoteFraction()), f3(a.FaultFraction())
 }
 
 func runFig1(o Options) (*Table, error) {

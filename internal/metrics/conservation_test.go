@@ -14,28 +14,16 @@ import (
 // This is the invariant that catches a latency charged anywhere in
 // core/mach/kernel without a cause tag.
 
-// sumCauses adds the individual cause fields of a Breakdown (not
-// TotalNs, which is computed independently from the account).
-func sumCauses(b Breakdown) int64 {
-	return b.UnattributedNs + b.ComputeNs + b.LocalAccessNs + b.RemoteAccessNs +
-		b.BlockTransferNs + b.FaultNs + b.ShootdownNs + b.QueueNs +
-		b.SyncNs + b.KernelNs
-}
-
 func checkRun(t *testing.T, name string, accts []sim.Account) {
 	t.Helper()
 	if err := CheckConservation(accts); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	var machineTotal int64
-	for n, a := range accts {
-		b := FromAccount(a)
-		if got := sumCauses(b); got != b.TotalNs {
-			t.Errorf("%s node %d: causes sum to %d, total is %d", name, n, got, b.TotalNs)
-		}
-		machineTotal += b.TotalNs
+	var machine sim.Account
+	for i := range accts {
+		machine.Add(&accts[i])
 	}
-	if machineTotal == 0 {
+	if machine.Total() == 0 {
 		t.Fatalf("%s: no time accounted at all", name)
 	}
 }
@@ -57,11 +45,8 @@ func TestConservationGauss8(t *testing.T) {
 
 	// The structured report carries the same exact breakdown.
 	rep := BuildReport("gauss", 8, r.Elapsed, pl.Accounts(), pl.K.Report())
-	if rep.Total.UnattributedNs != 0 {
-		t.Errorf("report total has %d unattributed ns", rep.Total.UnattributedNs)
-	}
-	if got := sumCauses(rep.Total); got != rep.Total.TotalNs {
-		t.Errorf("report total causes sum to %d, total is %d", got, rep.Total.TotalNs)
+	if rep.Total != pl.K.TotalAccount() {
+		t.Errorf("report total %v differs from the machine-wide account %v", rep.Total, pl.K.TotalAccount())
 	}
 }
 

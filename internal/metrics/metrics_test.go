@@ -2,9 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"platinum/internal/core"
@@ -80,6 +83,50 @@ func TestReportGoldenV1(t *testing.T) {
 	}
 }
 
+// TestReportKeysDocumented checks that EXPERIMENTS.md documents every
+// key a report can carry: it writes the hostile version 2 report, whose
+// every field and cause is non-zero, and fails on any object key that
+// does not appear backticked there. So a new cause's <name>_ns key is
+// documented before it ships. The cause and count names keying a
+// series window's time_ns and counts objects are exempt.
+func TestReportKeysDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, hostileReport()); err != nil {
+		t.Fatal(err)
+	}
+	var v any
+	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	var walk func(any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				keys[k] = true
+				if k != "time_ns" && k != "counts" {
+					walk(x)
+				}
+			}
+		case []any:
+			for _, x := range v {
+				walk(x)
+			}
+		}
+	}
+	walk(v)
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
+		if !bytes.Contains(doc, []byte("`"+k+"`")) {
+			t.Errorf("report key %q is not documented (backticked) in EXPERIMENTS.md", k)
+		}
+	}
+}
+
 func TestTimelineGoldenV1(t *testing.T) {
 	events := []core.Event{
 		{Time: 0, Kind: core.EvReadFault, Proc: 0, Cpage: 1},
@@ -104,24 +151,6 @@ func TestTimelineGoldenV1(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("timeline JSONL drifted from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
-	}
-}
-
-func TestBreakdownTotalsAndFractions(t *testing.T) {
-	a := fixedAccount(1)
-	b := FromAccount(a)
-	if b.TotalNs != 200 {
-		t.Fatalf("total %d, want 200", b.TotalNs)
-	}
-	if got, want := b.RemoteFraction(), 25.0/200; got != want {
-		t.Errorf("remote fraction %v, want %v", got, want)
-	}
-	if got, want := b.FaultFraction(), 15.0/200; got != want {
-		t.Errorf("fault fraction %v, want %v", got, want)
-	}
-	var zero Breakdown
-	if zero.RemoteFraction() != 0 || zero.FaultFraction() != 0 {
-		t.Errorf("zero breakdown fractions must be 0")
 	}
 }
 
@@ -151,8 +180,8 @@ func TestReportPagesRankedByCost(t *testing.T) {
 	if r.Pages[0].ID != 7 || r.Pages[1].ID != 3 {
 		t.Fatalf("pages not ranked by fault time: %v, %v", r.Pages[0].ID, r.Pages[1].ID)
 	}
-	if r.Pages[0].FaultTimeNs <= r.Pages[1].FaultTimeNs {
-		t.Fatalf("ranking violated: %d <= %d", r.Pages[0].FaultTimeNs, r.Pages[1].FaultTimeNs)
+	if r.Pages[0].FaultTime <= r.Pages[1].FaultTime {
+		t.Fatalf("ranking violated: %v <= %v", r.Pages[0].FaultTime, r.Pages[1].FaultTime)
 	}
 }
 

@@ -15,10 +15,77 @@ import (
 )
 
 // The reference rendering of the report: encoding/json with a two-space
-// indent over Report's json tags, the series windows as the name-keyed
-// maps they were before WriteJSON streamed. It is what WriteJSON wrote
-// then, kept here so the differential tests can check that the
-// streaming writer produces the same bytes.
+// indent over the schema's struct forms, the series windows as the
+// name-keyed maps they were before WriteJSON streamed. It is what
+// WriteJSON wrote then, kept here so the differential tests can check
+// that the streaming writer produces the same bytes.
+
+// refBreakdown is an account's JSON form: its total, then one field
+// per cause.
+type refBreakdown struct {
+	TotalNs         int64 `json:"total_ns"`
+	UnattributedNs  int64 `json:"unattributed_ns"`
+	ComputeNs       int64 `json:"compute_ns"`
+	LocalAccessNs   int64 `json:"local_access_ns"`
+	RemoteAccessNs  int64 `json:"remote_access_ns"`
+	BlockTransferNs int64 `json:"block_transfer_ns"`
+	FaultNs         int64 `json:"fault_ns"`
+	ShootdownNs     int64 `json:"shootdown_ns"`
+	QueueNs         int64 `json:"queue_ns"`
+	SyncNs          int64 `json:"sync_ns"`
+	KernelNs        int64 `json:"kernel_ns"`
+	RetryNs         int64 `json:"retry_ns"`
+	SlowAckNs       int64 `json:"slow_ack_ns"`
+	PmapWalkNs      int64 `json:"pmap_walk_ns,omitempty"`
+	PTReplicateNs   int64 `json:"pt_replicate_ns,omitempty"`
+	BatchFlushNs    int64 `json:"batch_flush_ns,omitempty"`
+}
+
+func refAccount(a sim.Account) refBreakdown {
+	return refBreakdown{
+		TotalNs:         int64(a.Total()),
+		UnattributedNs:  int64(a[sim.CauseUnattributed]),
+		ComputeNs:       int64(a[sim.CauseCompute]),
+		LocalAccessNs:   int64(a[sim.CauseLocalAccess]),
+		RemoteAccessNs:  int64(a[sim.CauseRemoteAccess]),
+		BlockTransferNs: int64(a[sim.CauseBlockTransfer]),
+		FaultNs:         int64(a[sim.CauseFault]),
+		ShootdownNs:     int64(a[sim.CauseShootdown]),
+		QueueNs:         int64(a[sim.CauseQueue]),
+		SyncNs:          int64(a[sim.CauseSync]),
+		KernelNs:        int64(a[sim.CauseKernel]),
+		RetryNs:         int64(a[sim.CauseRetry]),
+		SlowAckNs:       int64(a[sim.CauseSlowAck]),
+		PmapWalkNs:      int64(a[sim.CausePmapWalk]),
+		PTReplicateNs:   int64(a[sim.CausePTReplicate]),
+		BatchFlushNs:    int64(a[sim.CauseBatchFlush]),
+	}
+}
+
+type refNodeBreakdown struct {
+	Node int `json:"node"`
+	refBreakdown
+}
+
+// refPage is a core.PageReport's JSON form.
+type refPage struct {
+	ID            int64  `json:"id"`
+	Label         string `json:"label"`
+	State         string `json:"state"`
+	Frozen        bool   `json:"frozen"`
+	Copies        int    `json:"copies"`
+	ReadFaults    int64  `json:"read_faults"`
+	WriteFaults   int64  `json:"write_faults"`
+	Replications  int64  `json:"replications"`
+	Migrations    int64  `json:"migrations"`
+	Invalidations int64  `json:"invalidations"`
+	RemoteMaps    int64  `json:"remote_maps"`
+	Freezes       int64  `json:"freezes"`
+	Thaws         int64  `json:"thaws"`
+	AllocFails    int64  `json:"alloc_fails"`
+	HandlerWaitNs int64  `json:"handler_wait_ns"`
+	FaultTimeNs   int64  `json:"fault_time_ns"`
+}
 
 type refSeriesWindow struct {
 	StartNs int64            `json:"start_ns"`
@@ -32,12 +99,18 @@ type refSeries struct {
 	Windows        []refSeriesWindow `json:"windows"`
 }
 
-// refReport is a Report with the map-form series section. Being the
-// shallower of the two "series" fields, its Series replaces Report's in
-// encoding/json's field set, and it comes last, as Report's does.
 type refReport struct {
-	Report
-	Series *refSeries `json:"series,omitempty"`
+	SchemaVersion int                `json:"schema_version"`
+	App           string             `json:"app"`
+	Policy        string             `json:"policy"`
+	Procs         int                `json:"procs"`
+	ElapsedNs     int64              `json:"elapsed_ns"`
+	Shootdowns    int64              `json:"shootdowns"`
+	Total         refBreakdown       `json:"total"`
+	Nodes         []refNodeBreakdown `json:"nodes"`
+	Pages         []refPage          `json:"pages"`
+	Histograms    *Histograms        `json:"histograms,omitempty"`
+	Series        *refSeries         `json:"series,omitempty"`
 }
 
 // nonZero returns vals' non-zero entries keyed by name, or nil.
@@ -55,7 +128,40 @@ func nonZero(vals []int64, name func(int) string) map[string]int64 {
 }
 
 func writeJSONReference(w io.Writer, r Report) error {
-	ref := refReport{Report: r}
+	ref := refReport{
+		SchemaVersion: r.SchemaVersion, App: r.App, Policy: r.Policy, Procs: r.Procs,
+		ElapsedNs: r.ElapsedNs, Shootdowns: r.Shootdowns, Total: refAccount(r.Total),
+		Histograms: r.Histograms,
+	}
+	if r.Nodes != nil {
+		ref.Nodes = []refNodeBreakdown{}
+	}
+	for i, a := range r.Nodes {
+		ref.Nodes = append(ref.Nodes, refNodeBreakdown{Node: i, refBreakdown: refAccount(a)})
+	}
+	if r.Pages != nil {
+		ref.Pages = []refPage{}
+	}
+	for _, p := range r.Pages {
+		ref.Pages = append(ref.Pages, refPage{
+			ID:            p.ID,
+			Label:         p.Label,
+			State:         p.State.String(),
+			Frozen:        p.Frozen,
+			Copies:        p.Copies,
+			ReadFaults:    p.ReadFaults,
+			WriteFaults:   p.WriteFaults,
+			Replications:  p.Replications,
+			Migrations:    p.Migrations,
+			Invalidations: p.Invalidations,
+			RemoteMaps:    p.RemoteMaps,
+			Freezes:       p.Freezes,
+			Thaws:         p.Thaws,
+			AllocFails:    p.AllocFails,
+			HandlerWaitNs: int64(p.HandlerWait),
+			FaultTimeNs:   int64(p.FaultTime),
+		})
+	}
 	if s := r.Series; s != nil {
 		ref.Series = &refSeries{WidthNs: s.WidthNs, SpilledWindows: s.SpilledWindows}
 		if s.Windows != nil {
@@ -91,15 +197,15 @@ var hostileText = []string{
 
 // hostileReport fills every field of a version 2 report: hostile
 // strings in each string field, math.MinInt64 and math.MaxInt64 in the
-// integers, every omitempty field nonzero, and windows with only times,
-// only counts and both.
+// integers, every cause and every omitempty field nonzero, and windows
+// with only times, only counts and both.
 func hostileReport() Report {
-	var b Breakdown
-	b.TotalNs, b.UnattributedNs, b.ComputeNs = math.MaxInt64, math.MinInt64, -1
-	b.LocalAccessNs, b.RemoteAccessNs, b.BlockTransferNs = 0, 1, 2
-	b.FaultNs, b.ShootdownNs, b.QueueNs, b.SyncNs = 3, 4, 5, 6
-	b.KernelNs, b.RetryNs, b.SlowAckNs = 7, 8, 9
-	b.PmapWalkNs, b.PTReplicateNs, b.BatchFlushNs = 10, math.MinInt64, math.MaxInt64
+	var a sim.Account
+	for c := range a {
+		a[c] = sim.Time(c) + 1
+	}
+	a[sim.CauseUnattributed], a[sim.CauseCompute] = math.MinInt64, -1
+	a[sim.CausePTReplicate], a[sim.CauseBatchFlush] = math.MinInt64, math.MaxInt64
 	r := Report{
 		SchemaVersion: SchemaVersionTelemetry,
 		App:           hostileText[0],
@@ -107,15 +213,17 @@ func hostileReport() Report {
 		Procs:         math.MaxInt64,
 		ElapsedNs:     math.MinInt64,
 		Shootdowns:    math.MaxInt64,
-		Total:         b,
-		Nodes:         []NodeBreakdown{{Node: math.MinInt64, Breakdown: b}, {Node: 1}},
+		Total:         a,
+		Nodes:         []sim.Account{a, {}},
 	}
 	for i, label := range hostileText {
-		r.Pages = append(r.Pages, PageMetrics{
-			ID: int64(i) - 3, Label: label, State: hostileText[len(hostileText)-1-i], Frozen: i%2 == 0,
-			Copies: i, ReadFaults: math.MaxInt64, WriteFaults: math.MinInt64, Replications: 1,
-			Migrations: 2, Invalidations: 3, RemoteMaps: 4, Freezes: 5, Thaws: 6,
-			AllocFails: 7, HandlerWaitNs: 8, FaultTimeNs: int64(i) << 40,
+		r.Pages = append(r.Pages, core.PageReport{
+			ID: int64(i) - 3, Label: label, State: core.State(i), Frozen: i%2 == 0, Copies: i,
+			CpageStats: core.CpageStats{
+				ReadFaults: math.MaxInt64, WriteFaults: math.MinInt64, Replications: 1,
+				Migrations: 2, Invalidations: 3, RemoteMaps: 4, Freezes: 5, Thaws: 6,
+				AllocFails: 7, HandlerWait: 8, FaultTime: sim.Time(i) << 40,
+			},
 		})
 	}
 	h := HistogramMetrics{Name: hostileText[3], Count: 3, SumNs: math.MaxInt64, MaxNs: math.MinInt64,
@@ -180,8 +288,8 @@ func observedReport(t *testing.T) Report {
 // against encoding/json byte for byte.
 func TestWriteJSONMatchesReference(t *testing.T) {
 	zero := hostileReport()
-	zero.Total = Breakdown{}
-	zero.Nodes[0].Breakdown = Breakdown{}
+	zero.Total = sim.Account{}
+	zero.Nodes[0] = sim.Account{}
 	zero.Histograms = &Histograms{Charges: []HistogramMetrics{{}}, Ops: []HistogramMetrics{}, Nodes: []NodeHistograms{}}
 	zero.Histograms.Charges[0].Buckets = []BucketMetrics{}
 	zero.Series = &SeriesMetrics{Windows: []SeriesWindow{{}}}
@@ -191,7 +299,7 @@ func TestWriteJSONMatchesReference(t *testing.T) {
 	nils.AttachTelemetry(&Histograms{Nodes: []NodeHistograms{{Node: 2}}}, &SeriesMetrics{WidthNs: 5})
 
 	empties := fixedReport()
-	empties.Nodes, empties.Pages = []NodeBreakdown{}, []PageMetrics{}
+	empties.Nodes, empties.Pages = []sim.Account{}, []core.PageReport{}
 	empties.AttachTelemetry(&Histograms{Charges: []HistogramMetrics{}, Nodes: []NodeHistograms{{Node: 2, Causes: []HistogramMetrics{}}}},
 		&SeriesMetrics{WidthNs: 5, Windows: []SeriesWindow{}})
 
@@ -246,7 +354,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestWriteJSONStopsAtWriteError(t *testing.T) {
 	r := fixedReport()
 	for i := 0; i < 2000; i++ { // enough pages to fill several chunks
-		r.Pages = append(r.Pages, FromPageReport(core.PageReport{ID: int64(i), Label: "page"}))
+		r.Pages = append(r.Pages, core.PageReport{ID: int64(i), Label: "page"})
 	}
 	var w failWriter
 	if err := WriteJSON(&w, r); err != io.ErrShortWrite {

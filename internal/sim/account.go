@@ -172,6 +172,24 @@ func (a *Account) Add(b *Account) {
 	}
 }
 
+// RemoteFraction returns the share of total time spent on remote word
+// accesses — the cost coherent memory exists to avoid (§2). Zero when
+// the account is empty.
+func (a *Account) RemoteFraction() float64 { return a.share(a[CauseRemoteAccess]) }
+
+// FaultFraction returns the share of total time spent in coherency
+// overhead: fault handling plus shootdown (§3.3, §4). Zero when the
+// account is empty.
+func (a *Account) FaultFraction() float64 { return a.share(a[CauseFault] + a[CauseShootdown]) }
+
+func (a *Account) share(d Time) float64 {
+	total := a.Total()
+	if total == 0 {
+		return 0
+	}
+	return float64(d) / float64(total)
+}
+
 // attribute moves d of already-charged time from CauseUnattributed to
 // cause c in the account of the node the thread is bound to. Called
 // with c == CauseUnattributed, or on an unbound thread, it is a no-op.

@@ -209,3 +209,24 @@ func TestCauseStrings(t *testing.T) {
 		}
 	}
 }
+
+// The remote-access and coherency-overhead shares of an account, the
+// two cost columns every speedup table carries.
+func TestAccountFractions(t *testing.T) {
+	var a Account
+	a[CauseCompute] = 150
+	a[CauseRemoteAccess] = 25
+	a[CauseFault] = 10
+	a[CauseShootdown] = 5
+	a[CauseQueue] = 10
+	if got, want := a.RemoteFraction(), 25.0/200; got != want {
+		t.Errorf("remote fraction %v, want %v", got, want)
+	}
+	if got, want := a.FaultFraction(), 15.0/200; got != want {
+		t.Errorf("fault fraction %v, want %v", got, want)
+	}
+	var zero Account
+	if zero.RemoteFraction() != 0 || zero.FaultFraction() != 0 {
+		t.Errorf("empty account fractions must be 0")
+	}
+}

@@ -93,8 +93,6 @@ type (
 	Cause = sim.Cause
 	// Account is virtual time accumulated by cause (see Kernel.NodeAccounts).
 	Account = sim.Account
-	// CostBreakdown is the stable JSON form of an Account.
-	CostBreakdown = metrics.Breakdown
 	// MetricsReport is the full structured run report (schema_version 1).
 	MetricsReport = metrics.Report
 )
@@ -113,10 +111,6 @@ const (
 	CauseSync          = sim.CauseSync
 	CauseKernel        = sim.CauseKernel
 )
-
-// BreakdownOf converts an Account into its stable JSON schema form,
-// with RemoteFraction/FaultFraction helpers.
-func BreakdownOf(a Account) CostBreakdown { return metrics.FromAccount(a) }
 
 // Protocol trace event kinds.
 const (
