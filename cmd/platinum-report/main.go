@@ -94,11 +94,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bad = fmt.Sprintf("-app %q: unknown application (%s)", *app, strings.Join(appNames, ", "))
 	case *procs < 1 || *procs > kcfg.Machine.Nodes:
 		bad = fmt.Sprintf("-procs %d: must lie in 1 to %d, the machine's processors", *procs, kcfg.Machine.Nodes)
+	case *app == "anecdote" && *procs < 2:
+		bad = fmt.Sprintf("-procs %d: the anecdote's spin-lock barrier needs at least 2 threads", *procs)
 	case *app == "anecdote" && sizeSet:
 		bad = fmt.Sprintf("-n %d: the anecdote has no size; it runs §4.2's fixed %d iterations",
 			*size, apps.DefaultAnecdoteConfig(*procs).Iters)
 	case *size <= 0:
 		bad = fmt.Sprintf("-n %d: must be positive", *size)
+	case *app == "mergesort" && *size < *procs:
+		bad = fmt.Sprintf("-n %d: mergesort needs at least one word per processor (-procs %d)", *size, *procs)
 	case *top < 0:
 		bad = fmt.Sprintf("-top %d: must not be negative", *top)
 	case *trace < 0:

@@ -435,8 +435,10 @@ func TestSpansBadFlagsExitTwo(t *testing.T) {
 // TestBadFlagsExitTwo checks every flag value that cannot describe a
 // report: exit 2 with one "platinum-report:" line on stderr, before
 // anything runs, so nothing reaches stdout and no file is written. An
-// unknown app, a processor count the machine does not have and a size
-// for the anecdote, which has none, are rejected before a kernel boots.
+// unknown app, a processor count the machine does not have, a size for
+// the anecdote, which has none, an anecdote on one processor and a
+// mergesort with fewer words than processors are rejected before a
+// kernel boots.
 func TestBadFlagsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "timeline.jsonl")
@@ -457,6 +459,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{"-procs", "-3"},
 		{"-procs", "17"},
 		{"-app", "anecdote", "-n", "5", "-procs", "6"},
+		{"-app", "anecdote", "-procs", "1"},
+		{"-app", "mergesort", "-n", "8", "-procs", "16"},
 		{"-n", "16", "-procs", "2", "mergesort"},
 		{"-n", "16", "-procs", "2", "-trace", "100", "-timeline", tl, "extra"},
 	} {

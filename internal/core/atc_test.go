@@ -8,7 +8,7 @@ import (
 // Regression for the duplicate-ring-slot bug: invalidate left the key's
 // FIFO slot in place (dead), and a reinstall of the same key appended a
 // SECOND slot for it. When replacement later wrapped around to the
-// stale slot, remove() found the still-resident entry — installed only
+// stale slot, it found the still-resident entry — installed only
 // a few misses earlier through the newer slot — and evicted it early.
 // The fix revives the key's own dead slot in place, so a key never
 // occupies two slots and a dead slot can never evict a live entry.
@@ -44,10 +44,10 @@ func TestATCReinstallAfterInvalidateSurvivesEviction(t *testing.T) {
 
 // naiveATC is the reference implementation of the documented ATC
 // semantics — a Go map for residency plus a plain slice for the FIFO
-// ring, with none of the pool/chained-hash/mru plumbing. Invariants:
-// invalidation leaves the slot dead in place; reinstalling a key
-// revives its own dead slot (keeping its queue position); replacement
-// at a dead slot evicts nothing.
+// ring, with none of the slot store's chained hash or MRU memo.
+// Invariants: invalidation leaves the slot dead in place; reinstalling
+// a key revives its own dead slot (keeping its queue position);
+// replacement at a dead slot evicts nothing.
 type naiveATC struct {
 	cap  int
 	m    map[atcKey]pmapEntry
@@ -110,61 +110,69 @@ func (n *naiveATC) restrict(cmap int, vpn int64) {
 	}
 }
 
-// Differential test: the pool/ring atc must agree with the naive
+// Differential test: the slot-store atc must agree with the naive
 // reference on every lookup result and on the hit/miss/eviction
-// counters at every step, across randomized seeded workloads. This
-// enforces — rather than asserts in a comment — that the host-side
-// plumbing (chained hash over a fixed pool, mru memo, dead-slot
-// bookkeeping) never changes simulated behaviour.
+// counters at every step, across randomized seeded workloads, at the
+// hardware's order of capacity and at the 1- and 2-entry sizes where
+// every install replaces. Resets start both sides over, as a pooled
+// platform's ATC does between runs. This enforces — rather than asserts
+// in a comment — that the host-side plumbing (the chained hash over the
+// slots, the MRU memo, dead slots kept in place) never changes
+// simulated behaviour.
 func TestATCDifferentialAgainstNaive(t *testing.T) {
 	const (
-		capacity = 8
-		ops      = 5000
-		cmaps    = 3
-		vpns     = 24 // 3x capacity: plenty of conflict
+		ops   = 5000
+		cmaps = 3
 	)
-	for _, seed := range []int64{1, 7, 42, 1989} {
-		rng := rand.New(rand.NewSource(seed))
-		a := newATC(capacity)
-		ref := newNaiveATC(capacity)
-		for i := 0; i < ops; i++ {
-			cm := rng.Intn(cmaps)
-			vpn := int64(rng.Intn(vpns))
-			switch op := rng.Intn(10); {
-			case op < 4: // lookup
-				got, gok := a.lookup(cm, vpn)
-				want, wok := ref.lookup(cm, vpn)
-				if gok != wok || got != want {
-					t.Fatalf("seed %d op %d: lookup(%d,%d) = (%v,%v), reference (%v,%v)",
-						seed, i, cm, vpn, got, gok, want, wok)
+	for _, capacity := range []int{1, 2, 8} {
+		vpns := 3 * capacity // 3x capacity: plenty of conflict
+		for _, seed := range []int64{1, 7, 42, 1989} {
+			rng := rand.New(rand.NewSource(seed))
+			a := newATC(capacity)
+			ref := newNaiveATC(capacity)
+			for i := 0; i < ops; i++ {
+				cm := rng.Intn(cmaps)
+				vpn := int64(rng.Intn(vpns))
+				switch op := rng.Intn(100); {
+				case op < 40: // lookup
+					got, gok := a.lookup(cm, vpn)
+					want, wok := ref.lookup(cm, vpn)
+					if gok != wok || got != want {
+						t.Fatalf("capacity %d seed %d op %d: lookup(%d,%d) = (%v,%v), reference (%v,%v)",
+							capacity, seed, i, cm, vpn, got, gok, want, wok)
+					}
+				case op < 70: // install
+					c := Copy{Module: rng.Intn(4), Frame: rng.Intn(16)}
+					rights := Read
+					if rng.Intn(2) == 1 {
+						rights |= Write
+					}
+					a.install(cm, vpn, c, rights)
+					ref.install(cm, vpn, c, rights)
+				case op < 90: // invalidate
+					a.invalidate(cm, vpn)
+					ref.invalidate(cm, vpn)
+				case op < 99: // restrict
+					a.restrict(cm, vpn)
+					ref.restrict(cm, vpn)
+				default: // reset
+					a.reset()
+					ref = newNaiveATC(capacity)
 				}
-			case op < 7: // install
-				c := Copy{Module: rng.Intn(4), Frame: rng.Intn(16)}
-				rights := Read
-				if rng.Intn(2) == 1 {
-					rights |= Write
+				if a.Hits != ref.hits || a.Misses != ref.misses || a.Evictions != ref.evictions {
+					t.Fatalf("capacity %d seed %d op %d: counters hits/misses/evictions = %d/%d/%d, reference %d/%d/%d",
+						capacity, seed, i, a.Hits, a.Misses, a.Evictions, ref.hits, ref.misses, ref.evictions)
 				}
-				a.install(cm, vpn, c, rights)
-				ref.install(cm, vpn, c, rights)
-			case op < 9: // invalidate
-				a.invalidate(cm, vpn)
-				ref.invalidate(cm, vpn)
-			default: // restrict
-				a.restrict(cm, vpn)
-				ref.restrict(cm, vpn)
 			}
-			if a.Hits != ref.hits || a.Misses != ref.misses || a.Evictions != ref.evictions {
-				t.Fatalf("seed %d op %d: counters hits/misses/evictions = %d/%d/%d, reference %d/%d/%d",
-					seed, i, a.Hits, a.Misses, a.Evictions, ref.hits, ref.misses, ref.evictions)
-			}
-		}
-		// Full sweep: residency must agree key-for-key at the end.
-		for cm := 0; cm < cmaps; cm++ {
-			for vpn := int64(0); vpn < vpns; vpn++ {
-				_, gok := a.lookup(cm, vpn)
-				_, wok := ref.lookup(cm, vpn)
-				if gok != wok {
-					t.Fatalf("seed %d: final residency of (%d,%d) = %v, reference %v", seed, cm, vpn, gok, wok)
+			// Full sweep: residency must agree key-for-key at the end.
+			for cm := 0; cm < cmaps; cm++ {
+				for vpn := int64(0); vpn < int64(vpns); vpn++ {
+					_, gok := a.lookup(cm, vpn)
+					_, wok := ref.lookup(cm, vpn)
+					if gok != wok {
+						t.Fatalf("capacity %d seed %d: final residency of (%d,%d) = %v, reference %v",
+							capacity, seed, cm, vpn, gok, wok)
+					}
 				}
 			}
 		}

@@ -269,3 +269,36 @@ func TestDirectoryDesyncReturnsErrInvariant(t *testing.T) {
 		}
 	})
 }
+
+// TestValidateChecksATCAgainstPmap: an ATC entry with no Pmap
+// translation behind it, or one more permissive than its Pmap
+// translation, lets a processor keep using a mapping a shootdown
+// dropped or restricted. Validate must name the entry.
+func TestValidateChecksATCAgainstPmap(t *testing.T) {
+	fx := newFixture(t, nil)
+	fx.mapPage(0, Read|Write)
+	var c Copy
+	fx.run(func(th *sim.Thread) { c = fx.touch(th, 1, 0, false) })
+	if err := fx.s.Validate(); err != nil {
+		t.Fatalf("Validate after a read fault: %v", err)
+	}
+	for _, tc := range []struct {
+		proc   int
+		rights Rights
+		want   string
+	}{
+		{2, Read, fmt.Sprintf("cmap 0 vpn 0 proc 2: ATC entry to (%d,%d) r with no Pmap translation", c.Module, c.Frame)},
+		{1, Read | Write, fmt.Sprintf("cmap 0 vpn 0 proc 1: ATC entry to (%d,%d) rw, Pmap translation to (%d,%d) r",
+			c.Module, c.Frame, c.Module, c.Frame)},
+	} {
+		a := fx.s.atcs[tc.proc]
+		a.install(fx.cm.id, 0, c, tc.rights)
+		if err := fx.s.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate = %v, want %q", err, tc.want)
+		}
+		a.invalidate(fx.cm.id, 0)
+		if err := fx.s.Validate(); err != nil {
+			t.Errorf("Validate after invalidating proc %d's entry: %v", tc.proc, err)
+		}
+	}
+}

@@ -20,7 +20,10 @@ import "fmt"
 //   - every Pmap translation of an active processor points at a copy
 //     that is in the directory (inactive processors may hold stale
 //     translations covered by queued Cmap messages);
-//   - a write-granting Pmap translation implies a single copy.
+//   - a write-granting Pmap translation implies a single copy;
+//   - every live ATC entry holds exactly its processor's Pmap
+//     translation for that Cmap and page, so no processor keeps using a
+//     translation its Pmap has dropped or restricted.
 func (s *System) Validate() error {
 	for _, cp := range s.cpages {
 		if err := s.validateCpage(cp); err != nil {
@@ -30,6 +33,22 @@ func (s *System) Validate() error {
 	for _, cm := range s.cmaps {
 		if err := s.validateCmap(cm); err != nil {
 			return err
+		}
+	}
+	for proc, a := range s.atcs {
+		for _, sl := range a.slots {
+			if !sl.live {
+				continue
+			}
+			k, c := sl.key, sl.val.copy
+			switch pe, ok := s.cmaps[k.cmap].translation(proc, k.vpn); {
+			case !ok:
+				return fmt.Errorf("cmap %d vpn %d proc %d: ATC entry to (%d,%d) %v with no Pmap translation",
+					k.cmap, k.vpn, proc, c.Module, c.Frame, sl.val.rights)
+			case pe != sl.val:
+				return fmt.Errorf("cmap %d vpn %d proc %d: ATC entry to (%d,%d) %v, Pmap translation to (%d,%d) %v",
+					k.cmap, k.vpn, proc, c.Module, c.Frame, sl.val.rights, pe.copy.Module, pe.copy.Frame, pe.rights)
+			}
 		}
 	}
 	return nil
