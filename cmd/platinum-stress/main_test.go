@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -31,5 +32,32 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		if strings.Contains(out.String()+errb.String(), "reproducer") {
 			t.Errorf("%v: printed a reproducer for a run that never started:\n%s%s", args, out.String(), errb.String())
 		}
+	}
+}
+
+// TestDesyncReproducerDocumented runs the -bug desync self-test and
+// fails unless every reproducer listing in EXPERIMENTS.md is its
+// stderr verbatim, so the documented failure cannot go stale.
+func TestDesyncReproducerDocumented(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-seed", "1", "-ops", "2000", "-bug", "desync"}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, errb.String())
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := strings.Split(string(doc), "```")
+	listings := 0
+	for i := 1; i < len(blocks); i += 2 { // odd pieces are inside fences
+		if body, ok := strings.CutPrefix(blocks[i], "\n"); ok && strings.Contains("\n"+body, "\nreproducer: seed=") {
+			listings++
+			if body != errb.String() {
+				t.Errorf("EXPERIMENTS.md listing differs from the stderr of platinum-stress -seed 1 -ops 2000 -bug desync:\n%s\nwant:\n%s", body, errb.String())
+			}
+		}
+	}
+	if listings == 0 {
+		t.Errorf("EXPERIMENTS.md has no reproducer listing; want the stderr of -bug desync:\n%s", errb.String())
 	}
 }

@@ -50,15 +50,8 @@ type Cmap struct {
 	sys     *System
 	entries map[int64]*CmapEntry
 	pmaps   []map[int64]pmapEntry
-	active  procset.Set // processors with this address space active
-	actives []int       // activation refcount per processor
+	actives []int // activation refcount per processor
 	msgs    []cmapMsg
-
-	// ptHome is the node holding this address space's page table under
-	// core.PTHome (see pagetable.go): round-robin by Cmap id, so it is
-	// deterministic and survives platform pooling. Unused (zero) in
-	// other modes.
-	ptHome int
 }
 
 // NewCmap creates the coherent-map state for a new address space.
@@ -83,7 +76,6 @@ func (s *System) NewCmap() *Cmap {
 		}
 	}
 	cm.id = len(s.cmaps)
-	cm.ptHome = cm.id % s.machine.Nodes()
 	s.cmaps = append(s.cmaps, cm)
 	return cm
 }
@@ -102,7 +94,6 @@ func (cm *Cmap) recycle(s *System) {
 	for i := range cm.pmaps {
 		clear(cm.pmaps[i])
 	}
-	cm.active.Clear()
 	for i := range cm.actives {
 		cm.actives[i] = 0
 	}
@@ -171,9 +162,7 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 	s := cm.sys
 	s.spanTrack = t.ID()
 	s.roundBegin()
-	d, _ := s.shootdownEntry(e, proc, now, false, func(p int, pe pmapEntry) bool {
-		return true
-	})
+	d, _, _ := s.shootdownEntryTracked(e, proc, now, false, 0, affectAll)
 	// Drop our own translation too.
 	cm.dropTranslation(proc, vpn)
 	// Unlink from the Cpage's mapper list.
@@ -207,7 +196,6 @@ func (cm *Cmap) Activate(t *sim.Thread, proc int) {
 	if cm.actives[proc] > 1 {
 		return
 	}
-	cm.active.Add(proc)
 	var cost sim.Time
 	out := cm.msgs[:0]
 	for _, m := range cm.msgs {
@@ -245,14 +233,11 @@ func (cm *Cmap) Deactivate(proc int) error {
 		return fmt.Errorf("core: Deactivate of inactive cmap %d on proc %d", cm.id, proc)
 	}
 	cm.actives[proc]--
-	if cm.actives[proc] == 0 {
-		cm.active.Del(proc)
-	}
 	return nil
 }
 
 // Active reports whether the space is active on proc.
-func (cm *Cmap) Active(proc int) bool { return cm.active.Has(proc) }
+func (cm *Cmap) Active(proc int) bool { return cm.actives[proc] > 0 }
 
 // applyMsg applies one Cmap message to proc's Pmap and ATC.
 func (cm *Cmap) applyMsg(proc int, m cmapMsg) {

@@ -107,9 +107,9 @@ func (e *ErrUnmapped) Error() string {
 type ErrInvariant struct {
 	Page  int64 // coherent page id
 	State State // protocol state at detection time
-	// DirMask is the directory bitmask at detection time, restricted to
-	// modules 0..63 (on machines with more nodes it is the truncation of
-	// the directory set's low word).
+	// DirMask is the directory at detection time as a module bitmask,
+	// built from the copy list and restricted to modules 0..63 (copies
+	// on higher modules have no bit).
 	DirMask uint64
 	Detail  string // which invariant broke, and how
 }
@@ -125,8 +125,8 @@ func (e *ErrInvariant) Error() string {
 func invariantErr(cp *Cpage, format string, args ...any) error {
 	return &ErrInvariant{
 		Page:    cp.id,
-		State:   cp.state,
-		DirMask: cp.dirMask.Lo(),
+		State:   cp.State(),
+		DirMask: cp.dirMask(),
 		Detail:  fmt.Sprintf(format, args...),
 	}
 }
@@ -260,14 +260,12 @@ type System struct {
 
 	// Page-table variant state (see pagetable.go): per-proc cached
 	// replica write-through cost and the pending balance the fault
-	// handler drains; per-target deferred-invalidation counts (and the
-	// count of targets with any pending) for the batched variant; and
-	// the activity counters.
-	ptRepCost  []sim.Time
-	ptRepPend  sim.Time
-	batchPend  []int
-	batchProcs int
-	ptStats    PTStats
+	// handler drains; per-target deferred-invalidation counts for the
+	// batched variant; and the activity counters.
+	ptRepCost []sim.Time
+	ptRepPend sim.Time
+	batchPend []int
+	ptStats   PTStats
 
 	// Causal span recording scratch (see span.go): the recorder, the
 	// current operation's root span and track, the buffered child
@@ -362,7 +360,6 @@ func (s *System) Reset() {
 	for i := range s.batchPend {
 		s.batchPend[i] = 0
 	}
-	s.batchProcs = 0
 	s.ptStats = PTStats{}
 	s.rec.Reset()
 	s.spanParent = span.None

@@ -118,7 +118,7 @@ func TestFirstWriteMaterializesModified(t *testing.T) {
 		t.Errorf("state = %v, want modified", cp.State())
 	}
 	if cp.writers.Count() != 1 || !cp.writers.Has(5) {
-		t.Errorf("writers = %b, want exactly proc 5", cp.writers.Lo())
+		t.Errorf("writers = %+v, want exactly proc 5", cp.writers)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestWriteMigrationMovesPageAndData(t *testing.T) {
 			t.Errorf("migrated word = %d, want 777", got)
 		}
 		// Old copy must be gone.
-		if _, ok, _ := cp.HasCopy(0); ok {
+		if _, ok := cp.HasCopy(0); ok {
 			t.Error("module 0 still holds a copy after migration")
 		}
 		// Old owner's translation must be invalidated.
@@ -247,7 +247,7 @@ func TestWriteOnPresentPlusReclaimsRemoteCopies(t *testing.T) {
 		if len(cp.Copies()) != 1 {
 			t.Errorf("copies after write = %d, want 1", len(cp.Copies()))
 		}
-		if _, ok, _ := cp.HasCopy(0); !ok {
+		if _, ok := cp.HasCopy(0); !ok {
 			t.Error("surviving copy is not the writer's")
 		}
 		// Readers of reclaimed copies must have lost their translations.

@@ -74,8 +74,8 @@ func (st *CpageStats) Faults() int64 { return st.ReadFaults + st.WriteFaults }
 
 // Cpage is one coherent page: the unit of replication, migration and
 // coherency. Each entry holds the directory of physical copies, the
-// protocol state, and the invalidation history the replication policy
-// consumes.
+// writer set and the invalidation history the replication policy
+// consumes; the protocol state is derived from the first two (State).
 type Cpage struct {
 	id int64
 
@@ -86,20 +86,16 @@ type Cpage struct {
 	labelBase string
 	labelIdx  int
 
-	state   State
-	dirMask procset.Set // modules holding a copy
-	copies  []Copy      // the copies themselves (directory list)
+	copies []Copy // the directory: one copy per module holding the page
 
-	// writers is the set of processors holding a write mapping. The
-	// page is Modified iff state == Modified; writers lets downgrades
-	// target exactly the processors with write access.
+	// writers is the set of processors holding a write mapping. A
+	// single-copy page with a writer is Modified; writers lets
+	// downgrades target exactly the processors with write access.
 	writers procset.Set
 
-	lastInval   sim.Time // time of most recent protocol invalidation
-	everInval   bool
-	everWritten bool // a write fault has ever targeted this page
-	frozen      bool
-	enlisted    bool // on the defrost daemon's frozen list (possibly stale)
+	lastInval sim.Time // time of most recent protocol invalidation
+	frozen    bool
+	enlisted  bool // on the defrost daemon's frozen list (possibly stale)
 
 	home      int      // module whose kernel memory holds this entry
 	busyUntil sim.Time // fault-handler serialization ("Cpage lock")
@@ -131,8 +127,33 @@ func (cp *Cpage) SetLabelIndexed(base string, idx int) {
 	cp.labelIdx = idx
 }
 
-// State returns the protocol state.
-func (cp *Cpage) State() State { return cp.state }
+// State returns the protocol state, derived from the copies and writers
+// as Fig. 4 defines it: no copy is empty, two or more are present+, and
+// a single copy is modified when some mapping allows a write (the
+// writer set is non-empty), present1 otherwise.
+func (cp *Cpage) State() State {
+	switch {
+	case len(cp.copies) == 0:
+		return Empty
+	case len(cp.copies) > 1:
+		return PresentPlus
+	case !cp.writers.Empty():
+		return Modified
+	}
+	return Present1
+}
+
+// dirMask renders the directory as the module bitmask spans and
+// invariant errors report, restricted to modules 0..63.
+func (cp *Cpage) dirMask() uint64 {
+	var m uint64
+	for _, c := range cp.copies {
+		if c.Module < 64 {
+			m |= 1 << uint(c.Module)
+		}
+	}
+	return m
+}
 
 // Frozen reports whether the replication policy has frozen the page.
 func (cp *Cpage) Frozen() bool { return cp.frozen }
@@ -140,28 +161,22 @@ func (cp *Cpage) Frozen() bool { return cp.frozen }
 // Copies returns the directory's copy list (do not modify).
 func (cp *Cpage) Copies() []Copy { return cp.copies }
 
-// HasCopy reports whether module mod holds a copy, and which frame. A
-// non-nil error means the directory bitmask and copy list disagree — an
-// invariant violation the caller must propagate, not a "no copy" result.
-func (cp *Cpage) HasCopy(mod int) (frame int, ok bool, err error) {
-	if !cp.dirMask.Has(mod) {
-		return 0, false, nil
-	}
+// HasCopy reports whether module mod holds a copy, and which frame.
+func (cp *Cpage) HasCopy(mod int) (frame int, ok bool) {
 	for _, c := range cp.copies {
 		if c.Module == mod {
-			return c.Frame, true, nil
+			return c.Frame, true
 		}
 	}
-	return 0, false, invariantErr(cp, "dirMask bit %d set without copy", mod)
+	return 0, false
 }
 
 // addCopy records a new physical copy in the directory. A duplicate
 // copy on the same module is an invariant violation.
 func (cp *Cpage) addCopy(c Copy) error {
-	if cp.dirMask.Has(c.Module) {
+	if _, dup := cp.HasCopy(c.Module); dup {
 		return invariantErr(cp, "already has a copy on module %d", c.Module)
 	}
-	cp.dirMask.Add(c.Module)
 	cp.copies = append(cp.copies, c)
 	return nil
 }
@@ -172,7 +187,6 @@ func (cp *Cpage) removeCopy(mod int) (Copy, error) {
 	for i, c := range cp.copies {
 		if c.Module == mod {
 			cp.copies = append(cp.copies[:i], cp.copies[i+1:]...)
-			cp.dirMask.Del(mod)
 			return c, nil
 		}
 	}
@@ -200,17 +214,16 @@ func (s *System) NewCpage() *Cpage {
 }
 
 // recycle returns a pooled Cpage to its zero state, keeping the copies
-// and mappers backing arrays — and the directory/writer sets' overflow
-// words on >64-node machines — for reuse.
+// and mappers backing arrays — and the writer set's overflow words on
+// >64-node machines — for reuse.
 func (cp *Cpage) recycle() {
 	copies, mappers := cp.copies[:0], cp.mappers[:0]
 	for i := range cp.mappers {
 		cp.mappers[i] = nil
 	}
-	dir, wr := cp.dirMask, cp.writers
-	dir.Clear()
+	wr := cp.writers
 	wr.Clear()
-	*cp = Cpage{copies: copies, mappers: mappers, dirMask: dir, writers: wr}
+	*cp = Cpage{copies: copies, mappers: mappers, writers: wr}
 }
 
 // Cpages returns all coherent pages, for instrumentation.
@@ -222,8 +235,8 @@ func (s *System) Cpages() []*Cpage { return s.cpages }
 // data placement (e.g. the Uniform System's scattering of shared data
 // across all memories).
 func (s *System) MaterializeAt(cp *Cpage, module int) error {
-	if cp.state != Empty {
-		return fmt.Errorf("core: MaterializeAt on non-empty cpage %d (%v)", cp.id, cp.state)
+	if st := cp.State(); st != Empty {
+		return fmt.Errorf("core: MaterializeAt on non-empty cpage %d (%v)", cp.id, st)
 	}
 	if module < 0 || module >= s.machine.Nodes() {
 		return fmt.Errorf("core: MaterializeAt on bad module %d", module)
@@ -236,7 +249,6 @@ func (s *System) MaterializeAt(cp *Cpage, module int) error {
 		s.mem.Module(module).Free(fr)
 		return err
 	}
-	cp.state = Present1
 	cp.home = module
 	return nil
 }

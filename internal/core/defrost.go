@@ -45,9 +45,6 @@ func (s *System) DefrostSweep(t *sim.Thread, proc int) int {
 		delay += d
 		cp.frozen = false
 		cp.writers.Clear()
-		if len(cp.copies) == 1 {
-			cp.state = Present1
-		}
 		s.event(now, EvThaw, proc, cp)
 		thawed++
 	}

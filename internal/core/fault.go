@@ -141,7 +141,6 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	var err error
 	var lockEnd sim.Time
 	if write {
-		cp.everWritten = true
 		s.event(now, EvWriteFault, proc, cp)
 		c, cur, err = s.handleWrite(e, cp, proc, now, cur)
 	} else {
@@ -151,7 +150,7 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	if err != nil {
 		s.spanAbort(now, span.Span{ID: rootID, Kind: span.KindFault,
 			Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault,
-			State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note + ": " + err.Error()})
+			State: cp.State().String(), DirMask: cp.dirMask(), Note: note + ": " + err.Error()})
 		return Copy{}, err
 	}
 	// The handler releases the Cpage lock before a replication's block
@@ -188,7 +187,7 @@ func (s *System) fault(t *sim.Thread, proc int, cm *Cmap, vpn int64, write bool,
 	s.acct[sim.CauseFault] += self
 	s.rec.Record(span.Span{ID: rootID, Kind: span.KindFault, Start: now, End: cur,
 		Proc: proc, Track: t.ID(), Page: cp.id, Cause: sim.CauseFault, Self: self,
-		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note})
+		State: cp.State().String(), DirMask: cp.dirMask(), Note: note})
 	s.spanFlush(t)
 	t.Advance(total)
 	return c, nil
@@ -316,16 +315,14 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 	// A local physical copy may already exist (the Cpage can be shared
 	// by multiple address spaces, or the translation may simply have
 	// been evicted).
-	if _, ok, err := cp.HasCopy(proc); err != nil {
-		return Copy{}, cur, 0, err
-	} else if ok {
+	if _, ok := cp.HasCopy(proc); ok {
 		fr, cur, err := s.localIPTLookup(cp, proc, cur)
 		if err != nil {
 			return Copy{}, cur, 0, err
 		}
 		c := Copy{Module: proc, Frame: fr}
 		rights := Read
-		if cp.state == Modified && cp.writers.Has(proc) {
+		if cp.writers.Has(proc) {
 			rights = Read | Write
 		}
 		cm.installTranslation(proc, e, c, rights)
@@ -333,12 +330,11 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 		return c, cur + s.cfg.MapInstall, 0, nil
 	}
 
-	if cp.state == Empty {
+	if cp.State() == Empty {
 		c, cur, err := s.materialize(cp, e.vpn, proc, cur)
 		if err != nil {
 			return Copy{}, cur, 0, err
 		}
-		cp.state = Present1
 		cm.installTranslation(proc, e, c, Read)
 		s.spanMapUpdate(cp, proc, cur)
 		return c, cur + s.cfg.MapInstall, 0, nil
@@ -349,7 +345,7 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 	if dec.Cache {
 		if fr, nc, ok := s.allocFrame(cp, proc, cur); ok {
 			cur = nc
-			if cp.state == Modified {
+			if cp.State() == Modified {
 				// Restrict the write mappings to read-only before
 				// copying (modified -> present1, Fig. 4). A restriction
 				// is not recorded as invalidation history: it happens on
@@ -361,7 +357,6 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 				d, _ := s.shootdownCpage(cp, proc, now, true, false, affectWriters)
 				s.roundRecord(cur, d, cp, proc, "restrict")
 				cur += d
-				cp.state = Present1
 				cp.writers.Clear()
 			}
 			src := s.chooseSource(cp)
@@ -373,7 +368,6 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 				s.mem.Module(proc).Free(fr)
 				return Copy{}, cur, 0, err
 			}
-			cp.state = PresentPlus
 			s.event(cur, EvReplication, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
@@ -398,9 +392,8 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 	// path).
 	src := s.chooseSource(cp)
 	rights := Read
-	if len(cp.copies) == 1 && e.rights.Allows(Write) && (dec.Freeze || cp.state == Modified) {
+	if len(cp.copies) == 1 && e.rights.Allows(Write) && (dec.Freeze || cp.State() == Modified) {
 		rights = Read | Write
-		cp.state = Modified
 		cp.writers.Add(proc)
 	}
 	if dec.Freeze && len(cp.copies) == 1 {
@@ -416,21 +409,18 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time) (Copy, sim.Time, error) {
 	cm := e.cmap
 
-	if cp.state == Empty {
+	if cp.State() == Empty {
 		c, cur, err := s.materialize(cp, e.vpn, proc, cur)
 		if err != nil {
 			return Copy{}, cur, err
 		}
-		cp.state = Modified
 		cp.writers.AssignOne(proc)
 		cm.installTranslation(proc, e, c, Read|Write)
 		s.spanMapUpdate(cp, proc, cur)
 		return c, cur + s.cfg.MapInstall, nil
 	}
 
-	if fr, ok, err := cp.HasCopy(proc); err != nil {
-		return Copy{}, cur, err
-	} else if ok {
+	if fr, ok := cp.HasCopy(proc); ok {
 		// Local copy: invalidate every other copy (present+ -> modified
 		// requires reclaiming remote copies; present1/modified -> just
 		// upgrade, "requires neither" per §3.2).
@@ -447,7 +437,6 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 		if err != nil {
 			return Copy{}, cur, err
 		}
-		cp.state = Modified
 		cp.writers.Add(proc)
 		cm.installTranslation(proc, e, local, Read|Write)
 		s.spanMapUpdate(cp, proc, cur)
@@ -485,7 +474,6 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 				s.mem.Module(proc).Free(fr)
 				return Copy{}, cur, err
 			}
-			cp.state = Modified
 			cp.writers.AssignOne(proc)
 			s.event(cur, EvMigration, proc, cp)
 			if cp.frozen {
@@ -506,7 +494,6 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 	if err != nil {
 		return Copy{}, cur, err
 	}
-	cp.state = Modified
 	cp.writers.Add(proc)
 	if dec.Freeze {
 		s.freeze(cp, now)

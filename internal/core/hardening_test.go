@@ -250,8 +250,6 @@ func TestDirectoryDesyncReturnsErrInvariant(t *testing.T) {
 		// Corrupt the directory: move a copy record to a module that
 		// holds nothing.
 		cp.copies[1].Module = 3
-		cp.dirMask.Del(1)
-		cp.dirMask.Add(3)
 		_, err := fx.s.Touch(th, 3, fx.cm, 0, true)
 		var inv *ErrInvariant
 		if !errors.As(err, &inv) {
@@ -268,6 +266,53 @@ func TestDirectoryDesyncReturnsErrInvariant(t *testing.T) {
 			t.Error("Validate missed the desync")
 		}
 	})
+}
+
+// TestValidateChecksPageInvariants plants, on a live present+ page,
+// each corruption of a page that Validate can still see (its state is
+// derived from its copies and writers, so state agreement needs no
+// check) and expects Validate's message for it.
+func TestValidateChecksPageInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(cp, other *Cpage) (want string)
+	}{
+		{"module listed twice", func(cp, _ *Cpage) string {
+			cp.copies[1].Module = 0
+			return "cpage 0: directory lists module 0 twice"
+		}},
+		{"writer on two copies", func(cp, _ *Cpage) string {
+			cp.writers.Add(2)
+			return "cpage 0: 1 writer(s) with 2 copies"
+		}},
+		{"frozen with two copies", func(cp, _ *Cpage) string {
+			cp.frozen = true
+			return "cpage 0: frozen with 2 copies"
+		}},
+		{"frame owned by another page", func(cp, other *Cpage) string {
+			cp.copies[0].Frame = other.copies[0].Frame
+			return fmt.Sprintf("cpage 0: IPT owner of module 0 frame %d is (1,true)", other.copies[0].Frame)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture(t, nil)
+			cp := fx.mapPage(0, Read|Write)
+			other := fx.mapPage(1, Read|Write)
+			fx.run(func(th *sim.Thread) {
+				fx.touch(th, 0, 0, false)
+				th.Advance(quiet)
+				fx.touch(th, 1, 0, false) // present+ on modules 0 and 1
+				fx.touch(th, 0, 1, false) // the other page on module 0
+			})
+			if err := fx.s.Validate(); err != nil {
+				t.Fatalf("Validate before the corruption: %v", err)
+			}
+			want := tc.plant(cp, other)
+			if err := fx.s.Validate(); fmt.Sprint(err) != want {
+				t.Errorf("Validate = %v, want %q", err, want)
+			}
+		})
+	}
 }
 
 // TestValidateChecksATCAgainstPmap: an ATC entry with no Pmap

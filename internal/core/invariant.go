@@ -8,19 +8,19 @@ import "fmt"
 // no virtual time.
 //
 // The invariants checked are the ones the protocol's correctness rests
-// on (Fig. 4 and §3.2/§3.3):
+// on (Fig. 4 and §3.2/§3.3). A page's state is derived from its copies
+// and writers (Cpage.State), so state/directory agreement holds by
+// construction; what can still break is checked:
 //
-//   - state/directory agreement: empty ⇔ no copies; present1 and
-//     modified have exactly one copy; present+ has at least two;
+//   - a page with a writer has exactly one copy;
 //   - a frozen page has exactly one copy;
-//   - write mappings exist only in the modified state, and a writer set
-//     implies the modified state;
-//   - the directory bitmask and copy list agree, and each listed frame
-//     is owned by the page in its module's inverted page table;
+//   - the directory names each module once, and each listed frame is
+//     owned by the page in its module's inverted page table;
 //   - every Pmap translation of an active processor points at a copy
 //     that is in the directory (inactive processors may hold stale
 //     translations covered by queued Cmap messages);
-//   - a write-granting Pmap translation implies a single copy;
+//   - a write-granting Pmap translation of an active processor is on a
+//     modified page;
 //   - every live ATC entry holds exactly its processor's Pmap
 //     translation for that Cmap and page, so no processor keeps using a
 //     translation its Pmap has dropped or restricted.
@@ -56,32 +56,17 @@ func (s *System) Validate() error {
 
 func (s *System) validateCpage(cp *Cpage) error {
 	n := len(cp.copies)
-	switch cp.state {
-	case Empty:
-		if n != 0 {
-			return fmt.Errorf("cpage %d: empty with %d copies", cp.id, n)
-		}
-	case Present1, Modified:
-		if n != 1 {
-			return fmt.Errorf("cpage %d: %v with %d copies", cp.id, cp.state, n)
-		}
-	case PresentPlus:
-		if n < 2 {
-			return fmt.Errorf("cpage %d: present+ with %d copies", cp.id, n)
-		}
+	if !cp.writers.Empty() && n != 1 {
+		return fmt.Errorf("cpage %d: %d writer(s) with %d copies", cp.id, cp.writers.Count(), n)
 	}
 	if cp.frozen && n != 1 {
 		return fmt.Errorf("cpage %d: frozen with %d copies", cp.id, n)
 	}
-	if !cp.writers.Empty() != (cp.state == Modified) {
-		return fmt.Errorf("cpage %d: %d writers but state=%v", cp.id, cp.writers.Count(), cp.state)
-	}
-	if cp.dirMask.Count() != n {
-		return fmt.Errorf("cpage %d: directory set (%d modules) disagrees with %d copies", cp.id, cp.dirMask.Count(), n)
-	}
-	for _, c := range cp.copies {
-		if !cp.dirMask.Has(c.Module) {
-			return fmt.Errorf("cpage %d: copy on module %d missing from dirMask", cp.id, c.Module)
+	for i, c := range cp.copies {
+		for _, d := range cp.copies[:i] {
+			if d.Module == c.Module {
+				return fmt.Errorf("cpage %d: directory lists module %d twice", cp.id, c.Module)
+			}
 		}
 		owner, ok := s.mem.Module(c.Module).Owner(c.Frame)
 		if !ok || owner != cp.id {
@@ -105,23 +90,13 @@ func (s *System) validateCmap(cm *Cmap) error {
 				continue // stale entries of inactive procs are legal
 			}
 			cp := e.cp
-			fr, has, err := cp.HasCopy(pe.copy.Module)
-			if err != nil {
-				return err
-			}
-			if !has || fr != pe.copy.Frame {
+			if fr, has := cp.HasCopy(pe.copy.Module); !has || fr != pe.copy.Frame {
 				return fmt.Errorf("cmap %d vpn %d proc %d: translation to (%d,%d) not in directory of cpage %d",
 					cm.id, vpn, proc, pe.copy.Module, pe.copy.Frame, cp.id)
 			}
-			if pe.rights.Allows(Write) {
-				if cp.state != Modified {
-					return fmt.Errorf("cmap %d vpn %d proc %d: write mapping on %v page",
-						cm.id, vpn, proc, cp.state)
-				}
-				if len(cp.copies) != 1 {
-					return fmt.Errorf("cmap %d vpn %d proc %d: write mapping with %d copies",
-						cm.id, vpn, proc, len(cp.copies))
-				}
+			if st := cp.State(); pe.rights.Allows(Write) && st != Modified {
+				return fmt.Errorf("cmap %d vpn %d proc %d: write mapping on %v page",
+					cm.id, vpn, proc, st)
 			}
 		}
 	}

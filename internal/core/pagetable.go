@@ -108,7 +108,7 @@ func (s *System) ptWalk(at sim.Time, proc int, cm *Cmap) sim.Time {
 	var node int
 	switch s.cfg.PageTables.Mode {
 	case PTHome:
-		node = cm.ptHome
+		node = cm.id % s.machine.Nodes()
 	case PTReplicate:
 		node = s.machine.ReplicaHomeOf(proc)
 	default:
@@ -156,9 +156,6 @@ func (s *System) drainPTRep() sim.Time {
 // the batched variant (the Pmap/ATC change itself has already been
 // applied by the caller — only the interrupt cost is deferred).
 func (s *System) batchDefer(proc int) {
-	if s.batchPend[proc] == 0 {
-		s.batchProcs++
-	}
 	s.batchPend[proc]++
 	s.ptStats.Deferred++
 }
@@ -166,46 +163,25 @@ func (s *System) batchDefer(proc int) {
 // flushBatch is the batched variant's sync point: before the initiator
 // frees frames that deferred targets may still reference, every target
 // with pending coalesced invalidations is interrupted — once per
-// target, NOT once per coalesced entry. The first interrupt in the
-// enclosing composite operation (prior counts targets it already
-// interrupted) pays the full ShootdownSync; each further target only
-// the incremental, distance-scaled dispatch — exactly the eager path's
-// cost structure, which is what makes the eager-vs-batched comparison
-// an apples-to-apples one. Costs land in sdTargets, tagged
-// CauseBatchFlush, so the round's span tree carries them.
+// target, NOT once per coalesced entry. Each interrupt is priced by the
+// eager shootdown's rule (interrupt; prior counts the targets the
+// enclosing composite operation already interrupted), which is what
+// makes the eager-vs-batched comparison an apples-to-apples one; the
+// round's span tree carries it as CauseBatchFlush.
 func (s *System) flushBatch(initiator, prior int) (delay sim.Time, interrupted int) {
-	if s.batchProcs == 0 {
-		return 0, 0
-	}
-	for proc := 0; proc < len(s.batchPend); proc++ {
-		if s.batchPend[proc] == 0 {
+	for proc, n := range s.batchPend {
+		if n == 0 {
 			continue
 		}
 		s.batchPend[proc] = 0
-		s.batchProcs--
 		if proc == initiator {
 			// The initiator's own ATC was fixed directly when the change
 			// was applied; nothing to flush.
 			continue
 		}
-		var step sim.Time
-		if prior+interrupted == 0 {
-			step = s.cfg.ShootdownSync
-		} else {
-			step = s.machine.InterruptDispatchTo(initiator, proc)
-		}
-		var ackd sim.Time
-		if s.inj != nil {
-			if a := s.inj.AckDelay(initiator, proc); a > 0 {
-				delay += a
-				ackd = a
-			}
-		}
-		delay += step
+		delay += s.interrupt(initiator, proc, prior+interrupted == 0, sim.CauseBatchFlush)
 		interrupted++
 		s.ptStats.FlushIPIs++
-		s.sdTargets = append(s.sdTargets, sdTarget{proc: proc, cost: step, ack: ackd, cause: sim.CauseBatchFlush})
-		s.penalty[proc] += s.mcfg.InterruptHandle
 	}
 	return delay, interrupted
 }
@@ -226,7 +202,6 @@ func (s *System) batchActivate(t *sim.Thread, proc int) {
 		return
 	}
 	s.batchPend[proc] = 0
-	s.batchProcs--
 	s.ptStats.FlushApplies += int64(n)
 	cost := msgApply * sim.Time(n)
 	now := t.Now()

@@ -65,7 +65,7 @@ func (p *PlatinumPolicy) Name() string {
 
 // Decide implements Policy.
 func (p *PlatinumPolicy) Decide(cp *Cpage, now sim.Time, write bool) Decision {
-	quiet := !cp.everInval || now-cp.lastInval >= p.T1
+	quiet := cp.Stats.Invalidations == 0 || now-cp.lastInval >= p.T1
 	if cp.frozen {
 		if p.ThawOnFault && quiet {
 			return Decision{Cache: true}
@@ -116,7 +116,7 @@ func (p MigrateOnce) Name() string { return fmt.Sprintf("migrate-once(limit=%d)"
 
 // Decide implements Policy.
 func (p MigrateOnce) Decide(cp *Cpage, _ sim.Time, _ bool) Decision {
-	if !cp.everWritten {
+	if cp.Stats.WriteFaults == 0 {
 		return Decision{Cache: true}
 	}
 	if cp.Stats.Migrations+cp.Stats.Replications < p.Limit {

@@ -48,7 +48,7 @@ func (s *System) Report() Report {
 		r.Pages = append(r.Pages, PageReport{
 			ID:         cp.id,
 			Label:      cp.Label(),
-			State:      cp.state,
+			State:      cp.State(),
 			Frozen:     cp.frozen,
 			Copies:     len(cp.copies),
 			CpageStats: cp.Stats,

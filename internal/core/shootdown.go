@@ -15,27 +15,20 @@ import (
 // the space. This is the key scalability difference from Mach's
 // shootdown, which stalls every processor with the space active.
 
-// shootdownEntry applies a mapping change for one Cmap entry to every
-// processor (other than initiator) whose translation matches the
+// shootdownEntryTracked applies a mapping change for one Cmap entry to
+// every processor (other than initiator) whose translation matches the
 // affected predicate. restrict downgrades translations to read-only;
-// otherwise they are invalidated. It returns the delay to charge the
-// initiator and the number of processors interrupted.
+// otherwise they are invalidated. prior is the number of targets
+// already interrupted earlier in the same composite operation: the
+// expensive synchronization is paid once per fault, and every further
+// target costs only the incremental interrupt dispatch (§4's 7 µs). It
+// returns the delay to charge the initiator, the number of processors
+// interrupted, and whether any processor other than the initiator was
+// affected (interrupted or queued) — the signal the replication
+// policy's invalidation history records.
 //
 // The initiator's own translation, if affected, is fixed directly at no
 // interrupt cost (it is executing the handler).
-func (s *System) shootdownEntry(e *CmapEntry, initiator int, now sim.Time,
-	restrict bool, affected func(proc int, pe pmapEntry) bool) (delay sim.Time, interrupted int) {
-	d, n, _ := s.shootdownEntryTracked(e, initiator, now, restrict, 0, affected)
-	return d, n
-}
-
-// shootdownEntryTracked is shootdownEntry, additionally reporting whether
-// any processor other than the initiator was affected (interrupted or
-// queued) — the signal the replication policy's invalidation history
-// records. prior is the number of targets already interrupted earlier in
-// the same composite operation: the expensive synchronization is paid
-// once per fault, and every further target costs only the incremental
-// interrupt dispatch (§4's 7 µs).
 func (s *System) shootdownEntryTracked(e *CmapEntry, initiator int, now sim.Time,
 	restrict bool, prior int, affected func(proc int, pe pmapEntry) bool) (delay sim.Time, interrupted int, others bool) {
 
@@ -82,29 +75,8 @@ func (s *System) shootdownEntryTracked(e *CmapEntry, initiator int, now sim.Time
 		}
 		if cm.Active(proc) {
 			// Interrupt the target and apply the change now.
-			var step sim.Time
-			if prior+interrupted == 0 {
-				step = s.cfg.ShootdownSync
-			} else {
-				// Distance-scaled on generalized topologies; exactly
-				// InterruptDispatch on the uniform machine.
-				step = s.machine.InterruptDispatchTo(initiator, proc)
-			}
-			delay += step
-			var ackd sim.Time
-			if s.inj != nil {
-				// Injected slow acknowledgement: the target stalls before
-				// acking, stretching the initiator's wait. The round's
-				// ack span carries it as CauseSlowAck.
-				if a := s.inj.AckDelay(initiator, proc); a > 0 {
-					delay += a
-					ackd = a
-				}
-			}
+			delay += s.interrupt(initiator, proc, prior+interrupted == 0, sim.CauseShootdown)
 			interrupted++
-			// Per-target scratch for the round's span tree (see span.go).
-			s.sdTargets = append(s.sdTargets, sdTarget{proc: proc, cost: step, ack: ackd, cause: sim.CauseShootdown})
-			s.penalty[proc] += s.mcfg.InterruptHandle
 			if restrict {
 				cm.restrictTranslation(proc, e.vpn)
 			} else {
@@ -141,10 +113,32 @@ func (s *System) shootdownCpage(cp *Cpage, initiator int, now sim.Time,
 	}
 	if changed && recordInval {
 		cp.lastInval = now
-		cp.everInval = true
 		s.event(now, EvInvalidation, initiator, cp)
 	}
 	return delay, interrupted
+}
+
+// interrupt prices one interrupted target for the initiator, for the
+// eager shootdown and the batched variant's flush alike: ShootdownSync
+// if it is the composite operation's first target, otherwise the
+// incremental dispatch (distance-scaled on generalized topologies,
+// exactly InterruptDispatch on the uniform machine), plus any injected
+// slow acknowledgement. The target owes InterruptHandle, folded into
+// its next access, and gets its entry in the round's span tree (see
+// span.go) under cause, the ack carried as CauseSlowAck. It returns
+// the initiator's delay.
+func (s *System) interrupt(initiator, proc int, first bool, cause sim.Cause) sim.Time {
+	step := s.cfg.ShootdownSync
+	if !first {
+		step = s.machine.InterruptDispatchTo(initiator, proc)
+	}
+	var ack sim.Time
+	if s.inj != nil {
+		ack = max(s.inj.AckDelay(initiator, proc), 0)
+	}
+	s.sdTargets = append(s.sdTargets, sdTarget{proc: proc, cost: step, ack: ack, cause: cause})
+	s.penalty[proc] += s.mcfg.InterruptHandle
+	return step + ack
 }
 
 // affectAll matches every translation.

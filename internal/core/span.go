@@ -93,7 +93,7 @@ func (s *System) spanAbort(at sim.Time, root span.Span) {
 // span shows what was dismantled.
 func (s *System) spanThaw(cp *Cpage, proc int, start, d sim.Time) {
 	thawID := s.spanChild(span.Span{Kind: span.KindThaw, Start: start, End: start + d,
-		Proc: proc, Page: cp.id, State: cp.state.String(), DirMask: cp.dirMask.Lo()})
+		Proc: proc, Page: cp.id, State: cp.State().String(), DirMask: cp.dirMask()})
 	prev := s.spanParent
 	s.spanParent = thawID
 	s.roundRecord(start, d, cp, proc, "thaw")
@@ -108,8 +108,8 @@ func (s *System) spanMapUpdate(cp *Cpage, proc int, cur sim.Time) {
 }
 
 // roundBegin resets the per-round target scratch. Call it immediately
-// before the shootdownCpage/shootdownEntry whose cost roundRecord will
-// turn into a span tree.
+// before the shootdownCpage/shootdownEntryTracked whose cost
+// roundRecord will turn into a span tree.
 func (s *System) roundBegin() { s.sdTargets = s.sdTargets[:0] }
 
 // roundRecord buffers the span tree of one shootdown round: a round
@@ -135,7 +135,7 @@ func (s *System) roundRecord(start, d sim.Time, cp *Cpage, initiator int, note s
 		Kind: span.KindShootdown, Start: start, End: start + d,
 		Proc: initiator, Page: cp.id,
 		Cause: sim.CauseShootdown, Self: d - tcost - tack,
-		State: cp.state.String(), DirMask: cp.dirMask.Lo(), Note: note,
+		State: cp.State().String(), DirMask: cp.dirMask(), Note: note,
 	})
 	cur := start + (d - tcost - tack)
 	for _, tg := range s.sdTargets {

@@ -139,6 +139,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mach: remote latencies must be >= local latencies")
 	case c.BlockCopyPerWord <= 0:
 		return fmt.Errorf("mach: BlockCopyPerWord must be positive")
+	case c.LocalOccupancy < 0:
+		return fmt.Errorf("mach: LocalOccupancy = %v, must not be negative", c.LocalOccupancy)
+	case c.RemoteOccupancy < 0:
+		return fmt.Errorf("mach: RemoteOccupancy = %v, must not be negative", c.RemoteOccupancy)
+	case c.InterruptDispatch < 0:
+		return fmt.Errorf("mach: InterruptDispatch = %v, must not be negative", c.InterruptDispatch)
+	case c.InterruptHandle < 0:
+		return fmt.Errorf("mach: InterruptHandle = %v, must not be negative", c.InterruptHandle)
+	case c.ATCReload < 0:
+		return fmt.Errorf("mach: ATCReload = %v, must not be negative", c.ATCReload)
+	case c.BlockXferOccupancy < 0 || c.BlockXferOccupancy > 1000:
+		return fmt.Errorf("mach: BlockXferOccupancy = %d, must be in 0..1000 (0 means 1000)", c.BlockXferOccupancy)
 	}
 	return nil
 }

@@ -34,6 +34,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LocalRead = 0 },
 		func(c *Config) { c.RemoteRead = c.LocalRead - 1 },
 		func(c *Config) { c.BlockCopyPerWord = 0 },
+		func(c *Config) { c.LocalOccupancy = -1 },
+		func(c *Config) { c.RemoteOccupancy = -1 },
+		func(c *Config) { c.InterruptDispatch = -1 },
+		func(c *Config) { c.InterruptHandle = -1 },
+		func(c *Config) { c.ATCReload = -1 },
+		func(c *Config) { c.BlockXferOccupancy = -1 },
+		func(c *Config) { c.BlockXferOccupancy = 1001 },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()

@@ -308,6 +308,13 @@ var badTopologies = []struct {
 	{"negative nodes with tiers", `{"nodes": -4, "tiers": [{"name": "nvm", "nodes": [0], "read_mul": 3000}]}`, "mach: topology: nodes = -4"},
 	{"negative nodes with switch level", `{"nodes": -4, "switch_levels": [{"cluster_size": 2, "per_word_ns": 50}]}`, "mach: topology: nodes = -4"},
 	{"node count overflows n squared", `{"nodes": 4294967296, "distance": {"kind": "clusters", "cluster_size": 1, "far": 2000}}`, "mach: topology: nodes = 4294967296"},
+	{"negative local occupancy", `{"nodes": 4, "latencies_ns": {"local_occupancy": -100}}`, "LocalOccupancy"},
+	{"negative remote occupancy", `{"nodes": 16, "latencies_ns": {"remote_occupancy": -100000}}`, "RemoteOccupancy"},
+	{"negative interrupt dispatch", `{"nodes": 4, "latencies_ns": {"interrupt_dispatch": -7000}}`, "InterruptDispatch"},
+	{"negative interrupt handle", `{"nodes": 4, "latencies_ns": {"interrupt_handle": -10000}}`, "InterruptHandle"},
+	{"negative ATC reload", `{"nodes": 4, "latencies_ns": {"atc_reload": -1000}}`, "ATCReload"},
+	{"negative block transfer occupancy", `{"nodes": 4, "latencies_ns": {"block_xfer_occupancy_permille": -1}}`, "BlockXferOccupancy"},
+	{"block transfer occupancy over 1000", `{"nodes": 4, "latencies_ns": {"block_xfer_occupancy_permille": 5000}}`, "BlockXferOccupancy"},
 }
 
 // TestParseTopology exercises the JSON loader: each shorthand expands

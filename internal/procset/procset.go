@@ -1,7 +1,6 @@
-// Package procset implements the processor/module sets the coherent
-// memory protocol keeps per page and per mapping: the directory bitmask
-// (which modules hold a copy), the writer set, the reference mask, and
-// the shootdown target sets.
+// Package procset implements the processor sets the coherent memory
+// protocol keeps per page and per mapping: the writer set, the
+// reference mask, and the shootdown and Cmap message target sets.
 //
 // Historically these were bare uint64 bitmasks, which silently broke on
 // machines with more than 64 nodes (a Go shift by >= 64 yields zero, so
@@ -106,9 +105,3 @@ func (s *Set) Count() int {
 	}
 	return n
 }
-
-// Lo returns the inline word covering processors 0..63. Exports that
-// historically carried the raw uint64 bitmask (span directory masks,
-// invariant errors) use Lo; on machines with more than 64 nodes it is
-// the truncation to the first 64 — documented at those export sites.
-func (s *Set) Lo() uint64 { return s.lo }

@@ -18,8 +18,8 @@ func TestSmallStaysInline(t *testing.T) {
 	if got := s.Count(); got != 64 {
 		t.Fatalf("Count = %d, want 64", got)
 	}
-	if s.Lo() != ^uint64(0) {
-		t.Fatalf("Lo = %x, want all ones", s.Lo())
+	if s.lo != ^uint64(0) {
+		t.Fatalf("lo = %x, want all ones", s.lo)
 	}
 }
 
@@ -97,14 +97,14 @@ func TestAgainstReference(t *testing.T) {
 			t.Fatalf("final: Has(%d) = %v, ref %v", i, s.Has(i), ref[i])
 		}
 	}
-	// Lo must equal the reference's low word.
+	// lo must equal the reference's low word.
 	var lo uint64
 	for i := 0; i < 64; i++ {
 		if ref[i] {
 			lo |= 1 << uint(i)
 		}
 	}
-	if s.Lo() != lo {
-		t.Fatalf("Lo = %x, ref %x", s.Lo(), lo)
+	if s.lo != lo {
+		t.Fatalf("lo = %x, ref %x", s.lo, lo)
 	}
 }
