@@ -8,14 +8,19 @@
 //	               [-cpuprofile file] [-memprofile file]
 //
 // With no -exp it runs every experiment. -quick scales problem sizes
-// down (the full sizes are the paper's). -j bounds how many independent
-// simulation runs execute concurrently (default: all CPUs); the tables
-// are identical at any setting. -json emits one JSON object per
-// experiment instead of aligned tables. -list prints the experiment
-// index and exits. -topology loads a machine description in the
-// TOPOLOGY.md JSON format for experiments that accept one (topo-custom).
-// -cpuprofile / -memprofile write runtime/pprof profiles of the run for
-// `go tool pprof` (see EXPERIMENTS.md).
+// down (the full sizes are the paper's). Every experiment starts at
+// once, and -j bounds how many simulation runs execute concurrently in
+// the whole run (default: all CPUs): the experiments share the slots,
+// the longest runs go first, and a run two experiments both need is
+// simulated once. The tables are identical at any setting and print in
+// -exp order as each is done; each one's wall time runs from the start
+// of the run to that experiment's end, overlapping the others'. -json
+// emits one JSON object per experiment instead of aligned tables. -list
+// prints the experiment index and exits. -topology loads a machine
+// description in the TOPOLOGY.md JSON format for experiments that
+// accept one (topo-custom). -cpuprofile / -memprofile write
+// runtime/pprof profiles of the run for `go tool pprof` (see
+// EXPERIMENTS.md).
 package main
 
 import (
@@ -56,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "run scaled-down problem sizes")
 	ids := fs.String("exp", "", "comma-separated experiment ids (default: all)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	jobs := fs.Int("j", runtime.NumCPU(), "max concurrent simulation runs per experiment")
+	jobs := fs.Int("j", runtime.NumCPU(), "max concurrent simulation runs, shared by every experiment of the run")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per experiment")
 	topoFile := fs.String("topology", "", "topology JSON file (TOPOLOGY.md format) for topo-custom")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -128,30 +133,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Topology = topo
 	}
 
-	enc := json.NewEncoder(stdout)
-	for _, e := range todo {
-		start := time.Now()
-		tab, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "platinum-bench: %s: %v\n", e.ID, err)
-			return 1
+	start := time.Now() // every experiment's start
+	walls := make([]float64, len(todo))
+	for i := range todo {
+		run := todo[i].Run
+		todo[i].Run = func(o exp.Options) (*exp.Table, error) {
+			defer func() { walls[i] = time.Since(start).Seconds() }()
+			return run(o)
 		}
-		wall := time.Since(start).Seconds()
+	}
+	enc := json.NewEncoder(stdout)
+	_, err := exp.RunSuite(opts, todo, func(i int, tab *exp.Table) error {
 		if *jsonOut {
-			res := jsonResult{
-				ID: tab.ID, Paper: e.Paper, Title: tab.Title,
+			return enc.Encode(jsonResult{
+				ID: tab.ID, Paper: todo[i].Paper, Title: tab.Title,
 				Header: tab.Header, Rows: tab.Rows, Notes: tab.Notes,
-				WallSeconds: wall,
-			}
-			if err := enc.Encode(res); err != nil {
-				return fail(err)
-			}
-			continue
+				WallSeconds: walls[i],
+			})
 		}
 		if _, err := tab.WriteTo(stdout); err != nil {
-			return fail(err)
+			return err
 		}
-		fmt.Fprintf(stdout, "(%s wall time: %.1fs)\n\n", e.ID, wall)
+		_, err := fmt.Fprintf(stdout, "(%s wall time: %.1fs)\n\n", tab.ID, walls[i])
+		return err
+	})
+	if err != nil {
+		return fail(err)
 	}
 	return 0
 }

@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"platinum/internal/sim"
 )
@@ -99,7 +98,7 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 			// Level 0: sort own chunk locally.
 			chunk := make([]uint32, hi-lo)
 			t.ReadRange(bufA+int64(lo), chunk)
-			sort.Slice(chunk, func(a, b int) bool { return chunk[a] < chunk[b] })
+			slices.Sort(chunk)
 			// n log n compares of register-resident data.
 			steps := len(chunk) * bits(len(chunk))
 			t.Compute(msortCompare * sim.Time(steps))

@@ -248,7 +248,7 @@ type System struct {
 	cpages    []*Cpage
 	cmaps     []*Cmap
 	frozen    []*Cpage // frozen list scanned by the defrost daemon
-	tr        *tracer  // optional event trace (EnableTrace)
+	tr        tracer   // optional event trace (EnableTrace)
 	atcs      []*atc
 	penalty   []sim.Time // deferred interrupt-handling cost per processor
 	homeNext  int        // round-robin default home module for new cpages
@@ -346,7 +346,7 @@ func (s *System) Reset() {
 		s.frozen[i] = nil
 	}
 	s.frozen = s.frozen[:0]
-	s.tr = nil // tracing is re-enabled per run, as at boot
+	s.tr = tracer{events: s.tr.events[:0]} // tracing is re-enabled per run, as at boot
 	for _, a := range s.atcs {
 		a.reset()
 	}

@@ -171,28 +171,6 @@ func (cp *Cpage) HasCopy(mod int) (frame int, ok bool) {
 	return 0, false
 }
 
-// addCopy records a new physical copy in the directory. A duplicate
-// copy on the same module is an invariant violation.
-func (cp *Cpage) addCopy(c Copy) error {
-	if _, dup := cp.HasCopy(c.Module); dup {
-		return invariantErr(cp, "already has a copy on module %d", c.Module)
-	}
-	cp.copies = append(cp.copies, c)
-	return nil
-}
-
-// removeCopy removes the copy on module mod from the directory. A
-// missing copy is an invariant violation.
-func (cp *Cpage) removeCopy(mod int) (Copy, error) {
-	for i, c := range cp.copies {
-		if c.Module == mod {
-			cp.copies = append(cp.copies[:i], cp.copies[i+1:]...)
-			return c, nil
-		}
-	}
-	return Copy{}, invariantErr(cp, "no copy on module %d to remove", mod)
-}
-
 // NewCpage allocates a new coherent page in the Empty state. The virtual
 // memory layer calls this when a memory object page is first needed.
 // Pages recycled by Reset are reused before new ones are allocated.
@@ -245,10 +223,7 @@ func (s *System) MaterializeAt(cp *Cpage, module int) error {
 	if !ok {
 		return &ErrNoMemory{}
 	}
-	if err := cp.addCopy(Copy{Module: module, Frame: fr}); err != nil {
-		s.mem.Module(module).Free(fr)
-		return err
-	}
+	cp.copies = append(cp.copies, Copy{Module: module, Frame: fr})
 	cp.home = module
 	return nil
 }

@@ -271,19 +271,17 @@ func (s *System) chooseSource(cp *Cpage) Copy {
 	}
 }
 
-// freeCopy removes the copy on module mod from the directory and frees
-// its frame, charging the remote free cost. Frame reclamation is part
-// of the shootdown cost group: §4's 17 µs-per-extra-target figure is
-// 7 µs interrupt dispatch plus this 10 µs frame free.
-func (s *System) freeCopy(cp *Cpage, mod int, cur sim.Time) (sim.Time, error) {
-	c, err := cp.removeCopy(mod)
-	if err != nil {
-		return cur, err
-	}
+// freeCopy removes copy i from the directory and frees its frame,
+// charging the remote free cost. Frame reclamation is part of the
+// shootdown cost group: §4's 17 µs-per-extra-target figure is 7 µs
+// interrupt dispatch plus this 10 µs frame free.
+func (s *System) freeCopy(cp *Cpage, i int, cur sim.Time) sim.Time {
+	c := cp.copies[i]
+	cp.copies = append(cp.copies[:i], cp.copies[i+1:]...)
 	s.mem.Module(c.Module).Free(c.Frame)
 	s.spanChild(span.Span{Kind: span.KindFrameFree, Start: cur, End: cur + s.cfg.FrameFree,
-		Proc: mod, Page: cp.id, Cause: sim.CauseShootdown, Self: s.cfg.FrameFree})
-	return cur + s.cfg.FrameFree, nil
+		Proc: c.Module, Page: cp.id, Cause: sim.CauseShootdown, Self: s.cfg.FrameFree})
+	return cur + s.cfg.FrameFree
 }
 
 // materialize zero-fills an Empty page, trying modules in
@@ -295,10 +293,7 @@ func (s *System) materialize(cp *Cpage, vpn int64, proc int, cur sim.Time) (Copy
 		mod := int(mod32)
 		if fr, nc, ok := s.allocFrame(cp, mod, cur); ok {
 			c := Copy{Module: mod, Frame: fr}
-			if err := cp.addCopy(c); err != nil {
-				s.mem.Module(mod).Free(fr)
-				return Copy{}, cur, err
-			}
+			cp.copies = append(cp.copies, c)
 			return c, nc, nil
 		}
 	}
@@ -364,10 +359,7 @@ func (s *System) handleRead(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Time
 			// Directory updated under the lock; the transfer itself runs
 			// after the lock is released (lockEnd) and serializes at the
 			// source module.
-			if err := cp.addCopy(dst); err != nil {
-				s.mem.Module(proc).Free(fr)
-				return Copy{}, cur, 0, err
-			}
+			cp.copies = append(cp.copies, dst)
 			s.event(cur, EvReplication, proc, cp)
 			if cp.frozen {
 				cp.frozen = false
@@ -433,10 +425,7 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 		}
 		cur = nc
 		local := Copy{Module: proc, Frame: fr}
-		cur, err = s.reclaimOtherCopies(cp, proc, local, now, cur)
-		if err != nil {
-			return Copy{}, cur, err
-		}
+		cur = s.reclaimOtherCopies(cp, proc, local, now, cur)
 		cp.writers.Add(proc)
 		cm.installTranslation(proc, e, local, Read|Write)
 		s.spanMapUpdate(cp, proc, cur)
@@ -464,16 +453,9 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 			dst := Copy{Module: proc, Frame: fr}
 			cur = s.copyPage(cp, src, dst, cur)
 			for len(cp.copies) > 0 {
-				var err error
-				cur, err = s.freeCopy(cp, cp.copies[0].Module, cur)
-				if err != nil {
-					return Copy{}, cur, err
-				}
+				cur = s.freeCopy(cp, 0, cur)
 			}
-			if err := cp.addCopy(dst); err != nil {
-				s.mem.Module(proc).Free(fr)
-				return Copy{}, cur, err
-			}
+			cp.copies = append(cp.copies, dst)
 			cp.writers.AssignOne(proc)
 			s.event(cur, EvMigration, proc, cp)
 			if cp.frozen {
@@ -489,11 +471,7 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 	// Remote write mapping: requires a single copy, so first reduce
 	// present+ to one copy.
 	keep := s.chooseSource(cp)
-	var err error
-	cur, err = s.reclaimOtherCopies(cp, proc, keep, now, cur)
-	if err != nil {
-		return Copy{}, cur, err
-	}
+	cur = s.reclaimOtherCopies(cp, proc, keep, now, cur)
 	cp.writers.Add(proc)
 	if dec.Freeze {
 		s.freeze(cp, now)
@@ -509,9 +487,9 @@ func (s *System) handleWrite(e *CmapEntry, cp *Cpage, proc int, now, cur sim.Tim
 // the synchronization cost is paid once and each further target costs
 // only the incremental interrupt dispatch, which together with the frame
 // free reproduces §4's 17 µs-per-extra-processor measurement.
-func (s *System) reclaimOtherCopies(cp *Cpage, initiator int, keep Copy, now, cur sim.Time) (sim.Time, error) {
+func (s *System) reclaimOtherCopies(cp *Cpage, initiator int, keep Copy, now, cur sim.Time) sim.Time {
 	if len(cp.copies) <= 1 {
-		return cur, nil
+		return cur
 	}
 	s.roundBegin()
 	d, n := s.shootdownCpage(cp, initiator, now, false, true,
@@ -527,16 +505,11 @@ func (s *System) reclaimOtherCopies(cp *Cpage, initiator int, keep Copy, now, cu
 	// by index without snapshotting: after a free the next copy slides
 	// into slot i, preserving the original visiting order.
 	for i := 0; i < len(cp.copies); {
-		c := cp.copies[i]
-		if c.Module == keep.Module {
+		if cp.copies[i].Module == keep.Module {
 			i++
 			continue
 		}
-		var err error
-		cur, err = s.freeCopy(cp, c.Module, cur)
-		if err != nil {
-			return cur, err
-		}
+		cur = s.freeCopy(cp, i, cur)
 	}
-	return cur, nil
+	return cur
 }

@@ -72,7 +72,9 @@ type Event struct {
 	Cpage int64     // coherent page id
 }
 
-// tracer buffers events up to a fixed capacity, counting overflow.
+// tracer buffers events up to a fixed capacity, counting overflow. It
+// records only while cap is positive. Its buffer outlives Reset, so a
+// pooled system that traces every run fills the same buffer each time.
 type tracer struct {
 	events  []Event
 	cap     int
@@ -80,20 +82,22 @@ type tracer struct {
 }
 
 // EnableTrace starts recording protocol events, keeping at most capacity
-// of them (further events are counted but dropped). Calling it again
-// resets the buffer.
+// of them (further events are counted but dropped); zero or negative
+// stops recording. Calling it again empties the buffer, which is reused
+// when its capacity matches.
 func (s *System) EnableTrace(capacity int) {
-	if capacity <= 0 {
-		s.tr = nil
-		return
+	capacity = max(capacity, 0)
+	if cap(s.tr.events) != capacity {
+		s.tr.events = make([]Event, 0, capacity)
 	}
-	s.tr = &tracer{events: make([]Event, 0, capacity), cap: capacity}
+	s.tr = tracer{events: s.tr.events[:0], cap: capacity}
 }
 
 // Trace returns the recorded events in order, plus how many were
-// dropped after the buffer filled.
+// dropped after the buffer filled. The slice is valid until the next
+// Reset or EnableTrace, which reuse its buffer.
 func (s *System) Trace() (events []Event, dropped int64) {
-	if s.tr == nil {
+	if s.tr.cap == 0 {
 		return nil, 0
 	}
 	return s.tr.events, s.tr.dropped
@@ -126,7 +130,7 @@ func (s *System) event(at sim.Time, kind EventKind, proc int, cp *Cpage) {
 		st.Thaws++
 		s.rec.CountEvent(at, span.CountThaw)
 	}
-	if s.tr == nil {
+	if s.tr.cap == 0 {
 		return
 	}
 	if len(s.tr.events) >= s.tr.cap {

@@ -63,6 +63,34 @@ func TestTraceCapacityAndDisable(t *testing.T) {
 	}
 }
 
+// TestTraceBufferSurvivesReset checks that a pooled system tracing
+// every run fills one buffer: Reset stops recording but keeps the
+// buffer, and re-enabling at its capacity allocates nothing.
+func TestTraceBufferSurvivesReset(t *testing.T) {
+	fx := newFixture(t, nil)
+	fx.s.EnableTrace(64)
+	fx.mapPage(0, Read|Write)
+	fx.run(func(th *sim.Thread) { fx.touch(th, 0, 0, true) })
+	first, _ := fx.s.Trace()
+	if len(first) == 0 {
+		t.Fatal("nothing traced")
+	}
+	fx.s.Reset()
+	if ev, _ := fx.s.Trace(); ev != nil {
+		t.Fatal("tracing still on after Reset")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		fx.s.Reset()
+		fx.s.EnableTrace(64)
+	}); allocs != 0 {
+		t.Errorf("Reset and EnableTrace made %v allocations, want 0", allocs)
+	}
+	ev, dropped := fx.s.Trace()
+	if len(ev) != 0 || dropped != 0 || &ev[:1][0] != &first[0] {
+		t.Errorf("re-enabled trace holds %d events (%d dropped), in a new buffer: %v", len(ev), dropped, &ev[:1][0] != &first[0])
+	}
+}
+
 func TestTraceDisabledByDefault(t *testing.T) {
 	fx := newFixture(t, nil)
 	fx.mapPage(0, Read|Write)

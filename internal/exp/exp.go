@@ -12,8 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"platinum/internal/mach"
 )
@@ -24,12 +22,13 @@ type Options struct {
 	// paper's.
 	Quick bool
 
-	// Parallelism bounds how many independent simulation runs an
-	// experiment may execute concurrently on the host. Each data point
-	// of a sweep is its own deterministic simulation on its own engine,
-	// so runs never share state; results are collected in enumeration
-	// order, making the output identical at any setting. Zero or
-	// negative means runtime.NumCPU().
+	// Parallelism bounds how many simulation runs execute at once on the
+	// host. Each run is its own deterministic simulation on its own
+	// engine, so runs never share state, and results are collected in
+	// enumeration order: the output is identical at any setting. Under
+	// RunSuite the bound holds for the whole suite, whose experiments
+	// share the slots; Experiment.Run alone uses them for its own runs.
+	// Zero or negative means runtime.NumCPU().
 	Parallelism int
 
 	// Topology is a user-supplied machine description for experiments
@@ -37,10 +36,12 @@ type Options struct {
 	// TOPOLOGY.md). Nil for the built-in machines.
 	Topology *mach.Topology
 
-	// Progress, when non-nil, counts the runs forEach finishes (bench/
-	// reports the count as exp.sim_runs). Purely observational: results
-	// are identical with or without it.
+	// Progress, when non-nil, counts the simulation runs finished
+	// (bench/ reports the count as exp.sim_runs). Purely observational:
+	// results are identical with or without it.
 	Progress *Progress
+
+	pool *pool // the job pool RunSuite's experiments share
 }
 
 // parallelism resolves the effective worker count.
@@ -51,17 +52,20 @@ func (o Options) parallelism() int {
 	return runtime.NumCPU()
 }
 
-// forEach runs jobs 0..n-1, each an independent simulation, on a
-// worker pool bounded by o.parallelism(). Jobs communicate results by
-// writing to caller-owned slots indexed by job number, so output order
-// is deterministic regardless of scheduling. All jobs run even if one
-// fails; the lowest-index error is returned, so failures are
-// deterministic too.
-func forEach(o Options, n int, job func(i int) error) error {
-	workers := o.parallelism()
-	if workers > n {
-		workers = n
+// forEach runs jobs 0..n-1, each an independent simulation, and returns
+// the lowest-index error. cost(i) estimates job i's host time, and the
+// costliest jobs start first; a nil cost makes every job's zero, so
+// under RunSuite they go after every costed one. Jobs communicate
+// results by writing to caller-owned slots indexed by job number, so
+// neither the output nor the error depends on the order the jobs run
+// in. Under RunSuite the jobs join the suite's pool; otherwise they get
+// a pool of o.parallelism() workers, and with one worker they simply
+// run in index order, stopping at the first error.
+func forEach(o Options, n int, cost func(i int) float64, job func(i int) error) error {
+	if o.pool != nil {
+		return o.pool.run(o.Progress, n, cost, job)
 	}
+	workers := min(o.parallelism(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			err := job(i)
@@ -72,34 +76,46 @@ func forEach(o Options, n int, job func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	// atomic.Int64 rather than atomic.AddInt64 on a plain int64: the
-	// typed wrapper makes a stray plain access unrepresentable.
-	// The atomicsafe analyzer rejects the package-level form.
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	p := newPool(workers)
+	defer p.close()
+	return p.run(o.Progress, n, cost, job)
+}
+
+// RunSuite runs exps over one pool of o.Parallelism slots and returns
+// their tables in order. Every experiment starts at once; their runs
+// share the slots, costliest first across the suite, and two runs whose
+// specs are equal but for fresh are simulated once within the call (not
+// across calls). each, when non-nil, is handed table i as soon as it and
+// every earlier table are done. The error is the first in exps order,
+// whichever experiment failed first; no table after it goes to each.
+func RunSuite(o Options, exps []Experiment, each func(i int, t *Table) error) ([]*Table, error) {
+	o.pool = newPool(o.parallelism())
+	defer o.pool.close()
+	tabs := make([]*Table, len(exps))
+	errs := make([]error, len(exps))
+	done := make([]chan struct{}, len(exps))
+	for i, e := range exps {
+		done[i] = make(chan struct{})
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				errs[i] = job(i)
-				o.Progress.RunDone()
-			}
+			defer close(done[i])
+			tabs[i], errs[i] = e.Run(o)
 		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	for i, e := range exps {
+		<-done[i] // even after a failure: no experiment outlives the call
+		switch {
+		case err != nil:
+		case errs[i] != nil:
+			err = fmt.Errorf("%s: %w", e.ID, errs[i])
+		case each != nil:
+			err = each(i, tabs[i])
 		}
 	}
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return tabs, nil
 }
 
 // Table is a printable experiment result.

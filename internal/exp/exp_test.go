@@ -14,43 +14,42 @@ import (
 var (
 	update = flag.Bool("update", false, "rewrite golden files")
 	full   = flag.Bool("full", false, "run TestAllExperimentsRunFull: every experiment at full size")
+	jobs   = flag.Int("j", 0, "Options.Parallelism of the golden suites (0: all CPUs)")
 )
 
-// TestAllExperimentsRunQuick executes every registered experiment in
-// quick mode and compares each rendered table byte for byte against
-// testdata/quick/<id>.txt. The goldens are the gate that every
-// simulated result is unchanged; a deliberate fidelity change
-// regenerates them with
+// TestAllExperimentsRunQuick runs every registered experiment in quick
+// mode as one suite (RunSuite, -j slots) and compares each rendered
+// table byte for byte against testdata/quick/<id>.txt. The goldens are
+// the gate that every simulated result is unchanged; a deliberate
+// fidelity change regenerates them with
 // go test ./internal/exp -run TestAllExperimentsRunQuick -update.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a while even in quick mode")
 	}
-	checkGoldens(t, Options{Quick: true}, "quick")
+	checkGoldens(t, Options{Quick: true, Parallelism: *jobs}, "quick")
 }
 
 // TestAllExperimentsRunFull is TestAllExperimentsRunQuick at the
-// paper's sizes, against testdata/full/<id>.txt. It takes about 30 s
+// paper's sizes, against testdata/full/<id>.txt. It takes about 15 s
 // on two cores, so it runs only with -full:
-// go test ./internal/exp -run TestAllExperimentsRunFull -full -timeout 15m.
+// go test ./internal/exp -run TestAllExperimentsRunFull -full -timeout 15m
+// (add -j 1 for one slot).
 func TestAllExperimentsRunFull(t *testing.T) {
 	if !*full {
 		t.Skip("full-size experiments run only with -full")
 	}
-	checkGoldens(t, Options{}, "full")
+	checkGoldens(t, Options{Parallelism: *jobs}, "full")
 }
 
-// checkGoldens runs every registered experiment with o, sanity-checks
-// each table and compares its rendering with testdata/<dir>/<id>.txt,
-// rewriting the golden first under -update.
+// checkGoldens runs every registered experiment with o as one suite,
+// sanity-checks each table and compares its rendering with
+// testdata/<dir>/<id>.txt, rewriting the golden first under -update.
 func checkGoldens(t *testing.T, o Options, dir string) {
-	for _, e := range All() {
-		e := e
+	all := All()
+	_, err := RunSuite(o, all, func(i int, tab *Table) error {
+		e := all[i]
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(o)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
 			if tab.ID != e.ID {
 				t.Errorf("table id %q != experiment id %q", tab.ID, e.ID)
 			}
@@ -83,6 +82,10 @@ func checkGoldens(t *testing.T, o Options, dir string) {
 				t.Errorf("table drifted from %s:\ngot:\n%swant:\n%s", golden, got, want)
 			}
 		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

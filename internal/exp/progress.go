@@ -2,11 +2,12 @@ package exp
 
 import "sync/atomic"
 
-// Progress counts the simulation runs a sweep has finished. A driver
-// hands one in via Options.Progress and reads it with Snapshot;
-// forEach's workers update it, concurrently under -j, and experiments
-// themselves never touch it. It is purely observational: results are
-// identical with or without it, and a nil *Progress counts nothing.
+// Progress counts the simulation runs a sweep has finished; a run that
+// RunSuite shares between experiments counts once. A driver hands one
+// in via Options.Progress and reads it with Snapshot; forEach updates
+// it, concurrently under -j, and experiments themselves never touch
+// it. It is purely observational: results are identical with or
+// without it, and a nil *Progress counts nothing.
 type Progress struct {
 	runsDone atomic.Int64
 }

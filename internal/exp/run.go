@@ -73,6 +73,50 @@ func (s runSpec) String() string {
 	return fmt.Sprintf("%s %+v on %s", s.prog, s.app, machine)
 }
 
+// cost estimates the run's host time in microseconds from the spec
+// alone, for the pool to start the longest runs first. Each program's
+// formula was fitted to the time of every run of five -quick suites and
+// one full-size suite on a 2-vCPU Xeon; a wrong estimate costs host
+// time, never a table byte.
+func (s runSpec) cost() float64 {
+	switch c := s.app.(type) {
+	case apps.GaussConfig:
+		// The elimination's n³/3 word operations, the n² row reads and
+		// writes, each processor's n pivot-row reads per round, and the
+		// pivot pages replicated to every processor.
+		n, t := float64(c.N), float64(c.Threads)
+		if s.prog == gaussSMP {
+			return (0.22*n*n*n + 10*n*n*t) / 1e3
+		}
+		pw := s.kcfg.Machine.PageWords
+		if s.kcfg.Topology != nil {
+			pw = s.kcfg.Topology.Base.PageWords
+		}
+		return (0.14*n*n*n + 110*n*n + 13.5*n*n*t + 3.2*n*t*float64(pw)) / 1e3
+	case apps.MergeSortConfig:
+		w, t := float64(c.Words), float64(c.Threads)
+		if s.prog == mergeSortUMA {
+			return 0.19 * w * (1 + 0.04*t)
+		}
+		return 0.14*w + 60*t
+	case apps.BackpropConfig:
+		return float64(c.Epochs) * (220 + 290*float64(c.Threads))
+	case apps.MatMulConfig:
+		n := float64(c.N)
+		return 0.00084*n*n*n + 160*float64(c.Threads)
+	case apps.SORConfig:
+		return 0.035*float64(c.Rows*c.Cols) + 42*float64(c.Threads)
+	case apps.TopoMixConfig:
+		p := float64(c.Procs)
+		return 300 * p * (1 + p/1300)
+	case apps.AnecdoteConfig:
+		return 0.15 * float64(c.Threads*c.Iters)
+	case apps.ColocateConfig:
+		return 17 * float64(c.Ops)
+	}
+	return 0
+}
+
 // runResult is what one run measured. The counters are zero on the
 // UMA machine.
 type runResult struct {
@@ -88,21 +132,24 @@ type runResult struct {
 	out any
 }
 
-// runAll runs each spec as one forEach job and returns the results in
-// spec order. It fails, naming the spec, on the first run in spec order
-// whose program fails or whose accounts do not conserve, and, naming
-// both specs, on two runs of one input (see sameInput) that compute
-// different answers.
+// runAll runs each spec as one forEach job, or under RunSuite once per
+// distinct spec of the suite, and returns the results in spec order. It
+// fails, naming the spec, on the first run in spec order whose program
+// fails or whose accounts do not conserve, and, naming both specs, on
+// two runs of one input (see sameInput) that compute different answers.
 func runAll(o Options, specs []runSpec) ([]runResult, error) {
 	res := make([]runResult, len(specs))
-	err := forEach(o, len(specs), func(i int) error {
-		r, err := run(specs[i])
-		if err != nil {
-			return fmt.Errorf("exp: %v: %w", specs[i], err)
-		}
-		res[i] = r
-		return nil
-	})
+	var err error
+	if o.pool != nil {
+		err = o.pool.runShared(o.Progress, specs, res)
+	} else {
+		err = forEach(o, len(specs), func(i int) float64 { return specs[i].cost() }, func(i int) (err error) {
+			if res[i], err = run(specs[i]); err != nil {
+				err = fmt.Errorf("exp: %v: %w", specs[i], err)
+			}
+			return err
+		})
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -57,28 +57,26 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// String formats a Time with an adaptive unit, e.g. "1.340ms".
+// String formats a Time with an adaptive unit, e.g. "1.340ms" or
+// "-100.000µs", in one allocation. It uses strconv rather than fmt,
+// whose printers come from a sync.Pool that the collector empties: a
+// run that formats times would otherwise allocate more or less
+// depending on when a collection landed in it.
 func (t Time) String() string {
-	switch {
-	case t >= Second:
-		return fixed3(float64(t)/float64(Second), "s")
-	case t >= Millisecond:
-		return fixed3(float64(t)/float64(Millisecond), "ms")
-	case t >= Microsecond:
-		return fixed3(float64(t)/float64(Microsecond), "µs")
-	default:
-		return strconv.FormatInt(int64(t), 10) + "ns"
-	}
-}
-
-// fixed3 formats v with three decimals followed by unit, in one
-// allocation. It uses strconv rather than fmt, whose printers come from
-// a sync.Pool that the collector empties: a run that formats times
-// would otherwise allocate more or less depending on when a collection
-// landed in it.
-func fixed3(v float64, unit string) string {
 	var buf [32]byte
-	return string(append(strconv.AppendFloat(buf[:0], v, 'f', 3, 64), unit...))
+	b, mag := buf[:0], uint64(t)
+	if t < 0 {
+		b, mag = append(b, '-'), -mag // two's complement: math.MinInt64's magnitude too
+	}
+	for _, u := range [...]struct {
+		t    Time
+		name string
+	}{{Second, "s"}, {Millisecond, "ms"}, {Microsecond, "µs"}} {
+		if mag >= uint64(u.t) {
+			return string(append(strconv.AppendFloat(b, float64(mag)/float64(u.t), 'f', 3, 64), u.name...))
+		}
+	}
+	return string(append(strconv.AppendUint(b, mag, 10), "ns"...))
 }
 
 // ErrDeadlock is returned by Run when every remaining non-daemon thread

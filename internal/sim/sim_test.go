@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -232,6 +233,13 @@ func TestTimeString(t *testing.T) {
 		{5 * Microsecond, "5.000µs"},
 		{1340 * Microsecond, "1.340ms"},
 		{2 * Second, "2.000s"},
+		{0, "0ns"},
+		{-500, "-500ns"},
+		{-100 * Microsecond, "-100.000µs"},
+		{-1340 * Microsecond, "-1.340ms"},
+		{-2 * Second, "-2.000s"},
+		{math.MinInt64, "-9223372036.855s"},
+		{math.MaxInt64, "9223372036.855s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
