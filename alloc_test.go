@@ -28,6 +28,7 @@ import (
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
 	"platinum/internal/span"
+	"platinum/internal/timeseries"
 )
 
 // measureInThread spawns a one-thread simulation and reports the
@@ -355,11 +356,13 @@ func TestRecordTelemetryZeroAlloc(t *testing.T) {
 // once the platform pool, the idle coroutine workers and every reused
 // buffer are warm: BenchmarkFig1Gauss's operation, on one host worker
 // so the count does not depend on the host's processor count (at the
-// default parallelism it is about 304 on 2 CPUs; the first, cold run in a
-// fresh process makes about 6700). It does not depend on when the
-// collector runs either: the run formats with strconv, not with fmt,
-// whose pooled printers a collection discards.
-const fig1SteadyAllocs = 299
+// default parallelism it is 328 on 2 CPUs; the first, cold run in a
+// fresh process makes about 6700). About 28 of them are the job pool
+// the experiment runs on alone: its worker, queue, batch and memo. It
+// does not depend on when the collector runs either: the run formats
+// with strconv, not with fmt, whose pooled printers a collection
+// discards.
+const fig1SteadyAllocs = 327
 
 // TestFig1GaussSteadyAllocs pins a whole quick Fig. 1 regeneration at
 // exactly fig1SteadyAllocs allocations. A change that moves the count
@@ -443,8 +446,10 @@ func TestChromeExportSteadyAllocs(t *testing.T) {
 }
 
 // syntheticReport is a version 2 report with n pages and n series
-// windows, each window with times and counts, plus one histogram of n
-// buckets and a per-node section.
+// windows, each window with times and counts, and histograms of real
+// sources: one node's n fault charges of n sizes, so the fault
+// distribution fills more buckets as n grows, and n retained fault
+// spans.
 func syntheticReport(n int) metrics.Report {
 	var nodes []sim.Account
 	for i := 0; i < 4; i++ {
@@ -458,20 +463,28 @@ func syntheticReport(n int) metrics.Report {
 			CpageStats: core.CpageStats{ReadFaults: int64(i), FaultTime: sim.Time(i)}})
 	}
 	r := metrics.BuildReport("gauss", 4, 123456, nodes, cr)
-	h := metrics.HistogramMetrics{Name: "fault", Count: int64(n)}
-	for i := 0; i < n; i++ {
-		h.Buckets = append(h.Buckets, metrics.BucketMetrics{LoNs: int64(i), HiNs: int64(i), Count: 1})
+	e := sim.NewEngine()
+	e.EnableChargeHistograms(1)
+	e.Spawn("faulter", func(th *sim.Thread) {
+		th.BindNode(0)
+		for i := 1; i <= n; i++ {
+			th.Charge(sim.CauseFault, sim.Time(i*i))
+		}
+	})
+	if err := e.Run(); err != nil {
+		panic(err)
 	}
-	s := &metrics.SeriesMetrics{WidthNs: 1000}
+	rec := span.NewRecorder(0)
+	rec.EnableRetain(0)
+	cause := timeseries.New(1000, int(sim.NumCauses), 0)
+	counts := timeseries.New(1000, span.NumCounts, 0)
 	for i := 0; i < n; i++ {
-		w := metrics.SeriesWindow{StartNs: int64(1000 * i)}
-		w.TimeNs[sim.CauseFault], w.TimeNs[sim.CauseCompute], w.Counts[span.CountFault] = int64(i+1), 5, 1
-		s.Windows = append(s.Windows, w)
+		rec.Record(span.Span{Kind: span.KindFault, Start: sim.Time(1000 * i), End: sim.Time(1000*i + i)})
+		cause.Add(int64(1000*i), int(sim.CauseFault), int64(i+1))
+		cause.Add(int64(1000*i), int(sim.CauseCompute), 5)
+		counts.Add(int64(1000*i), span.CountFault, 1)
 	}
-	r.AttachTelemetry(&metrics.Histograms{
-		Charges: []metrics.HistogramMetrics{h},
-		Nodes:   []metrics.NodeHistograms{{Node: 0, Causes: []metrics.HistogramMetrics{h}}},
-	}, s)
+	r.AttachTelemetry(metrics.BuildHistograms(e, rec), metrics.BuildSeries(cause, counts))
 	return r
 }
 

@@ -10,17 +10,17 @@
 // With no -exp it runs every experiment. -quick scales problem sizes
 // down (the full sizes are the paper's). Every experiment starts at
 // once, and -j bounds how many simulation runs execute concurrently in
-// the whole run (default: all CPUs): the experiments share the slots,
-// the longest runs go first, and a run two experiments both need is
-// simulated once. The tables are identical at any setting and print in
-// -exp order as each is done; each one's wall time runs from the start
-// of the run to that experiment's end, overlapping the others'. -json
-// emits one JSON object per experiment instead of aligned tables. -list
-// prints the experiment index and exits. -topology loads a machine
-// description in the TOPOLOGY.md JSON format for experiments that
-// accept one (topo-custom). -cpuprofile / -memprofile write
-// runtime/pprof profiles of the run for `go tool pprof` (see
-// EXPERIMENTS.md).
+// the whole run (default: all CPUs; at least 1): the experiments share
+// the slots, the longest runs go first, and a run two experiments both
+// need is simulated once. The tables are identical at any setting and
+// print in -exp order as each is done; each one's wall time runs from
+// the start of the run to that experiment's end, overlapping the
+// others'. -json emits one JSON object per experiment instead of
+// aligned tables. -list prints the experiment index and exits.
+// -topology loads a machine description in the TOPOLOGY.md JSON format
+// for experiments that accept one (topo-custom). -cpuprofile /
+// -memprofile write runtime/pprof profiles of the run for `go tool
+// pprof` (see EXPERIMENTS.md).
 package main
 
 import (
@@ -71,6 +71,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "platinum-bench: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	if *jobs < 1 {
+		fmt.Fprintf(stderr, "platinum-bench: -j %d: must be at least 1\n", *jobs)
 		return 2
 	}
 	fail := func(err error) int {

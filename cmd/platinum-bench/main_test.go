@@ -53,6 +53,25 @@ func TestStrayArgumentExitsTwo(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExitTwo checks that a flag value that cannot describe a
+// run is rejected rather than replaced: exit 2 with one
+// "platinum-bench:" line, and nothing run or listed.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-j", "0"},
+		{"-j", "-3"},
+		{"-quick", "-exp", "fig1", "-j", "0"},
+		{"-list", "-j", "-1"},
+	} {
+		out, errs, code := runCmd(t, args...)
+		lines := strings.Split(strings.TrimSuffix(errs, "\n"), "\n")
+		if code != 2 || len(lines) != 1 || !strings.HasPrefix(lines[0], "platinum-bench: ") || out != "" {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 2, one platinum-bench: line, no stdout",
+				args, code, errs, out)
+		}
+	}
+}
+
 // TestOutputIdenticalAcrossJ pins the determinism contract of -j:
 // independent runs execute concurrently, yet the tables are
 // byte-identical at any setting.

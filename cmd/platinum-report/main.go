@@ -42,12 +42,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"platinum/internal/apps"
+	"platinum/internal/hist"
 	"platinum/internal/kernel"
 	"platinum/internal/metrics"
 	"platinum/internal/sim"
@@ -353,56 +355,55 @@ func writeFile(path string, write func(io.Writer) error) error {
 // Percentiles are bucket upper bounds (<=12.5% relative error), capped
 // at the exact max; count, sum-derived mean and max are exact.
 func writeHistTables(w io.Writer, h *metrics.Histograms) {
-	writeHistSection := func(title string, hs []metrics.HistogramMetrics) {
-		if len(hs) == 0 {
-			return
-		}
-		fmt.Fprintf(w, "\n%s:\n", title)
-		fmt.Fprintf(w, "  %-15s %10s %12s %12s %12s %12s %12s %12s\n",
-			"", "count", "p50", "p90", "p99", "p99.9", "max", "mean")
-		for _, m := range hs {
-			mean := sim.Time(0)
-			if m.Count > 0 {
-				mean = sim.Time(m.SumNs / m.Count)
+	writeHistSection := func(title string, hs iter.Seq2[string, *hist.H]) {
+		header := true
+		for name, m := range hs {
+			if header {
+				fmt.Fprintf(w, "\n%s:\n", title)
+				fmt.Fprintf(w, "  %-15s %10s %12s %12s %12s %12s %12s %12s\n",
+					"", "count", "p50", "p90", "p99", "p99.9", "max", "mean")
+				header = false
 			}
 			fmt.Fprintf(w, "  %-15s %10d %12v %12v %12v %12v %12v %12v\n",
-				m.Name, m.Count, sim.Time(m.P50Ns), sim.Time(m.P90Ns),
-				sim.Time(m.P99Ns), sim.Time(m.P999Ns), sim.Time(m.MaxNs), mean)
+				name, m.Count(), sim.Time(m.Quantile(0.50)), sim.Time(m.Quantile(0.90)),
+				sim.Time(m.Quantile(0.99)), sim.Time(m.Quantile(0.999)), sim.Time(m.Max()),
+				sim.Time(m.Sum()/m.Count()))
 		}
 	}
-	writeHistSection("charge latency distributions", h.Charges)
-	writeHistSection("operation latency distributions", h.Ops)
+	writeHistSection("charge latency distributions", h.Charges())
+	writeHistSection("operation latency distributions", h.Ops())
 }
 
 // writeSeriesTable prints the rate curves: per window of simulated
 // time, operation counts plus the window's remote-access and
 // fault+shootdown time fractions.
 func writeSeriesTable(w io.Writer, s *metrics.SeriesMetrics) {
-	if len(s.Windows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nrate curves (window %v of simulated time):\n", sim.Time(s.WidthNs))
-	if s.SpilledWindows > 0 {
-		fmt.Fprintf(w, "  (%d older windows evicted; totals preserved in spill)\n", s.SpilledWindows)
-	}
-	fmt.Fprintf(w, "  %-14s %7s %7s %7s %7s %7s %8s %8s\n",
-		"window", "faults", "shoot", "xfer", "freeze", "thaw", "remote%", "fault%")
-	for _, win := range s.Windows {
-		var total int64
-		for _, v := range win.TimeNs {
-			total += v
+	header := true
+	for win, start := range s.Windows() {
+		if header {
+			fmt.Fprintf(w, "\nrate curves (window %v of simulated time):\n", sim.Time(s.Width()))
+			if n := s.SpilledWindows(); n > 0 {
+				fmt.Fprintf(w, "  (%d older windows evicted; totals preserved in spill)\n", n)
+			}
+			fmt.Fprintf(w, "  %-14s %7s %7s %7s %7s %7s %8s %8s\n",
+				"window", "faults", "shoot", "xfer", "freeze", "thaw", "remote%", "fault%")
+			header = false
 		}
-		remote := win.TimeNs[sim.CauseRemoteAccess]
-		fault := win.TimeNs[sim.CauseFault] + win.TimeNs[sim.CauseShootdown]
+		var total int64
+		for c := range sim.NumCauses {
+			total += s.Time(win, c)
+		}
+		remote := s.Time(win, sim.CauseRemoteAccess)
+		fault := s.Time(win, sim.CauseFault) + s.Time(win, sim.CauseShootdown)
 		remoteFrac, faultFrac := 0.0, 0.0
 		if total > 0 {
 			remoteFrac = 100 * float64(remote) / float64(total)
 			faultFrac = 100 * float64(fault) / float64(total)
 		}
 		fmt.Fprintf(w, "  %-14v %7d %7d %7d %7d %7d %7.1f%% %7.1f%%\n",
-			sim.Time(win.StartNs),
-			win.Counts[span.CountFault], win.Counts[span.CountShootdown], win.Counts[span.CountBlockTransfer],
-			win.Counts[span.CountFreeze], win.Counts[span.CountThaw], remoteFrac, faultFrac)
+			sim.Time(start),
+			s.Count(win, span.CountFault), s.Count(win, span.CountShootdown), s.Count(win, span.CountBlockTransfer),
+			s.Count(win, span.CountFreeze), s.Count(win, span.CountThaw), remoteFrac, faultFrac)
 	}
 }
 

@@ -27,11 +27,12 @@ import (
 )
 
 // Analyzer is one static check. Name is the short identifier reported
-// as "platinum/<name>"; Run checks one package. README's "Static
+// as "platinum/<name>"; Run checks one package, reporting each
+// finding through Pass.Reportf. README's "Static
 // analysis" list documents what each analyzer enforces.
 type Analyzer struct {
 	Name string
-	Run  func(*Pass) error
+	Run  func(*Pass)
 }
 
 // Pass carries one type-checked, non-test package through one analyzer.

@@ -15,7 +15,7 @@ var AnalyzerAtomicSafe = &Analyzer{
 	Run:  runAtomicSafe,
 }
 
-func runAtomicSafe(pass *Pass) error {
+func runAtomicSafe(pass *Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -29,5 +29,4 @@ func runAtomicSafe(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

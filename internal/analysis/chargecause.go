@@ -32,11 +32,11 @@ var AnalyzerChargeCause = &Analyzer{
 	Run:  runChargeCause,
 }
 
-func runChargeCause(pass *Pass) error {
+func runChargeCause(pass *Pass) {
 	if pathHasSuffix(pass.Pkg.Path(), "internal/sim") {
 		// The defining package may manipulate causes freely (it declares
 		// them, iterates them, and implements the accounting itself).
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		// Walk function by function so assignments to a cause variable
@@ -56,7 +56,6 @@ func runChargeCause(pass *Pass) error {
 			})
 		}
 	}
-	return nil
 }
 
 // checkChargeCall validates the cause argument of a Charge/Attribute

@@ -70,7 +70,7 @@ func TestExportsHaveCallers(t *testing.T) {
 	decls := map[*types.Func]*ast.FuncDecl{}
 	names := map[*types.Func]string{}
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.Path, "platinum/internal/") {
+		if !strings.HasPrefix(p.Types.Path(), "platinum/internal/") {
 			continue
 		}
 		for _, f := range p.Files {

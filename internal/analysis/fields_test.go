@@ -27,7 +27,7 @@ func TestFieldsAreRead(t *testing.T) {
 	names := map[*types.Var]string{}
 	where := map[*types.Var]token.Position{}
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.Path, "platinum/internal/") {
+		if !strings.HasPrefix(p.Types.Path(), "platinum/internal/") {
 			continue
 		}
 		for _, f := range p.Files {

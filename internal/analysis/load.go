@@ -15,7 +15,6 @@ import (
 
 // Package is one loaded, type-checked, non-test package.
 type Package struct {
-	Path  string // import path
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -245,7 +244,7 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
 	}
-	p := &Package{Path: importPath, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[importPath] = p
 	return p, nil
 }

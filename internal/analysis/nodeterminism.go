@@ -30,9 +30,9 @@ var AnalyzerNoDeterminism = &Analyzer{
 	Run:  runNoDeterminism,
 }
 
-func runNoDeterminism(pass *Pass) error {
+func runNoDeterminism(pass *Pass) {
 	if !isDeterministicPackage(pass.Pkg.Path()) {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -46,7 +46,6 @@ func runNoDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // checkWallClock flags uses of time.Now or time.Since — both read the

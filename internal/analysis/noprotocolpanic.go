@@ -18,9 +18,9 @@ var AnalyzerNoProtocolPanic = &Analyzer{
 	Run:  runNoProtocolPanic,
 }
 
-func runNoProtocolPanic(pass *Pass) error {
+func runNoProtocolPanic(pass *Pass) {
 	if !isProtocolPackage(pass.Pkg.Path()) {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -43,5 +43,4 @@ func runNoProtocolPanic(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

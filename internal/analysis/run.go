@@ -22,21 +22,18 @@ func (f Finding) Pos() string { return fmt.Sprintf("%s:%d:%d", f.File, f.Line, f
 // findings sorted by file, line, column, analyzer and message — an
 // order independent of analyzer execution order. Each analyzer sees
 // one package at a time and reports only on that package.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
+func Run(analyzers []*Analyzer, pkgs []*Package) []Finding {
 	var found []Finding
 	for _, pkg := range pkgs {
 		for _, an := range analyzers {
-			pass := &Pass{
+			an.Run(&Pass{
 				Analyzer: an,
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				findings: &found,
-			}
-			if err := an.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", an.Name, pkg.Path, err)
-			}
+			})
 		}
 	}
 	slices.SortFunc(found, func(a, b Finding) int {
@@ -44,5 +41,5 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 			cmp.Compare(a.Col, b.Col), cmp.Compare(a.Analyzer, b.Analyzer),
 			cmp.Compare(a.Message, b.Message))
 	})
-	return found, nil
+	return found
 }

@@ -29,10 +29,10 @@ var AnalyzerSpanPair = &Analyzer{
 	Run:  runSpanPair,
 }
 
-func runSpanPair(pass *Pass) error {
+func runSpanPair(pass *Pass) {
 	if pathHasSuffix(pass.Pkg.Path(), "internal/span") {
 		// The span package itself implements the machinery.
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -43,7 +43,6 @@ func runSpanPair(pass *Pass) error {
 			checkSpanPairs(pass, fd)
 		}
 	}
-	return nil
 }
 
 // isSpanBegin reports whether call invokes a Begin* function or method
@@ -128,7 +127,7 @@ func endedOrEscapes(pass *Pass, body *ast.BlockStmt, binding *ast.AssignStmt, ob
 			if pass.ObjectOf(n) != obj {
 				return true
 			}
-			if escapingUse(pass, body, binding, n) {
+			if escapingUse(body, binding, n) {
 				ok = true
 				return false
 			}
@@ -142,7 +141,7 @@ func endedOrEscapes(pass *Pass, body *ast.BlockStmt, binding *ast.AssignStmt, ob
 // value to code outside the current statement: a call argument, a
 // return, a store into a field, map, slice or channel, or assignment to
 // a different variable. The binding assignment itself is not a use.
-func escapingUse(pass *Pass, body *ast.BlockStmt, binding *ast.AssignStmt, id *ast.Ident) bool {
+func escapingUse(body *ast.BlockStmt, binding *ast.AssignStmt, id *ast.Ident) bool {
 	path := nodePath(body, id)
 	// path[len-1] == id; walk outward looking at the immediate context.
 	for i := len(path) - 2; i >= 0; i-- {

@@ -57,13 +57,10 @@ func TestScopeLimits(t *testing.T) {
 // nothing cannot pass.
 func TestModuleClean(t *testing.T) {
 	pkgs := loadModule(t)
-	if !slices.ContainsFunc(pkgs, func(p *analysis.Package) bool { return p.Path == "platinum/internal/core" }) {
+	if !slices.ContainsFunc(pkgs, func(p *analysis.Package) bool { return p.Types.Path() == "platinum/internal/core" }) {
 		t.Fatalf("loaded %d packages, none of them platinum/internal/core", len(pkgs))
 	}
-	findings, err := analysis.Run(analysis.All(), pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := analysis.Run(analysis.All(), pkgs)
 	for _, f := range findings {
 		t.Errorf("%s: [platinum/%s] %s", f.Pos(), f.Analyzer, f.Message)
 	}

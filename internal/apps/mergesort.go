@@ -122,7 +122,7 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 				if i+half < p {
 					t.WaitAtLeast(done+int64(l*p+i+half), 1)
 				}
-				mergeRuns(t, cfg, src, dst, lo, mid, hi)
+				mergeRuns(t, src, dst, lo, mid, hi)
 				t.AtomicAdd(done+int64((l+1)*p+i), 1)
 				src, dst = dst, src
 			}
@@ -146,7 +146,7 @@ func RunMergeSort(pl Platform, cfg MergeSortConfig) (MergeSortResult, error) {
 
 // mergeRuns merges src[lo:mid) and src[mid:hi) into dst[lo:hi),
 // streaming both inputs and the output in page-friendly blocks.
-func mergeRuns(t Env, cfg MergeSortConfig, src, dst int64, lo, mid, hi int) {
+func mergeRuns(t Env, src, dst int64, lo, mid, hi int) {
 	if mid >= hi {
 		// Odd tree node: copy through.
 		if lo < hi {

@@ -162,7 +162,7 @@ func (cm *Cmap) Remove(t *sim.Thread, proc int, vpn int64) error {
 	s := cm.sys
 	s.spanTrack = t.ID()
 	s.roundBegin()
-	d, _, _ := s.shootdownEntryTracked(e, proc, now, false, 0, affectAll)
+	d, _, _ := s.shootdownEntryTracked(e, proc, false, 0, affectAll)
 	// Drop our own translation too.
 	cm.dropTranslation(proc, vpn)
 	// Unlink from the Cpage's mapper list.

@@ -29,8 +29,8 @@ import (
 //
 // The initiator's own translation, if affected, is fixed directly at no
 // interrupt cost (it is executing the handler).
-func (s *System) shootdownEntryTracked(e *CmapEntry, initiator int, now sim.Time,
-	restrict bool, prior int, affected func(proc int, pe pmapEntry) bool) (delay sim.Time, interrupted int, others bool) {
+func (s *System) shootdownEntryTracked(e *CmapEntry, initiator int, restrict bool, prior int,
+	affected func(proc int, pe pmapEntry) bool) (delay sim.Time, interrupted int, others bool) {
 
 	cm := e.cmap
 	if e.refMask.Empty() {
@@ -104,7 +104,7 @@ func (s *System) shootdownCpage(cp *Cpage, initiator int, now sim.Time,
 
 	changed := false
 	for _, e := range cp.mappers {
-		d, n, others := s.shootdownEntryTracked(e, initiator, now, restrict, interrupted, affected)
+		d, n, others := s.shootdownEntryTracked(e, initiator, restrict, interrupted, affected)
 		delay += d
 		interrupted += n
 		if others {

@@ -108,7 +108,7 @@ func runBasicOps(o Options) (*Table, error) {
 		jobs = append(jobs, s.measure)
 	}
 	measured := make([]sim.Time, len(jobs))
-	err := forEach(o, len(jobs), nil, func(i int) (err error) {
+	err := o.pool.run(o.Progress, len(jobs), nil, func(i int) (err error) {
 		measured[i], err = jobs[i]()
 		return err
 	})

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -27,38 +29,60 @@ func render(t *testing.T, id string, o Options) string {
 	return b.String()
 }
 
+// reference renders experiment id as -update writes the goldens: alone,
+// every run on a freshly booted platform (pooling off), on one worker
+// that runs the experiment's jobs in index order.
+func reference(t *testing.T, id string, o Options) string {
+	t.Helper()
+	prev := apps.SetPooling(false)
+	defer apps.SetPooling(prev)
+	o.pool = newPool(1)
+	o.pool.key = func(task) float64 { return 0 }
+	defer o.pool.close()
+	return render(t, id, o)
+}
+
+// quickGolden returns experiment id's quick golden, the reference
+// rendering the determinism gates compare with.
+func quickGolden(t *testing.T, id string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "quick", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // TestPoolingTableIdentical is the platform-pool regression gate: the
-// rendered tables with pooling off (every run boots a fresh kernel, the
-// reference mode) must be byte-identical to the tables with pooling on,
-// including on a second pooled pass where every platform is a reused,
-// reset kernel rather than a fresh boot. fig1 covers gauss, fig5
-// mergesort — the two workloads the pooled hot path was tuned on.
+// tables rendered with pooling on must be byte-identical to the quick
+// goldens, which -update renders with pooling off (every run boots a
+// fresh kernel), on a first pass from an emptied pool and on a second
+// pass where every platform is a reused, reset kernel rather than a
+// fresh boot. fig1 covers gauss, fig5 mergesort — the two workloads the
+// pooled hot path was tuned on.
 func TestPoolingTableIdentical(t *testing.T) {
 	o := Options{Quick: true, Parallelism: 1}
 	for _, id := range []string{"fig1", "fig5"} {
-		prev := apps.SetPooling(false)
-		ref := render(t, id, o)
-		apps.SetPooling(true)
-		first := render(t, id, o)  // cold pool: fresh boots, warm releases
-		second := render(t, id, o) // warm pool: every platform reused
-		apps.SetPooling(prev)
-		if first != ref {
-			t.Fatalf("%s output differs between pooled and reference runs:\n--- pooling off ---\n%s--- pooling on ---\n%s", id, ref, first)
+		want := quickGolden(t, id)
+		apps.SetPooling(apps.SetPooling(false)) // empties the pool
+		first := render(t, id, o)               // cold pool: fresh boots, warm releases
+		second := render(t, id, o)              // warm pool: every platform reused
+		if first != want {
+			t.Fatalf("%s output differs between pooled and reference runs:\n--- reference ---\n%s--- pooling on ---\n%s", id, want, first)
 		}
-		if second != ref {
-			t.Fatalf("%s output differs on reused platforms:\n--- pooling off ---\n%s--- pooled, second pass ---\n%s", id, ref, second)
+		if second != want {
+			t.Fatalf("%s output differs on reused platforms:\n--- reference ---\n%s--- pooled, second pass ---\n%s", id, want, second)
 		}
 	}
 }
 
 // TestParallelismTableIdentical is the harness regression gate: a
 // table must not depend on how many runs go at once or in which order
-// they start. The reference is an experiment's one-worker rendering,
-// whose runs go in index order; pools of one and of eight workers that
-// start its runs longest first (the default), in index order and in
-// reverse must render it byte for byte. The reference is rendered
-// here, not read from the goldens, so that a golden regenerated after
-// an order-dependent bug cannot hide it.
+// they start. Pools of one and of eight workers that start an
+// experiment's runs longest first (the default), in index order and in
+// reverse must render its quick golden byte for byte. -update writes
+// the goldens in the reference mode, so a golden regenerated after an
+// order- or reuse-dependent bug does not hide it.
 func TestParallelismTableIdentical(t *testing.T) {
 	orders := []struct {
 		name string
@@ -72,19 +96,19 @@ func TestParallelismTableIdentical(t *testing.T) {
 	for _, id := range []string{"pt-variants", "policy-ablation", "fig1", "basic-ops"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			ref := render(t, id, Options{Quick: true, Parallelism: 1})
+			want := quickGolden(t, id)
 			for _, workers := range []int{1, 8} {
 				for _, ord := range orders {
 					if workers == 1 && ord.name == "index order" {
-						continue // the reference's own order
+						continue // the goldens' own order
 					}
 					p := newPool(workers)
 					p.key = ord.key
 					got := render(t, id, Options{Quick: true, Parallelism: workers, pool: p})
 					p.close()
-					if got != ref {
-						t.Errorf("%d workers, %s: table differs from the one-worker rendering:\n%s--- one worker ---\n%s",
-							workers, ord.name, got, ref)
+					if got != want {
+						t.Errorf("%d workers, %s: table differs from the golden:\n%s--- golden ---\n%s",
+							workers, ord.name, got, want)
 					}
 				}
 			}
@@ -181,15 +205,16 @@ func TestSuiteReportsFirstFailureInOrder(t *testing.T) {
 	}
 }
 
-// TestForEachOrderAndErrors checks the worker pool runs every job,
-// counts each in Options.Progress, and reports the lowest-index error
+// TestPoolRunOrderAndErrors checks that a pool runs every job, counts
+// each in Options.Progress, and reports the lowest-index error
 // regardless of completion order.
-func TestForEachOrderAndErrors(t *testing.T) {
+func TestPoolRunOrderAndErrors(t *testing.T) {
 	progress := &Progress{}
-	o := Options{Parallelism: 4, Progress: progress}
+	p := newPool(4)
+	defer p.close()
 	ran := make([]bool, 100)
-	if err := forEach(o, len(ran), nil, func(i int) error { ran[i] = true; return nil }); err != nil {
-		t.Fatalf("forEach: %v", err)
+	if err := p.run(progress, len(ran), nil, func(i int) error { ran[i] = true; return nil }); err != nil {
+		t.Fatalf("run: %v", err)
 	}
 	for i, r := range ran {
 		if !r {
@@ -200,7 +225,7 @@ func TestForEachOrderAndErrors(t *testing.T) {
 		t.Errorf("Progress counted %d finished runs, want %d", got, len(ran))
 	}
 
-	first := forEach(o, 10, func(i int) float64 { return float64(i) }, func(i int) error {
+	first := p.run(progress, 10, func(i int) float64 { return float64(i) }, func(i int) error {
 		if i == 3 || i == 7 {
 			return &jobErr{i}
 		}
@@ -208,7 +233,7 @@ func TestForEachOrderAndErrors(t *testing.T) {
 	})
 	je, ok := first.(*jobErr)
 	if !ok || je.i != 3 {
-		t.Fatalf("forEach error = %v, want job 3's error", first)
+		t.Fatalf("run error = %v, want job 3's error", first)
 	}
 }
 

@@ -41,7 +41,7 @@ type Options struct {
 	// results are identical with or without it.
 	Progress *Progress
 
-	pool *pool // the job pool RunSuite's experiments share
+	pool *pool // the job pool of the suite the experiment runs in
 }
 
 // parallelism resolves the effective worker count.
@@ -50,35 +50,6 @@ func (o Options) parallelism() int {
 		return o.Parallelism
 	}
 	return runtime.NumCPU()
-}
-
-// forEach runs jobs 0..n-1, each an independent simulation, and returns
-// the lowest-index error. cost(i) estimates job i's host time, and the
-// costliest jobs start first; a nil cost makes every job's zero, so
-// under RunSuite they go after every costed one. Jobs communicate
-// results by writing to caller-owned slots indexed by job number, so
-// neither the output nor the error depends on the order the jobs run
-// in. Under RunSuite the jobs join the suite's pool; otherwise they get
-// a pool of o.parallelism() workers, and with one worker they simply
-// run in index order, stopping at the first error.
-func forEach(o Options, n int, cost func(i int) float64, job func(i int) error) error {
-	if o.pool != nil {
-		return o.pool.run(o.Progress, n, cost, job)
-	}
-	workers := min(o.parallelism(), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			err := job(i)
-			o.Progress.RunDone()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p := newPool(workers)
-	defer p.close()
-	return p.run(o.Progress, n, cost, job)
 }
 
 // RunSuite runs exps over one pool of o.Parallelism slots and returns
@@ -170,7 +141,8 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Experiment is one reproducible paper artifact.
+// Experiment is one reproducible paper artifact. Run called alone is
+// a suite of one: its runs get a pool of Options.Parallelism slots.
 type Experiment struct {
 	ID    string
 	Paper string // which table/figure of the paper it regenerates
@@ -182,6 +154,14 @@ var registry = map[string]Experiment{}
 func register(e Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("exp: duplicate experiment id " + e.ID)
+	}
+	run := e.Run
+	e.Run = func(o Options) (*Table, error) {
+		if o.pool == nil { // called alone: a suite of one
+			o.pool = newPool(o.parallelism())
+			defer o.pool.close()
+		}
+		return run(o)
 	}
 	registry[e.ID] = e
 }

@@ -44,9 +44,18 @@ func TestAllExperimentsRunFull(t *testing.T) {
 
 // checkGoldens runs every registered experiment with o as one suite,
 // sanity-checks each table and compares its rendering with
-// testdata/<dir>/<id>.txt, rewriting the golden first under -update.
+// testdata/<dir>/<id>.txt. Under -update it first rewrites each golden
+// in the reference mode (see reference), the one rendering the
+// determinism gates compare with.
 func checkGoldens(t *testing.T, o Options, dir string) {
 	all := All()
+	for _, e := range all {
+		if *update {
+			if err := os.WriteFile(filepath.Join("testdata", dir, e.ID+".txt"), []byte(reference(t, e.ID, o)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	_, err := RunSuite(o, all, func(i int, tab *Table) error {
 		e := all[i]
 		t.Run(e.ID, func(t *testing.T) {
@@ -69,11 +78,6 @@ func checkGoldens(t *testing.T, o Options, dir string) {
 				t.Error("rendered table missing id")
 			}
 			golden := filepath.Join("testdata", dir, e.ID+".txt")
-			if *update {
-				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
 			want, err := os.ReadFile(golden)
 			if err != nil {
 				t.Fatalf("missing golden (regenerate with -update): %v", err)

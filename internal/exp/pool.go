@@ -9,9 +9,8 @@ import (
 
 // A pool runs queued jobs on a fixed set of workers, costliest first,
 // so that no long run starts last and leaves the other workers idle
-// behind it. Outside a suite, a forEach call with more than one worker
-// gets a pool of its own; RunSuite gives all its experiments one pool,
-// whose slots they share.
+// behind it. RunSuite gives all its experiments one pool, whose slots
+// they share; an Experiment.Run called alone gets a pool of its own.
 type pool struct {
 	mu     sync.Mutex
 	ready  sync.Cond // signalled when tasks are queued or the pool closes
@@ -29,7 +28,7 @@ type pool struct {
 	key func(task) float64
 }
 
-// A task is job i of one forEach call's batch.
+// A task is job i of one run call's batch.
 type task struct {
 	cost float64
 	b    *batch
@@ -89,8 +88,12 @@ func (p *pool) work() {
 	p.mu.Unlock()
 }
 
-// run queues jobs 0..n-1, job i at cost(i) (all equal if cost is nil),
-// waits for all of them and returns the lowest-index error.
+// run queues jobs 0..n-1, each an independent simulation, job i at
+// cost(i) (a nil cost makes every job's zero, so they go after every
+// costed job queued), waits for all of them and returns the
+// lowest-index error. Jobs hand back their results through
+// caller-owned slots indexed by job number, so neither the output nor
+// the error depends on the order the jobs run in.
 func (p *pool) run(progress *Progress, n int, cost func(i int) float64, job func(i int) error) error {
 	b := &batch{job: job, errs: make([]error, n), progress: progress}
 	b.left.Add(n)

@@ -4,9 +4,9 @@ import "sync/atomic"
 
 // Progress counts the simulation runs a sweep has finished; a run that
 // RunSuite shares between experiments counts once. A driver hands one
-// in via Options.Progress and reads it with Snapshot; forEach updates
-// it, concurrently under -j, and experiments themselves never touch
-// it. It is purely observational: results are identical with or
+// in via Options.Progress and reads it with Snapshot; the job pool
+// updates it, concurrently under -j, and experiments themselves never
+// touch it. It is purely observational: results are identical with or
 // without it, and a nil *Progress counts nothing.
 type Progress struct {
 	runsDone atomic.Int64

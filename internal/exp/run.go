@@ -132,25 +132,14 @@ type runResult struct {
 	out any
 }
 
-// runAll runs each spec as one forEach job, or under RunSuite once per
-// distinct spec of the suite, and returns the results in spec order. It
-// fails, naming the spec, on the first run in spec order whose program
-// fails or whose accounts do not conserve, and, naming both specs, on
-// two runs of one input (see sameInput) that compute different answers.
+// runAll runs each distinct spec of the suite once on its pool and
+// returns the results in spec order. It fails, naming the spec, on the
+// first run in spec order whose program fails or whose accounts do not
+// conserve, and, naming both specs, on two runs of one input (see
+// sameInput) that compute different answers.
 func runAll(o Options, specs []runSpec) ([]runResult, error) {
 	res := make([]runResult, len(specs))
-	var err error
-	if o.pool != nil {
-		err = o.pool.runShared(o.Progress, specs, res)
-	} else {
-		err = forEach(o, len(specs), func(i int) float64 { return specs[i].cost() }, func(i int) (err error) {
-			if res[i], err = run(specs[i]); err != nil {
-				err = fmt.Errorf("exp: %v: %w", specs[i], err)
-			}
-			return err
-		})
-	}
-	if err != nil {
+	if err := o.pool.runShared(o.Progress, specs, res); err != nil {
 		return nil, err
 	}
 	if err := agree(specs, res); err != nil {

@@ -81,7 +81,7 @@ func runTable1Empirical(o Options) (*Table, error) {
 		cases = cases[:4]
 	}
 	got := make([]float64, len(cases))
-	err := forEach(o, len(cases), nil, func(i int) error {
+	err := o.pool.run(o.Progress, len(cases), nil, func(i int) error {
 		c := cases[i]
 		v, err := empiricalSMin(c.rho, c.procs, 8, 16384, 6*c.procs)
 		got[i] = v

@@ -88,7 +88,9 @@ func TestTopoConservation256(t *testing.T) {
 		t.Skip("256-node sweep point")
 	}
 	spec := topoMixSpec(clusterTopology(256, 16, 2000), 0, apps.DefaultTopoMixConfig(256, 256))
-	res, err := runAll(Options{Parallelism: 1}, []runSpec{spec})
+	o := Options{pool: newPool(1)}
+	defer o.pool.close()
+	res, err := runAll(o, []runSpec{spec})
 	if err != nil {
 		t.Fatalf("256-node run: %v", err)
 	}
@@ -110,7 +112,8 @@ func TestTopoCustomUsesOptionsTopology(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTopology: %v", err)
 	}
-	tab, err := runTopoCustom(Options{Quick: true, Parallelism: 1, Topology: topo})
+	custom, _ := Find("topo-custom")
+	tab, err := custom.Run(Options{Quick: true, Parallelism: 1, Topology: topo})
 	if err != nil {
 		t.Fatalf("topo-custom: %v", err)
 	}
@@ -126,9 +129,9 @@ func TestTopoCustomUsesOptionsTopology(t *testing.T) {
 
 // TestUserTopologyKeepsOffBuiltinPlatforms runs topo-custom on a user
 // topology named like one of topo-skew's sweep points but with a slower
-// remote read, then topo-skew: the pool must not hand the user's
-// machine to that sweep point, so topo-skew renders exactly as it does
-// with pooling off.
+// remote read, then topo-skew, from an emptied pool: the pool must not
+// hand the user's machine to that sweep point, so topo-skew renders its
+// quick golden, which -update renders with pooling off.
 func TestUserTopologyKeepsOffBuiltinPlatforms(t *testing.T) {
 	topo, err := mach.ParseTopology([]byte(`{
 		"name": "cluster-64x8-far4000", "nodes": 64, "page_words": 256,
@@ -139,15 +142,12 @@ func TestUserTopologyKeepsOffBuiltinPlatforms(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseTopology: %v", err)
 	}
-	o := Options{Quick: true, Parallelism: 1}
-	prev := apps.SetPooling(false)
-	ref := render(t, "topo-skew", o)
-	apps.SetPooling(true) // an empty pool
-	defer apps.SetPooling(prev)
-	if _, err := runTopoCustom(Options{Quick: true, Parallelism: 1, Topology: topo}); err != nil {
+	apps.SetPooling(apps.SetPooling(false)) // empties the pool
+	custom, _ := Find("topo-custom")
+	if _, err := custom.Run(Options{Quick: true, Parallelism: 1, Topology: topo}); err != nil {
 		t.Fatalf("topo-custom: %v", err)
 	}
-	if got := render(t, "topo-skew", o); got != ref {
-		t.Fatalf("topo-skew after topo-custom differs from a run without pooling:\n--- pooling off ---\n%s--- after topo-custom ---\n%s", ref, got)
+	if got, want := render(t, "topo-skew", Options{Quick: true, Parallelism: 1}), quickGolden(t, "topo-skew"); got != want {
+		t.Fatalf("topo-skew after topo-custom differs from the golden:\n--- golden ---\n%s--- after topo-custom ---\n%s", want, got)
 	}
 }

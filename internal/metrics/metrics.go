@@ -105,12 +105,13 @@ func CheckConservation(accts []sim.Account) error {
 // account is preceded by its index as node. A page is written from
 // core.PageReport's own fields. A nil slice is written as null and an
 // empty one as [], and the telemetry sections are left out when nil. A
-// series window's TimeNs and Counts are written as objects keyed by
-// cause and count name in name order, holding only the non-zero
-// entries and left out when all are zero. The report is streamed
-// through span.JSONWriter, with no intermediate values:
-// TestWriteJSONMatchesReference pins the bytes to encoding/json's
-// rendering of the schema's reference structs.
+// series window's charged time and counts are written as time_ns and
+// counts objects keyed by cause and count name in name order, holding
+// only the non-zero entries and left out when all are zero. The report
+// is streamed through span.JSONWriter, with no intermediate values:
+// the telemetry sections are read from their live sources as they are
+// written. TestWriteJSONMatchesReference pins the bytes to
+// encoding/json's rendering of the schema's reference structs.
 func WriteJSON(w io.Writer, r Report) error {
 	j := span.NewJSONWriter(w, "  ")
 	j.OpenObject()

@@ -204,15 +204,18 @@ func TestBuildSeriesSpilledOnce(t *testing.T) {
 		t.Fatalf("spilled %d and %d windows, want 6 and 5", cause.SpilledWindows(), counts.SpilledWindows())
 	}
 	s := BuildSeries(cause, counts)
-	if s.SpilledWindows != 6 {
-		t.Errorf("SpilledWindows = %d, want 6", s.SpilledWindows)
+	if s.SpilledWindows() != 6 {
+		t.Errorf("SpilledWindows = %d, want 6", s.SpilledWindows())
 	}
-	if len(s.Windows) != 4 || s.Windows[0].StartNs != 6*width {
-		t.Fatalf("listed %d windows from %v, want 4 from %d", len(s.Windows), s.Windows, 6*width)
-	}
-	for _, w := range s.Windows[:3] {
-		if w.TimeNs[sim.CauseFault] != 5 || w.Counts[span.CountFault] != 1 {
-			t.Errorf("window at %d lists %v and %v, want fault 5 and faults 1", w.StartNs, w.TimeNs, w.Counts)
+	var starts []int64
+	for w, start := range s.Windows() {
+		starts = append(starts, start)
+		if w < 9 && (s.Time(w, sim.CauseFault) != 5 || s.Count(w, span.CountFault) != 1) {
+			t.Errorf("window at %d lists fault %d and faults %d, want 5 and 1",
+				start, s.Time(w, sim.CauseFault), s.Count(w, span.CountFault))
 		}
+	}
+	if want := []int64{6 * width, 7 * width, 8 * width, 9 * width}; !slices.Equal(starts, want) {
+		t.Fatalf("listed windows from %v, want %v", starts, want)
 	}
 }

@@ -9,9 +9,11 @@ import (
 
 	"platinum/internal/apps"
 	"platinum/internal/core"
+	"platinum/internal/hist"
 	"platinum/internal/kernel"
 	"platinum/internal/sim"
 	"platinum/internal/span"
+	"platinum/internal/timeseries"
 )
 
 // The reference rendering of the report: encoding/json with a two-space
@@ -87,6 +89,35 @@ type refPage struct {
 	FaultTimeNs   int64  `json:"fault_time_ns"`
 }
 
+type refBucket struct {
+	LoNs  int64 `json:"lo_ns"`
+	HiNs  int64 `json:"hi_ns"`
+	Count int64 `json:"count"`
+}
+
+type refHist struct {
+	Name    string      `json:"name"`
+	Count   int64       `json:"count"`
+	SumNs   int64       `json:"sum_ns"`
+	MaxNs   int64       `json:"max_ns"`
+	P50Ns   int64       `json:"p50_ns"`
+	P90Ns   int64       `json:"p90_ns"`
+	P99Ns   int64       `json:"p99_ns"`
+	P999Ns  int64       `json:"p999_ns"`
+	Buckets []refBucket `json:"buckets,omitempty"`
+}
+
+type refNodeHists struct {
+	Node   int       `json:"node"`
+	Causes []refHist `json:"causes"`
+}
+
+type refHistograms struct {
+	Charges []refHist      `json:"charges"`
+	Ops     []refHist      `json:"ops,omitempty"`
+	Nodes   []refNodeHists `json:"nodes,omitempty"`
+}
+
 type refSeriesWindow struct {
 	StartNs int64            `json:"start_ns"`
 	TimeNs  map[string]int64 `json:"time_ns,omitempty"`
@@ -109,7 +140,7 @@ type refReport struct {
 	Total         refBreakdown       `json:"total"`
 	Nodes         []refNodeBreakdown `json:"nodes"`
 	Pages         []refPage          `json:"pages"`
-	Histograms    *Histograms        `json:"histograms,omitempty"`
+	Histograms    *refHistograms     `json:"histograms,omitempty"`
 	Series        *refSeries         `json:"series,omitempty"`
 }
 
@@ -127,11 +158,101 @@ func nonZero(vals []int64, name func(int) string) map[string]int64 {
 	return m
 }
 
+// refHistogram is one histogram's JSON form, with its non-empty
+// buckets if withBuckets is set.
+func refHistogram(name string, h *hist.H, withBuckets bool) refHist {
+	m := refHist{Name: name, Count: h.Count(), SumNs: h.Sum(), MaxNs: h.Max(),
+		P50Ns: h.Quantile(0.50), P90Ns: h.Quantile(0.90), P99Ns: h.Quantile(0.99), P999Ns: h.Quantile(0.999)}
+	if withBuckets {
+		h.Each(func(lo, hi, count int64) {
+			m.Buckets = append(m.Buckets, refBucket{LoNs: lo, HiNs: hi, Count: count})
+		})
+	}
+	return m
+}
+
+// refHistSection reads the histograms section's sources: each cause's
+// charges merged over the nodes, the recorder's op histograms, and
+// each node's charges, leaving out empty histograms and uncharged
+// nodes.
+func refHistSection(h *Histograms) *refHistograms {
+	out := &refHistograms{}
+	nodes := h.e.ChargeHistNodes()
+	for c := sim.Cause(0); c < sim.NumCauses; c++ {
+		var merged hist.H
+		for n := 0; n < nodes; n++ {
+			merged.Merge(h.e.ChargeHist(n, c))
+		}
+		if !merged.Empty() {
+			out.Charges = append(out.Charges, refHistogram(c.String(), &merged, true))
+		}
+	}
+	if h.rec != nil {
+		for _, k := range span.HistogramKinds {
+			if oh := h.rec.OpHist(k); !oh.Empty() {
+				out.Ops = append(out.Ops, refHistogram(k.String(), oh, true))
+			}
+		}
+	}
+	for n := 0; n < nodes; n++ {
+		nh := refNodeHists{Node: n}
+		for c := sim.Cause(0); c < sim.NumCauses; c++ {
+			if ch := h.e.ChargeHist(n, c); !ch.Empty() {
+				nh.Causes = append(nh.Causes, refHistogram(c.String(), ch, false))
+			}
+		}
+		if nh.Causes != nil {
+			out.Nodes = append(out.Nodes, nh)
+		}
+	}
+	return out
+}
+
+// refSeriesSection reads the series section's sources: the windows
+// from the later of their lowest retained windows to the later of
+// their highest, leaving out windows where both are zero.
+func refSeriesSection(s *SeriesMetrics) *refSeries {
+	out := &refSeries{}
+	lo, hi := int64(0), int64(-1)
+	for _, src := range []*timeseries.Series{s.cause, s.counts} {
+		if src != nil {
+			out.WidthNs = src.Width()
+			out.SpilledWindows = max(out.SpilledWindows, src.SpilledWindows())
+			if !src.Empty() {
+				lo, hi = max(lo, src.LoWindow()), max(hi, src.HiWindow())
+			}
+		}
+	}
+	column := func(src *timeseries.Series, w int64, n int, name func(int) string) map[string]int64 {
+		vals := make([]int64, n)
+		if src != nil {
+			for i := range vals {
+				vals[i] = src.At(w, i)
+			}
+		}
+		return nonZero(vals, name)
+	}
+	for w := lo; w <= hi; w++ {
+		win := refSeriesWindow{StartNs: w * out.WidthNs,
+			TimeNs: column(s.cause, w, int(sim.NumCauses), causeName),
+			Counts: column(s.counts, w, span.NumCounts, span.CountName)}
+		if win.TimeNs != nil || win.Counts != nil {
+			out.Windows = append(out.Windows, win)
+		}
+	}
+	return out
+}
+
 func writeJSONReference(w io.Writer, r Report) error {
 	ref := refReport{
 		SchemaVersion: r.SchemaVersion, App: r.App, Policy: r.Policy, Procs: r.Procs,
 		ElapsedNs: r.ElapsedNs, Shootdowns: r.Shootdowns, Total: refAccount(r.Total),
-		Histograms: r.Histograms,
+	}
+	if r.Histograms != nil {
+		ref.Histograms = refHistSection(r.Histograms)
+	}
+	if r.Series != nil {
+		ref.Series = refSeriesSection(r.Series)
 	}
 	if r.Nodes != nil {
 		ref.Nodes = []refNodeBreakdown{}
@@ -162,19 +283,6 @@ func writeJSONReference(w io.Writer, r Report) error {
 			FaultTimeNs:   int64(p.FaultTime),
 		})
 	}
-	if s := r.Series; s != nil {
-		ref.Series = &refSeries{WidthNs: s.WidthNs, SpilledWindows: s.SpilledWindows}
-		if s.Windows != nil {
-			ref.Series.Windows = []refSeriesWindow{}
-		}
-		for _, win := range s.Windows {
-			ref.Series.Windows = append(ref.Series.Windows, refSeriesWindow{
-				StartNs: win.StartNs,
-				TimeNs:  nonZero(win.TimeNs[:], causeName),
-				Counts:  nonZero(win.Counts[:], span.CountName),
-			})
-		}
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ref)
@@ -197,8 +305,8 @@ var hostileText = []string{
 
 // hostileReport fills every field of a version 2 report: hostile
 // strings in each string field, math.MinInt64 and math.MaxInt64 in the
-// integers, every cause and every omitempty field nonzero, and windows
-// with only times, only counts and both.
+// integers, every cause and every omitempty field nonzero, and the
+// telemetry of hostileTelemetry.
 func hostileReport() Report {
 	var a sim.Account
 	for c := range a {
@@ -207,7 +315,7 @@ func hostileReport() Report {
 	a[sim.CauseUnattributed], a[sim.CauseCompute] = math.MinInt64, -1
 	a[sim.CausePTReplicate], a[sim.CauseBatchFlush] = math.MinInt64, math.MaxInt64
 	r := Report{
-		SchemaVersion: SchemaVersionTelemetry,
+		SchemaVersion: SchemaVersion,
 		App:           hostileText[0],
 		Policy:        hostileText[2],
 		Procs:         math.MaxInt64,
@@ -226,31 +334,74 @@ func hostileReport() Report {
 			},
 		})
 	}
-	h := HistogramMetrics{Name: hostileText[3], Count: 3, SumNs: math.MaxInt64, MaxNs: math.MinInt64,
-		P50Ns: 1, P90Ns: 2, P99Ns: 3, P999Ns: 4,
-		Buckets: []BucketMetrics{{LoNs: math.MinInt64, HiNs: math.MaxInt64, Count: 1}, {LoNs: 5, HiNs: 6, Count: 2}}}
-	perNode := h
-	perNode.Name, perNode.Buckets = hostileText[5], nil
-	r.Histograms = &Histograms{
-		Charges: []HistogramMetrics{h, perNode},
-		Ops:     []HistogramMetrics{h},
-		Nodes:   []NodeHistograms{{Node: 0, Causes: []HistogramMetrics{perNode}}, {Node: math.MaxInt64, Causes: []HistogramMetrics{}}},
-	}
-	s := &SeriesMetrics{WidthNs: math.MaxInt64, SpilledWindows: 3}
-	for w := range 4 {
-		sw := SeriesWindow{StartNs: int64(w) * 1000}
-		if w != 1 {
-			sw.TimeNs[sim.CauseFault], sw.TimeNs[sim.CauseCompute] = math.MaxInt64, int64(w)-2
-			sw.TimeNs[sim.CauseBatchFlush] = math.MinInt64
-		}
-		if w != 0 {
-			sw.Counts[span.CountThaw], sw.Counts[span.CountFault] = int64(w), math.MinInt64
-		}
-		s.Windows = append(s.Windows, sw)
-	}
-	s.Windows = append(s.Windows, SeriesWindow{StartNs: 9000}) // all zero: both objects left out
-	r.Series = s
+	r.AttachTelemetry(hostileTelemetry())
 	return r
+}
+
+// charges is what one thread bound to node charges to cause c.
+type charges struct {
+	node int
+	c    sim.Cause
+	d    []sim.Time
+}
+
+// chargedEngine returns an engine with charge histograms for nodes
+// nodes, after one thread for each of threads has charged.
+func chargedEngine(nodes int, threads ...charges) *sim.Engine {
+	e := sim.NewEngine()
+	e.EnableChargeHistograms(nodes)
+	for _, ch := range threads {
+		e.Spawn("charger", func(th *sim.Thread) {
+			th.BindNode(ch.node)
+			for _, d := range ch.d {
+				th.Charge(ch.c, d)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// hostileTelemetry returns telemetry sections of real sources that
+// carry every key the sections have:
+//   - charges on nodes 0 and 2 of three, from 1 ns, an exact bucket, to
+//     2⁶² ns, in the top octaves, so node 1 is left out;
+//   - a retained fault and shootdown but no block transfer, so one op
+//     is left out;
+//   - a cause and a count series on 4-window rings that spilled six of
+//     the ten windows they were given, holding math.MaxInt64 and
+//     math.MinInt64, and listing windows with times only, counts only,
+//     both, and neither (left out).
+func hostileTelemetry() (*Histograms, *SeriesMetrics) {
+	e := chargedEngine(3,
+		charges{0, sim.CauseFault, []sim.Time{1, 7, 1 << 40}},
+		charges{0, sim.CauseCompute, []sim.Time{1 << 62}},
+		charges{2, sim.CauseBatchFlush, []sim.Time{3, 300}})
+	rec := span.NewRecorder(0)
+	rec.EnableRetain(0)
+	rec.Record(span.Span{Kind: span.KindFault, Start: 100, End: 350})
+	rec.Record(span.Span{Kind: span.KindShootdown, Start: 150, End: 250})
+	rec.Record(span.Span{Kind: span.KindDirLookup, Start: 110, End: 120})
+	const width = 1000
+	cause := timeseries.New(width, int(sim.NumCauses), 4)
+	counts := timeseries.New(width, span.NumCounts, 4)
+	for w := range int64(10) {
+		at := w * width
+		if w != 7 && w != 9 {
+			cause.Add(at, int(sim.CauseFault), math.MaxInt64)
+			cause.Add(at, int(sim.CauseCompute), w-8)
+			cause.Add(at, int(sim.CauseBatchFlush), math.MinInt64)
+		}
+		if w != 6 && w != 9 {
+			counts.Add(at, span.CountThaw, w)
+			counts.Add(at, span.CountFault, math.MinInt64)
+		}
+	}
+	cause.Add(9*width, int(sim.CauseFault), 0)
+	counts.Add(9*width, span.CountFault, 0)
+	return BuildHistograms(e, rec), BuildSeries(cause, counts)
 }
 
 // observedReport is the version 2 report of the gauss-16p-observed
@@ -278,7 +429,7 @@ func observedReport(t *testing.T) Report {
 	mr := BuildReport("gauss", cfg.Threads, r.Elapsed, k.NodeAccounts(), k.Report())
 	mr.Pages = mr.Pages[:20]
 	mr.AttachTelemetry(BuildHistograms(k.Engine(), k.Spans()), BuildSeries(k.CauseSeries(), k.Spans().CountSeries()))
-	if mr.Histograms == nil || mr.Series == nil || len(mr.Series.Windows) == 0 {
+	if mr.Histograms == nil || mr.Series == nil || mr.Series.hi < mr.Series.lo {
 		t.Fatal("the observed run attached no histograms or series windows")
 	}
 	return mr
@@ -287,26 +438,35 @@ func observedReport(t *testing.T) Report {
 // TestWriteJSONMatchesReference checks the streaming report writer
 // against encoding/json byte for byte.
 func TestWriteJSONMatchesReference(t *testing.T) {
+	// Telemetry sources that recorded nothing: charge histograms on for
+	// two nodes, a recorder retaining no op, two empty series.
+	idle := chargedEngine(2)
+	noOps := span.NewRecorder(0)
+	noOps.EnableRetain(0)
+	noOps.Record(span.Span{Kind: span.KindDirLookup, Start: 1, End: 2})
+	emptyCause, emptyCounts := timeseries.New(5, int(sim.NumCauses), 4), timeseries.New(5, span.NumCounts, 4)
+
 	zero := hostileReport()
 	zero.Total = sim.Account{}
 	zero.Nodes[0] = sim.Account{}
-	zero.Histograms = &Histograms{Charges: []HistogramMetrics{{}}, Ops: []HistogramMetrics{}, Nodes: []NodeHistograms{}}
-	zero.Histograms.Charges[0].Buckets = []BucketMetrics{}
-	zero.Series = &SeriesMetrics{Windows: []SeriesWindow{{}}}
+	zero.Histograms = BuildHistograms(idle, noOps)
+	zero.Series = BuildSeries(emptyCause, emptyCounts)
 
 	nils := fixedReport()
 	nils.Nodes, nils.Pages = nil, nil
-	nils.AttachTelemetry(&Histograms{Nodes: []NodeHistograms{{Node: 2}}}, &SeriesMetrics{WidthNs: 5})
+	nils.AttachTelemetry(BuildHistograms(idle, nil), BuildSeries(nil, emptyCounts))
 
 	empties := fixedReport()
 	empties.Nodes, empties.Pages = []sim.Account{}, []core.PageReport{}
-	empties.AttachTelemetry(&Histograms{Charges: []HistogramMetrics{}, Nodes: []NodeHistograms{{Node: 2, Causes: []HistogramMetrics{}}}},
-		&SeriesMetrics{WidthNs: 5, Windows: []SeriesWindow{}})
+	empties.AttachTelemetry(BuildHistograms(idle, noOps), BuildSeries(emptyCause, nil))
 
+	hostileHist, hostileSeries := hostileTelemetry()
 	histOnly := fixedReport()
-	histOnly.AttachTelemetry(&Histograms{}, nil)
+	histOnly.AttachTelemetry(hostileHist, nil)
 	seriesOnly := fixedReport()
-	seriesOnly.AttachTelemetry(nil, &SeriesMetrics{})
+	seriesOnly.AttachTelemetry(nil, hostileSeries)
+	causeOnly := fixedReport()
+	causeOnly.AttachTelemetry(nil, BuildSeries(hostileSeries.cause, nil))
 
 	cases := []struct {
 		name string
@@ -320,6 +480,7 @@ func TestWriteJSONMatchesReference(t *testing.T) {
 		{"empty pages, charges and windows", empties},
 		{"histograms only", histOnly},
 		{"series only", seriesOnly},
+		{"cause series only", causeOnly},
 		{"gauss-16p-observed v2", observedReport(t)},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 
@@ -26,75 +27,26 @@ import (
 // telemetry sections are attached (AttachTelemetry).
 const SchemaVersionTelemetry = 2
 
-// BucketMetrics is one non-empty histogram bucket: Count samples whose
-// values fell in [LoNs, HiNs].
-type BucketMetrics struct {
-	LoNs  int64 `json:"lo_ns"`
-	HiNs  int64 `json:"hi_ns"`
-	Count int64 `json:"count"`
-}
-
-// HistogramMetrics is one latency distribution: exact count, sum and
-// max alongside log-bucketed percentiles (upper bucket bounds, so each
-// quantile is exact to within the bucket's <=12.5% relative width and
-// never exceeds the true maximum). Buckets, when present, list only
-// non-empty buckets.
-type HistogramMetrics struct {
-	Name    string          `json:"name"`
-	Count   int64           `json:"count"`
-	SumNs   int64           `json:"sum_ns"`
-	MaxNs   int64           `json:"max_ns"`
-	P50Ns   int64           `json:"p50_ns"`
-	P90Ns   int64           `json:"p90_ns"`
-	P99Ns   int64           `json:"p99_ns"`
-	P999Ns  int64           `json:"p999_ns"`
-	Buckets []BucketMetrics `json:"buckets,omitempty"`
-}
-
-// FromHist converts one histogram. withBuckets selects whether the
-// sparse bucket listing rides along (machine-wide sections carry it;
-// per-node sections keep percentiles only, for size).
-func FromHist(name string, h *hist.H, withBuckets bool) HistogramMetrics {
-	m := HistogramMetrics{
-		Name:   name,
-		Count:  h.Count(),
-		SumNs:  h.Sum(),
-		MaxNs:  h.Max(),
-		P50Ns:  h.Quantile(0.50),
-		P90Ns:  h.Quantile(0.90),
-		P99Ns:  h.Quantile(0.99),
-		P999Ns: h.Quantile(0.999),
-	}
-	if withBuckets {
-		h.Each(func(lo, hi, count int64) {
-			m.Buckets = append(m.Buckets, BucketMetrics{LoNs: lo, HiNs: hi, Count: count})
-		})
-	}
-	return m
-}
-
-// NodeHistograms is one node's per-cause charge distributions
-// (percentiles only; the machine-wide section has the buckets).
-type NodeHistograms struct {
-	Node   int                `json:"node"`
-	Causes []HistogramMetrics `json:"causes"`
-}
-
-// Histograms is the report's "histograms" section. Charges are
-// machine-wide per-cause charge distributions (every node's histogram
-// for that cause merged); Ops are whole-operation distributions (full
-// fault, shootdown round, block transfer) derived from the retained
-// spans; Nodes breaks the charge distributions down per node. Empty
-// distributions are omitted throughout, so the section's size tracks
-// what actually ran.
+// Histograms is the report's "histograms" section: machine-wide
+// per-cause charge distributions (every node's histogram for that
+// cause merged), whole-operation distributions (full fault, shootdown
+// round, block transfer) derived from the retained spans, and the
+// charge distributions per node. It is a view of the engine's charge
+// histograms and the recorder's retained spans: it reads live platform
+// state when the report is written, so write the report before the
+// platform's next Reset. Each distribution is written with its exact
+// count, sum and max alongside log-bucketed percentiles (upper bucket
+// bounds, so each quantile is exact to within the bucket's <=12.5%
+// relative width and never exceeds the true maximum); the machine-wide
+// ones also list their non-empty buckets. Empty distributions are
+// omitted throughout, so the section's size tracks what actually ran.
 type Histograms struct {
-	Charges []HistogramMetrics `json:"charges"`
-	Ops     []HistogramMetrics `json:"ops,omitempty"`
-	Nodes   []NodeHistograms   `json:"nodes,omitempty"`
+	e   *sim.Engine
+	rec *span.Recorder // nil unless it retains spans
 }
 
-// BuildHistograms assembles the histograms section from an engine with
-// charge histograms enabled, adding the op histograms when rec retains
+// BuildHistograms returns the histograms section of an engine with
+// charge histograms enabled, with the op histograms when rec retains
 // spans (kernel.EnableHistograms turns both on). Returns nil when
 // charge histograms are off — the omitempty contract for unconfigured
 // runs.
@@ -102,67 +54,70 @@ func BuildHistograms(e *sim.Engine, rec *span.Recorder) *Histograms {
 	if e == nil || !e.ChargeHistogramsEnabled() {
 		return nil
 	}
-	out := &Histograms{}
-	nodes := e.ChargeHistNodes()
-	var merged hist.H
-	for c := sim.Cause(0); c < sim.NumCauses; c++ {
-		merged.Reset()
-		for n := 0; n < nodes; n++ {
-			if h := e.ChargeHist(n, c); h != nil {
-				merged.Merge(h)
-			}
-		}
-		if !merged.Empty() {
-			out.Charges = append(out.Charges, FromHist(c.String(), &merged, true))
-		}
-	}
-	for n := 0; n < nodes; n++ {
-		nh := NodeHistograms{Node: n}
-		for c := sim.Cause(0); c < sim.NumCauses; c++ {
-			if h := e.ChargeHist(n, c); h != nil && !h.Empty() {
-				nh.Causes = append(nh.Causes, FromHist(c.String(), h, false))
-			}
-		}
-		if len(nh.Causes) > 0 {
-			out.Nodes = append(out.Nodes, nh)
-		}
-	}
+	h := &Histograms{e: e}
 	if rec != nil && rec.Retaining() {
-		for _, k := range span.HistogramKinds {
-			if h := rec.OpHist(k); !h.Empty() {
-				out.Ops = append(out.Ops, FromHist(k.String(), h, true))
-			}
-		}
+		h.rec = rec
 	}
-	return out
+	return h
 }
 
-// SeriesWindow is one window of the report's time series: per-cause
-// charged time and per-operation counts during [StartNs,
-// StartNs+WidthNs). All-zero rows are omitted from the report, and
-// within a window only non-zero entries appear, so the stream size
-// tracks activity. WriteJSON writes TimeNs as "time_ns", an object
-// keyed by cause name (sim.Cause.String), and Counts as "counts",
-// keyed by count name (span.CountName), each in name order and left
-// out when all its entries are zero.
-type SeriesWindow struct {
-	StartNs int64 `json:"start_ns"`
-	TimeNs  [sim.NumCauses]int64
-	Counts  [span.NumCounts]int64
+// Charges yields each cause's name and machine-wide charge
+// distribution, every node's merged into one scratch histogram that
+// the next cause overwrites, in Cause order and skipping causes
+// nothing was charged to.
+func (h *Histograms) Charges() iter.Seq2[string, *hist.H] {
+	merged := new(hist.H)
+	return causes(func(c sim.Cause) *hist.H {
+		merged.Reset()
+		for n := range h.e.ChargeHistNodes() {
+			merged.Merge(h.e.ChargeHist(n, c))
+		}
+		return merged
+	})
+}
+
+// Ops yields each whole-operation distribution's kind name and
+// histogram, built from the retained spans in span.HistogramKinds
+// order, skipping empty ones; none when spans were not retained.
+func (h *Histograms) Ops() iter.Seq2[string, *hist.H] {
+	return func(yield func(string, *hist.H) bool) {
+		if h.rec == nil {
+			return
+		}
+		for _, k := range span.HistogramKinds {
+			if oh := h.rec.OpHist(k); !oh.Empty() && !yield(k.String(), oh) {
+				return
+			}
+		}
+	}
+}
+
+// causes yields each cause's name and its histogram from of, in Cause
+// order, skipping the empty ones.
+func causes(of func(sim.Cause) *hist.H) iter.Seq2[string, *hist.H] {
+	return func(yield func(string, *hist.H) bool) {
+		for c := range sim.NumCauses {
+			if h := of(c); !h.Empty() && !yield(c.String(), h) {
+				return
+			}
+		}
+	}
 }
 
 // SeriesMetrics is the report's "series" section: rate curves over
-// simulated time in fixed-width windows. SpilledWindows counts windows
-// with data evicted from the retained rings (their contents are
-// preserved in the sources' spill accumulators but not listed here);
-// zero means the listing is complete.
+// simulated time in fixed-width windows, per-cause charged time from
+// the engine's cause series and per-operation counts from the span
+// recorder's count series. It is a view of both series that keeps
+// only their width, how many windows they evicted and the window range
+// it lists: it reads live platform state when the report is written,
+// so write the report before the platform's next Reset.
 type SeriesMetrics struct {
-	WidthNs        int64          `json:"width_ns"`
-	SpilledWindows int64          `json:"spilled_windows,omitempty"`
-	Windows        []SeriesWindow `json:"windows"`
+	cause, counts  *timeseries.Series // either may be nil
+	width, spilled int64
+	lo, hi         int64 // the listed windows, none when hi < lo
 }
 
-// BuildSeries assembles the series section from the engine's per-cause
+// BuildSeries returns the series section of the engine's per-cause
 // charged-time series and the span recorder's operation-count series
 // (either may be nil; both nil returns nil). When both are present they
 // must share one geometry — kernel.EnableSeries configures them
@@ -174,49 +129,55 @@ func BuildSeries(cause, counts *timeseries.Series) *SeriesMetrics {
 	if cause == nil && counts == nil {
 		return nil
 	}
-	out := &SeriesMetrics{}
-	lo, hi := int64(0), int64(-1)
-	for _, s := range [...]*timeseries.Series{cause, counts} {
-		if s == nil {
+	s := &SeriesMetrics{cause: cause, counts: counts, hi: -1}
+	for _, src := range [...]*timeseries.Series{cause, counts} {
+		if src == nil {
 			continue
 		}
-		if out.WidthNs == 0 {
-			out.WidthNs = s.Width()
-		} else if s.Width() != out.WidthNs {
-			panic(fmt.Sprintf("metrics: series width mismatch: %d vs %d", out.WidthNs, s.Width()))
+		if s.width == 0 {
+			s.width = src.Width()
+		} else if src.Width() != s.width {
+			panic(fmt.Sprintf("metrics: series width mismatch: %d vs %d", s.width, src.Width()))
 		}
-		out.SpilledWindows = max(out.SpilledWindows, s.SpilledWindows())
-		if !s.Empty() {
-			lo, hi = max(lo, s.LoWindow()), max(hi, s.HiWindow())
+		s.spilled = max(s.spilled, src.SpilledWindows())
+		if !src.Empty() {
+			s.lo, s.hi = max(s.lo, src.LoWindow()), max(s.hi, src.HiWindow())
 		}
 	}
-	width := out.WidthNs
-	if hi >= lo {
-		out.Windows = make([]SeriesWindow, 0, hi-lo+1)
-	}
-	for w := lo; w <= hi; w++ {
-		sw := SeriesWindow{StartNs: w * width}
-		nonzero := false
-		if cause != nil {
-			for c := range sw.TimeNs {
-				sw.TimeNs[c] = cause.At(w, c)
-				nonzero = nonzero || sw.TimeNs[c] != 0
+	return s
+}
+
+// Width returns the window width in nanoseconds of simulated time.
+func (s *SeriesMetrics) Width() int64 { return s.width }
+
+// SpilledWindows counts the windows with data evicted from the series'
+// retained rings: their contents are kept in the series' spill
+// accumulators but not listed. Zero means the listing is complete.
+func (s *SeriesMetrics) SpilledWindows() int64 { return s.spilled }
+
+// Windows yields the index and start time of each listed window that
+// holds data, in time order.
+func (s *SeriesMetrics) Windows() iter.Seq2[int64, int64] {
+	return func(yield func(int64, int64) bool) {
+		for w := s.lo; w <= s.hi; w++ {
+			if (held(s.cause, w, causesByName) || held(s.counts, w, countsByName)) && !yield(w, w*s.width) {
+				return
 			}
 		}
-		if counts != nil {
-			for col := range sw.Counts {
-				sw.Counts[col] = counts.At(w, col)
-				nonzero = nonzero || sw.Counts[col] != 0
-			}
-		}
-		if nonzero {
-			out.Windows = append(out.Windows, sw)
-		}
 	}
-	if len(out.Windows) == 0 {
-		out.Windows = nil // no window with data: the listing is null, not []
-	}
-	return out
+}
+
+// Time returns the time charged to cause c in window w.
+func (s *SeriesMetrics) Time(w int64, c sim.Cause) int64 { return s.cause.At(w, int(c)) }
+
+// Count returns window w's count in column col (span.CountFault and
+// the rest).
+func (s *SeriesMetrics) Count(w int64, col int) int64 { return s.counts.At(w, col) }
+
+// held reports whether any of src's columns cols is non-zero in window
+// w.
+func held(src *timeseries.Series, w int64, cols []int) bool {
+	return slices.ContainsFunc(cols, func(col int) bool { return src.At(w, col) != 0 })
 }
 
 // causesByName and countsByName list the causes and count columns in
@@ -239,76 +200,103 @@ func byName(n int, name func(int) string) []int {
 
 func writeHistograms(j *span.JSONWriter, h *Histograms) {
 	j.OpenObject()
-	j.Key("charges")
-	writeArray(j, h.Charges, writeHist)
-	if len(h.Ops) > 0 {
-		j.Key("ops")
-		writeArray(j, h.Ops, writeHist)
+	bucketed := func(name string, m *hist.H) { writeHist(j, name, m, true) }
+	charged := writeSeq(j, "charges", h.Charges(), bucketed)
+	if !charged {
+		j.Key("charges").Null()
 	}
-	if len(h.Nodes) > 0 {
-		j.Key("nodes")
-		writeArray(j, h.Nodes, func(j *span.JSONWriter, n *NodeHistograms) {
-			j.OpenObject()
-			j.Key("node").Int(int64(n.Node))
-			j.Key("causes")
-			writeArray(j, n.Causes, writeHist)
-			j.CloseObject()
-		})
+	writeSeq(j, "ops", h.Ops(), bucketed)
+	if charged { // so some node was
+		j.Key("nodes").OpenArray()
+		for n := range h.e.ChargeHistNodes() {
+			node := causes(func(c sim.Cause) *hist.H { return h.e.ChargeHist(n, c) })
+			for range node { // once, if node n was charged
+				j.OpenObject()
+				j.Key("node").Int(int64(n))
+				writeSeq(j, "causes", node, func(name string, m *hist.H) { writeHist(j, name, m, false) })
+				j.CloseObject()
+				break
+			}
+		}
+		j.CloseArray()
 	}
 	j.CloseObject()
 }
 
-func writeHist(j *span.JSONWriter, m *HistogramMetrics) {
+// writeSeq writes under key an array of what write writes for each
+// pair seq yields, and nothing when it yields none. It reports whether
+// it wrote.
+func writeSeq[K, V any](j *span.JSONWriter, key string, seq iter.Seq2[K, V], write func(K, V)) bool {
+	wrote := false
+	for k, v := range seq {
+		if !wrote {
+			j.Key(key).OpenArray()
+			wrote = true
+		}
+		write(k, v)
+	}
+	if wrote {
+		j.CloseArray()
+	}
+	return wrote
+}
+
+// writeHist writes a non-empty histogram, listing its non-empty
+// buckets when buckets is set.
+func writeHist(j *span.JSONWriter, name string, h *hist.H, buckets bool) {
 	j.OpenObject()
-	j.Key("name").String(m.Name)
-	j.Key("count").Int(m.Count)
-	j.Key("sum_ns").Int(m.SumNs)
-	j.Key("max_ns").Int(m.MaxNs)
-	j.Key("p50_ns").Int(m.P50Ns)
-	j.Key("p90_ns").Int(m.P90Ns)
-	j.Key("p99_ns").Int(m.P99Ns)
-	j.Key("p999_ns").Int(m.P999Ns)
-	if len(m.Buckets) > 0 {
-		j.Key("buckets")
-		writeArray(j, m.Buckets, func(j *span.JSONWriter, b *BucketMetrics) {
+	j.Key("name").String(name)
+	j.Key("count").Int(h.Count())
+	j.Key("sum_ns").Int(h.Sum())
+	j.Key("max_ns").Int(h.Max())
+	j.Key("p50_ns").Int(h.Quantile(0.50))
+	j.Key("p90_ns").Int(h.Quantile(0.90))
+	j.Key("p99_ns").Int(h.Quantile(0.99))
+	j.Key("p999_ns").Int(h.Quantile(0.999))
+	if buckets {
+		j.Key("buckets").OpenArray()
+		h.Each(func(lo, hi, count int64) {
 			j.OpenObject()
-			j.Key("lo_ns").Int(b.LoNs)
-			j.Key("hi_ns").Int(b.HiNs)
-			j.Key("count").Int(b.Count)
+			j.Key("lo_ns").Int(lo)
+			j.Key("hi_ns").Int(hi)
+			j.Key("count").Int(count)
 			j.CloseObject()
 		})
+		j.CloseArray()
 	}
 	j.CloseObject()
 }
 
 func writeSeries(j *span.JSONWriter, s *SeriesMetrics) {
 	j.OpenObject()
-	j.Key("width_ns").Int(s.WidthNs)
-	if s.SpilledWindows != 0 {
-		j.Key("spilled_windows").Int(s.SpilledWindows)
+	j.Key("width_ns").Int(s.width)
+	if s.spilled != 0 {
+		j.Key("spilled_windows").Int(s.spilled)
 	}
-	j.Key("windows")
-	writeArray(j, s.Windows, func(j *span.JSONWriter, w *SeriesWindow) {
+	listed := writeSeq(j, "windows", s.Windows(), func(w, start int64) {
 		j.OpenObject()
-		j.Key("start_ns").Int(w.StartNs)
-		writeNamed(j, "time_ns", w.TimeNs[:], causesByName, causeName)
-		writeNamed(j, "counts", w.Counts[:], countsByName, span.CountName)
+		j.Key("start_ns").Int(start)
+		writeNamed(j, "time_ns", s.cause, w, causesByName, causeName)
+		writeNamed(j, "counts", s.counts, w, countsByName, span.CountName)
 		j.CloseObject()
 	})
+	if !listed {
+		j.Key("windows").Null()
+	}
 	j.CloseObject()
 }
 
-// writeNamed writes vals' non-zero entries under key as an object
-// keyed by name, in the name order order gives; nothing when all are
-// zero.
-func writeNamed(j *span.JSONWriter, key string, vals []int64, order []int, name func(int) string) {
-	if !slices.ContainsFunc(vals, func(v int64) bool { return v != 0 }) {
+// writeNamed writes src's non-zero columns in window w under key as an
+// object keyed by name, in the name order order gives; nothing when
+// all are zero.
+func writeNamed(j *span.JSONWriter, key string, src *timeseries.Series, w int64, order []int, name func(int) string) {
+	if !held(src, w, order) {
 		return
 	}
 	j.Key(key).OpenObject()
-	for _, i := range order {
-		if vals[i] != 0 {
-			j.Key(name(i)).Int(vals[i])
+	for _, col := range order {
+		if v := src.At(w, col); v != 0 {
+			j.Key(name(col)).Int(v)
 		}
 	}
 	j.CloseObject()

@@ -228,9 +228,9 @@ func (s *Series) LoWindow() int64 { return s.lo }
 func (s *Series) HiWindow() int64 { return s.hi }
 
 // At returns the counter for column col in window index w, or 0 when w
-// is outside the retained range.
+// is outside the retained range or s is nil.
 func (s *Series) At(w int64, col int) int64 {
-	if s.n == 0 || w < s.lo || w > s.hi {
+	if s == nil || s.n == 0 || w < s.lo || w > s.hi {
 		return 0
 	}
 	return s.row(w)[col]

@@ -63,17 +63,7 @@ if ! go run ./scripts/topocheck TOPOLOGY.md examples/topologies/*.json; then
 	fail=1
 fi
 
-# 6. EXPERIMENTS.md documents every JSON field of the telemetry metrics
-#    schema (the `json:"..."` tags in internal/metrics/telemetry.go),
-#    so the schema-v2 sections cannot grow undocumented fields.
-for tag in $(grep -o 'json:"[a-z0-9_]*' internal/metrics/telemetry.go | cut -d'"' -f2 | sort -u); do
-	if ! grep -q "\`$tag\`" EXPERIMENTS.md; then
-		echo "EXPERIMENTS.md: does not document telemetry JSON field '$tag' (internal/metrics/telemetry.go)"
-		fail=1
-	fi
-done
-
-# 7. README's "Go (1.NN+)" names the go directive in go.mod, so a
+# 6. README's "Go (1.NN+)" names the go directive in go.mod, so a
 #    version bump cannot leave the stated requirement behind.
 gomod=$(awk '$1 == "go" { print $2; exit }' go.mod | cut -d. -f1,2)
 readme=$(grep -o 'Go (1\.[0-9]*+)' README.md | head -n 1 | sed 's/[^0-9.]//g')
